@@ -10,6 +10,7 @@ re-solve perturbed instances and search for profitable deviations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,6 +50,15 @@ class CohesiveGroup:
 
     members: tuple[int, ...]
     alpha: float
+
+
+def _grid_steps(budget: float, resolution: float) -> tuple[int, float]:
+    """Split budget into the whole number of grid steps closest to the
+    requested resolution (at least one); returns (steps, step)."""
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    steps = max(1, round(budget / resolution))
+    return steps, budget / steps
 
 
 def check_rr(profile: Profile, x: Allocation) -> AxiomReport:
@@ -189,8 +199,7 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
     for mask in range(1, 1 << n):
         members = list(_mask_members(mask))
         budget = len(members) / n
-        steps = max(1, round(budget / resolution))
-        step = budget / steps
+        steps, step = _grid_steps(budget, resolution)
         prefs_s = profile.prefs[members]
         base = pi[members]
         for block in _composition_chunks(steps, m, step):
@@ -219,8 +228,7 @@ def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> Axio
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"efficiency search is limited to m <= {MAX_GRID_ALTERNATIVES}")
     pi = overlap(profile.prefs, x.shares)
-    steps = max(1, round(1.0 / resolution))
-    step = 1.0 / steps
+    steps, step = _grid_steps(1.0, resolution)
     prefs = profile.prefs
     for block in _composition_chunks(steps, profile.m, step):
         alt_pi = np.minimum(block[:, None, :], prefs[None, :, :]).sum(axis=2)
@@ -278,12 +286,11 @@ def probe_strategyproofness(
     """
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"misreport search is limited to m <= {MAX_GRID_ALTERNATIVES}")
+    steps, step = _grid_steps(1.0, resolution)
     opts = opts or SolverOptions()
     honest = solve_ctr(profile, f, opts)
     truth = profile.prefs[i]
     honest_sat = float(honest.satisfactions.values[i])
-    steps = max(1, round(1.0 / resolution))
-    step = 1.0 / steps
     best_gain = 0.0
     best: dict[str, Any] | None = None
     for block in _composition_chunks(steps, profile.m, step):

@@ -9,6 +9,7 @@ quantity on a solved instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -41,6 +42,14 @@ class BoundCheck:
     params: dict[str, Any] = field(default_factory=dict)
 
 
+def check_lambda(lam: float) -> float:
+    """Return an inequality-aversion bound after checking it is finite and
+    positive; every closed-form guarantee needs one."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+    return lam
+
+
 def welfare(profile: Profile, x: Allocation) -> float:
     """Total satisfaction across agents."""
     return float(overlap(profile.prefs, x.shares).sum())
@@ -65,24 +74,19 @@ def egalitarian_loss(profile: Profile, x: Allocation, egal_reference: SolveRepor
 
 def wl_bound(lambda_upper: float, m: int) -> float:
     """Welfare-loss cap for rules with inequality aversion at most lambda."""
-    if lambda_upper <= 0:
-        raise ValueError("lambda must be positive")
-    lam = lambda_upper
+    lam = check_lambda(lambda_upper)
     return lam * m**lam / (lam * m**lam + lam + 1.0)
 
 
 def wl_bound_single_minded(lambda_upper: float, m: int) -> float:
     """Tighter welfare-loss cap on single-minded profiles."""
-    if lambda_upper <= 0:
-        raise ValueError("lambda must be positive")
-    lam = lambda_upper
+    lam = check_lambda(lambda_upper)
     return (m - 1.0) / m * lam / (lam + 1.0)
 
 
 def ifs_share_bound(lambda_lower: float, m: int, n: int) -> float:
     """Individual satisfaction floor for rules with IAV at least lambda."""
-    if lambda_lower <= 0:
-        raise ValueError("lambda must be positive")
+    check_lambda(lambda_lower)
     if n < 2:
         raise ValueError("needs at least two agents")
     return 1.0 / (1.0 + (m - 1.0) * (n - 1.0) ** (1.0 / lambda_lower))
@@ -90,16 +94,14 @@ def ifs_share_bound(lambda_lower: float, m: int, n: int) -> float:
 
 def el_bound_single_minded(lambda_lower: float, m: int, n: int) -> float:
     """Egalitarian-loss cap on single-minded profiles (uniform is maxmin)."""
-    if lambda_lower <= 0:
-        raise ValueError("lambda must be positive")
+    check_lambda(lambda_lower)
     val = 1.0 - m / (1.0 + (m - 1.0) * (n - 1.0) ** (1.0 / lambda_lower))
     return float(np.clip(val, 0.0, 1.0))
 
 
 def min_agent_bound(lambda_lower: float, m: int, n: int) -> float:
     """Coarser individual floor (1/m)(1/n)^(1/lambda)."""
-    if lambda_lower <= 0:
-        raise ValueError("lambda must be positive")
+    check_lambda(lambda_lower)
     return (1.0 / m) * (1.0 / n) ** (1.0 / lambda_lower)
 
 
@@ -121,8 +123,7 @@ def gamma(m: int, n: int, lambda_lower: float) -> tuple[float, float]:
     """
     if m < 2 or n < 2:
         raise ValueError("gamma needs m >= 2 and n >= 2")
-    if lambda_lower <= 0:
-        raise ValueError("lambda must be positive")
+    check_lambda(lambda_lower)
     inv = 1.0 / lambda_lower
 
     def h(w: float) -> float:

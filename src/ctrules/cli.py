@@ -106,8 +106,7 @@ def parse_rule(spec: str) -> str | UtilityFunction:
 
 def ladder_rule(lam: float) -> UtilityFunction:
     """Constant-IAV rule with inequality aversion exactly lam."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    bd.check_lambda(lam)
     if abs(lam - 1.0) <= 1e-12:
         return make_utility("log")
     if lam < 1.0:
@@ -159,7 +158,7 @@ def _solve_with(rule: str | UtilityFunction, profile: Profile, opts: SolverOptio
 def cmd_solve(args) -> int:
     profile, _ = load_profile(args.profile)
     rule = parse_rule(args.rule)
-    opts = SolverOptions(tol=args.tol, seed=args.seed)
+    opts = SolverOptions(tol=args.tol)
     report = _solve_with(rule, profile, opts)
     _emit(_report_dict(report), args.out)
     return 0 if report.converged else 2
@@ -301,7 +300,7 @@ def _lambda_grid(spec: str) -> list[float]:
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError as exc:
         raise ValueError(f"lambda grid must look like lo:hi:count, got {spec!r}") from exc
-    if lo <= 0 or hi < lo or count < 1:
+    if not 0 < lo <= hi < np.inf or count < 1:
         raise ValueError(f"bad lambda grid {spec!r}")
     if count == 1:
         return [lo]
@@ -336,16 +335,14 @@ def cmd_sweep(args) -> int:
     directory = Path(args.profile_dir)
     if not directory.is_dir():
         raise OSError(f"{directory} is not a directory")
-    if args.rule_family != "ladder":
-        raise ValueError(f"unknown rule family {args.rule_family!r}")
     lambdas = _lambda_grid(args.lambda_grid)
+    opts = SolverOptions(tol=args.tol)
     files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
     lines = [SWEEP_HEADER]
     unconverged: list[str] = []
     for path in files:
         profile, meta = load_profile(path)
         seed = int(meta.get("seed", -1))
-        opts = SolverOptions(tol=args.tol, seed=args.seed)
         util_ref = solve_utilitarian(profile, opts)
         egal_ref = solve_egalitarian(profile, opts)
         for lam in lambdas:
@@ -391,7 +388,7 @@ def cmd_oracle_verify(args) -> int:
     if profile.m > 4:
         raise GuardError("oracle verification is limited to m <= 4")
     rule = parse_rule(args.rule)
-    opts = SolverOptions(tol=args.tol, seed=args.seed)
+    opts = SolverOptions(tol=args.tol)
     report = _solve_with(rule, profile, opts)
     spec = GridSpec(m=profile.m, resolution=args.resolution)
     if rule == "util":
@@ -435,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--rule", required=True, help="nash | power:p | negpower:p | negexp:p | quad | util | egal")
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
@@ -468,9 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="lambda sweep over a directory of profiles, CSV out")
     p.add_argument("--profile-dir", required=True)
     p.add_argument("--lambda-grid", required=True, help="geometric grid lo:hi:count")
-    p.add_argument("--rule-family", default="ladder")
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -479,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--resolution", type=float, default=0.01)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle_verify)
 

@@ -49,7 +49,8 @@ def _as_matrix(prefs: Iterable) -> np.ndarray:
 class Profile:
     """An n x m matrix of ideal distributions, one row per agent.
 
-    Rows must be stochastic: nonnegative entries summing to 1 within 1e-9.
+    Rows must be stochastic: finite nonnegative entries summing to 1 within
+    1e-9.
     """
 
     prefs: np.ndarray
@@ -61,6 +62,8 @@ class Profile:
             raise ValueError("profile needs at least one agent")
         if m < 2:
             raise ValueError("profile needs at least two alternatives")
+        if not np.isfinite(arr).all():
+            raise ValueError("preference entries must be finite")
         if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
             raise ValueError("preference entries must lie in [0, 1]")
         sums = arr.sum(axis=1)
@@ -110,6 +113,8 @@ class Allocation:
         arr = np.array(self.shares, dtype=float)
         if arr.ndim != 1:
             raise ValueError("allocation must be a flat vector")
+        if not np.isfinite(arr).all():
+            raise ValueError("allocation shares must be finite")
         if np.any(arr < -1e-12):
             raise ValueError("allocation shares must be nonnegative")
         if abs(arr.sum() - 1.0) > 1e-9:

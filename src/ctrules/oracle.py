@@ -50,8 +50,8 @@ class GridSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("grid dimension must be at least 1")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution must be finite and positive, got {self.resolution!r}")
         k = round(self.budget / self.resolution)
         if k < 0 or abs(k * self.resolution - self.budget) > 1e-9:
             raise ValueError(

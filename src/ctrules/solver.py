@@ -29,6 +29,7 @@ this module promises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,26 +55,18 @@ _STALL_WINDOW = 300
 class SolverOptions:
     """Knobs for the iterative solver.
 
-    tol is the MRS-gap tolerance certifying convergence; step_scale scales
-    the warmup step c/sqrt(t) (None picks 1/(1+max gradient) adaptively);
-    restarts > 1 reruns from seeded perturbed starts and keeps the best
-    objective.
+    tol is the MRS-gap tolerance certifying convergence; max_iters caps the
+    warmup and polish iterations together.
     """
 
     tol: float = 1e-7
     max_iters: int = 200_000
-    step_scale: float | None = None
-    step_decay: float = 0.5
-    seed: int = 0
-    restarts: int = 3
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -146,15 +139,7 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
     maximum: no strict marginal contribution of a growable alternative
     exceeds any weak marginal contribution of a shrinkable one.
     """
-    prefs = profile.prefs
-    shares = x.shares
-    up, down = support_masks(prefs, shares)
-    fp = f.deriv(overlap(prefs, shares))
-    mc_up = fp @ up
-    mc_down = fp @ down
-    grow = shares < 1.0
-    shrink = shares > 0.0
-    return float(mc_up[grow].max() - mc_down[shrink].min())
+    return _mrs_terms(profile.prefs, x.shares, f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +151,21 @@ def _objective(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction) -> float:
     return float(f.value(overlap(prefs, x)).sum())
 
 
-def _gap_state(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
+def _mrs_terms(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
+    """The MRS gap with its exchange pair and the satisfactions at x.
+
+    Returns (gap, j, k, pi): j is the growable alternative with the largest
+    strict marginal contribution, k the shrinkable one with the smallest
+    weak marginal contribution.
+    """
     pi = overlap(prefs, x)
     fp = f.deriv(pi)
     up, down = support_masks(prefs, x)
-    mc_up = fp @ up
-    mc_down = fp @ down
-    grow = x < 1.0
-    shrink = x > 0.0
-    mc_up_g = np.where(grow, mc_up, -np.inf)
-    mc_down_s = np.where(shrink, mc_down, np.inf)
-    j = int(np.argmax(mc_up_g))
-    k = int(np.argmin(mc_down_s))
-    return float(mc_up_g[j] - mc_down_s[k]), j, k, pi
+    mc_up = np.where(x < 1.0, fp @ up, -np.inf)
+    mc_down = np.where(x > 0.0, fp @ down, np.inf)
+    j = int(np.argmax(mc_up))
+    k = int(np.argmin(mc_down))
+    return float(mc_up[j] - mc_down[k]), j, k, pi
 
 
 def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, j: int, k: int):
@@ -291,8 +278,7 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
         fp = f.deriv(pi)
         _, down = support_masks(prefs, x)
         g = fp @ down
-        scale = opts.step_scale if opts.step_scale is not None else 1.0 / (1.0 + float(np.abs(g).max()))
-        eta = scale / t**opts.step_decay
+        eta = 1.0 / (1.0 + float(np.abs(g).max())) / t**0.5
         x = x * np.exp(eta * (g - g.max()))
         x /= x.sum()
         obj = _objective(prefs, x, f)
@@ -307,7 +293,7 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
     stall = 0
     best_gap = np.inf
     while iters < opts.max_iters:
-        gap, j, k, pi = _gap_state(prefs, x, f)
+        gap, j, k, pi = _mrs_terms(prefs, x, f)
         if gap <= opts.tol:
             converged = True
             break
@@ -327,12 +313,6 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
     return x, iters, converged
 
 
-def _perturbed_start(m: int, rng: np.random.Generator) -> np.ndarray:
-    x0 = np.full(m, 1.0 / m) + 0.5 * rng.dirichlet(np.ones(m))
-    x0 = np.maximum(x0, 1e-6)
-    return x0 / x0.sum()
-
-
 def _solve_first_order(profile: Profile, f: UtilityFunction, opts: SolverOptions) -> SolveReport:
     prefs = profile.prefs
     n, m = prefs.shape
@@ -348,18 +328,7 @@ def _solve_first_order(profile: Profile, f: UtilityFunction, opts: SolverOptions
         x[int(np.flatnonzero(supported)[0])] = 1.0
         return _make_report(profile, x, f, iterations=0, converged=True, opts=opts)
 
-    best = None
-    for r in range(opts.restarts):
-        if r == 0:
-            x0 = np.full(ms, 1.0 / ms)
-        else:
-            x0 = _perturbed_start(ms, np.random.default_rng((opts.seed, r)))
-        x, iters, converged = _ascend(sub, f, opts, x0)
-        obj = _objective(sub, x, f)
-        if best is None or obj > best[0] + 1e-15:
-            best = (obj, x, iters, converged)
-
-    _, x_sub, iters, converged = best
+    x_sub, iters, converged = _ascend(sub, f, opts, np.full(ms, 1.0 / ms))
     x = np.zeros(m)
     x[supported] = x_sub
     return _make_report(profile, x, f, iterations=iters, converged=converged, opts=opts)
@@ -394,8 +363,9 @@ def solve_ctr(profile: Profile, f: UtilityFunction, opts: SolverOptions | None =
     """Maximize sum_i f(satisfaction_i) over the simplex.
 
     Requires a strictly concave utility; the identity baseline is rejected
-    (use solve_utilitarian).  Runs opts.restarts seeded starts and returns
-    the best-objective result, certified by the MRS gap.
+    (use solve_utilitarian).  The objective is concave, so one ascent from
+    the uniform allocation suffices: converged is True exactly when its MRS
+    gap certifies a global optimum.
     """
     if not f.strictly_concave:
         raise ValueError("solve_ctr needs a strictly concave utility; use solve_utilitarian")

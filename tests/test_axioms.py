@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ctrules as ct
-from helpers import FAST, core_example_profile, dirichlet_profile, sp_example_profile
+from helpers import core_example_profile, dirichlet_profile, sp_example_profile
 
 NASH = ct.make_utility("log")
 
@@ -67,13 +67,13 @@ def test_ifs_starved_agent_fails():
 
 def test_prop_nash_on_two_groups():
     p = ct.Profile([[1.0, 0.0]] + [[0.0, 1.0]] * 3)
-    report = ct.solve_ctr(p, NASH, FAST)
+    report = ct.solve_ctr(p, NASH)
     assert ct.check_prop(p, report.allocation).holds
 
 
 def test_prop_power_rule_fails():
     p = ct.Profile([[1.0, 0.0]] + [[0.0, 1.0]] * 3)
-    report = ct.solve_ctr(p, ct.make_utility("power", p=0.5), FAST)
+    report = ct.solve_ctr(p, ct.make_utility("power", p=0.5))
     assert np.allclose(report.allocation.shares, [0.1, 0.9], atol=1e-4)
     check = ct.check_prop(p, report.allocation)
     assert not check.holds
@@ -130,7 +130,7 @@ def test_cohesive_groups_guard():
 def test_afs_nash_outputs_hold_on_random_profiles():
     for seed in range(8):
         p = dirichlet_profile(seed, 3 + seed % 5, 3)
-        report = ct.solve_ctr(p, NASH, FAST)
+        report = ct.solve_ctr(p, NASH)
         assert report.converged
         assert ct.check_afs(p, report.allocation, lam=1.0).holds
 
@@ -144,7 +144,7 @@ def test_afs_low_iav_rule_meets_relaxed_guarantee():
     f = ct.make_utility("power", p=0.75)  # inequality aversion 0.25
     for seed in range(6):
         p = dirichlet_profile(seed + 10, 4 + seed % 4, 3)
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         assert report.converged
         assert ct.check_afs(p, report.allocation, lam=0.25).holds
 
@@ -218,7 +218,7 @@ def test_core_guards():
 
 def test_efficiency_of_converged_output():
     p = dirichlet_profile(17, 4, 3)
-    report = ct.solve_ctr(p, NASH, FAST)
+    report = ct.solve_ctr(p, NASH)
     assert report.converged
     assert ct.check_efficiency(p, report.allocation, resolution=0.02).holds
 
@@ -253,13 +253,13 @@ def test_efficiency_guard():
 def test_participation_holds_on_random_instances():
     for seed in range(12):
         p = dirichlet_profile(seed + 200, 3 + seed % 3, 3)
-        report = ct.probe_participation(p, NASH, seed % p.n, FAST)
+        report = ct.probe_participation(p, NASH, seed % p.n)
         assert report.holds
 
 
 def test_participation_unanimous_equality():
     p = ct.Profile([[0.5, 0.5]] * 3)
-    report = ct.probe_participation(p, NASH, 0, FAST)
+    report = ct.probe_participation(p, NASH, 0)
     assert report.holds
 
 
@@ -270,12 +270,12 @@ def test_participation_fuzz_over_rules():
         p = dirichlet_profile(int(rng.integers(1 << 30)), int(rng.integers(2, 5)), 3)
         f = rules[trial % len(rules)]
         i = int(rng.integers(p.n))
-        assert ct.probe_participation(p, f, i, FAST).holds
+        assert ct.probe_participation(p, f, i).holds
 
 
 def test_participation_needs_two_agents():
     with pytest.raises(ValueError):
-        ct.probe_participation(ct.Profile([[0.5, 0.5]]), NASH, 0, FAST)
+        ct.probe_participation(ct.Profile([[0.5, 0.5]]), NASH, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +284,13 @@ def test_participation_needs_two_agents():
 
 
 def test_sp_counterexample_gain():
-    report = ct.probe_strategyproofness(sp_example_profile(), NASH, 0, resolution=0.05, opts=FAST)
+    report = ct.probe_strategyproofness(sp_example_profile(), NASH, 0, resolution=0.05)
     assert not report.holds
     w = report.witness
     assert w["gain"] >= 0.25 - 1e-3
     assert np.allclose(w["misreport"], [1.0, 0.0], atol=1e-9)
     # re-validate the manipulation end to end
-    manipulated = ct.solve_ctr(sp_example_profile().replace_row(0, w["misreport"]), NASH, FAST)
+    manipulated = ct.solve_ctr(sp_example_profile().replace_row(0, w["misreport"]), NASH)
     sat = float(np.minimum(sp_example_profile().prefs[0], manipulated.allocation.shares).sum())
     assert sat == pytest.approx(w["manipulated_satisfaction"], abs=1e-9)
 
@@ -304,26 +304,32 @@ def test_sp_counterexample_gains_for_every_rule_kind():
         ct.make_utility("negexppower", p=1.0),
         ct.make_utility("quadratic"),
     ):
-        report = ct.probe_strategyproofness(p, f, 0, resolution=0.25, opts=FAST)
+        report = ct.probe_strategyproofness(p, f, 0, resolution=0.25)
         assert not report.holds, f.kind
         assert report.witness["gain"] > 1e-3, f.kind
 
 
 def test_sp_unanimous_no_gain():
     p = ct.Profile([[0.5, 0.5]] * 2)
-    report = ct.probe_strategyproofness(p, NASH, 0, resolution=0.1, opts=FAST)
+    report = ct.probe_strategyproofness(p, NASH, 0, resolution=0.1)
     assert report.holds
 
 
 def test_sp_single_agent_no_gain():
     p = ct.Profile([[0.3, 0.7]])
-    report = ct.probe_strategyproofness(p, NASH, 0, resolution=0.25, opts=FAST)
+    report = ct.probe_strategyproofness(p, NASH, 0, resolution=0.25)
     assert report.holds
 
 
 def test_sp_guard():
     with pytest.raises(ct.GuardError):
-        ct.probe_strategyproofness(dirichlet_profile(0, 2, 5), NASH, 0, resolution=0.25, opts=FAST)
+        ct.probe_strategyproofness(dirichlet_profile(0, 2, 5), NASH, 0, resolution=0.25)
+
+
+def test_sp_rejects_bad_resolution():
+    for resolution in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            ct.probe_strategyproofness(sp_example_profile(), NASH, 0, resolution=resolution)
 
 
 def test_prop_fails_for_each_non_log_kind_on_three_alternatives():
@@ -335,10 +341,10 @@ def test_prop_fails_for_each_non_log_kind_on_three_alternatives():
         ct.make_utility("negexppower", p=1.0),
         ct.make_utility("quadratic"),
     ):
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         assert report.converged, f.kind
         assert not ct.check_prop(p, report.allocation).holds, f.kind
-    nash_report = ct.solve_ctr(p, NASH, FAST)
+    nash_report = ct.solve_ctr(p, NASH)
     assert ct.check_prop(p, nash_report.allocation).holds
 
 

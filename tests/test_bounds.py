@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ctrules as ct
-from helpers import FAST, core_example_profile, dirichlet_profile, single_minded_profile
+from helpers import core_example_profile, dirichlet_profile, single_minded_profile
 
 NASH = ct.make_utility("log")
 
@@ -39,28 +39,28 @@ def test_welfare_two_group_split():
 
 def test_welfare_loss_zero_at_reference():
     p = dirichlet_profile(1, 5, 3)
-    ref = ct.solve_utilitarian(p, FAST)
+    ref = ct.solve_utilitarian(p)
     assert ct.welfare_loss(p, ref.allocation, ref) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_welfare_loss_two_group_nash():
     p = ct.Profile([[1.0, 0.0]] + [[0.0, 1.0]] * 3)
-    ref = ct.solve_utilitarian(p, FAST)
+    ref = ct.solve_utilitarian(p)
     assert ref.objective == pytest.approx(3.0, abs=1e-6)
-    nash = ct.solve_ctr(p, NASH, FAST)
+    nash = ct.solve_ctr(p, NASH)
     assert ct.welfare_loss(p, nash.allocation, ref) == pytest.approx(1.0 / 6.0, abs=1e-6)
 
 
 def test_welfare_loss_against_oracle_reference():
     p = dirichlet_profile(11, 5, 3)
-    solver_ref = ct.solve_utilitarian(p, FAST)
+    solver_ref = ct.solve_utilitarian(p)
     _, oracle_w = ct.brute_force_best(p, "welfare", ct.GridSpec(3, 0.01))
     assert solver_ref.objective == pytest.approx(oracle_w, abs=1e-3)
 
 
 def test_welfare_loss_requires_converged_reference():
     p = dirichlet_profile(2, 3, 3)
-    ref = ct.solve_utilitarian(p, FAST)
+    ref = ct.solve_utilitarian(p)
     broken = ct.SolveReport(
         allocation=ref.allocation,
         satisfactions=ref.satisfactions,
@@ -75,14 +75,14 @@ def test_welfare_loss_requires_converged_reference():
 
 def test_egalitarian_loss_zero_at_reference():
     p = dirichlet_profile(3, 4, 3)
-    ref = ct.solve_egalitarian(p, FAST)
+    ref = ct.solve_egalitarian(p)
     assert ct.egalitarian_loss(p, ref.allocation, ref) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_egalitarian_loss_single_minded_identity():
     # with every alternative supported the maxmin is uniform at 1/m
     p = ct.Profile([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    ref = ct.solve_egalitarian(p, FAST)
+    ref = ct.solve_egalitarian(p)
     x = ct.Allocation([0.5, 0.3, 0.2])
     min_sat = ct.satisfaction_vector(p, x).min()
     assert ct.egalitarian_loss(p, x, ref) == pytest.approx(1.0 - 3 * min_sat, abs=1e-8)
@@ -90,7 +90,7 @@ def test_egalitarian_loss_single_minded_identity():
 
 def test_egalitarian_loss_against_oracle_reference():
     p = dirichlet_profile(13, 5, 3)
-    ref = ct.solve_egalitarian(p, FAST)
+    ref = ct.solve_egalitarian(p)
     _, oracle_mm = ct.brute_force_best(p, "maxmin", ct.GridSpec(3, 0.00025))
     assert ref.objective == pytest.approx(oracle_mm, abs=1e-3)
 
@@ -145,6 +145,11 @@ def test_bound_parameter_validation():
         ct.afs_bound(0.5, 2.0)
     with pytest.raises(ValueError):
         ct.gamma(1, 10, 1.0)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ct.wl_bound(lam, 3)
+        with pytest.raises(ValueError):
+            ct.gamma(3, 10, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +208,13 @@ def test_monotonicity_spot_checks():
 
 
 def _references(p):
-    return ct.solve_utilitarian(p, FAST), ct.solve_egalitarian(p, FAST)
+    return ct.solve_utilitarian(p), ct.solve_egalitarian(p)
 
 
 def test_verify_bounds_nash_on_random_profiles():
     for seed in range(5):
         p = dirichlet_profile(seed + 300, 5, 3)
-        report = ct.solve_ctr(p, NASH, FAST)
+        report = ct.solve_ctr(p, NASH)
         util_ref, egal_ref = _references(p)
         checks = ct.verify_bounds(p, NASH, report, util_ref, egal_ref)
         kinds = {c.kind for c in checks}
@@ -221,7 +226,7 @@ def test_verify_bounds_power_rule_welfare_loss():
     f = ct.make_utility("power", p=0.5)
     for seed in range(5):
         p = dirichlet_profile(seed + 400, 4, 3)
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         util_ref, _ = _references(p)
         checks = ct.verify_bounds(p, f, report, util_ref)
         wl = next(c for c in checks if c.kind == "WL")
@@ -233,7 +238,7 @@ def test_verify_bounds_negpower_single_minded_shares():
     f = ct.make_utility("negpower", p=1.5)
     for seed in range(5):
         p = single_minded_profile(seed + 500, 6, 3)
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         checks = ct.verify_bounds(p, f, report)
         share = next(c for c in checks if c.kind == "IFS-share")
         assert share.satisfied
@@ -243,7 +248,7 @@ def test_verify_bounds_negpower_single_minded_shares():
 def test_verify_bounds_negexppower_skips_welfare_side():
     f = ct.make_utility("negexppower", p=1.0)
     p = dirichlet_profile(600, 4, 3)
-    report = ct.solve_ctr(p, f, FAST)
+    report = ct.solve_ctr(p, f)
     util_ref, egal_ref = _references(p)
     checks = ct.verify_bounds(p, f, report, util_ref, egal_ref)
     kinds = {c.kind for c in checks}
@@ -255,6 +260,6 @@ def test_verify_bounds_negexppower_skips_welfare_side():
 def test_verify_bounds_quadratic_has_no_certified_side():
     f = ct.make_utility("quadratic")
     p = dirichlet_profile(700, 3, 3)
-    report = ct.solve_ctr(p, f, FAST)
+    report = ct.solve_ctr(p, f)
     with pytest.raises(ValueError):
         ct.verify_bounds(p, f, report)

@@ -320,3 +320,49 @@ def test_save_profile_includes_labels(tmp_path):
     profile, meta = load_profile(path)
     assert meta["labels"] == ["roads", "parks"]
     assert profile.n == 1
+
+
+# ---------------------------------------------------------------------------
+# bad input: refused with exit 1 and an error line, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def assert_refused(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, (argv, err)
+    assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
+def test_non_finite_tol_is_refused(tmp_path, sweep_dir, capsys):
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    for tol in ("nan", "inf"):
+        assert_refused(capsys, ["solve", "--profile", prof, "--rule", "nash", "--tol", tol])
+        assert_refused(capsys, ["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", "1:1:1", "--tol", tol])
+        assert_refused(capsys, ["oracle-verify", "--profile", prof, "--rule", "nash", "--tol", tol])
+
+
+def test_non_finite_profile_or_allocation_is_refused(tmp_path, capsys):
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    nan_prof = write_doc(tmp_path / "nan.json", {"n": 2, "m": 2, "prefs": [[float("nan"), 1.0], [0.5, 0.5]]})
+    nan_alloc = write_doc(tmp_path / "x.json", [float("nan"), 1.0])
+    assert_refused(capsys, ["solve", "--profile", nan_prof, "--rule", "nash"])
+    assert_refused(capsys, ["check", "--profile", prof, "--allocation", nan_alloc, "--axioms", "rr"])
+
+
+def test_non_finite_lambda_is_refused(sweep_dir, capsys):
+    for lam in ("nan", "inf"):
+        assert_refused(capsys, ["bounds", "--which", "gamma,wl", "--lambda", lam, "--m", "3", "--n", "5"])
+        for which in ("wl-sm", "ifs-share", "el-sm", "min-agent", "afs"):
+            assert_refused(capsys, ["bounds", "--which", which, "--lambda", lam])
+        assert_refused(capsys, ["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", f"1:{lam}:2"])
+
+
+def test_bad_resolution_is_refused(tmp_path, capsys):
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
+    for resolution in ("0", "-0.1", "nan", "inf"):
+        for axiom in ("core", "eff"):
+            argv = ["check", "--profile", prof, "--allocation", alloc, "--axioms", axiom, "--resolution", resolution]
+            assert_refused(capsys, argv)
+        assert_refused(capsys, ["oracle-verify", "--profile", prof, "--rule", "nash", "--resolution", resolution])

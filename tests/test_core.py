@@ -23,6 +23,10 @@ def test_profile_rejects_bad_rows():
         ct.Profile([[1.2, -0.2]])
     with pytest.raises(ValueError):
         ct.Profile([[1.0]])  # m must be at least 2
+    with pytest.raises(ValueError):
+        ct.Profile([[float("nan"), 1.0], [0.5, 0.5]])
+    with pytest.raises(ValueError):
+        ct.Profile([[float("inf"), 0.0]])
 
 
 def test_allocation_validation():
@@ -30,6 +34,8 @@ def test_allocation_validation():
         ct.Allocation([0.5, 0.6])
     with pytest.raises(ValueError):
         ct.Allocation([-0.1, 1.1])
+    with pytest.raises(ValueError):
+        ct.Allocation([float("nan"), 1.0])
     assert ct.Allocation.uniform(4).shares.sum() == pytest.approx(1.0)
 
 

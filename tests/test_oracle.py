@@ -95,7 +95,7 @@ def test_oracle_never_beats_certified_solver():
     f = ct.make_utility("log")
     for seed in range(3):
         p = dirichlet_profile(seed + 900, 4, 3)
-        report = ct.solve_ctr(p, f, ct.SolverOptions(restarts=1))
+        report = ct.solve_ctr(p, f)
         assert report.converged
         lipschitz = p.n * float(f.deriv(f.floor))
         _, val = ct.brute_force_best(p, "ctr", ct.GridSpec(3, 0.01), f=f)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import ctrules as ct
 from helpers import (
-    FAST,
     core_example_profile,
     dirichlet_profile,
+    perturbed_start_ascent,
     random_allocation,
     single_minded_profile,
     sp_example_profile,
@@ -26,20 +26,20 @@ RULES = [ct.make_utility("log"), ct.make_utility("power", p=0.5), ct.make_utilit
 
 @pytest.mark.parametrize("f", RULES, ids=lambda f: f.kind)
 def test_sp_example_optimum(f):
-    report = ct.solve_ctr(sp_example_profile(), f, FAST)
+    report = ct.solve_ctr(sp_example_profile(), f)
     assert report.converged
     assert np.allclose(report.allocation.shares, [0.25, 0.75], atol=1e-6)
 
 
 @pytest.mark.parametrize("f", RULES, ids=lambda f: f.kind)
 def test_opposed_single_minded_pair_splits_evenly(f):
-    report = ct.solve_ctr(ct.Profile([[1.0, 0.0], [0.0, 1.0]]), f, FAST)
+    report = ct.solve_ctr(ct.Profile([[1.0, 0.0], [0.0, 1.0]]), f)
     assert report.converged
     assert np.allclose(report.allocation.shares, [0.5, 0.5], atol=1e-6)
 
 
 def test_core_example_nash_optimum():
-    report = ct.solve_ctr(core_example_profile(), ct.make_utility("log"), FAST)
+    report = ct.solve_ctr(core_example_profile(), ct.make_utility("log"))
     assert report.converged
     assert np.allclose(report.allocation.shares, [0.5, 0.0, 0.5], atol=1e-3)
 
@@ -48,7 +48,7 @@ def test_unanimous_profile_returns_shared_ideal():
     ideal = [0.3, 0.45, 0.25]
     p = ct.Profile([ideal] * 5)
     for f in RULES:
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         assert report.converged
         assert np.allclose(report.allocation.shares, ideal, atol=1e-9)
 
@@ -63,7 +63,7 @@ def test_two_group_share_ratio_follows_iav(sizes, lam):
         f = ct.make_utility("power", p=1.0 - lam)
     else:
         f = ct.make_utility("negpower", p=lam - 1.0)
-    report = ct.solve_ctr(two_group_profile(s1, s2), f, FAST)
+    report = ct.solve_ctr(two_group_profile(s1, s2), f)
     assert report.converged
     x1, x2 = report.allocation.shares
     assert x2 / x1 == pytest.approx((s2 / s1) ** (1.0 / lam), rel=1e-4)
@@ -71,7 +71,7 @@ def test_two_group_share_ratio_follows_iav(sizes, lam):
 
 def test_single_agent_gets_ideal_immediately():
     p = ct.Profile([[0.1, 0.2, 0.7]])
-    report = ct.solve_ctr(p, ct.make_utility("log"), FAST)
+    report = ct.solve_ctr(p, ct.make_utility("log"))
     assert report.converged
     assert report.iterations == 0
     assert np.array_equal(report.allocation.shares, p.prefs[0])
@@ -80,19 +80,19 @@ def test_single_agent_gets_ideal_immediately():
 
 def test_identity_rejected():
     with pytest.raises(ValueError):
-        ct.solve_ctr(sp_example_profile(), ct.make_utility("identity"), FAST)
+        ct.solve_ctr(sp_example_profile(), ct.make_utility("identity"))
 
 
 def test_unsupported_alternative_gets_nothing():
     p = ct.Profile([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
-    report = ct.solve_ctr(p, ct.make_utility("log"), FAST)
+    report = ct.solve_ctr(p, ct.make_utility("log"))
     assert report.converged
     assert report.allocation.shares[2] == 0.0
 
 
 def test_report_objective_matches_satisfactions():
     f = ct.make_utility("log")
-    report = ct.solve_ctr(dirichlet_profile(5, 6, 4), f, FAST)
+    report = ct.solve_ctr(dirichlet_profile(5, 6, 4), f)
     recomputed = float(f.value(report.satisfactions.values).sum())
     assert report.objective == pytest.approx(recomputed, abs=1e-9)
 
@@ -106,9 +106,9 @@ def test_mrs_gap_at_solver_output_is_within_tol():
     f = ct.make_utility("log")
     for seed in range(5):
         p = dirichlet_profile(seed, 5, 3)
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         assert report.converged
-        assert ct.mrs_gap(p, report.allocation, f) <= FAST.tol
+        assert ct.mrs_gap(p, report.allocation, f) <= ct.SolverOptions().tol
 
 
 def test_mrs_gap_sp_truthful_at_even_split():
@@ -132,7 +132,7 @@ def test_mrs_gap_unanimous_at_ideal_nonpositive():
 def test_utilitarian_single_minded_concentrates_on_plurality():
     p = single_minded_profile(3, 9, 3)
     counts = p.prefs.sum(axis=0)
-    report = ct.solve_utilitarian(p, FAST)
+    report = ct.solve_utilitarian(p)
     assert report.converged
     j = int(np.argmax(report.allocation.shares))
     assert counts[j] == counts.max()
@@ -143,7 +143,7 @@ def test_utilitarian_single_minded_concentrates_on_plurality():
 def test_utilitarian_unanimous():
     ideal = [0.25, 0.25, 0.5]
     p = ct.Profile([ideal] * 4)
-    report = ct.solve_utilitarian(p, FAST)
+    report = ct.solve_utilitarian(p)
     assert report.converged
     assert np.allclose(report.allocation.shares, ideal, atol=1e-9)
     assert report.objective == pytest.approx(4.0, abs=1e-6)
@@ -152,7 +152,7 @@ def test_utilitarian_unanimous():
 def test_utilitarian_matches_grid_oracle():
     for seed in range(4):
         p = dirichlet_profile(seed + 100, 4, 3)
-        report = ct.solve_utilitarian(p, FAST)
+        report = ct.solve_utilitarian(p)
         assert report.converged
         _, best = ct.brute_force_best(p, "welfare", ct.GridSpec(3, 0.01))
         assert report.objective >= best - 1e-3
@@ -160,7 +160,7 @@ def test_utilitarian_matches_grid_oracle():
 
 def test_egalitarian_single_minded_full_support_is_uniform():
     p = ct.Profile([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    report = ct.solve_egalitarian(p, FAST)
+    report = ct.solve_egalitarian(p)
     assert report.converged
     assert np.allclose(report.allocation.shares, 1.0 / 3.0, atol=1e-8)
     assert report.objective == pytest.approx(1.0 / 3.0, abs=1e-8)
@@ -168,7 +168,7 @@ def test_egalitarian_single_minded_full_support_is_uniform():
 
 def test_egalitarian_unanimous():
     ideal = [0.7, 0.1, 0.2]
-    report = ct.solve_egalitarian(ct.Profile([ideal] * 3), FAST)
+    report = ct.solve_egalitarian(ct.Profile([ideal] * 3))
     assert report.converged
     assert report.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -176,7 +176,7 @@ def test_egalitarian_unanimous():
 def test_egalitarian_matches_fine_grid_oracle():
     for seed in range(3):
         p = dirichlet_profile(seed + 50, 5, 3)
-        report = ct.solve_egalitarian(p, FAST)
+        report = ct.solve_egalitarian(p)
         assert report.converged
         _, best = ct.brute_force_best(p, "maxmin", ct.GridSpec(3, 0.00025))
         assert abs(report.objective - best) <= 1e-3
@@ -245,27 +245,30 @@ def test_certificate_soundness_against_grid_oracle():
     f = ct.make_utility("log")
     for seed in range(6):
         p = dirichlet_profile(seed + 20, 5, 3)
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         assert report.converged
         _, best = ct.brute_force_best(p, "ctr", ct.GridSpec(3, 0.01), f=f)
         assert best <= report.objective + 1e-3
 
 
 def test_solution_equivalence_across_seeds():
+    """The objective is concave, so an ascent from a seeded perturbed start
+    certifies the same satisfactions as the uniform start."""
     f = ct.make_utility("power", p=0.5)
     for seed in range(4):
         p = dirichlet_profile(seed + 40, 6, 4)
-        r1 = ct.solve_ctr(p, f, ct.SolverOptions(seed=0, restarts=2))
-        r2 = ct.solve_ctr(p, f, ct.SolverOptions(seed=123, restarts=2))
-        assert r1.converged and r2.converged
-        assert np.abs(r1.satisfactions.values - r2.satisfactions.values).max() <= 1e-4
+        report = ct.solve_ctr(p, f)
+        for start_seed in (0, 123):
+            sats, converged = perturbed_start_ascent(p, f, start_seed)
+            assert report.converged and converged
+            assert np.abs(sats - report.satisfactions.values).max() <= 1e-4
 
 
 def test_outputs_are_efficient_on_grid():
     f = ct.make_utility("log")
     for seed in range(4):
         p = dirichlet_profile(seed + 60, 4, 3)
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         assert report.converged
         pi = report.satisfactions.values
         for y in ct.enumerate_grid(ct.GridSpec(3, 0.02)):
@@ -277,7 +280,7 @@ def test_outputs_are_range_respecting():
     f = ct.make_utility("negpower", p=1.0)
     for seed in range(6):
         p = dirichlet_profile(seed + 80, 5, 4)
-        report = ct.solve_ctr(p, f, FAST)
+        report = ct.solve_ctr(p, f)
         assert report.converged
         lo = p.prefs.min(axis=0) - 1e-6
         hi = p.prefs.max(axis=0) + 1e-6
@@ -290,14 +293,14 @@ def test_objective_is_monotone_in_iteration_budget():
     f = ct.make_utility("log")
     objectives = []
     for cap in (5, 20, 80, 200, 400, 2000):
-        rep = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=cap, restarts=1))
+        rep = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=cap))
         objectives.append(rep.objective)
     assert all(b >= a - 1e-12 for a, b in zip(objectives, objectives[1:]))
 
 
 def test_exhausted_budget_reports_best_iterate_unconverged():
     p = dirichlet_profile(123, 10, 6)
-    report = ct.solve_ctr(p, ct.make_utility("log"), ct.SolverOptions(max_iters=3, restarts=1))
+    report = ct.solve_ctr(p, ct.make_utility("log"), ct.SolverOptions(max_iters=3))
     assert not report.converged
     assert report.mrs_gap > 1e-7
     assert abs(report.allocation.shares.sum() - 1.0) <= 1e-9
@@ -309,4 +312,4 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         ct.SolverOptions(max_iters=0)
     with pytest.raises(ValueError):
-        ct.SolverOptions(restarts=0)
+        ct.SolverOptions(tol=float("nan"))
