@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .core import Allocation, GuardError, Profile, UtilityFunction, overlap
-from .oracle import _composition_chunks
+from .oracle import GridSpec, _composition_chunks
 from .solver import SolverOptions, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
@@ -42,23 +42,14 @@ class AxiomReport:
     applicable: bool = True
 
 
-@dataclass(frozen=True)
-class CohesiveGroup:
-    """Agent subset with its raw cohesion: the mass of the intersection of
-    the members' ideals.  The fair-share antecedent caps the usable alpha at
-    |members|/n; the cap is left to the checkers."""
-
-    members: tuple[int, ...]
-    alpha: float
-
-
-def _grid_steps(budget: float, resolution: float) -> tuple[int, float]:
-    """Split budget into the whole number of grid steps closest to the
-    requested resolution (at least one); returns (steps, step)."""
+def _grid_steps(m: int, budget: float, resolution: float) -> GridSpec:
+    """Grid over budget in the whole number of steps closest to the
+    requested resolution (at least one).  GridSpec refuses a grid above the
+    point guard with GuardError."""
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     steps = max(1, round(budget / resolution))
-    return steps, budget / steps
+    return GridSpec(m, budget / steps, budget)
 
 
 def check_rr(profile: Profile, x: Allocation) -> AxiomReport:
@@ -107,20 +98,6 @@ def check_prop(profile: Profile, x: Allocation) -> AxiomReport:
     )
 
 
-def _subset_mins(prefs: np.ndarray) -> np.ndarray:
-    """Componentwise minimum of every nonempty agent subset, indexed by
-    bitmask.  Memory and time are O(2^n m); callers guard n."""
-    n, m = prefs.shape
-    mins = np.empty((1 << n, m))
-    mins[0] = 1.0
-    for mask in range(1, 1 << n):
-        lsb = mask & -mask
-        i = lsb.bit_length() - 1
-        rest = mask ^ lsb
-        mins[mask] = prefs[i] if rest == 0 else np.minimum(mins[rest], prefs[i])
-    return mins
-
-
 def _mask_members(mask: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -132,54 +109,60 @@ def _mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cohesive_groups(profile: Profile, min_alpha: float) -> list[CohesiveGroup]:
-    """All nonempty agent subsets whose cohesion reaches min_alpha."""
-    if profile.n > MAX_SUBSET_AGENTS:
+def cohesive_groups(profile: Profile, sats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Capped cohesion and mean satisfaction of every nonempty agent subset.
+
+    Entry k of both arrays is the subset with bitmask k + 1 (bit i is agent
+    i).  ``alpha`` is min(alpha_S, |S|/n), where alpha_S is the mass of the
+    intersection of the members' ideals; ``mean`` averages ``sats`` over the
+    members.  The table doubles over agents: masks in [2^i, 2^(i+1)) are the
+    masks below 2^i joined by agent i.  Time is O(2^n m), memory O(2^n).
+    """
+    n = profile.n
+    if n > MAX_SUBSET_AGENTS:
         raise GuardError(f"subset enumeration is limited to n <= {MAX_SUBSET_AGENTS}")
-    mins = _subset_mins(profile.prefs)
-    alphas = mins.sum(axis=1)
-    return [
-        CohesiveGroup(_mask_members(mask), float(alphas[mask]))
-        for mask in range(1, 1 << profile.n)
-        if alphas[mask] >= min_alpha - 1e-12
-    ]
+    size = 1 << n
+    alpha = np.zeros(size)
+    col = np.empty(size)
+    for column in profile.prefs.T:
+        col[0] = 1.0
+        for i in range(n):
+            np.minimum(col[: 1 << i], column[i], out=col[1 << i : 2 << i])
+        alpha += col
+    total = np.zeros(size)
+    count = np.zeros(size)
+    for i in range(n):
+        total[1 << i : 2 << i] = total[: 1 << i] + sats[i]
+        count[1 << i : 2 << i] = count[: 1 << i] + 1.0
+    return np.minimum(alpha[1:], count[1:] / n), total[1:] / count[1:]
 
 
 def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     """Average fair share, exactly at lam=1 and approximately below.
 
     Every group whose capped cohesion is alpha must average satisfaction at
-    least alpha^(1/lam) - 1e-9.  Enumerates all 2^n - 1 subsets.
+    least alpha^(1/lam) - 1e-9.  Checks all 2^n - 1 subsets; the witness is
+    the violating subset with the lowest bitmask.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
-    n = profile.n
-    if n > MAX_SUBSET_AGENTS:
-        raise GuardError(f"subset enumeration is limited to n <= {MAX_SUBSET_AGENTS}")
-    pi = overlap(profile.prefs, x.shares)
-    mins = _subset_mins(profile.prefs)
-    alphas = mins.sum(axis=1)
-    for mask in range(1, 1 << n):
-        members = _mask_members(mask)
-        size = len(members)
-        alpha = min(float(alphas[mask]), size / n)
-        if alpha <= 0.0:
-            continue
-        bound = alpha ** (1.0 / lam)
-        mean = float(pi[list(members)].mean())
-        if mean < bound - 1e-9:
-            return AxiomReport(
-                "AFS",
-                False,
-                witness={
-                    "members": list(members),
-                    "alpha": alpha,
-                    "mean_satisfaction": mean,
-                    "bound": bound,
-                    "lambda": lam,
-                },
-            )
-    return AxiomReport("AFS", True)
+    alpha, mean = cohesive_groups(profile, overlap(profile.prefs, x.shares))
+    bound = alpha ** (1.0 / lam)
+    bad = (alpha > 0.0) & (mean < bound - 1e-9)
+    if not bad.any():
+        return AxiomReport("AFS", True)
+    k = int(np.argmax(bad))
+    return AxiomReport(
+        "AFS",
+        False,
+        witness={
+            "members": list(_mask_members(k + 1)),
+            "alpha": float(alpha[k]),
+            "mean_satisfaction": float(mean[k]),
+            "bound": float(bound[k]),
+            "lambda": lam,
+        },
+    )
 
 
 def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomReport:
@@ -195,14 +178,14 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
         raise GuardError(f"core search is limited to n <= {MAX_CORE_AGENTS}")
     if m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"core search is limited to m <= {MAX_GRID_ALTERNATIVES}")
+    specs = [_grid_steps(m, size / n, resolution) for size in range(1, n + 1)]
     pi = overlap(profile.prefs, x.shares)
     for mask in range(1, 1 << n):
         members = list(_mask_members(mask))
-        budget = len(members) / n
-        steps, step = _grid_steps(budget, resolution)
+        spec = specs[len(members) - 1]
         prefs_s = profile.prefs[members]
         base = pi[members]
-        for block in _composition_chunks(steps, m, step):
+        for block in _composition_chunks(spec.steps, spec.m, spec.resolution):
             dev_pi = np.minimum(block[:, None, :], prefs_s[None, :, :]).sum(axis=2)
             ok = (dev_pi >= base - 1e-9).all(axis=1) & (dev_pi > base + resolution).any(axis=1)
             if ok.any():
@@ -212,7 +195,7 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
                     False,
                     witness={
                         "members": members,
-                        "budget": budget,
+                        "budget": spec.budget,
                         "deviation": [float(v) for v in block[r]],
                         "satisfactions_before": [float(v) for v in base],
                         "satisfactions_after": [float(v) for v in dev_pi[r]],
@@ -227,10 +210,10 @@ def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> Axio
     dominates x with one gain above the resolution."""
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"efficiency search is limited to m <= {MAX_GRID_ALTERNATIVES}")
+    spec = _grid_steps(profile.m, 1.0, resolution)
     pi = overlap(profile.prefs, x.shares)
-    steps, step = _grid_steps(1.0, resolution)
     prefs = profile.prefs
-    for block in _composition_chunks(steps, profile.m, step):
+    for block in _composition_chunks(spec.steps, spec.m, spec.resolution):
         alt_pi = np.minimum(block[:, None, :], prefs[None, :, :]).sum(axis=2)
         ok = (alt_pi >= pi - 1e-9).all(axis=1) & (alt_pi > pi + resolution).any(axis=1)
         if ok.any():
@@ -286,14 +269,14 @@ def probe_strategyproofness(
     """
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"misreport search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    steps, step = _grid_steps(1.0, resolution)
+    spec = _grid_steps(profile.m, 1.0, resolution)
     opts = opts or SolverOptions()
     honest = solve_ctr(profile, f, opts)
     truth = profile.prefs[i]
     honest_sat = float(honest.satisfactions.values[i])
     best_gain = 0.0
     best: dict[str, Any] | None = None
-    for block in _composition_chunks(steps, profile.m, step):
+    for block in _composition_chunks(spec.steps, spec.m, spec.resolution):
         for y in block:
             manipulated = solve_ctr(profile.replace_row(i, y), f, opts)
             sat = float(np.minimum(truth, manipulated.allocation.shares).sum())

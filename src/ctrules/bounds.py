@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .axioms import cohesive_groups
+from .axioms import MAX_SUBSET_AGENTS, cohesive_groups
 from .core import Allocation, Profile, UtilityFunction, iav_bound_of, overlap
 from .solver import SolveReport
 
@@ -105,9 +105,10 @@ def min_agent_bound(lambda_lower: float, m: int, n: int) -> float:
     return (1.0 / m) * (1.0 / n) ** (1.0 / lambda_lower)
 
 
-def afs_bound(alpha: float, lambda_lower: float) -> float:
-    """Group mean-satisfaction floor alpha^(1/lambda) for cohesion alpha."""
-    if not 0.0 < alpha <= 1.0:
+def afs_bound(alpha: float | np.ndarray, lambda_lower: float) -> float | np.ndarray:
+    """Group mean-satisfaction floor alpha^(1/lambda) for cohesion alpha, a
+    number or an array of them."""
+    if not np.all((0.0 < alpha) & (alpha <= 1.0)):
         raise ValueError("alpha must lie in (0, 1]")
     if not 0.0 < lambda_lower <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
@@ -199,27 +200,21 @@ def verify_bounds(
                         "EL-single-minded", b, el, el <= b + _SLACK, {"lambda": lam, "m": m, "n": n}
                     )
                 )
-        if lam <= 1.0 and n <= 20:
-            worst = None
-            sats = ctr_report.satisfactions.values
-            for group in cohesive_groups(profile, min_alpha=1e-12):
-                alpha = min(group.alpha, len(group.members) / n)
-                if alpha <= 0.0:
-                    continue
-                b = afs_bound(alpha, lam)
-                mean = float(sats[list(group.members)].mean())
-                if worst is None or mean - b < worst[0]:
-                    worst = (mean - b, b, mean, alpha)
-            if worst is not None:
-                margin, b, mean, alpha = worst
-                checks.append(
-                    BoundCheck(
-                        "AFS-exponent",
-                        b,
-                        mean,
-                        margin >= -_SLACK,
-                        {"lambda": lam, "alpha": alpha, "n": n},
-                    )
+        if lam <= 1.0 and n <= MAX_SUBSET_AGENTS:
+            alpha, mean = cohesive_groups(profile, ctr_report.satisfactions.values)
+            cohesive = alpha > 0.0
+            alpha, mean = alpha[cohesive], mean[cohesive]
+            b = afs_bound(alpha, lam)
+            margin = mean - b
+            k = int(np.argmin(margin))
+            checks.append(
+                BoundCheck(
+                    "AFS-exponent",
+                    float(b[k]),
+                    float(mean[k]),
+                    bool(margin[k] >= -_SLACK),
+                    {"lambda": lam, "alpha": float(alpha[k]), "n": n},
                 )
+            )
 
     return checks

@@ -319,16 +319,11 @@ def _afs_worst_ratio(profile: Profile, sats: np.ndarray, lam: float) -> float:
     plain alpha above 1, where only the exact fair-share target is a
     meaningful yardstick.
     """
-    worst = np.inf
-    n = profile.n
-    for group in ax.cohesive_groups(profile, min_alpha=1e-12):
-        alpha = min(group.alpha, len(group.members) / n)
-        if alpha <= 0.0:
-            continue
-        target = bd.afs_bound(alpha, lam) if lam <= 1.0 else alpha
-        mean = float(sats[list(group.members)].mean())
-        worst = min(worst, mean / target)
-    return worst
+    alpha, mean = ax.cohesive_groups(profile, sats)
+    cohesive = alpha > 0.0
+    alpha, mean = alpha[cohesive], mean[cohesive]
+    target = bd.afs_bound(alpha, lam) if lam <= 1.0 else alpha
+    return float(np.min(mean / target))
 
 
 def cmd_sweep(args) -> int:

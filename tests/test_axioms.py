@@ -99,27 +99,30 @@ def test_prop_not_applicable_on_fractional_profile():
 
 def test_cohesive_groups_unanimous():
     p = ct.Profile([[0.5, 0.5]] * 3)
-    groups = ct.cohesive_groups(p, min_alpha=0.0)
-    assert len(groups) == 7
-    assert all(g.alpha == pytest.approx(1.0) for g in groups)
+    alpha, mean = ct.cohesive_groups(p, np.ones(3))
+    assert len(alpha) == 7
+    # every raw cohesion is 1, so the |S|/n cap decides
+    popcount = np.array([bin(mask).count("1") for mask in range(1, 8)])
+    assert alpha == pytest.approx(popcount / 3)
+    assert mean == pytest.approx(np.ones(7))
 
 
 def test_cohesive_groups_disjoint_pair():
     p = ct.Profile([[1.0, 0.0], [0.0, 1.0]])
-    groups = {g.members: g.alpha for g in ct.cohesive_groups(p, min_alpha=0.0)}
-    assert groups[(0, 1)] == pytest.approx(0.0)
+    alpha, _ = ct.cohesive_groups(p, np.ones(2))
+    assert alpha[0b11 - 1] == pytest.approx(0.0)
 
 
 def test_cohesive_groups_core_example_joint_group():
     p = core_example_profile()
-    groups = {g.members: g.alpha for g in ct.cohesive_groups(p, min_alpha=0.0)}
-    assert groups[(0, 1, 2, 3, 4, 5)] == pytest.approx(0.5)
+    alpha, _ = ct.cohesive_groups(p, np.ones(p.n))
+    assert alpha[0b111111 - 1] == pytest.approx(0.5)
 
 
 def test_cohesive_groups_guard():
     p = dirichlet_profile(0, 21, 2)
     with pytest.raises(ct.GuardError):
-        ct.cohesive_groups(p, min_alpha=0.5)
+        ct.cohesive_groups(p, np.ones(21))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +327,15 @@ def test_sp_single_agent_no_gain():
 def test_sp_guard():
     with pytest.raises(ct.GuardError):
         ct.probe_strategyproofness(dirichlet_profile(0, 2, 5), NASH, 0, resolution=0.25)
+
+
+def test_sp_grid_guard_fires_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ctr ran before the grid guard")
+
+    monkeypatch.setattr(ct.axioms, "solve_ctr", no_solve)
+    with pytest.raises(ct.GuardError):
+        ct.probe_strategyproofness(dirichlet_profile(0, 3, 3), NASH, 0, resolution=1e-6)
 
 
 def test_sp_rejects_bad_resolution():

@@ -269,6 +269,14 @@ def test_verify_bounds_negexppower_skips_welfare_side():
     assert all(c.satisfied for c in checks)
 
 
+def test_verify_bounds_skips_afs_above_subset_guard():
+    p = dirichlet_profile(800, 21, 3)
+    report = ct.solve_ctr(p, NASH)
+    util_ref, egal_ref = _references(p)
+    kinds = {c.kind for c in ct.verify_bounds(p, NASH, report, util_ref, egal_ref)}
+    assert kinds == {"WL", "EL-gamma", "IFS-share", "minAgent"}
+
+
 def test_verify_bounds_quadratic_has_no_certified_side():
     f = ct.make_utility("quadratic")
     p = dirichlet_profile(700, 3, 3)

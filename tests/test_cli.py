@@ -1,6 +1,7 @@
 """End-to-end CLI contract: commands, file formats, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ def test_check_guard_violation_exits_three(tmp_path):
     prof = write_doc(tmp_path / "big.json", {"n": 13, "m": 2, "prefs": prefs})
     alloc = write_doc(tmp_path / "x.json", [0.5, 0.5])
     assert main(["check", "--profile", prof, "--allocation", alloc, "--axioms", "core"]) == 3
+
+
+def test_check_grid_guard_exits_three_at_once(tmp_path, capsys):
+    # at 1e-3 the one-agent core grids fit the 1e7-point guard but the
+    # grand coalition's does not; the guard must fire before any search
+    prefs = np.random.default_rng(1).dirichlet(np.ones(4), 10).tolist()
+    prof = write_doc(tmp_path / "m4.json", {"n": 10, "m": 4, "prefs": prefs})
+    alloc = write_doc(tmp_path / "x.json", [0.25] * 4)
+    for axiom, resolution in (("eff", "1e-6"), ("core", "1e-3"), ("core", "1e-9")):
+        argv = ["check", "--profile", prof, "--allocation", alloc, "--axioms", axiom, "--resolution", resolution]
+        start = time.perf_counter()
+        assert main(argv) == 3, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_check_unknown_axiom_exits_one(tmp_path):
