@@ -10,19 +10,19 @@ re-solve perturbed instances and search for profitable deviations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .core import Allocation, GuardError, Profile, UtilityFunction, overlap
-from .oracle import GridSpec, _composition_chunks
+from .oracle import GridSpec, _block_overlap, _composition_chunks, enumerate_grid
 from .solver import SolverOptions, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
 MAX_CORE_AGENTS = 12
 MAX_GRID_ALTERNATIVES = 4
+_PAIRS_PER_PRODUCT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,6 @@ class AxiomReport:
     holds: bool
     witness: dict[str, Any] | None = None
     applicable: bool = True
-
-
-def _grid_steps(m: int, budget: float, resolution: float) -> GridSpec:
-    """Grid over budget in the whole number of steps closest to the
-    requested resolution (at least one).  GridSpec refuses a grid above the
-    point guard with GuardError."""
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
-    steps = max(1, round(budget / resolution))
-    return GridSpec(m, budget / steps, budget)
 
 
 def check_rr(profile: Profile, x: Allocation) -> AxiomReport:
@@ -96,17 +86,6 @@ def check_prop(profile: Profile, x: Allocation) -> AxiomReport:
         False,
         witness={"alternative": j, "share": float(x.shares[j]), "proportional": float(target[j])},
     )
-
-
-def _mask_members(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 def cohesive_groups(profile: Profile, sats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,13 +135,52 @@ def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
         "AFS",
         False,
         witness={
-            "members": list(_mask_members(k + 1)),
+            "members": [i for i in range(profile.n) if (k + 1) >> i & 1],
             "alpha": float(alpha[k]),
             "mean_satisfaction": float(mean[k]),
             "bound": float(bound[k]),
             "lambda": lam,
         },
     )
+
+
+def _blocking_witness(profile: Profile, x: Allocation, resolution: float, members: np.ndarray) -> dict | None:
+    """Witness for the lowest row of the boolean membership matrix ``members``
+    whose coalition s a grid deviation y >= 0 of budget |s|/n blocks (every
+    member weakly better off, one by more than the resolution), at the
+    lexicographically first such y, or None.  Each size's grid is built and
+    guarded first, then walked once for all its rows, testing (point, row)
+    pairs in matrix products of at most _PAIRS_PER_PRODUCT."""
+    sizes = members.sum(axis=1)
+    specs = {size: GridSpec.snapped(profile.m, size / profile.n, resolution) for size in np.unique(sizes).tolist()}
+    pi = overlap(profile.prefs, x.shares)
+    best, found = len(members), None
+    for size, spec in specs.items():
+        rows = np.flatnonzero(sizes == size)
+        weights = members[rows].T.astype(float)
+        step = max(1, _PAIRS_PER_PRODUCT // len(rows))
+        for block in _composition_chunks(spec):
+            if best <= rows[0]:
+                break
+            after = _block_overlap(block, profile.prefs)
+            worse = (after < pi - 1e-9).astype(float)
+            better = (after > pi + resolution).astype(float)
+            for lo in range(0, len(block), step):
+                w = weights[:, : np.searchsorted(rows, best)]
+                ok = (worse[lo : lo + step] @ w == 0.0) & (better[lo : lo + step] @ w > 0.0)
+                if ok.any():
+                    c = int(np.argmax(ok.any(axis=0)))
+                    r = lo + int(np.argmax(ok[:, c]))
+                    best, chosen = int(rows[c]), members[rows[c]]
+                    found = {
+                        "members": np.flatnonzero(chosen).tolist(),
+                        "budget": spec.budget,
+                        "deviation": block[r].tolist(),
+                        "satisfactions_before": pi[chosen].tolist(),
+                        "satisfactions_after": after[r, chosen].tolist(),
+                        "resolution": resolution,
+                    }
+    return found
 
 
 def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomReport:
@@ -178,57 +196,23 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
         raise GuardError(f"core search is limited to n <= {MAX_CORE_AGENTS}")
     if m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"core search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    specs = [_grid_steps(m, size / n, resolution) for size in range(1, n + 1)]
-    pi = overlap(profile.prefs, x.shares)
-    for mask in range(1, 1 << n):
-        members = list(_mask_members(mask))
-        spec = specs[len(members) - 1]
-        prefs_s = profile.prefs[members]
-        base = pi[members]
-        for block in _composition_chunks(spec.steps, spec.m, spec.resolution):
-            dev_pi = np.minimum(block[:, None, :], prefs_s[None, :, :]).sum(axis=2)
-            ok = (dev_pi >= base - 1e-9).all(axis=1) & (dev_pi > base + resolution).any(axis=1)
-            if ok.any():
-                r = int(np.argmax(ok))
-                return AxiomReport(
-                    "core",
-                    False,
-                    witness={
-                        "members": members,
-                        "budget": spec.budget,
-                        "deviation": [float(v) for v in block[r]],
-                        "satisfactions_before": [float(v) for v in base],
-                        "satisfactions_after": [float(v) for v in dev_pi[r]],
-                        "resolution": resolution,
-                    },
-                )
-    return AxiomReport("core", True, witness={"resolution": resolution})
+    # row k is the coalition with bitmask k + 1, as in cohesive_groups
+    members = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    witness = _blocking_witness(profile, x, resolution, members)
+    return AxiomReport("core", witness is None, witness or {"resolution": resolution})
 
 
 def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> AxiomReport:
     """Pareto efficiency by grid refutation: no grid allocation weakly
-    dominates x with one gain above the resolution."""
+    dominates x with one gain above the resolution (the core's test for the
+    grand coalition)."""
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"efficiency search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    spec = _grid_steps(profile.m, 1.0, resolution)
-    pi = overlap(profile.prefs, x.shares)
-    prefs = profile.prefs
-    for block in _composition_chunks(spec.steps, spec.m, spec.resolution):
-        alt_pi = np.minimum(block[:, None, :], prefs[None, :, :]).sum(axis=2)
-        ok = (alt_pi >= pi - 1e-9).all(axis=1) & (alt_pi > pi + resolution).any(axis=1)
-        if ok.any():
-            r = int(np.argmax(ok))
-            return AxiomReport(
-                "efficiency",
-                False,
-                witness={
-                    "dominating": [float(v) for v in block[r]],
-                    "satisfactions_before": [float(v) for v in pi],
-                    "satisfactions_after": [float(v) for v in alt_pi[r]],
-                    "resolution": resolution,
-                },
-            )
-    return AxiomReport("efficiency", True, witness={"resolution": resolution})
+    witness = _blocking_witness(profile, x, resolution, np.ones((1, profile.n), dtype=bool))
+    if witness is None:
+        return AxiomReport("efficiency", True, witness={"resolution": resolution})
+    del witness["members"], witness["budget"]
+    return AxiomReport("efficiency", False, witness={"dominating": witness.pop("deviation"), **witness})
 
 
 def probe_participation(
@@ -269,26 +253,25 @@ def probe_strategyproofness(
     """
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"misreport search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    spec = _grid_steps(profile.m, 1.0, resolution)
+    spec = GridSpec.snapped(profile.m, 1.0, resolution)
     opts = opts or SolverOptions()
     honest = solve_ctr(profile, f, opts)
     truth = profile.prefs[i]
     honest_sat = float(honest.satisfactions.values[i])
     best_gain = 0.0
     best: dict[str, Any] | None = None
-    for block in _composition_chunks(spec.steps, spec.m, spec.resolution):
-        for y in block:
-            manipulated = solve_ctr(profile.replace_row(i, y), f, opts)
-            sat = float(np.minimum(truth, manipulated.allocation.shares).sum())
-            gain = sat - honest_sat
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best = {
-                    "agent": i,
-                    "misreport": [float(v) for v in y],
-                    "gain": gain,
-                    "honest_satisfaction": honest_sat,
-                    "manipulated_satisfaction": sat,
-                }
+    for y in enumerate_grid(spec):
+        manipulated = solve_ctr(profile.replace_row(i, y), f, opts)
+        sat = float(np.minimum(truth, manipulated.allocation.shares).sum())
+        gain = sat - honest_sat
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            best = {
+                "agent": i,
+                "misreport": [float(v) for v in y],
+                "gain": gain,
+                "honest_satisfaction": honest_sat,
+                "manipulated_satisfaction": sat,
+            }
     holds = best_gain <= 1e-6
     return AxiomReport("strategyproofness", holds, witness=best)

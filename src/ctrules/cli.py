@@ -380,8 +380,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle_verify(args) -> int:
     profile, _ = load_profile(args.profile)
-    if profile.m > 4:
-        raise GuardError("oracle verification is limited to m <= 4")
+    if profile.m > ax.MAX_GRID_ALTERNATIVES:
+        raise GuardError(f"oracle verification is limited to m <= {ax.MAX_GRID_ALTERNATIVES}")
     rule = parse_rule(args.rule)
     opts = SolverOptions(tol=args.tol)
     report = _solve_with(rule, profile, opts)

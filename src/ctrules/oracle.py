@@ -34,6 +34,16 @@ def max_grid_points() -> int:
         raise ValueError(f"{_ENV_GUARD} must be an integer, got {raw!r}") from exc
 
 
+def _step_count(budget: float, resolution: float) -> int:
+    """Nearest whole number of steps; an overflowing count exceeds any guard."""
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    ratio = budget / resolution
+    if not math.isfinite(ratio):
+        raise GuardError(f"a budget of {budget!r} in steps of {resolution!r} overflows the grid")
+    return round(ratio)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid over {y >= 0, sum y = budget} with the given step.
@@ -50,9 +60,7 @@ class GridSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("grid dimension must be at least 1")
-        if not (math.isfinite(self.resolution) and self.resolution > 0):
-            raise ValueError(f"resolution must be finite and positive, got {self.resolution!r}")
-        k = round(self.budget / self.resolution)
+        k = self.steps
         if k < 0 or abs(k * self.resolution - self.budget) > 1e-9:
             raise ValueError(
                 f"budget {self.budget!r} is not an integer multiple of resolution {self.resolution!r}"
@@ -63,9 +71,14 @@ class GridSpec:
                 f"grid has {self.num_points()} points, exceeding the guard of {guard}"
             )
 
+    @classmethod
+    def snapped(cls, m: int, budget: float, resolution: float) -> GridSpec:
+        """Grid over budget in the whole number of steps (at least one) nearest the resolution."""
+        return cls(m, budget / max(1, _step_count(budget, resolution)), budget)
+
     @property
     def steps(self) -> int:
-        return round(self.budget / self.resolution)
+        return _step_count(self.budget, self.resolution)
 
     def num_points(self) -> int:
         return math.comb(self.steps + self.m - 1, self.m - 1)
@@ -98,34 +111,39 @@ def _triangle_block(prefix: list[int], remaining: int, parts: int, scale: float)
     return block
 
 
-def _composition_chunks(k: int, parts: int, scale: float) -> Iterator[np.ndarray]:
-    """Yield blocks of compositions of k into `parts` parts, scaled, in lex order.
+def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
+    """Yield blocks of the grid's points in lex order.
 
     The last two or three coordinates of each prefix are vectorized into one
     block (triangles capped in size) so enumeration stays fast without
     materializing the whole grid.
     """
-    if parts == 1:
-        yield np.array([[k * scale]])
+    if spec.m == 1:
+        yield np.array([[spec.steps * spec.resolution]])
         return
 
     def rec(prefix: list[int], remaining: int, left: int) -> Iterator[np.ndarray]:
         if left == 2:
-            yield _line_block(prefix, remaining, parts, scale)
+            yield _line_block(prefix, remaining, spec.m, spec.resolution)
             return
         if left == 3 and (remaining + 1) * (remaining + 2) // 2 <= _TRIANGLE_ROW_CAP:
-            yield _triangle_block(prefix, remaining, parts, scale)
+            yield _triangle_block(prefix, remaining, spec.m, spec.resolution)
             return
         for a in range(remaining + 1):
             yield from rec(prefix + [a], remaining - a, left - 1)
 
-    yield from rec([], k, parts)
+    yield from rec([], spec.steps, spec.m)
 
 
 def enumerate_grid(spec: GridSpec) -> Iterator[np.ndarray]:
     """Stream every grid vector exactly once, lexicographically ascending."""
-    for block in _composition_chunks(spec.steps, spec.m, spec.resolution):
+    for block in _composition_chunks(spec):
         yield from block
+
+
+def _block_overlap(block: np.ndarray, prefs: np.ndarray) -> np.ndarray:
+    """Satisfaction of every agent (columns) at every grid point (rows)."""
+    return np.minimum(block[:, None, :], prefs[None]).sum(axis=2)
 
 
 def brute_force_best(
@@ -147,11 +165,10 @@ def brute_force_best(
             raise ValueError("objective 'ctr' requires a utility function")
         floor = f.floor
 
-    prefs = profile.prefs
     best_val = -np.inf
     best_vec: np.ndarray | None = None
-    for block in _composition_chunks(spec.steps, spec.m, spec.resolution):
-        pi = np.minimum(block[:, None, :], prefs[None, :, :]).sum(axis=2)
+    for block in _composition_chunks(spec):
+        pi = _block_overlap(block, profile.prefs)
         if objective == "ctr":
             vals = f.value(np.maximum(pi, floor)).sum(axis=1)
         elif objective == "welfare":

@@ -124,11 +124,10 @@ def directional_derivative(profile: Profile, x: Allocation, y: Allocation, i: in
     d = profile.prefs[i] - x.shares
     sigma_up = d > EQUALITY_TOL
     sigma_down = d >= -EQUALITY_TOL
-    diff = x.shares - y.shares
-    jx = diff >= 0.0
-    deltas = np.abs(diff)
-    gain = float(deltas[~jx & sigma_up].sum())
-    loss = float(deltas[jx & sigma_down].sum())
+    dp = displacement(x, y)
+    jx, jy = list(dp.jx), list(dp.jy)
+    gain = float(dp.deltas[jy][sigma_up[jy]].sum())
+    loss = float(dp.deltas[jx][sigma_down[jx]].sum())
     return gain - loss
 
 

@@ -200,6 +200,22 @@ def test_check_grid_guard_exits_three_at_once(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+def test_overflowing_grid_exits_three(tmp_path, capsys):
+    # budget / 1e-320 overflows to inf: no finite grid, so the guard refuses it
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
+    check = ["check", "--profile", prof, "--allocation", alloc, "--resolution", "1e-320", "--axioms"]
+    for argv in (
+        check + ["eff"],
+        check + ["core"],
+        ["oracle-verify", "--profile", prof, "--rule", "nash", "--resolution", "1e-320"],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3, (argv, err)
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
 def test_check_unknown_axiom_exits_one(tmp_path):
     prof = write_doc(tmp_path / "sp.json", SP_DOC)
     alloc = write_doc(tmp_path / "x.json", [0.5, 0.5])

@@ -1,0 +1,155 @@
+"""The one-pass core and efficiency searches against the per-coalition grid
+walk over itertools.combinations and enumerate_grid, plus properties of both
+searches on degenerate profiles."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ctrules as ct
+
+NASH = ct.make_utility("log")
+
+
+def reference_blocking(prefs, pi, members, resolution):
+    """Lexicographically first grid deviation of budget |members|/n that
+    blocks the coalition, walked point by point, or None."""
+    n, m = prefs.shape
+    budget = len(members) / n
+    steps = max(1, round(budget / resolution))
+    rows = list(members)
+    before = pi[rows]
+    for y in ct.enumerate_grid(ct.GridSpec(m, budget / steps, budget)):
+        after = np.minimum(prefs[rows], y).sum(axis=1)
+        if (after >= before - 1e-9).all() and (after > before + resolution).any():
+            return budget, y, before, after
+    return None
+
+
+def reference_core(profile, x, resolution):
+    """(holds, witness) of the lowest-bitmask blocked coalition, one grid
+    walk per coalition."""
+    prefs = profile.prefs
+    pi = np.minimum(prefs, x.shares).sum(axis=1)
+    coalitions = [c for size in range(1, profile.n + 1) for c in itertools.combinations(range(profile.n), size)]
+    for members in sorted(coalitions, key=lambda c: sum(1 << i for i in c)):
+        found = reference_blocking(prefs, pi, members, resolution)
+        if found is not None:
+            budget, y, before, after = found
+            return False, {
+                "members": list(members),
+                "budget": budget,
+                "deviation": y.tolist(),
+                "satisfactions_before": before.tolist(),
+                "satisfactions_after": after.tolist(),
+                "resolution": resolution,
+            }
+    return True, {"resolution": resolution}
+
+
+def corpus():
+    """Seeded profiles with n <= 6 and m in 2..4: Dirichlet, duplicate rows,
+    single-minded rows, a column nobody supports, n = 1 and m = 2.  Every
+    third case checks the certified Nash optimum, the others a random
+    allocation.  One hand-made case closes the list."""
+    rng = np.random.default_rng(5150)
+    for case in range(48):
+        kind = case % 6
+        n = 1 if kind == 4 else int(rng.integers(2, 7))
+        m = 2 if kind == 5 else int(rng.integers(2, 5))
+        if kind == 1:
+            pool = rng.dirichlet(np.ones(m), 2)
+            rows = pool[rng.integers(0, 2, n)]
+        elif kind == 2:
+            rows = np.eye(m)[rng.integers(0, m, n)]
+        elif kind == 3:
+            rows = np.insert(rng.dirichlet(np.ones(m - 1), n), int(rng.integers(0, m)), 0.0, axis=1)
+        else:
+            rows = rng.dirichlet(np.full(m, 0.7), n)
+        profile = ct.Profile(rows)
+        if case % 3 == 0:
+            x = ct.solve_ctr(profile, NASH).allocation
+        else:
+            x = ct.Allocation(rng.dirichlet(np.ones(m)))
+        yield case, profile, x, (0.1, 0.2, 0.25)[case % 3]
+    # agent 1 alone blocks in the grid's first block, agent 0 (the lower
+    # bitmask) only in its last: the search must not stop at the first hit
+    yield 48, ct.Profile([[1, 0, 0, 0], [0, 0, 0, 1]]), ct.Allocation([0.3, 0.2, 0.2, 0.3]), 0.1
+
+
+CASES = list(corpus())
+
+
+def test_corpus_has_violations_and_stable_cases():
+    verdicts = [ct.check_core(p, x, resolution=res).holds for _, p, x, res in CASES]
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
+@pytest.mark.parametrize("case,profile,x,resolution", CASES, ids=[f"case{c[0]}" for c in CASES])
+def test_core_and_efficiency_match_per_coalition_reference(case, profile, x, resolution):
+    report = ct.check_core(profile, x, resolution=resolution)
+    assert (report.holds, report.witness) == reference_core(profile, x, resolution)
+
+    pi = np.minimum(profile.prefs, x.shares).sum(axis=1)
+    grand = reference_blocking(profile.prefs, pi, range(profile.n), resolution)
+    eff = ct.check_efficiency(profile, x, resolution=resolution)
+    assert eff.holds == (grand is None)
+    if grand is not None:
+        _, y, before, after = grand
+        assert eff.witness == {
+            "dominating": y.tolist(),
+            "satisfactions_before": before.tolist(),
+            "satisfactions_after": after.tolist(),
+            "resolution": resolution,
+        }
+
+
+def test_core_walks_one_grid_per_coalition_size(monkeypatch):
+    walks = []
+    chunks = ct.axioms._composition_chunks
+
+    def counted(spec):
+        walks.append(spec.budget)
+        return chunks(spec)
+
+    monkeypatch.setattr(ct.axioms, "_composition_chunks", counted)
+    for _, profile, x, resolution in CASES:
+        walks.clear()
+        report = ct.check_core(profile, x, resolution=resolution)
+        sizes = [round(b * profile.n) for b in walks]
+        assert sizes == sorted(set(sizes))
+        if report.holds:
+            assert sizes == list(range(1, profile.n + 1))
+
+
+def test_split_matrix_products_find_the_same_witness(monkeypatch):
+    # three (point, coalition) pairs per product: most blocks are split
+    expected = [ct.check_core(p, x, resolution=res) for _, p, x, res in CASES]
+    monkeypatch.setattr(ct.axioms, "_PAIRS_PER_PRODUCT", 3)
+    assert [ct.check_core(p, x, resolution=res) for _, p, x, res in CASES] == expected
+
+
+@st.composite
+def degenerate_profiles(draw):
+    """Duplicate rows, maybe a column nobody supports; n may be 1 and m 2."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 4))
+    unsupported = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    pool = rng.dirichlet(np.ones(m - unsupported), draw(st.integers(1, n)))
+    if unsupported:
+        pool = np.insert(pool, draw(st.integers(0, m - 1)), 0.0, axis=1)
+    return ct.Profile(pool[rng.integers(0, len(pool), n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile=degenerate_profiles())
+def test_nash_optimum_is_efficient_on_degenerate_profiles(profile):
+    report = ct.solve_ctr(profile, NASH)
+    assert report.converged
+    assert ct.check_efficiency(profile, report.allocation, resolution=0.1).holds
+    core = ct.check_core(profile, report.allocation, resolution=0.1)
+    assert core.axiom == "core" and core.witness["resolution"] == 0.1
