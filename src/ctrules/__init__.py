@@ -41,23 +41,18 @@ from .core import (
     IavBound,
     Profile,
     SatisfactionVector,
-    SupportSets,
     UtilityFunction,
     iav,
     iav_bound_of,
     make_utility,
-    marginal_contribution,
-    satisfaction,
     satisfaction_vector,
-    support_sets,
 )
 from .oracle import GridSpec, brute_force_best, enumerate_grid
 from .solver import (
-    Displacement,
     SolveReport,
     SolverOptions,
     directional_derivative,
-    displacement,
+    marginal_contribution,
     mrs_gap,
     solve_ctr,
     solve_egalitarian,
@@ -71,7 +66,6 @@ __all__ = [
     "AxiomReport",
     "BoundCheck",
     "BoundReport",
-    "Displacement",
     "EQUALITY_TOL",
     "GridSpec",
     "GuardError",
@@ -80,7 +74,6 @@ __all__ = [
     "SatisfactionVector",
     "SolveReport",
     "SolverOptions",
-    "SupportSets",
     "UtilityFunction",
     "afs_bound",
     "brute_force_best",
@@ -92,7 +85,6 @@ __all__ = [
     "check_rr",
     "cohesive_groups",
     "directional_derivative",
-    "displacement",
     "egalitarian_loss",
     "el_bound_single_minded",
     "enumerate_grid",
@@ -106,12 +98,10 @@ __all__ = [
     "mrs_gap",
     "probe_participation",
     "probe_strategyproofness",
-    "satisfaction",
     "satisfaction_vector",
     "solve_ctr",
     "solve_egalitarian",
     "solve_utilitarian",
-    "support_sets",
     "verify_bounds",
     "welfare",
     "welfare_loss",

@@ -230,7 +230,7 @@ def probe_participation(
     if not (full.converged and reduced.converged):
         raise RuntimeError("solver failed to converge during participation probe")
     with_vote = float(full.satisfactions.values[i])
-    without_vote = float(np.minimum(profile.prefs[i], reduced.allocation.shares).sum())
+    without_vote = float(overlap(profile.prefs, reduced.allocation.shares)[i])
     holds = with_vote >= without_vote - 1e-6
     witness = None
     if not holds:
@@ -256,13 +256,12 @@ def probe_strategyproofness(
     spec = GridSpec.snapped(profile.m, 1.0, resolution)
     opts = opts or SolverOptions()
     honest = solve_ctr(profile, f, opts)
-    truth = profile.prefs[i]
     honest_sat = float(honest.satisfactions.values[i])
     best_gain = 0.0
     best: dict[str, Any] | None = None
     for y in enumerate_grid(spec):
         manipulated = solve_ctr(profile.replace_row(i, y), f, opts)
-        sat = float(np.minimum(truth, manipulated.allocation.shares).sum())
+        sat = float(overlap(profile.prefs, manipulated.allocation.shares)[i])
         gain = sat - honest_sat
         if gain > best_gain + 1e-12:
             best_gain = gain

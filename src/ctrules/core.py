@@ -4,9 +4,11 @@ Agents report ideal budget distributions over m alternatives; an outcome is
 itself a distribution.  The satisfaction of agent i with ideal ``x^i`` under
 outcome ``x`` is the overlap ``sum_j min(x^i_j, x_j)``, which equals
 ``1 - 0.5 * l1(x^i, x)``.  This module holds the profile/allocation types,
-the support sets that drive first-order analysis, marginal contributions,
-and the concave utility family (with its inequality-aversion analytics) that
-parameterizes the rules.
+the overlap and the strict/weak support masks, and the concave utility
+family (with its inequality-aversion analytics) that parameterizes the
+rules.  The first-order quantities built from the masks (marginal
+contributions, directional derivatives and the MRS certificate) live in
+``ctrules.solver``.
 """
 
 from __future__ import annotations
@@ -82,9 +84,6 @@ class Profile:
     def m(self) -> int:
         return self.prefs.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.prefs[i]
-
     def without(self, agents: int | Iterable[int]) -> "Profile":
         """Partial profile with the given agent (or agents) removed."""
         drop = {agents} if isinstance(agents, (int, np.integer)) else set(int(a) for a in agents)
@@ -142,47 +141,8 @@ class SatisfactionVector:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
     def min(self) -> float:
         return float(self.values.min())
-
-    def sum(self) -> float:
-        return float(self.values.sum())
-
-
-@dataclass(frozen=True)
-class SupportSets:
-    """Strict (up) and weak (down) supporter masks, shape (n, m).
-
-    ``up[i, j]`` means raising alternative j improves agent i; ``down[i, j]``
-    means lowering j hurts agent i.  ``up`` is always a subset of ``down``;
-    they differ exactly on ties ``x^i_j == x_j`` (within EQUALITY_TOL).
-    """
-
-    up: np.ndarray
-    down: np.ndarray
-
-    def __post_init__(self):
-        for name in ("up", "down"):
-            arr = np.array(getattr(self, name), dtype=bool)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def up_agents(self, j: int) -> frozenset[int]:
-        return frozenset(int(i) for i in np.flatnonzero(self.up[:, j]))
-
-    def down_agents(self, j: int) -> frozenset[int]:
-        return frozenset(int(i) for i in np.flatnonzero(self.down[:, j]))
-
-    def sigma_up(self, i: int) -> frozenset[int]:
-        """Alternatives where agent i strictly supports growth."""
-        return frozenset(int(j) for j in np.flatnonzero(self.up[i]))
-
-    def sigma_down(self, i: int) -> frozenset[int]:
-        return frozenset(int(j) for j in np.flatnonzero(self.down[i]))
 
 
 @dataclass(frozen=True)
@@ -355,7 +315,7 @@ def iav_bound_of(f: UtilityFunction) -> IavBound:
 
 
 # ---------------------------------------------------------------------------
-# Overlap satisfaction and first-order quantities
+# Overlap satisfaction and support masks
 # ---------------------------------------------------------------------------
 
 
@@ -364,45 +324,21 @@ def overlap(prefs: np.ndarray, shares: np.ndarray) -> np.ndarray:
     return np.minimum(prefs, shares).sum(axis=1)
 
 
-def satisfaction(profile: Profile, x: Allocation, i: int) -> float:
-    """Overlap satisfaction of agent i under allocation x."""
-    if not 0 <= i < profile.n:
-        raise IndexError(f"agent index {i} out of range for n={profile.n}")
-    return float(np.minimum(profile.prefs[i], x.shares).sum())
-
-
 def satisfaction_vector(profile: Profile, x: Allocation) -> SatisfactionVector:
     return SatisfactionVector(overlap(profile.prefs, x.shares))
 
 
 def support_masks(prefs: np.ndarray, shares: np.ndarray, tol: float = EQUALITY_TOL):
-    d = prefs - shares
-    return d > tol, d >= -tol
+    """Strict (up) and weak (down) supporter masks, shaped like prefs.
 
+    ``up[i, j]`` means raising x_j improves agent i; ``down[i, j]`` means
+    lowering x_j hurts agent i.  ``up`` is a subset of ``down``; they differ
+    exactly on ties ``x^i_j == x_j`` (within tol).
 
-def support_sets(profile: Profile, x: Allocation) -> SupportSets:
-    """Strict and weak supporter sets of every alternative at x."""
-    up, down = support_masks(profile.prefs, x.shares)
-    return SupportSets(up=up, down=down)
-
-
-def marginal_contribution(
-    profile: Profile,
-    x: Allocation,
-    f: UtilityFunction,
-    j: int,
-    direction: Literal["up", "down"],
-) -> float:
-    """Sum of f'(satisfaction) over the chosen support set of alternative j.
-
-    This is the one-sided partial derivative of the rule objective in the
-    direction of alternative j (up: increase x_j, down: decrease it).
+    The masks are C-ordered even when prefs is not (the solver's column
+    subset ``prefs[:, supported]`` is Fortran-ordered): a matmul against a
+    Fortran-ordered bool mask casts it in a transposing copy that costs
+    ten times the product itself.
     """
-    if not 0 <= j < profile.m:
-        raise IndexError(f"alternative index {j} out of range for m={profile.m}")
-    up, down = support_masks(profile.prefs, x.shares)
-    mask = up[:, j] if direction == "up" else down[:, j]
-    if not mask.any():
-        return 0.0
-    pi = overlap(profile.prefs, x.shares)
-    return float(f.deriv(pi[mask]).sum())
+    d = np.subtract(prefs, shares, order="C")
+    return d > tol, d >= -tol

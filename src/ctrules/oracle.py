@@ -84,12 +84,12 @@ class GridSpec:
         return math.comb(self.steps + self.m - 1, self.m - 1)
 
 
-_TRIANGLE_ROW_CAP = 100_000
+# Most rows in one vectorized block; _block_overlap holds rows x n x m floats.
+_BLOCK_ROW_CAP = 100_000
 
 
-def _line_block(prefix: list[int], remaining: int, parts: int, scale: float) -> np.ndarray:
-    t = np.arange(remaining + 1)
-    block = np.empty((remaining + 1, parts))
+def _line_block(prefix: list[int], t: np.ndarray, remaining: int, parts: int, scale: float) -> np.ndarray:
+    block = np.empty((t.size, parts))
     if prefix:
         block[:, : len(prefix)] = np.array(prefix) * scale
     block[:, -2] = t * scale
@@ -114,9 +114,10 @@ def _triangle_block(prefix: list[int], remaining: int, parts: int, scale: float)
 def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
     """Yield blocks of the grid's points in lex order.
 
-    The last two or three coordinates of each prefix are vectorized into one
-    block (triangles capped in size) so enumeration stays fast without
-    materializing the whole grid.
+    The last two or three coordinates of each prefix are vectorized into
+    blocks of at most _BLOCK_ROW_CAP rows (a line too long is cut into
+    consecutive runs, a triangle too large is split into lines) so
+    enumeration stays fast without materializing the whole grid.
     """
     if spec.m == 1:
         yield np.array([[spec.steps * spec.resolution]])
@@ -124,9 +125,11 @@ def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
 
     def rec(prefix: list[int], remaining: int, left: int) -> Iterator[np.ndarray]:
         if left == 2:
-            yield _line_block(prefix, remaining, spec.m, spec.resolution)
+            for start in range(0, remaining + 1, _BLOCK_ROW_CAP):
+                t = np.arange(start, min(start + _BLOCK_ROW_CAP, remaining + 1))
+                yield _line_block(prefix, t, remaining, spec.m, spec.resolution)
             return
-        if left == 3 and (remaining + 1) * (remaining + 2) // 2 <= _TRIANGLE_ROW_CAP:
+        if left == 3 and (remaining + 1) * (remaining + 2) // 2 <= _BLOCK_ROW_CAP:
             yield _triangle_block(prefix, remaining, spec.m, spec.resolution)
             return
         for a in range(remaining + 1):

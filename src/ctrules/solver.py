@@ -20,6 +20,11 @@ The polish stops when the marginal-rate-of-substitution gap
 drops below tolerance; a nonpositive gap certifies global optimality of the
 concave program, so the certificate does not rely on smoothness.
 
+The paper's first-order quantities live here, computed one way: the
+marginal contributions mc_up / mc_down come from ``_marginals``, which the
+certificate, the warmup and ``marginal_contribution`` all read, and
+``directional_derivative`` reads the same strict/weak support masks.
+
 The utilitarian baseline shares this machinery with the identity utility
 (marginal contributions become supporter counts).  The egalitarian maxmin
 reference is solved exactly as a linear program instead: subgradient
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,33 +87,23 @@ class SolveReport:
     converged: bool
 
 
-@dataclass(frozen=True)
-class Displacement:
-    """Coordinatewise comparison of two allocations.
+def marginal_contribution(
+    profile: Profile,
+    x: Allocation,
+    f: UtilityFunction,
+    j: int,
+    direction: Literal["up", "down"],
+) -> float:
+    """Sum of f'(satisfaction) over the chosen support set of alternative j.
 
-    jx holds the alternatives where x gives at least as much as y, jy the
-    rest; deltas are the absolute share differences and delta the common
-    total moved (the two sides sum to the same mass).
+    This is the one-sided partial derivative of the rule objective in the
+    direction of alternative j (up: increase x_j, down: decrease it), read
+    from the terms the MRS certificate compares.
     """
-
-    jx: tuple[int, ...]
-    jy: tuple[int, ...]
-    deltas: np.ndarray
-    delta: float
-
-
-def displacement(x: Allocation, y: Allocation) -> Displacement:
-    if x.m != y.m:
-        raise ValueError("allocations have different dimensions")
-    diff = x.shares - y.shares
-    jx = diff >= 0.0
-    deltas = np.abs(diff)
-    return Displacement(
-        jx=tuple(int(j) for j in np.flatnonzero(jx)),
-        jy=tuple(int(j) for j in np.flatnonzero(~jx)),
-        deltas=deltas,
-        delta=float(deltas[jx].sum()),
-    )
+    if not 0 <= j < profile.m:
+        raise IndexError(f"alternative index {j} out of range for m={profile.m}")
+    mc_up, mc_down, _ = _marginals(profile.prefs, x.shares, f)
+    return float((mc_up if direction == "up" else mc_down)[j])
 
 
 def directional_derivative(profile: Profile, x: Allocation, y: Allocation, i: int) -> float:
@@ -119,16 +115,9 @@ def directional_derivative(profile: Profile, x: Allocation, y: Allocation, i: in
     """
     if not 0 <= i < profile.n:
         raise IndexError(f"agent index {i} out of range for n={profile.n}")
-    if np.array_equal(x.shares, y.shares):
-        return 0.0
-    d = profile.prefs[i] - x.shares
-    sigma_up = d > EQUALITY_TOL
-    sigma_down = d >= -EQUALITY_TOL
-    dp = displacement(x, y)
-    jx, jy = list(dp.jx), list(dp.jy)
-    gain = float(dp.deltas[jy][sigma_up[jy]].sum())
-    loss = float(dp.deltas[jx][sigma_down[jx]].sum())
-    return gain - loss
+    up, down = support_masks(profile.prefs[i], x.shares)
+    move = y.shares - x.shares
+    return float(move @ np.where(move > 0, up, down))
 
 
 def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
@@ -146,8 +135,17 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _objective(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction) -> float:
-    return float(f.value(overlap(prefs, x)).sum())
+def _marginals(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
+    """Strict and weak marginal contributions of every alternative at x.
+
+    Returns (mc_up, mc_down, pi): mc_up[j] sums f'(pi_i) over the agents
+    whose satisfaction grows with x_j, mc_down[j] over those whose
+    satisfaction shrinks with it, and pi holds the satisfactions at x.
+    """
+    pi = overlap(prefs, x)
+    fp = f.deriv(pi)
+    up, down = support_masks(prefs, x)
+    return fp @ up, fp @ down, pi
 
 
 def _mrs_terms(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
@@ -157,11 +155,9 @@ def _mrs_terms(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
     strict marginal contribution, k the shrinkable one with the smallest
     weak marginal contribution.
     """
-    pi = overlap(prefs, x)
-    fp = f.deriv(pi)
-    up, down = support_masks(prefs, x)
-    mc_up = np.where(x < 1.0, fp @ up, -np.inf)
-    mc_down = np.where(x > 0.0, fp @ down, np.inf)
+    mc_up, mc_down, pi = _marginals(prefs, x, f)
+    mc_up = np.where(x < 1.0, mc_up, -np.inf)
+    mc_down = np.where(x > 0.0, mc_down, np.inf)
     j = int(np.argmax(mc_up))
     k = int(np.argmin(mc_down))
     return float(mc_up[j] - mc_down[k]), j, k, pi
@@ -268,22 +264,20 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
     x = x0.copy()
     iters = 0
 
-    # phase 1: entropic steps keep iterates interior; keep the best iterate
-    best_x = x.copy()
-    best_obj = _objective(prefs, x, f)
+    # phase 1: entropic steps keep iterates interior; keep the best iterate,
+    # scoring each one from the satisfactions its gradient already computed
+    best_x, best_obj = x, -np.inf
     warmup = min(_WARMUP_ITERS, opts.max_iters)
     for t in range(1, warmup + 1):
-        pi = overlap(prefs, x)
-        fp = f.deriv(pi)
-        _, down = support_masks(prefs, x)
-        g = fp @ down
+        _, g, pi = _marginals(prefs, x, f)
+        obj = float(f.value(pi).sum())
+        if obj > best_obj:
+            best_x, best_obj = x, obj
         eta = 1.0 / (1.0 + float(np.abs(g).max())) / t**0.5
         x = x * np.exp(eta * (g - g.max()))
         x /= x.sum()
-        obj = _objective(prefs, x, f)
-        if obj > best_obj:
-            best_obj = obj
-            best_x = x.copy()
+    if float(f.value(overlap(prefs, x)).sum()) > best_obj:
+        best_x = x
     iters += warmup
     x = best_x
 

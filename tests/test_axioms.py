@@ -56,7 +56,7 @@ def test_ifs_starved_agent_fails():
     assert not report.holds
     w = report.witness
     assert w["agent"] == 1
-    assert ct.satisfaction(p, ct.Allocation([1.0, 0.0]), 1) == pytest.approx(w["satisfaction"])
+    assert ct.satisfaction_vector(p, ct.Allocation([1.0, 0.0])).values[1] == pytest.approx(w["satisfaction"])
     assert w["satisfaction"] < w["threshold"] - 1e-9
 
 

@@ -1,4 +1,4 @@
-"""Core types, overlap satisfaction, support sets, and the utility family."""
+"""Core types, overlap satisfaction, support masks, and the utility family."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctrules as ct
+from ctrules.core import support_masks
 from helpers import core_example_profile, dirichlet_profile, random_allocation, sp_example_profile
 
 CONSTANT_IAV = [("log", None, 1.0), ("power", 0.5, 0.5), ("power", 0.25, 0.75), ("negpower", 2.0, 3.0), ("negpower", 1.0, 2.0)]
@@ -55,24 +56,24 @@ def test_profile_without():
 
 def test_satisfaction_half_half_vs_quarter():
     p = sp_example_profile()
-    assert ct.satisfaction(p, ct.Allocation([0.25, 0.75]), 0) == pytest.approx(0.75)
+    assert ct.satisfaction_vector(p, ct.Allocation([0.25, 0.75])).values[0] == pytest.approx(0.75)
 
 
 def test_satisfaction_own_ideal_is_one():
     p = dirichlet_profile(0, 4, 3)
     for i in range(p.n):
-        assert ct.satisfaction(p, ct.Allocation(p.prefs[i]), i) == pytest.approx(1.0)
+        assert ct.satisfaction_vector(p, ct.Allocation(p.prefs[i])).values[i] == pytest.approx(1.0)
 
 
 def test_satisfaction_single_minded_half():
     p = ct.Profile([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    assert ct.satisfaction(p, ct.Allocation([0.5, 0.0, 0.5]), 0) == pytest.approx(0.5)
+    assert ct.satisfaction_vector(p, ct.Allocation([0.5, 0.0, 0.5])).values[0] == pytest.approx(0.5)
 
 
 def test_satisfaction_index_error():
     p = sp_example_profile()
     with pytest.raises(IndexError):
-        ct.satisfaction(p, ct.Allocation([0.5, 0.5]), 2)
+        ct.satisfaction_vector(p, ct.Allocation([0.5, 0.5])).values[2]
 
 
 def test_satisfaction_vector_uniform_profile_is_constant():
@@ -91,36 +92,41 @@ def test_satisfaction_vector_matches_per_agent_calls():
     p = dirichlet_profile(7, 6, 4)
     x = random_allocation(8, 4)
     vec = ct.satisfaction_vector(p, x)
-    expected = [ct.satisfaction(p, x, i) for i in range(p.n)]
+    expected = [ct.satisfaction_vector(ct.Profile(p.prefs[[i]]), x).values[0] for i in range(p.n)]
     assert np.allclose(vec.values, expected)
 
 
 # ---------------------------------------------------------------------------
-# Support sets
+# Support masks: column j holds the supporters of alternative j, row i the
+# alternatives agent i supports
 # ---------------------------------------------------------------------------
+
+
+def members(mask) -> set[int]:
+    return {int(i) for i in np.flatnonzero(mask)}
 
 
 def test_support_sets_single_minded_interior():
     p = ct.Profile([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    s = ct.support_sets(p, ct.Allocation([0.3, 0.7]))
-    assert s.up_agents(0) == s.down_agents(0) == frozenset({0})
-    assert s.up_agents(1) == s.down_agents(1) == frozenset({1, 2})
+    up, down = support_masks(p.prefs, ct.Allocation([0.3, 0.7]).shares)
+    assert members(up[:, 0]) == members(down[:, 0]) == {0}
+    assert members(up[:, 1]) == members(down[:, 1]) == {1, 2}
 
 
 def test_support_sets_sp_example_ties():
-    s = ct.support_sets(sp_example_profile(), ct.Allocation([0.5, 0.5]))
-    assert s.up_agents(0) == frozenset()
-    assert s.down_agents(0) == frozenset({0})
-    assert s.up_agents(1) == frozenset({1})
-    assert s.down_agents(1) == frozenset({0, 1})
+    up, down = support_masks(sp_example_profile().prefs, ct.Allocation([0.5, 0.5]).shares)
+    assert members(up[:, 0]) == set()
+    assert members(down[:, 0]) == {0}
+    assert members(up[:, 1]) == {1}
+    assert members(down[:, 1]) == {0, 1}
 
 
 def test_support_sets_unanimous_at_ideal():
     p = ct.Profile([[0.4, 0.6]] * 3)
-    s = ct.support_sets(p, ct.Allocation([0.4, 0.6]))
+    up, down = support_masks(p.prefs, ct.Allocation([0.4, 0.6]).shares)
     for j in range(2):
-        assert s.up_agents(j) == frozenset()
-        assert s.down_agents(j) == frozenset({0, 1, 2})
+        assert members(up[:, j]) == set()
+        assert members(down[:, j]) == {0, 1, 2}
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,12 +134,12 @@ def test_support_sets_unanimous_at_ideal():
 def test_support_sets_transposition_invariant(seed):
     p = dirichlet_profile(seed, 5, 3)
     x = random_allocation(seed + 1, 3)
-    s = ct.support_sets(p, x)
+    up, down = support_masks(p.prefs, x.shares)
     for i in range(p.n):
         for j in range(p.m):
-            assert (i in s.up_agents(j)) == (j in s.sigma_up(i))
-            assert (i in s.down_agents(j)) == (j in s.sigma_down(i))
-            assert s.up_agents(j) <= s.down_agents(j)
+            assert (i in members(up[:, j])) == (j in members(up[i]))
+            assert (i in members(down[:, j])) == (j in members(down[i]))
+            assert members(up[:, j]) <= members(down[:, j])
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +278,10 @@ def test_overlap_is_concave_in_the_allocation(seed, theta):
     x = random_allocation(seed + 1, 3)
     y = random_allocation(seed + 2, 3)
     mix = ct.Allocation(theta * x.shares + (1 - theta) * y.shares)
+    at_mix, at_x, at_y = (ct.satisfaction_vector(p, z).values for z in (mix, x, y))
     for i in range(p.n):
-        lhs = ct.satisfaction(p, mix, i)
-        rhs = theta * ct.satisfaction(p, x, i) + (1 - theta) * ct.satisfaction(p, y, i)
+        lhs = at_mix[i]
+        rhs = theta * at_x[i] + (1 - theta) * at_y[i]
         assert lhs >= rhs - 1e-9
 
 
@@ -283,8 +290,9 @@ def test_overlap_is_concave_in_the_allocation(seed, theta):
 def test_overlap_symmetry_and_l1_identity(seed):
     p = dirichlet_profile(seed, 3, 4)
     x = random_allocation(seed + 3, 4)
+    sats = ct.satisfaction_vector(p, x).values
     for i in range(p.n):
-        pi = ct.satisfaction(p, x, i)
+        pi = sats[i]
         swapped = float(np.minimum(x.shares, p.prefs[i]).sum())
         assert pi == pytest.approx(swapped)
         assert 1.0 - pi == pytest.approx(0.5 * np.abs(p.prefs[i] - x.shares).sum())

@@ -1,0 +1,148 @@
+"""The paper's first-order quantities against the MRS certificate: the
+marginal contributions and directional derivatives are the terms the
+solver's gap compares, near-ties, floored satisfactions and steep
+utilities keep them well defined."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ctrules as ct
+from ctrules.core import EQUALITY_TOL, support_masks
+from helpers import dirichlet_profile
+
+UTILITIES = [
+    ct.make_utility("log"),
+    ct.make_utility("power", p=0.5),
+    ct.make_utility("negpower", p=2.0),
+    ct.make_utility("negexppower", p=1.0),
+    ct.make_utility("quadratic"),
+    ct.make_utility("identity"),
+]
+
+# Profiles and allocations on the grid of multiples of 2^-GRID_BITS, so an
+# exchange of EXCHANGE = 2^-(GRID_BITS + 2) is exact in floating point and
+# stops short of every kink (kinks are at least one grid step apart).
+GRID_BITS = 20
+EXCHANGE = 2.0 ** -(GRID_BITS + 2)
+
+
+def dyadic_rows(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
+    """Stochastic rows whose entries are multiples of 2^-GRID_BITS, some of
+    them zero."""
+    scale = 1 << GRID_BITS
+    out = np.zeros((rows, m))
+    for r in range(rows):
+        cuts = np.sort(rng.integers(0, scale + 1, size=m - 1))
+        out[r] = np.diff(np.concatenate(([0], cuts, [scale]))) / scale
+    return out
+
+
+def dyadic_cases():
+    """Seeded (profile, allocation) pairs: random grid allocations and
+    allocations on an agent's ideal (a tie on every alternative)."""
+    rng = np.random.default_rng(6061)
+    for case in range(40):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+        prefs = dyadic_rows(rng, n, m)
+        if case % 4 == 3:
+            prefs[-1] = prefs[0]
+        profile = ct.Profile(prefs)
+        if case % 2:
+            yield profile, ct.Allocation(prefs[int(rng.integers(0, n))])
+        else:
+            yield profile, ct.Allocation(dyadic_rows(rng, 1, m)[0])
+
+
+def mc(profile, x, f, j, direction):
+    return ct.marginal_contribution(profile, x, f, j, direction)
+
+
+@pytest.mark.parametrize("f", UTILITIES, ids=lambda f: f.kind)
+def test_mrs_gap_is_the_spread_of_marginal_contributions(f):
+    for profile, x in dyadic_cases():
+        shares = x.shares
+        best_up = max(mc(profile, x, f, j, "up") for j in range(profile.m) if shares[j] < 1.0)
+        worst_down = min(mc(profile, x, f, k, "down") for k in range(profile.m) if shares[k] > 0.0)
+        assert ct.mrs_gap(profile, x, f) == best_up - worst_down
+
+
+@pytest.mark.parametrize("f", UTILITIES, ids=lambda f: f.kind)
+def test_exchange_derivative_is_the_marginal_contribution_difference(f):
+    exchanges = 0
+    for profile, x in dyadic_cases():
+        shares = x.shares
+        fp = f.deriv(ct.satisfaction_vector(profile, x).values)
+        for j in range(profile.m):
+            for k in range(profile.m):
+                if j == k or shares[j] >= 1.0 or shares[k] <= 0.0:
+                    continue
+                moved = shares.copy()
+                moved[j] += EXCHANGE
+                moved[k] -= EXCHANGE
+                y = ct.Allocation(moved)
+                lhs = sum(fp[i] * ct.directional_derivative(profile, x, y, i) for i in range(profile.n))
+                up, down = mc(profile, x, f, j, "up"), mc(profile, x, f, k, "down")
+                rhs = EXCHANGE * (up - down)
+                assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12 * EXCHANGE * (abs(up) + abs(down)))
+                exchanges += 1
+    assert exchanges > 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 6),
+    m=st.integers(2, 5),
+    shift=st.floats(-EQUALITY_TOL / 2, EQUALITY_TOL / 2),
+)
+def test_near_tie_is_weak_support_only(seed, n, m, shift):
+    profile = dirichlet_profile(seed, n, m)
+    i = seed % n
+    j, k = seed % m, (seed + 1) % m
+    shares = profile.prefs[i].copy()
+    shares[j] += shift
+    shares[k] -= shift
+    x = ct.Allocation(shares)
+    up, down = support_masks(profile.prefs, x.shares)
+    assert down[i].all() and not up[i].any()
+    assert not (up & ~down).any()
+    # the tied agent is the gap between the weak and the strict contribution
+    f = ct.make_utility("log")
+    pi_i = ct.satisfaction_vector(profile, x).values[i]
+    for a in (j, k):
+        weak = mc(profile, x, f, a, "down")
+        assert weak - mc(profile, x, f, a, "up") >= float(f.deriv(pi_i)) - 1e-12 * weak
+
+
+FLOOR_KINDS = [("log", None), ("power", 0.3), ("negpower", 8.0), ("negexppower", 8.0), ("quadratic", None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 6), m=st.integers(2, 5), kind_idx=st.integers(0, len(FLOOR_KINDS) - 1))
+def test_utility_floor_keeps_marginals_finite(seed, n, m, kind_idx):
+    kind, p = FLOOR_KINDS[kind_idx]
+    f = ct.make_utility(kind, p=p)
+    rng = np.random.default_rng(seed)
+    starved = np.zeros(m)
+    starved[0] = 1.0
+    profile = ct.Profile(np.vstack([rng.dirichlet(np.ones(m), size=n), starved]))
+    shares = np.concatenate(([0.0], rng.dirichlet(np.ones(m - 1))))
+    x = ct.Allocation(shares)
+    assert ct.satisfaction_vector(profile, x).values[-1] == 0.0
+    for j in range(m):
+        for direction in ("up", "down"):
+            assert np.isfinite(mc(profile, x, f, j, direction))
+    assert np.isfinite(ct.mrs_gap(profile, x, f))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 8), m=st.integers(2, 4), p=st.floats(1.0, 8.0))
+def test_steep_negexppower_solve_certifies_or_reports_a_finite_gap(seed, n, m, p):
+    profile = dirichlet_profile(seed, n, m, conc=0.5)
+    report = ct.solve_ctr(profile, ct.make_utility("negexppower", p=p))
+    assert np.isfinite(report.mrs_gap)
+    assert np.isfinite(report.allocation.shares).all()
+    if report.converged:
+        assert report.mrs_gap <= ct.SolverOptions().tol

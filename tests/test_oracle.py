@@ -102,3 +102,34 @@ def test_oracle_never_beats_certified_solver():
         assert val <= report.objective + lipschitz * 0.01
         # the honest margin is far tighter than the Lipschitz one
         assert val <= report.objective + 1e-9
+
+
+@pytest.mark.parametrize("m,res", [(1, 0.5), (2, 1e-6), (3, 1 / 600), (4, 1 / 90), (5, 1 / 30)])
+def test_no_block_exceeds_the_row_cap(m, res):
+    sizes = [block.shape[0] for block in ct.oracle._composition_chunks(ct.GridSpec(m, res))]
+    assert max(sizes) <= ct.oracle._BLOCK_ROW_CAP
+    assert sum(sizes) == ct.GridSpec(m, res).num_points()
+
+
+def test_capped_blocks_give_the_uncapped_results(monkeypatch):
+    f = ct.make_utility("log")
+    spec = ct.GridSpec(2, 0.05)
+    profiles = [sp_example_profile(), dirichlet_profile(3, 5, 2), ct.Profile([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])]
+    allocations = [ct.Allocation([0.5, 0.5]), ct.Allocation([0.9, 0.1]), ct.Allocation([0.3, 0.7])]
+
+    def outputs():
+        out = [np.array(list(ct.enumerate_grid(spec)))]
+        for p in profiles:
+            for objective in ("ctr", "welfare", "maxmin"):
+                vec, val = ct.brute_force_best(p, objective, spec, f=f)
+                out.append((vec.tolist(), val))
+            out += [ct.check_efficiency(p, x, 0.05) for x in allocations]
+        return out
+
+    uncapped = outputs()
+    monkeypatch.setattr(ct.oracle, "_BLOCK_ROW_CAP", 3)
+    assert max(block.shape[0] for block in ct.oracle._composition_chunks(spec)) == 3
+    capped = outputs()
+    assert np.array_equal(capped[0], uncapped[0])
+    assert capped[1:] == uncapped[1:]
+    assert any(not report.holds for report in capped if isinstance(report, ct.AxiomReport))
