@@ -13,6 +13,7 @@ contributions, directional derivatives and the MRS certificate) live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -30,6 +31,7 @@ EQUALITY_TOL = 1e-12
 # survive the clip.
 _EXP_CLIP = 690.0
 _LOG_MAG_CLIP = 705.0
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 UtilityKind = Literal["log", "power", "negpower", "negexppower", "quadratic", "identity"]
 
@@ -267,10 +269,16 @@ def make_utility(kind: UtilityKind, p: float | None = None, floor: float = 1e-9)
     if kind in _KINDS_WITH_P:
         if p is None:
             raise ValueError(f"kind {kind!r} requires a parameter p")
+        if not math.isfinite(p):
+            raise ValueError(f"kind {kind!r} needs a finite p, got {p!r}")
         if kind == "power" and not 0.0 < p < 1.0:
             raise ValueError(f"power utilities need p in (0, 1), got {p!r}")
         if kind in ("negpower", "negexppower") and p <= 0.0:
             raise ValueError(f"kind {kind!r} needs p > 0, got {p!r}")
+        # f'(floor) = p floor^-(p+1) must stay finite: an infinite marginal
+        # turns the certificate's f' @ mask products into NaN
+        if kind == "negpower" and math.log(p) - (p + 1.0) * math.log(floor) >= _LOG_FLOAT_MAX:
+            raise ValueError(f"negpower p={p!r} overflows f' at the utility floor {floor!r}; use a smaller p")
     elif kind in ("log", "quadratic", "identity"):
         if p is not None:
             raise ValueError(f"kind {kind!r} takes no parameter")

@@ -389,6 +389,12 @@ def test_non_finite_lambda_is_refused(sweep_dir, capsys):
         assert_refused(capsys, ["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", f"1:{lam}:2"])
 
 
+def test_unevaluable_rule_parameter_is_refused(tmp_path, capsys):
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    for rule in ("negpower:40", "negpower:nan", "negpower:inf", "negexp:nan", "power:nan"):
+        assert_refused(capsys, ["solve", "--profile", prof, "--rule", rule])
+
+
 def test_bad_resolution_is_refused(tmp_path, capsys):
     prof = write_doc(tmp_path / "sp.json", SP_DOC)
     alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])

@@ -168,6 +168,13 @@ def test_marginal_contribution_single_minded_groups_equalized():
     assert ct.marginal_contribution(p, x, f, 1, "up") == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("direction", ["dn", "UP", "Down", "", None])
+def test_marginal_contribution_refuses_unknown_direction(direction):
+    f = ct.make_utility("log")
+    with pytest.raises(ValueError):
+        ct.marginal_contribution(sp_example_profile(), ct.Allocation([0.5, 0.5]), f, 1, direction)
+
+
 # ---------------------------------------------------------------------------
 # Utility family
 # ---------------------------------------------------------------------------
@@ -194,6 +201,26 @@ def test_make_utility_parameter_validation():
         ct.make_utility("log", floor=0.1)
     with pytest.raises(ValueError):
         ct.make_utility("wat")  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize("kind", ["power", "negpower", "negexppower"])
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_make_utility_refuses_non_finite_p(kind, p):
+    with pytest.raises(ValueError, match="finite"):
+        ct.make_utility(kind, p=p)
+
+
+def test_negpower_p_is_capped_where_the_floor_derivative_overflows():
+    # log p + (p + 1) * 20.72 crosses log(float max) = 709.78 at p = 33.08
+    f = ct.make_utility("negpower", p=33.0)
+    assert np.isfinite(f.deriv(0.0))
+    p = ct.Profile([[1.0, 0.0], [0.5, 0.5]])
+    assert np.isfinite(ct.mrs_gap(p, ct.Allocation([0.0, 1.0]), f))
+    for bad in (33.1, 40.0, 1e6):
+        with pytest.raises(ValueError, match="overflows"):
+            ct.make_utility("negpower", p=bad)
+    # a larger floor moves the cap up
+    assert np.isfinite(ct.make_utility("negpower", p=40.0, floor=1e-6).deriv(0.0))
 
 
 def test_floor_applies_below_threshold():

@@ -1,11 +1,16 @@
 """Solver behavior: known optima, certificates, references, and geometry."""
 
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
 
 import ctrules as ct
+import ctrules.solver as solver_module
 from helpers import (
     core_example_profile,
     dirichlet_profile,
@@ -180,6 +185,125 @@ def test_egalitarian_matches_fine_grid_oracle():
         assert report.converged
         _, best = ct.brute_force_best(p, "maxmin", ct.GridSpec(3, 0.00025))
         assert abs(report.objective - best) <= 1e-3
+
+
+def full_lp_maxmin(prefs: np.ndarray) -> float:
+    """Independent maxmin reference: the full LP with one variable
+    v_ij <= min(x_j, ideal_ij) per agent and alternative (the solver's
+    formulation before the cutting-plane loop)."""
+    n, m = prefs.shape
+    nv = n * m
+
+    rows, cols, data = [], [], []
+    r = 0
+    for i in range(n):
+        for j in range(m):
+            rows += [r, r]
+            cols += [m + i * m + j, j]
+            data += [1.0, -1.0]
+            r += 1
+    for i in range(n):
+        rows += [r] * (m + 1)
+        cols += [m + nv] + [m + i * m + j for j in range(m)]
+        data += [1.0] + [-1.0] * m
+        r += 1
+    a_ub = sp.coo_matrix((data, (rows, cols)), shape=(r, m + nv + 1))
+    b_ub = np.zeros(r)
+    a_eq = sp.coo_matrix((np.ones(m), (np.zeros(m, dtype=int), np.arange(m))), shape=(1, m + nv + 1))
+    c = np.zeros(m + nv + 1)
+    c[-1] = -1.0
+    bounds = [(0.0, 1.0)] * m + [(0.0, float(prefs[i, j])) for i in range(n) for j in range(m)] + [(0.0, 1.0)]
+
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]), bounds=bounds, method="highs")
+    assert res.status == 0
+    return -float(res.fun)
+
+
+def egal_reference_profiles():
+    """About forty seeded profiles, with the shapes the cut loop must handle."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for k in range(28):
+        n, m = int(rng.integers(2, 31)), int(rng.integers(2, 8))
+        out.append(rng.dirichlet(np.full(m, [0.3, 1.0, 3.0][k % 3]), size=n))
+    sm = single_minded_profile(7, 9, 4).prefs
+    out.append(np.vstack([sm[:4], dirichlet_profile(8, 5, 4).prefs]))  # single-minded rows
+    out.append(single_minded_profile(9, 12, 3).prefs)
+    out.append(np.repeat(dirichlet_profile(10, 4, 5).prefs, 3, axis=0))  # duplicate rows
+    out.append(np.vstack([dirichlet_profile(11, 20, 3).prefs] * 2))
+    out.append(np.hstack([dirichlet_profile(12, 7, 3).prefs, np.zeros((7, 1))]))  # unsupported column
+    out.append(np.insert(dirichlet_profile(13, 25, 4).prefs, 1, 0.0, axis=1))
+    out.append(dirichlet_profile(14, 1, 4).prefs)  # one agent
+    out.append(dirichlet_profile(15, 1, 2).prefs)
+    out.append(dirichlet_profile(16, 9, 2).prefs)  # two alternatives
+    out.append(dirichlet_profile(17, 40, 2, conc=0.3).prefs)
+    out.append(two_group_profile(3, 5).prefs)
+    out.append(core_example_profile().prefs)
+    return [ct.Profile(p) for p in out]
+
+
+@pytest.mark.parametrize("profile", egal_reference_profiles(), ids=lambda p: f"{p.n}x{p.m}")
+def test_egalitarian_matches_full_lp_reference(profile):
+    report = ct.solve_egalitarian(profile)
+    assert report.converged
+    assert report.objective == pytest.approx(full_lp_maxmin(profile.prefs), abs=1e-9)
+    assert report.mrs_gap <= ct.SolverOptions().tol
+    raw = np.minimum(profile.prefs, report.allocation.shares).sum(axis=1).min()
+    assert report.objective == raw
+    assert np.array_equal(report.satisfactions.values, np.minimum(profile.prefs, report.allocation.shares).sum(axis=1))
+
+
+def test_egalitarian_round_cap_reports_unconverged():
+    # this profile needs three cut rounds; one round leaves a gap of 0.08
+    p = dirichlet_profile(0, 20, 6)
+    assert ct.solve_egalitarian(p).converged
+    capped = ct.solve_egalitarian(p, ct.SolverOptions(max_iters=1))
+    assert not capped.converged
+    assert capped.mrs_gap > 1e-2
+    assert capped.objective == np.minimum(p.prefs, capped.allocation.shares).sum(axis=1).min()
+
+
+def test_egalitarian_stops_when_a_round_adds_no_new_cut(monkeypatch):
+    # no gap of a float LP reaches 1e-300, so the loop must end because
+    # every cut it would add is already in the LP, not at the round cap
+    calls = []
+
+    def counting_linprog(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        calls.append(res.nit)
+        return res
+
+    monkeypatch.setattr(solver_module, "linprog", counting_linprog)
+    p = dirichlet_profile(0, 20, 6)
+    reference = ct.solve_egalitarian(p)
+    rounds = len(calls)
+    assert rounds > 1
+    assert reference.iterations == sum(calls)
+    strict = ct.solve_egalitarian(p, ct.SolverOptions(tol=1e-300))
+    assert len(calls) - rounds <= rounds + 1
+    assert strict.converged == (strict.mrs_gap <= 1e-300)
+    assert strict.objective == pytest.approx(reference.objective, abs=1e-12)
+
+
+def test_egalitarian_lp_failure_falls_back_to_uniform(monkeypatch):
+    failed = OptimizeResult(x=None, fun=None, status=4, nit=7, message="numerical difficulties")
+    monkeypatch.setattr(solver_module, "linprog", lambda *args, **kwargs: failed)
+    p = dirichlet_profile(3, 6, 4)
+    report = ct.solve_egalitarian(p)
+    assert not report.converged
+    assert np.array_equal(report.allocation.shares, np.full(4, 0.25))
+    assert report.iterations == 7
+    # the gap is still an upper bound: no satisfaction exceeds 1
+    assert report.mrs_gap == pytest.approx(1.0 - report.objective)
+
+
+def test_egalitarian_scales_to_2000_agents():
+    p = dirichlet_profile(1, 2000, 50)
+    start = time.perf_counter()
+    report = ct.solve_egalitarian(p)
+    assert time.perf_counter() - start < 5.0
+    assert report.converged
+    assert report.mrs_gap <= ct.SolverOptions().tol
 
 
 # ---------------------------------------------------------------------------
