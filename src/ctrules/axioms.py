@@ -226,7 +226,7 @@ def probe_participation(
         raise ValueError("participation needs at least two agents")
     opts = opts or SolverOptions()
     full = solve_ctr(profile, f, opts)
-    reduced = solve_ctr(profile.without(i), f, opts)
+    reduced = solve_ctr(profile.without(i), f, opts, start=full.allocation)
     if not (full.converged and reduced.converged):
         raise RuntimeError("solver failed to converge during participation probe")
     with_vote = float(full.satisfactions.values[i])
@@ -260,7 +260,7 @@ def probe_strategyproofness(
     best_gain = 0.0
     best: dict[str, Any] | None = None
     for y in enumerate_grid(spec):
-        manipulated = solve_ctr(profile.replace_row(i, y), f, opts)
+        manipulated = solve_ctr(profile.replace_row(i, y), f, opts, start=honest.allocation)
         sat = float(overlap(profile.prefs, manipulated.allocation.shares)[i])
         gain = sat - honest_sat
         if gain > best_gain + 1e-12:

@@ -340,9 +340,11 @@ def cmd_sweep(args) -> int:
         seed = int(meta.get("seed", -1))
         util_ref = solve_utilitarian(profile, opts)
         egal_ref = solve_egalitarian(profile, opts)
+        report = None
         for lam in lambdas:
             f = ladder_rule(lam)
-            report = solve_ctr(profile, f, opts)
+            # each rung starts from the previous rung's optimum
+            report = solve_ctr(profile, f, opts, start=report.allocation if report else None)
             if not (report.converged and util_ref.converged and egal_ref.converged):
                 unconverged.append(f"{path.name}@lambda={lam:g}")
             sats = report.satisfactions.values

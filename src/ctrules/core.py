@@ -275,10 +275,12 @@ def make_utility(kind: UtilityKind, p: float | None = None, floor: float = 1e-9)
             raise ValueError(f"power utilities need p in (0, 1), got {p!r}")
         if kind in ("negpower", "negexppower") and p <= 0.0:
             raise ValueError(f"kind {kind!r} needs p > 0, got {p!r}")
-        # f'(floor) = p floor^-(p+1) must stay finite: an infinite marginal
-        # turns the certificate's f' @ mask products into NaN
-        if kind == "negpower" and math.log(p) - (p + 1.0) * math.log(floor) >= _LOG_FLOAT_MAX:
-            raise ValueError(f"negpower p={p!r} overflows f' at the utility floor {floor!r}; use a smaller p")
+        # |f''(floor)| = p (p+1) floor^-(p+2) must stay finite, and so then
+        # does f'(floor): an infinite marginal turns the certificate's
+        # f' @ mask products into NaN, an infinite curvature the line
+        # search's Newton step and iav at the floor
+        if kind == "negpower" and math.log(p) + math.log(p + 1.0) - (p + 2.0) * math.log(floor) >= _LOG_FLOAT_MAX:
+            raise ValueError(f"negpower p={p!r} overflows f'' at the utility floor {floor!r}; use a smaller p")
     elif kind in ("log", "quadratic", "identity"):
         if p is not None:
             raise ValueError(f"kind {kind!r} takes no parameter")

@@ -6,19 +6,24 @@ piecewise smooth: its kinks sit where some share x_j equals some ideal
 x^i_j, and optima frequently land exactly on those kinks.  The solver
 therefore runs in two phases:
 
-1. a short entropic (multiplicative-weights) warmup from the uniform
-   allocation, which keeps iterates interior and localizes the optimum;
+1. on a cold start, a short entropic (multiplicative-weights) warmup from
+   the uniform allocation, which keeps iterates interior and localizes the
+   optimum; a warm start (``solve_ctr(..., start=x)``, such as the previous
+   rung of a lambda ladder) skips it;
 2. an exchange polish that repeatedly shifts mass from the alternative with
    the smallest weak marginal contribution to the one with the largest
    strict marginal contribution, using an exact concave line search whose
-   steps land bit-exactly on kink values (or on zero).
+   steps land bit-exactly on kink values (or on zero); between kinks the
+   support pattern is fixed, and a safeguarded Newton iteration finds the
+   smooth stop.
 
 The polish stops when the marginal-rate-of-substitution gap
 
     max_{j: x_j < 1} mc_up_j  -  min_{k: x_k > 0} mc_down_k
 
 drops below tolerance; a nonpositive gap certifies global optimality of the
-concave program, so the certificate does not rely on smoothness.
+concave program, so the certificate relies neither on smoothness nor on
+where the polish started.
 
 The paper's first-order quantities live here, computed one way: the
 marginal contributions mc_up / mc_down come from ``_marginals``, which the
@@ -239,15 +244,37 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
     else:
         hi_d = dmax
 
-    # smooth sign change inside (lo_d, hi_d): plain bisection
+    # smooth sign change inside (lo_d, hi_d).  No breakpoint lies inside, so
+    # the support pattern a_i = [cj_i > xj + d] - [ck_i > xk - d] is fixed
+    # there: phi'(d) = sum_i f'(p_i) a_i and phi''(d) = sum_i f''(p_i) a_i^2,
+    # summed over the agents with a_i != 0 (where a_i^2 = 1).  Newton steps
+    # from lo keep the sign bracket [lo, hi] and fall back to bisection when
+    # a step leaves it or phi'' is not negative.  A step below one ulp of
+    # xj + xk no longer changes the moved shares, so it ends the search.
     lo, hi = lo_d, hi_d
+    centre = 0.5 * (lo + hi)
+    a = (cj > xj + centre).astype(float) - (ck > xk - centre)
+    act = np.flatnonzero(a)
+    a, cj, ck, pi, base_j, base_k = a[act], cj[act], ck[act], pi[act], base_j[act], base_k[act]
+    ulps = math.ulp(xj + xk)
+    d = lo
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid, right=True) > 0.0:
-            lo = mid
+        p = pi + (np.minimum(cj, xj + d) - base_j) + (np.minimum(ck, xk - d) - base_k)
+        slope = float(f.deriv(p) @ a)
+        curve = float(f.second(p).sum())
+        if slope > 0.0:
+            lo = d
         else:
-            hi = mid
-    return 0.5 * (lo + hi), (None, None)
+            hi = d
+        nxt = d - slope / curve if math.isfinite(curve) and curve < 0.0 else math.nan
+        if abs(nxt - d) <= ulps:
+            return min(max(nxt, lo), hi), (None, None)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if hi - lo <= ulps:
+                return nxt, (None, None)
+        d = nxt
+    return d, (None, None)
 
 
 def _apply_move(x: np.ndarray, j: int, k: int, d: float, landing) -> np.ndarray:
@@ -271,8 +298,10 @@ def _apply_move(x: np.ndarray, j: int, k: int, d: float, landing) -> np.ndarray:
     return out
 
 
-def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.ndarray):
-    """Warmup + exchange polish on a full-support preference matrix."""
+def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.ndarray, warmup: bool = True):
+    """Warmup (unless skipped) + exchange polish on a full-support preference
+    matrix.  The warmup's multiplicative steps need x0 > 0; the polish
+    accepts any point of the simplex."""
     n, m = prefs.shape
     x = x0.copy()
     iters = 0
@@ -280,8 +309,8 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
     # phase 1: entropic steps keep iterates interior; keep the best iterate,
     # scoring each one from the satisfactions its gradient already computed
     best_x, best_obj = x, -np.inf
-    warmup = min(_WARMUP_ITERS, opts.max_iters)
-    for t in range(1, warmup + 1):
+    steps = min(_WARMUP_ITERS, opts.max_iters) if warmup else 0
+    for t in range(1, steps + 1):
         _, g, pi = _marginals(prefs, x, f)
         obj = float(f.value(pi).sum())
         if obj > best_obj:
@@ -291,7 +320,7 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
         x /= x.sum()
     if float(f.value(overlap(prefs, x)).sum()) > best_obj:
         best_x = x
-    iters += warmup
+    iters += steps
     x = best_x
 
     # phase 2: exchange polish until the MRS certificate passes
@@ -319,7 +348,9 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
     return x, iters, converged
 
 
-def _solve_first_order(profile: Profile, f: UtilityFunction, opts: SolverOptions) -> SolveReport:
+def _solve_first_order(
+    profile: Profile, f: UtilityFunction, opts: SolverOptions, start: Allocation | None = None
+) -> SolveReport:
     prefs = profile.prefs
     n, m = prefs.shape
 
@@ -334,7 +365,12 @@ def _solve_first_order(profile: Profile, f: UtilityFunction, opts: SolverOptions
         x[int(np.flatnonzero(supported)[0])] = 1.0
         return _make_report(profile, x, f, iterations=0, converged=True, opts=opts)
 
-    x_sub, iters, converged = _ascend(sub, f, opts, np.full(ms, 1.0 / ms))
+    # a start with mass on the supported columns replaces the uniform start
+    # and the warmup; the certificate does not depend on where the polish began
+    x0 = np.maximum(start.shares[supported], 0.0) if start is not None else np.zeros(ms)
+    cold = not x0.sum() > 0.0
+    x0 = np.full(ms, 1.0 / ms) if cold else x0 / x0.sum()
+    x_sub, iters, converged = _ascend(sub, f, opts, x0, warmup=cold)
     x = np.zeros(m)
     x[supported] = x_sub
     return _make_report(profile, x, f, iterations=iters, converged=converged, opts=opts)
@@ -365,17 +401,32 @@ def _make_report(
     )
 
 
-def solve_ctr(profile: Profile, f: UtilityFunction, opts: SolverOptions | None = None) -> SolveReport:
+def solve_ctr(
+    profile: Profile, f: UtilityFunction, opts: SolverOptions | None = None, *, start: Allocation | None = None
+) -> SolveReport:
     """Maximize sum_i f(satisfaction_i) over the simplex.
 
     Requires a strictly concave utility; the identity baseline is rejected
-    (use solve_utilitarian).  The objective is concave, so one ascent from
-    the uniform allocation suffices: converged is True exactly when its MRS
-    gap certifies a global optimum.
+    (use solve_utilitarian).  The objective is concave, so one ascent
+    suffices: converged is True exactly when its MRS gap certifies a global
+    optimum, wherever the ascent started.
+
+    Without start the ascent is cold: the entropic warmup runs from the
+    uniform allocation, then the polish.  With start (an allocation over
+    the profile's m alternatives, such as the optimum of a nearby rule) the
+    polish starts from start restricted to the supported alternatives and
+    renormalised, and the warmup is skipped, so iterations counts polish
+    steps only.  A start with no mass on any supported alternative falls
+    back to the cold start.
     """
+    if start is not None:
+        if not isinstance(start, Allocation):
+            raise ValueError(f"start must be an Allocation, got {type(start).__name__}")
+        if start.m != profile.m:
+            raise ValueError(f"start has {start.m} shares, the profile has m={profile.m}")
     if not f.strictly_concave:
         raise ValueError("solve_ctr needs a strictly concave utility; use solve_utilitarian")
-    return _solve_first_order(profile, f, opts or SolverOptions())
+    return _solve_first_order(profile, f, opts or SolverOptions(), start)
 
 
 def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> SolveReport:

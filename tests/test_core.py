@@ -211,16 +211,21 @@ def test_make_utility_refuses_non_finite_p(kind, p):
 
 
 def test_negpower_p_is_capped_where_the_floor_derivative_overflows():
-    # log p + (p + 1) * 20.72 crosses log(float max) = 709.78 at p = 33.08
-    f = ct.make_utility("negpower", p=33.0)
-    assert np.isfinite(f.deriv(0.0))
+    # log p + log(p + 1) + (p + 2) * 20.72 crosses log(float max) = 709.78 at
+    # p = 31.93, below where f' alone overflows (p = 33.08)
+    for good in (31.0, 31.9):
+        f = ct.make_utility("negpower", p=good)
+        with np.errstate(all="raise"):
+            assert np.isfinite(f.deriv(0.0)) and np.isfinite(f.second(0.0))
+            assert ct.iav(f, f.floor) == pytest.approx(1.0 + good, rel=1e-12)
     p = ct.Profile([[1.0, 0.0], [0.5, 0.5]])
-    assert np.isfinite(ct.mrs_gap(p, ct.Allocation([0.0, 1.0]), f))
-    for bad in (33.1, 40.0, 1e6):
+    assert np.isfinite(ct.mrs_gap(p, ct.Allocation([0.0, 1.0]), ct.make_utility("negpower", p=31.0)))
+    for bad in (32.0, 33.0, 33.1, 40.0, 1e6):
         with pytest.raises(ValueError, match="overflows"):
             ct.make_utility("negpower", p=bad)
     # a larger floor moves the cap up
-    assert np.isfinite(ct.make_utility("negpower", p=40.0, floor=1e-6).deriv(0.0))
+    f = ct.make_utility("negpower", p=40.0, floor=1e-6)
+    assert np.isfinite(f.deriv(0.0)) and np.isfinite(f.second(0.0))
 
 
 def test_floor_applies_below_threshold():

@@ -1,7 +1,8 @@
 """The paper's first-order quantities against the MRS certificate: the
 marginal contributions and directional derivatives are the terms the
 solver's gap compares, near-ties, floored satisfactions and steep
-utilities keep them well defined."""
+utilities keep them well defined, and the exchange line search's Newton
+stops agree with the bisection they replaced."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctrules as ct
+import ctrules.solver as solver_module
+from ctrules.cli import ladder_rule
 from ctrules.core import EQUALITY_TOL, support_masks
 from helpers import dirichlet_profile
 
@@ -146,3 +149,130 @@ def test_steep_negexppower_solve_certifies_or_reports_a_finite_gap(seed, n, m, p
     assert np.isfinite(report.allocation.shares).all()
     if report.converged:
         assert report.mrs_gap <= ct.SolverOptions().tol
+
+
+# ---------------------------------------------------------------------------
+# Line search: safeguarded Newton against the bisection it replaced
+# ---------------------------------------------------------------------------
+
+
+def bisection_line_search(prefs, x, pi, f, j, k):
+    """Reference line search: kink and zero landings as in the solver, and
+    an 80-step bisection on the sign of the right derivative for a smooth
+    interior stop."""
+    cj = prefs[:, j]
+    ck = prefs[:, k]
+    xj = float(x[j])
+    xk = float(x[k])
+    dmax = xk
+    base_j = np.minimum(cj, xj)
+    base_k = np.minimum(ck, xk)
+
+    def deriv(d, right):
+        p = pi + (np.minimum(cj, xj + d) - base_j) + (np.minimum(ck, xk - d) - base_k)
+        fp = f.deriv(p)
+        if right:
+            up = cj > xj + d + EQUALITY_TOL
+            dn = ck >= xk - d - EQUALITY_TOL
+        else:
+            up = cj >= xj + d - EQUALITY_TOL
+            dn = ck > xk - d + EQUALITY_TOL
+        return float(fp[up].sum() - fp[dn].sum())
+
+    if deriv(dmax, right=False) >= 0.0:
+        return dmax, ("zero", None)
+    cands = []
+    for v in cj[(cj > xj + EQUALITY_TOL) & (cj - xj < dmax - EQUALITY_TOL)]:
+        cands.append((float(v - xj), "j", float(v)))
+    for v in ck[(ck < xk - EQUALITY_TOL) & (xk - ck < dmax - EQUALITY_TOL)]:
+        cands.append((float(xk - v), "k", float(v)))
+    cands.sort(key=lambda c: c[0])
+    merged = []
+    for c in cands:
+        if merged and c[0] - merged[-1][0] <= EQUALITY_TOL:
+            continue
+        merged.append(c)
+    lo_d, hi_idx = 0.0, None
+    lo_i, hi_i = 0, len(merged) - 1
+    while lo_i <= hi_i:
+        mid = (lo_i + hi_i) // 2
+        if deriv(merged[mid][0], right=True) <= 0.0:
+            hi_idx = mid
+            hi_i = mid - 1
+        else:
+            lo_d = merged[mid][0]
+            lo_i = mid + 1
+    if hi_idx is not None:
+        b, side, v = merged[hi_idx]
+        if deriv(b, right=False) >= 0.0:
+            return b, (side, v)
+        hi_d = b
+    else:
+        hi_d = dmax
+    lo, hi = lo_d, hi_d
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if deriv(mid, right=True) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), (None, None)
+
+
+@pytest.fixture(scope="module")
+def criterion_06_line_searches():
+    """Every line search of a sweep over criterion 06's corpus (seed 777:
+    200 Dirichlet profiles, n 2-8, m 2-4, the five-rung ladder; the first
+    rung starts cold, each later one from the rung before), with the number
+    of f' evaluations each one made."""
+    records = []
+    inside = [False]
+    evals = [0]
+    line_search = solver_module._line_search
+    deriv = ct.UtilityFunction.deriv
+
+    def counting_deriv(self, t):
+        evals[0] += inside[0]
+        return deriv(self, t)
+
+    def recording_line_search(prefs, x, pi, f, j, k):
+        evals[0], inside[0] = 0, True
+        try:
+            out = line_search(prefs, x, pi, f, j, k)
+        finally:
+            inside[0] = False
+        records.append(((prefs, x.copy(), pi.copy(), f, j, k), out, evals[0]))
+        return out
+
+    rng = np.random.default_rng(777)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_line_search", recording_line_search)
+        mp.setattr(ct.UtilityFunction, "deriv", counting_deriv)
+        for _ in range(200):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 9))
+            profile = ct.Profile(rng.dirichlet(np.ones(m), size=n))
+            report = None
+            for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
+                report = ct.solve_ctr(profile, ladder_rule(lam), start=report.allocation if report else None)
+                assert report.converged
+    return records
+
+
+def test_newton_line_search_agrees_with_bisection(criterion_06_line_searches):
+    smooth = 0
+    for args, (d, landing), _ in criterion_06_line_searches[::4]:
+        ref_d, ref_landing = bisection_line_search(*args)
+        assert landing == ref_landing
+        if landing == (None, None):
+            smooth += 1
+            assert abs(d - ref_d) <= 1e-12, (d, ref_d)
+        else:
+            assert d == ref_d
+    assert smooth > 100
+
+
+def test_line_search_makes_few_derivative_evaluations(criterion_06_line_searches):
+    evals = [count for _, _, count in criterion_06_line_searches]
+    assert len(evals) > 1000
+    assert np.mean(evals) <= 15.0

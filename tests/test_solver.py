@@ -11,6 +11,7 @@ from scipy.optimize import OptimizeResult, linprog
 
 import ctrules as ct
 import ctrules.solver as solver_module
+from ctrules.cli import ladder_rule
 from helpers import (
     core_example_profile,
     dirichlet_profile,
@@ -376,6 +377,103 @@ def test_directional_derivative_dominates_actual_gain(seed):
         lhs = ct.directional_derivative(p, x, y, i)
         gain = gains[i]
         assert lhs >= gain - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Warm starts
+# ---------------------------------------------------------------------------
+
+CERTIFIED_KINDS = [
+    ct.make_utility("log"),
+    ct.make_utility("power", p=0.5),
+    ct.make_utility("negpower", p=2.0),
+    ct.make_utility("negexppower", p=1.0),
+    ct.make_utility("quadratic"),
+]
+
+
+def warm_start_profile(seed: int, n: int, m: int, shape: int) -> ct.Profile:
+    """Dirichlet, single-minded, or Dirichlet with the last column unsupported."""
+    if shape == 0:
+        return dirichlet_profile(seed, n, m)
+    if shape == 1:
+        return single_minded_profile(seed, n, m)
+    rows = np.random.default_rng(seed).dirichlet(np.ones(m - 1), size=n)
+    return ct.Profile(np.hstack([rows, np.zeros((n, 1))]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 8),
+    m=st.integers(2, 5),
+    shape=st.integers(0, 2),
+    kind_idx=st.integers(0, len(CERTIFIED_KINDS) - 1),
+)
+def test_warm_start_certifies_the_cold_optimum(seed, n, m, shape, kind_idx):
+    profile = warm_start_profile(seed, n, m, shape)
+    f = CERTIFIED_KINDS[kind_idx]
+    tol = ct.SolverOptions().tol
+    cold = ct.solve_ctr(profile, f)
+    assert cold.converged
+    vertex = np.zeros(m)
+    vertex[seed % m] = 1.0
+    unsupported = np.zeros(m)
+    unsupported[-1] = 1.0
+    starts = [np.full(m, 1.0 / m), vertex, profile.prefs[seed % n], unsupported]
+    for shares in starts:
+        warm = ct.solve_ctr(profile, f, start=ct.Allocation(shares))
+        assert warm.converged, (shares, warm.mrs_gap)
+        assert warm.mrs_gap <= tol
+        assert abs(warm.objective - cold.objective) <= n * tol
+
+
+def test_start_at_the_optimum_needs_no_polish_step():
+    p = dirichlet_profile(7, 6, 4)
+    for f in RULES:
+        cold = ct.solve_ctr(p, f)
+        warm = ct.solve_ctr(p, f, start=cold.allocation)
+        assert warm.converged and warm.iterations == 0
+        assert np.array_equal(warm.allocation.shares, cold.allocation.shares)
+
+
+def test_start_without_supported_mass_is_a_cold_start():
+    p = ct.Profile([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
+    f = ct.make_utility("log")
+    cold = ct.solve_ctr(p, f)
+    warm = ct.solve_ctr(p, f, start=ct.Allocation([0.0, 0.0, 1.0]))
+    assert np.array_equal(warm.allocation.shares, cold.allocation.shares)
+    assert (warm.iterations, warm.mrs_gap, warm.converged) == (cold.iterations, cold.mrs_gap, True)
+
+
+def test_ladder_leaves_only_rounding_level_gaps():
+    """A sweep-style ladder up to lambda = 10 over single-minded profiles,
+    where negpower:9's marginals reach ~1e8: every rung certifies, or its
+    gap is at the float rounding of its n-term marginal sums."""
+    eps = np.finfo(float).eps
+    for seed in range(40):
+        profile = single_minded_profile(seed, 6 + seed % 14, 3 + seed % 4)
+        report = None
+        for lam in np.geomspace(0.25, 10.0, 7):
+            f = ladder_rule(float(lam))
+            report = ct.solve_ctr(profile, f, start=report.allocation if report else None)
+            if report.converged:
+                continue
+            x = report.allocation
+            mc_up = max(ct.marginal_contribution(profile, x, f, j, "up") for j in range(profile.m))
+            assert report.mrs_gap <= profile.n * eps * max(1.0, mc_up), (seed, lam, report.mrs_gap)
+
+
+@pytest.mark.parametrize("start", [[0.25, 0.75], np.array([0.25, 0.75]), "uniform"])
+def test_start_must_be_an_allocation(start):
+    with pytest.raises(ValueError, match="Allocation"):
+        ct.solve_ctr(sp_example_profile(), ct.make_utility("log"), start=start)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_start_must_match_the_profile_width(m):
+    with pytest.raises(ValueError, match="m=2"):
+        ct.solve_ctr(sp_example_profile(), ct.make_utility("log"), start=ct.Allocation(np.full(m, 1.0 / m)))
 
 
 # ---------------------------------------------------------------------------
