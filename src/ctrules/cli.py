@@ -350,7 +350,10 @@ def cmd_sweep(args) -> int:
             sats = report.satisfactions.values
             wl_emp = bd.welfare_loss(profile, report.allocation, util_ref)
             el_emp = bd.egalitarian_loss(profile, report.allocation, egal_ref)
-            el_bound, _ = bd.gamma(profile.m, profile.n, lam)
+            # the closed-form bounds need two agents; a one-agent row gets nan
+            # there, as afs_worst does past the subset guard
+            el_bound = bd.gamma(profile.m, profile.n, lam)[0] if profile.n >= 2 else np.nan
+            share_bound = bd.ifs_share_bound(lam, profile.m, profile.n) if profile.n >= 2 else np.nan
             afs_worst = (
                 _afs_worst_ratio(profile, sats, lam) if profile.n <= ax.MAX_SUBSET_AGENTS else np.nan
             )
@@ -365,7 +368,7 @@ def cmd_sweep(args) -> int:
                 _fmt(el_emp),
                 _fmt(el_bound),
                 _fmt(float(sats.min())),
-                _fmt(bd.ifs_share_bound(lam, profile.m, profile.n)),
+                _fmt(share_bound),
                 _fmt(afs_worst),
             ]
             lines.append(",".join(row))

@@ -344,11 +344,19 @@ def support_masks(prefs: np.ndarray, shares: np.ndarray, tol: float = EQUALITY_T
     ``up[i, j]`` means raising x_j improves agent i; ``down[i, j]`` means
     lowering x_j hurts agent i.  ``up`` is a subset of ``down``; they differ
     exactly on ties ``x^i_j == x_j`` (within tol).
+    """
+    d, down = _weak_support(prefs, shares, tol)
+    return d > tol, down
 
-    The masks are C-ordered even when prefs is not (the solver's column
-    subset ``prefs[:, supported]`` is Fortran-ordered): a matmul against a
-    Fortran-ordered bool mask casts it in a transposing copy that costs
-    ten times the product itself.
+
+def _weak_support(prefs: np.ndarray, shares: np.ndarray, tol: float = EQUALITY_TOL):
+    """The differences prefs - shares and the weak (down) mask read from them.
+
+    Both are C-ordered even when prefs is not (the solver's column subset
+    ``prefs[:, supported]`` is Fortran-ordered): a matmul against a
+    Fortran-ordered bool mask casts it in a transposing copy that costs ten
+    times the product itself.  The entropic warmup reads the weak mask
+    alone; ``support_masks`` adds the strict one from the same differences.
     """
     d = np.subtract(prefs, shares, order="C")
-    return d > tol, d >= -tol
+    return d, d >= -tol

@@ -8,14 +8,18 @@ therefore runs in two phases:
 
 1. on a cold start, a short entropic (multiplicative-weights) warmup from
    the uniform allocation, which keeps iterates interior and localizes the
-   optimum; a warm start (``solve_ctr(..., start=x)``, such as the previous
-   rung of a lambda ladder) skips it;
+   optimum.  It keeps its best iterate and ends after 200 steps, or earlier
+   once the objective has not reached a new best for 25 steps in a row;
+   ``iterations`` counts the warmup steps run plus the polish steps.  A
+   warm start (``solve_ctr(..., start=x)``, such as the previous rung of a
+   lambda ladder) skips it;
 2. an exchange polish that repeatedly shifts mass from the alternative with
    the smallest weak marginal contribution to the one with the largest
    strict marginal contribution, using an exact concave line search whose
-   steps land bit-exactly on kink values (or on zero); between kinks the
-   support pattern is fixed, and a safeguarded Newton iteration finds the
-   smooth stop.
+   steps land bit-exactly on kink values (or on zero): it sorts the kinks
+   along the exchange in one array and binary-searches them for the sign
+   change of the one-sided derivative.  Between kinks the support pattern
+   is fixed, and a safeguarded Newton iteration finds the smooth stop.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -27,7 +31,8 @@ where the polish started.
 
 The paper's first-order quantities live here, computed one way: the
 marginal contributions mc_up / mc_down come from ``_marginals``, which the
-certificate, the warmup and ``marginal_contribution`` all read, and
+certificate and ``marginal_contribution`` read; the warmup reads only
+mc_down, from ``_weak_marginals`` over the same weak support mask; and
 ``directional_derivative`` reads the same strict/weak support masks.
 
 The utilitarian baseline shares this machinery with the identity utility
@@ -57,12 +62,16 @@ from .core import (
     Profile,
     SatisfactionVector,
     UtilityFunction,
+    _weak_support,
     make_utility,
     overlap,
     support_masks,
 )
 
 _WARMUP_ITERS = 200
+# Consecutive warmup steps without a new best score that end the warmup.
+# Ten left two negpower:9 solves uncertified at the rounding level.
+_WARMUP_PATIENCE = 25
 _STALL_WINDOW = 300
 # Up to this many agents the maxmin cut LP is also seeded at every agent's
 # ideal.  Its n * (n + 2) seed rows then cost less than the ~2 ms fixed
@@ -166,6 +175,13 @@ def _marginals(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
     return fp @ up, fp @ down, pi
 
 
+def _weak_marginals(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
+    """The weak half of ``_marginals``: (mc_down, pi), bit for bit the same
+    values, without forming the strict mask or its product."""
+    pi = overlap(prefs, x)
+    return f.deriv(pi) @ _weak_support(prefs, x)[1], pi
+
+
 def _mrs_terms(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
     """The MRS gap with its exchange pair and the satisfactions at x.
 
@@ -211,35 +227,38 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
     if deriv(dmax, right=False) >= 0.0:
         return dmax, ("zero", None)
 
-    # membership-change breakpoints strictly inside (0, dmax)
-    cands: list[tuple[float, str, float]] = []
-    for v in cj[(cj > xj + EQUALITY_TOL) & (cj - xj < dmax - EQUALITY_TOL)]:
-        cands.append((float(v - xj), "j", float(v)))
-    for v in ck[(ck < xk - EQUALITY_TOL) & (xk - ck < dmax - EQUALITY_TOL)]:
-        cands.append((float(xk - v), "k", float(v)))
-    cands.sort(key=lambda c: c[0])
-    merged: list[tuple[float, str, float]] = []
-    for c in cands:
-        if merged and c[0] - merged[-1][0] <= EQUALITY_TOL:
-            continue
-        merged.append(c)
+    # membership-change breakpoints strictly inside (0, dmax), the j side
+    # first; the stable sort keeps j before k on equal steps.  Breakpoints
+    # within EQUALITY_TOL of the last one kept are one kink: keep the first
+    # of each such chain (a Python pass, run only when some gap is that small)
+    vj = cj[(cj > xj + EQUALITY_TOL) & (cj - xj < dmax - EQUALITY_TOL)]
+    vk = ck[(ck < xk - EQUALITY_TOL) & (xk - ck < dmax - EQUALITY_TOL)]
+    steps = np.concatenate((vj - xj, xk - vk))
+    order = np.argsort(steps, kind="stable")
+    steps = steps[order]
+    if len(steps) > 1 and np.diff(steps).min() <= EQUALITY_TOL:
+        keep = [0]
+        for i in range(1, len(steps)):
+            if steps[i] - steps[keep[-1]] > EQUALITY_TOL:
+                keep.append(i)
+        order, steps = order[keep], steps[keep]
 
     # first breakpoint where the right derivative is no longer positive
     lo_d, hi_idx = 0.0, None
-    lo_i, hi_i = 0, len(merged) - 1
+    lo_i, hi_i = 0, len(steps) - 1
     while lo_i <= hi_i:
         mid = (lo_i + hi_i) // 2
-        if deriv(merged[mid][0], right=True) <= 0.0:
+        if deriv(float(steps[mid]), right=True) <= 0.0:
             hi_idx = mid
             hi_i = mid - 1
         else:
-            lo_d = merged[mid][0]
+            lo_d = float(steps[mid])
             lo_i = mid + 1
 
     if hi_idx is not None:
-        b, side, v = merged[hi_idx]
+        b, o = float(steps[hi_idx]), int(order[hi_idx])
         if deriv(b, right=False) >= 0.0:
-            return b, (side, v)
+            return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
         hi_d = b
     else:
         hi_d = dmax
@@ -306,21 +325,29 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
     x = x0.copy()
     iters = 0
 
-    # phase 1: entropic steps keep iterates interior; keep the best iterate,
-    # scoring each one from the satisfactions its gradient already computed
+    # phase 1: entropic steps along the weak marginal contributions keep
+    # iterates interior.  The best iterate is kept, each one scored from the
+    # satisfactions its gradient reads.  The warmup ends after _WARMUP_ITERS
+    # steps, or once the best score has not risen for _WARMUP_PATIENCE steps
+    # in a row: the score flattens within a few steps, but stiff utilities
+    # dip for a few steps before they climb, so one flat step ends nothing.
     best_x, best_obj = x, -np.inf
-    steps = min(_WARMUP_ITERS, opts.max_iters) if warmup else 0
-    for t in range(1, steps + 1):
-        _, g, pi = _marginals(prefs, x, f)
+    cap = min(_WARMUP_ITERS, opts.max_iters) if warmup else 0
+    t = stale = 0
+    while t < cap and stale < _WARMUP_PATIENCE:
+        t += 1
+        g, pi = _weak_marginals(prefs, x, f)
         obj = float(f.value(pi).sum())
         if obj > best_obj:
-            best_x, best_obj = x, obj
+            best_x, best_obj, stale = x, obj, 0
+        else:
+            stale += 1
         eta = 1.0 / (1.0 + float(np.abs(g).max())) / t**0.5
         x = x * np.exp(eta * (g - g.max()))
         x /= x.sum()
     if float(f.value(overlap(prefs, x)).sum()) > best_obj:
         best_x = x
-    iters += steps
+    iters += t
     x = best_x
 
     # phase 2: exchange polish until the MRS certificate passes
@@ -369,11 +396,18 @@ def _solve_first_order(
     # and the warmup; the certificate does not depend on where the polish began
     x0 = np.maximum(start.shares[supported], 0.0) if start is not None else np.zeros(ms)
     cold = not x0.sum() > 0.0
-    x0 = np.full(ms, 1.0 / ms) if cold else x0 / x0.sum()
+    x0 = np.full(ms, 1.0 / ms) if cold else _on_simplex(x0)
     x_sub, iters, converged = _ascend(sub, f, opts, x0, warmup=cold)
     x = np.zeros(m)
     x[supported] = x_sub
     return _make_report(profile, x, f, iterations=iters, converged=converged, opts=opts)
+
+
+def _on_simplex(x: np.ndarray) -> np.ndarray:
+    """x divided by its sum, unless that sum is already 1 within 1e-9: a
+    point on the simplex (such as a solve's own optimum) is kept bit for bit."""
+    s = x.sum()
+    return x / s if abs(s - 1.0) > 1e-9 else x
 
 
 def _make_report(
@@ -384,10 +418,7 @@ def _make_report(
     converged: bool,
     opts: SolverOptions,
 ) -> SolveReport:
-    s = x.sum()
-    if abs(s - 1.0) > 1e-9:
-        x = x / s
-    allocation = Allocation(np.maximum(x, 0.0))
+    allocation = Allocation(np.maximum(_on_simplex(x), 0.0))
     sats = SatisfactionVector(overlap(profile.prefs, allocation.shares))
     objective = float(f.value(sats.values).sum())
     gap = mrs_gap(profile, allocation, f)
@@ -412,12 +443,14 @@ def solve_ctr(
     optimum, wherever the ascent started.
 
     Without start the ascent is cold: the entropic warmup runs from the
-    uniform allocation, then the polish.  With start (an allocation over
-    the profile's m alternatives, such as the optimum of a nearby rule) the
-    polish starts from start restricted to the supported alternatives and
-    renormalised, and the warmup is skipped, so iterations counts polish
-    steps only.  A start with no mass on any supported alternative falls
-    back to the cold start.
+    uniform allocation until it stops improving (at most 200 steps), then
+    the polish.  With start (an allocation over the profile's m
+    alternatives, such as the optimum of a nearby rule) the polish starts
+    from start restricted to the supported alternatives and renormalised,
+    and the warmup is skipped, so iterations counts polish steps only.  A
+    start with no mass on any supported alternative falls back to the cold
+    start.  A start that sums to 1 within 1e-9 is not renormalised, so a
+    certified optimum given as its own start comes back bit for bit.
     """
     if start is not None:
         if not isinstance(start, Allocation):

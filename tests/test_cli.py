@@ -317,6 +317,28 @@ def test_sweep_ladder_rows_match_cold_solves(tmp_path):
         assert abs(float(row["min_share"]) - cold.satisfactions.min()) <= 1e-6
 
 
+def test_sweep_writes_rows_for_one_agent_profiles(tmp_path):
+    """A one-agent profile gets its rows with nan for the two-agent bounds,
+    and the rest of the sweep runs as before."""
+    d = tmp_path / "mixed"
+    d.mkdir()
+    write_doc(d / "a_one.json", {"n": 1, "m": 3, "prefs": [[0.5, 0.3, 0.2]]})
+    write_doc(d / "b_two.json", {"n": 2, "m": 3, "prefs": [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]})
+    out = tmp_path / "mixed.csv"
+    assert main(["sweep", "--profile-dir", str(d), "--lambda-grid", "0.5:2:3", "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [r["n"] for r in rows] == ["1"] * 3 + ["2"] * 3
+    for row in rows[:3]:
+        assert row["el_bound"] == row["min_share_bound"] == "nan"
+        assert float(row["min_share"]) == 1.0 and float(row["wl_emp"]) == 0.0
+    for row in rows[3:]:
+        lam = float(row["lambda"])
+        assert float(row["el_bound"]) == pytest.approx(ct.gamma(3, 2, lam)[0], abs=1e-11)
+        assert float(row["min_share_bound"]) == pytest.approx(ct.ifs_share_bound(lam, 3, 2), abs=1e-11)
+
+
 def test_sweep_empty_directory(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()

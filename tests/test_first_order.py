@@ -1,8 +1,11 @@
 """The paper's first-order quantities against the MRS certificate: the
 marginal contributions and directional derivatives are the terms the
 solver's gap compares, near-ties, floored satisfactions and steep
-utilities keep them well defined, and the exchange line search's Newton
-stops agree with the bisection they replaced."""
+utilities keep them well defined, and the exchange line search (its array
+kink search and its Newton stops) agrees with the tuple-list bisection it
+replaced."""
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ import ctrules as ct
 import ctrules.solver as solver_module
 from ctrules.cli import ladder_rule
 from ctrules.core import EQUALITY_TOL, support_masks
-from helpers import dirichlet_profile
+from helpers import dirichlet_profile, single_minded_profile
 
 UTILITIES = [
     ct.make_utility("log"),
@@ -276,3 +279,84 @@ def test_line_search_makes_few_derivative_evaluations(criterion_06_line_searches
     evals = [count for _, _, count in criterion_06_line_searches]
     assert len(evals) > 1000
     assert np.mean(evals) <= 15.0
+
+
+@contextmanager
+def recorded_line_searches():
+    """Record every line search the solver makes inside the block, as
+    (arguments, result) pairs."""
+    records = []
+    line_search = solver_module._line_search
+
+    def recording_line_search(prefs, x, pi, f, j, k):
+        out = line_search(prefs, x, pi, f, j, k)
+        records.append(((prefs, x.copy(), pi.copy(), f, j, k), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_line_search", recording_line_search)
+        yield records
+
+
+def assert_agrees_with_bisection(records):
+    """Kink and zero landings equal the oracle's exactly, smooth stops to
+    1e-12; returns the number of each landing kind."""
+    kinds = {"zero": 0, "j": 0, "k": 0, None: 0}
+    for args, (d, landing) in records:
+        ref_d, ref_landing = bisection_line_search(*args)
+        assert landing == ref_landing
+        if landing == (None, None):
+            assert abs(d - ref_d) <= 1e-12, (d, ref_d)
+        else:
+            assert d == ref_d
+        kinds[landing[0]] += 1
+    return kinds
+
+
+def duplicate_row_profile(seed: int, n: int, m: int) -> ct.Profile:
+    """n rows drawn from a few distinct Dirichlet rows, so kinks coincide."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(m), size=max(1, n // 3))
+    return ct.Profile(rows[rng.integers(0, len(rows), size=n)])
+
+
+def test_kink_search_agrees_with_bisection_on_duplicate_and_single_minded_rows():
+    with recorded_line_searches() as records:
+        for seed in range(12):
+            n, m = 4 + seed % 9, 2 + seed % 4
+            for profile in (duplicate_row_profile(seed, n, m), single_minded_profile(seed, n, m)):
+                for f in UTILITIES[:4]:
+                    assert ct.solve_ctr(profile, f).converged
+                assert ct.solve_utilitarian(profile).converged
+    kinds = assert_agrees_with_bisection(records)
+    assert kinds["j"] + kinds["k"] > 50 and kinds["zero"] > 10, kinds
+
+
+def test_kink_search_keeps_the_first_breakpoint_of_each_near_tie_chain():
+    """Breakpoints 2^-41 apart (within EQUALITY_TOL of their neighbours)
+    along the exchange e_0 - e_1: j kinks at five consecutive ones and a k
+    kink tied exactly with the fourth, so the chain spans more than
+    EQUALITY_TOL.  The merge keeps the first breakpoint and the fourth, the
+    first one more than EQUALITY_TOL past it; the search lands on the fourth,
+    on its j side, which sorts before the k side on an equal step."""
+    delta = 2.0**-41
+    assert 2 * delta <= EQUALITY_TOL < 3 * delta
+    rows = [[0.375 + i * delta, 0.0, 0.625 - i * delta] for i in range(5)]
+    rows += [[0.0, 0.375 - 3 * delta, 0.625 + 3 * delta], [0.0, 1.0, 0.0]]
+    prefs = np.array(rows)
+    x = np.array([0.25, 0.5, 0.25])
+    pi = np.minimum(prefs, x).sum(axis=1)
+    f = ct.make_utility("log")
+    out = solver_module._line_search(prefs, x, pi, f, 0, 1)
+    assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
+    assert out == (0.125 + 3 * delta, ("j", 0.375 + 3 * delta))
+
+
+def test_kink_search_agrees_with_bisection_at_a_thousand_agents():
+    profile = dirichlet_profile(31, 1000, 8, conc=0.5)
+    with recorded_line_searches() as records:
+        for f in UTILITIES[:4]:
+            assert ct.solve_ctr(profile, f).converged
+        assert ct.solve_utilitarian(profile).converged
+    kinds = assert_agrees_with_bisection(records[::3])
+    assert sum(kinds.values()) >= 20 and kinds["j"] + kinds["k"] >= 5, kinds

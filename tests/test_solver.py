@@ -437,6 +437,25 @@ def test_start_at_the_optimum_needs_no_polish_step():
         assert np.array_equal(warm.allocation.shares, cold.allocation.shares)
 
 
+def test_start_at_a_certified_optimum_is_a_fixed_point():
+    """Optima whose shares sum to 1 only within rounding come back bit for
+    bit too: the start is renormalised only when its sum is off by more
+    than 1e-9."""
+    rng = np.random.default_rng(8080)
+    off_one = 0
+    for _ in range(40):
+        n, m = int(rng.integers(2, 20)), int(rng.integers(2, 7))
+        profile = ct.Profile(rng.dirichlet(np.ones(m), size=n))
+        for f in CERTIFIED_KINDS[:4]:
+            cold = ct.solve_ctr(profile, f)
+            assert cold.converged
+            off_one += cold.allocation.shares.sum() != 1.0
+            warm = ct.solve_ctr(profile, f, start=cold.allocation)
+            assert warm.converged and warm.iterations == 0
+            assert np.array_equal(warm.allocation.shares, cold.allocation.shares)
+    assert off_one > 10
+
+
 def test_start_without_supported_mass_is_a_cold_start():
     p = ct.Profile([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
     f = ct.make_utility("log")
@@ -474,6 +493,93 @@ def test_start_must_be_an_allocation(start):
 def test_start_must_match_the_profile_width(m):
     with pytest.raises(ValueError, match="m=2"):
         ct.solve_ctr(sp_example_profile(), ct.make_utility("log"), start=ct.Allocation(np.full(m, 1.0 / m)))
+
+
+# ---------------------------------------------------------------------------
+# Entropic warmup
+# ---------------------------------------------------------------------------
+
+
+def test_warmup_gradient_is_the_weak_marginal_contribution():
+    """The warmup's mc_down and satisfactions equal _marginals' bit for bit,
+    on C- and Fortran-ordered preference matrices and at tied allocations."""
+    rng = np.random.default_rng(515)
+    for case in range(60):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(2, 8))
+        prefs = rng.dirichlet(np.full(m, 0.5), size=n)
+        if case % 2:
+            prefs = np.asfortranarray(prefs)
+        x = prefs[case % n].copy() if case % 3 == 0 else rng.dirichlet(np.ones(m))
+        for f in CERTIFIED_KINDS:
+            _, mc_down, pi = solver_module._marginals(prefs, x, f)
+            weak, weak_pi = solver_module._weak_marginals(prefs, x, f)
+            assert np.array_equal(weak, mc_down) and np.array_equal(weak_pi, pi)
+
+
+def test_cold_warmup_ends_once_it_stops_improving(monkeypatch):
+    """iterations counts the warmup steps run plus one per polish step; on
+    these Dirichlet profiles the warmup ends well before its 200-step cap."""
+    polish_steps = [0]
+    line_search = solver_module._line_search
+
+    def counting_line_search(*args):
+        polish_steps[0] += 1
+        return line_search(*args)
+
+    monkeypatch.setattr(solver_module, "_line_search", counting_line_search)
+    for seed in range(6):
+        profile = dirichlet_profile(seed, 5 + 3 * seed, 3 + seed % 3)
+        for f in CERTIFIED_KINDS:
+            polish_steps[0] = 0
+            report = ct.solve_ctr(profile, f)
+            assert report.converged
+            warmup_steps = report.iterations - polish_steps[0]
+            assert solver_module._WARMUP_PATIENCE <= warmup_steps < solver_module._WARMUP_ITERS
+
+
+def test_stiff_utility_certifies_after_a_falling_warmup_start():
+    """negexppower:3's warmup objective falls for a few steps before it
+    rises: ending the warmup at the first step without a new best left this
+    profile uncertified at gap 6.7e3."""
+    rng = np.random.default_rng(1270)
+    n, m = int(rng.integers(1, 25)), int(rng.integers(2, 7))
+    assert (n, m) == (5, 6)
+    profile = ct.Profile(rng.dirichlet(np.full(m, 0.3), size=n))
+    report = ct.solve_ctr(profile, ct.make_utility("negexppower", p=3.0))
+    assert report.converged
+
+
+def certificate_guard_profiles():
+    """200 seeded small profiles: Dirichlet 1 and 0.3, single-minded, and
+    rows on the 0.1 grid, n 1-12, m 2-5."""
+    rng = np.random.default_rng(2718)
+    for case in range(200):
+        n, m = int(rng.integers(1, 13)), int(rng.integers(2, 6))
+        style = case % 4
+        if style == 0:
+            prefs = rng.dirichlet(np.ones(m), size=n)
+        elif style == 1:
+            prefs = rng.dirichlet(np.full(m, 0.3), size=n)
+        elif style == 2:
+            prefs = np.eye(m)[rng.integers(0, m, size=n)]
+        else:
+            cuts = np.sort(rng.integers(0, 11, size=(n, m - 1)), axis=1)
+            prefs = np.diff(np.hstack([np.zeros((n, 1)), cuts, np.full((n, 1), 10)]), axis=1) / 10
+        yield ct.Profile(prefs)
+
+
+def test_every_cold_solve_on_small_profiles_is_certified():
+    rules = [
+        ct.make_utility("log"),
+        ct.make_utility("power", p=0.5),
+        ct.make_utility("negpower", p=3.0),
+        ct.make_utility("negexppower", p=1.0),
+    ]
+    uncertified = []
+    for case, profile in enumerate(certificate_guard_profiles()):
+        reports = [ct.solve_ctr(profile, f) for f in rules] + [ct.solve_utilitarian(profile)]
+        uncertified += [(case, r.mrs_gap) for r in reports if not r.converged]
+    assert uncertified == []
 
 
 # ---------------------------------------------------------------------------
