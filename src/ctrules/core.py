@@ -99,9 +99,10 @@ class Profile:
         arr[i] = np.asarray(row, dtype=float)
         return Profile(arr)
 
-    def is_single_minded(self, tol: float = 1e-9) -> bool:
-        """True when every agent puts the whole budget on one alternative."""
-        return bool(np.all(self.prefs.max(axis=1) >= 1.0 - tol))
+    def is_single_minded(self) -> bool:
+        """True when every agent puts the whole budget (within 1e-9) on one
+        alternative."""
+        return bool(np.all(self.prefs.max(axis=1) >= 1.0 - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -338,25 +339,17 @@ def satisfaction_vector(profile: Profile, x: Allocation) -> SatisfactionVector:
     return SatisfactionVector(overlap(profile.prefs, x.shares))
 
 
-def support_masks(prefs: np.ndarray, shares: np.ndarray, tol: float = EQUALITY_TOL):
+def support_masks(prefs: np.ndarray, shares: np.ndarray):
     """Strict (up) and weak (down) supporter masks, shaped like prefs.
 
     ``up[i, j]`` means raising x_j improves agent i; ``down[i, j]`` means
     lowering x_j hurts agent i.  ``up`` is a subset of ``down``; they differ
-    exactly on ties ``x^i_j == x_j`` (within tol).
-    """
-    d, down = _weak_support(prefs, shares, tol)
-    return d > tol, down
+    exactly on ties ``x^i_j == x_j`` (within EQUALITY_TOL).
 
-
-def _weak_support(prefs: np.ndarray, shares: np.ndarray, tol: float = EQUALITY_TOL):
-    """The differences prefs - shares and the weak (down) mask read from them.
-
-    Both are C-ordered even when prefs is not (the solver's column subset
-    ``prefs[:, supported]`` is Fortran-ordered): a matmul against a
-    Fortran-ordered bool mask casts it in a transposing copy that costs ten
-    times the product itself.  The entropic warmup reads the weak mask
-    alone; ``support_masks`` adds the strict one from the same differences.
+    The masks are C-ordered even when prefs is not (the solver's column
+    subset ``prefs[:, supported]`` is Fortran-ordered): a matmul against a
+    Fortran-ordered bool mask casts it in a transposing copy that costs
+    ten times the product itself.
     """
     d = np.subtract(prefs, shares, order="C")
-    return d, d >= -tol
+    return d > EQUALITY_TOL, d >= -EQUALITY_TOL

@@ -3,23 +3,17 @@ references, and the first-order optimality certificate.
 
 The aggregation objective sum_i f(satisfaction_i(x)) is concave but only
 piecewise smooth: its kinks sit where some share x_j equals some ideal
-x^i_j, and optima frequently land exactly on those kinks.  The solver
-therefore runs in two phases:
-
-1. on a cold start, a short entropic (multiplicative-weights) warmup from
-   the uniform allocation, which keeps iterates interior and localizes the
-   optimum.  It keeps its best iterate and ends after 200 steps, or earlier
-   once the objective has not reached a new best for 25 steps in a row;
-   ``iterations`` counts the warmup steps run plus the polish steps.  A
-   warm start (``solve_ctr(..., start=x)``, such as the previous rung of a
-   lambda ladder) skips it;
-2. an exchange polish that repeatedly shifts mass from the alternative with
-   the smallest weak marginal contribution to the one with the largest
-   strict marginal contribution, using an exact concave line search whose
-   steps land bit-exactly on kink values (or on zero): it sorts the kinks
-   along the exchange in one array and binary-searches them for the sign
-   change of the one-sided derivative.  Between kinks the support pattern
-   is fixed, and a safeguarded Newton iteration finds the smooth stop.
+x^i_j, and optima frequently land exactly on those kinks.  The solver runs
+one exchange polish.  A cold solve starts it from the mean of the agents'
+ideals, which on single-minded profiles is the proportional allocation the
+Nash rule selects; a warm start (``solve_ctr(..., start=x)``, such as the
+previous rung of a lambda ladder) starts it from x.  Each step shifts mass
+from the alternative with the smallest weak marginal contribution to the
+one with the largest strict marginal contribution, using an exact concave
+line search whose steps land bit-exactly on kink values (or on zero): it
+sorts the kinks along the exchange in one array and binary-searches them
+for the sign change of the one-sided derivative.  Between kinks the support
+pattern is fixed, and a safeguarded Newton iteration finds the smooth stop.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -31,8 +25,7 @@ where the polish started.
 
 The paper's first-order quantities live here, computed one way: the
 marginal contributions mc_up / mc_down come from ``_marginals``, which the
-certificate and ``marginal_contribution`` read; the warmup reads only
-mc_down, from ``_weak_marginals`` over the same weak support mask; and
+certificate and ``marginal_contribution`` read, and
 ``directional_derivative`` reads the same strict/weak support masks.
 
 The utilitarian baseline shares this machinery with the identity utility
@@ -62,16 +55,11 @@ from .core import (
     Profile,
     SatisfactionVector,
     UtilityFunction,
-    _weak_support,
     make_utility,
     overlap,
     support_masks,
 )
 
-_WARMUP_ITERS = 200
-# Consecutive warmup steps without a new best score that end the warmup.
-# Ten left two negpower:9 solves uncertified at the rounding level.
-_WARMUP_PATIENCE = 25
 _STALL_WINDOW = 300
 # Up to this many agents the maxmin cut LP is also seeded at every agent's
 # ideal.  Its n * (n + 2) seed rows then cost less than the ~2 ms fixed
@@ -86,8 +74,8 @@ class SolverOptions:
 
     tol is the gap tolerance certifying convergence: the MRS gap for rule
     solves, the cut-LP bound minus the achieved minimum for the maxmin
-    reference.  max_iters caps the warmup and polish iterations together,
-    and the cutting-plane rounds of the maxmin reference.
+    reference.  max_iters caps the polish steps of rule solves and the
+    cutting-plane rounds of the maxmin reference.
     """
 
     tol: float = 1e-7
@@ -173,13 +161,6 @@ def _marginals(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
     fp = f.deriv(pi)
     up, down = support_masks(prefs, x)
     return fp @ up, fp @ down, pi
-
-
-def _weak_marginals(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
-    """The weak half of ``_marginals``: (mc_down, pi), bit for bit the same
-    values, without forming the strict mask or its product."""
-    pi = overlap(prefs, x)
-    return f.deriv(pi) @ _weak_support(prefs, x)[1], pi
 
 
 def _mrs_terms(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
@@ -317,40 +298,13 @@ def _apply_move(x: np.ndarray, j: int, k: int, d: float, landing) -> np.ndarray:
     return out
 
 
-def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.ndarray, warmup: bool = True):
-    """Warmup (unless skipped) + exchange polish on a full-support preference
-    matrix.  The warmup's multiplicative steps need x0 > 0; the polish
-    accepts any point of the simplex."""
-    n, m = prefs.shape
-    x = x0.copy()
+def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.ndarray):
+    """Exchange polish from x, any point of the simplex, on a full-support
+    preference matrix until the MRS certificate passes.
+
+    Returns (x, iterations, converged); iterations counts the polish steps.
+    """
     iters = 0
-
-    # phase 1: entropic steps along the weak marginal contributions keep
-    # iterates interior.  The best iterate is kept, each one scored from the
-    # satisfactions its gradient reads.  The warmup ends after _WARMUP_ITERS
-    # steps, or once the best score has not risen for _WARMUP_PATIENCE steps
-    # in a row: the score flattens within a few steps, but stiff utilities
-    # dip for a few steps before they climb, so one flat step ends nothing.
-    best_x, best_obj = x, -np.inf
-    cap = min(_WARMUP_ITERS, opts.max_iters) if warmup else 0
-    t = stale = 0
-    while t < cap and stale < _WARMUP_PATIENCE:
-        t += 1
-        g, pi = _weak_marginals(prefs, x, f)
-        obj = float(f.value(pi).sum())
-        if obj > best_obj:
-            best_x, best_obj, stale = x, obj, 0
-        else:
-            stale += 1
-        eta = 1.0 / (1.0 + float(np.abs(g).max())) / t**0.5
-        x = x * np.exp(eta * (g - g.max()))
-        x /= x.sum()
-    if float(f.value(overlap(prefs, x)).sum()) > best_obj:
-        best_x = x
-    iters += t
-    x = best_x
-
-    # phase 2: exchange polish until the MRS certificate passes
     converged = False
     stall = 0
     best_gap = np.inf
@@ -371,7 +325,6 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x0: np.n
             break
         x = _apply_move(x, j, k, d, landing)
         iters += 1
-
     return x, iters, converged
 
 
@@ -379,25 +332,20 @@ def _solve_first_order(
     profile: Profile, f: UtilityFunction, opts: SolverOptions, start: Allocation | None = None
 ) -> SolveReport:
     prefs = profile.prefs
-    n, m = prefs.shape
-
-    if n == 1:
-        return _make_report(profile, prefs[0].copy(), f, iterations=0, converged=True, opts=opts)
+    m = profile.m
 
     supported = prefs.max(axis=0) > 0.0
-    sub = prefs[:, supported]
-    ms = int(supported.sum())
-    if ms == 1:
+    if supported.sum() == 1:
         x = np.zeros(m)
         x[int(np.flatnonzero(supported)[0])] = 1.0
         return _make_report(profile, x, f, iterations=0, converged=True, opts=opts)
 
-    # a start with mass on the supported columns replaces the uniform start
-    # and the warmup; the certificate does not depend on where the polish began
-    x0 = np.maximum(start.shares[supported], 0.0) if start is not None else np.zeros(ms)
-    cold = not x0.sum() > 0.0
-    x0 = np.full(ms, 1.0 / ms) if cold else _on_simplex(x0)
-    x_sub, iters, converged = _ascend(sub, f, opts, x0, warmup=cold)
+    # polish from the start's mass on the supported columns, or from the mean
+    # ideal; the certificate does not depend on where the polish began
+    x0 = np.maximum(start.shares[supported], 0.0) if start is not None else None
+    if x0 is None or not x0.sum() > 0.0:
+        x0 = prefs.mean(axis=0)[supported]
+    x_sub, iters, converged = _ascend(prefs[:, supported], f, opts, _on_simplex(x0))
     x = np.zeros(m)
     x[supported] = x_sub
     return _make_report(profile, x, f, iterations=iters, converged=converged, opts=opts)
@@ -442,15 +390,14 @@ def solve_ctr(
     suffices: converged is True exactly when its MRS gap certifies a global
     optimum, wherever the ascent started.
 
-    Without start the ascent is cold: the entropic warmup runs from the
-    uniform allocation until it stops improving (at most 200 steps), then
-    the polish.  With start (an allocation over the profile's m
-    alternatives, such as the optimum of a nearby rule) the polish starts
-    from start restricted to the supported alternatives and renormalised,
-    and the warmup is skipped, so iterations counts polish steps only.  A
-    start with no mass on any supported alternative falls back to the cold
-    start.  A start that sums to 1 within 1e-9 is not renormalised, so a
-    certified optimum given as its own start comes back bit for bit.
+    Without start the polish is cold: it starts from the mean of the agents'
+    ideals (on single-minded profiles, the proportional allocation).  With
+    start (an allocation over the profile's m alternatives, such as the
+    optimum of a nearby rule) it starts from start restricted to the
+    supported alternatives and renormalised; a start with no mass on any
+    supported alternative falls back to the cold start.  A start that sums
+    to 1 within 1e-9 is not renormalised, so a certified optimum given as
+    its own start comes back bit for bit.  iterations counts polish steps.
     """
     if start is not None:
         if not isinstance(start, Allocation):

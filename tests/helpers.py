@@ -4,12 +4,11 @@ solver run."""
 import numpy as np
 
 import ctrules as ct
-from ctrules.solver import _ascend
 
 
 def perturbed_start_ascent(profile: ct.Profile, f: ct.UtilityFunction, seed: int):
-    """Run the solver's one-start ascent from a seeded Dirichlet-perturbed
-    interior start instead of the uniform one.
+    """Solve from a seeded Dirichlet-perturbed interior start instead of the
+    cold (mean-ideal) one.
 
     The profile must support every alternative.  Returns the satisfactions
     reached and whether the MRS certificate passed.
@@ -17,8 +16,8 @@ def perturbed_start_ascent(profile: ct.Profile, f: ct.UtilityFunction, seed: int
     m = profile.m
     assert (profile.prefs.max(axis=0) > 0.0).all(), "every alternative needs a supporter"
     x0 = np.full(m, 1.0 / m) + 0.5 * np.random.default_rng(seed).dirichlet(np.ones(m))
-    x, _, converged = _ascend(profile.prefs, f, ct.SolverOptions(), x0 / x0.sum())
-    return np.minimum(profile.prefs, x).sum(axis=1), converged
+    report = ct.solve_ctr(profile, f, start=ct.Allocation(x0 / x0.sum()))
+    return report.satisfactions.values, report.converged
 
 
 def dirichlet_profile(seed: int, n: int, m: int, conc: float = 1.0) -> ct.Profile:

@@ -327,6 +327,7 @@ def test_kink_search_agrees_with_bisection_on_duplicate_and_single_minded_rows()
             for profile in (duplicate_row_profile(seed, n, m), single_minded_profile(seed, n, m)):
                 for f in UTILITIES[:4]:
                     assert ct.solve_ctr(profile, f).converged
+                    assert ct.solve_ctr(profile, f, start=ct.Allocation.uniform(m)).converged
                 assert ct.solve_utilitarian(profile).converged
     kinds = assert_agrees_with_bisection(records)
     assert kinds["j"] + kinds["k"] > 50 and kinds["zero"] > 10, kinds

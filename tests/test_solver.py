@@ -496,51 +496,14 @@ def test_start_must_match_the_profile_width(m):
 
 
 # ---------------------------------------------------------------------------
-# Entropic warmup
+# Cold start
 # ---------------------------------------------------------------------------
 
 
-def test_warmup_gradient_is_the_weak_marginal_contribution():
-    """The warmup's mc_down and satisfactions equal _marginals' bit for bit,
-    on C- and Fortran-ordered preference matrices and at tied allocations."""
-    rng = np.random.default_rng(515)
-    for case in range(60):
-        n, m = int(rng.integers(1, 30)), int(rng.integers(2, 8))
-        prefs = rng.dirichlet(np.full(m, 0.5), size=n)
-        if case % 2:
-            prefs = np.asfortranarray(prefs)
-        x = prefs[case % n].copy() if case % 3 == 0 else rng.dirichlet(np.ones(m))
-        for f in CERTIFIED_KINDS:
-            _, mc_down, pi = solver_module._marginals(prefs, x, f)
-            weak, weak_pi = solver_module._weak_marginals(prefs, x, f)
-            assert np.array_equal(weak, mc_down) and np.array_equal(weak_pi, pi)
-
-
-def test_cold_warmup_ends_once_it_stops_improving(monkeypatch):
-    """iterations counts the warmup steps run plus one per polish step; on
-    these Dirichlet profiles the warmup ends well before its 200-step cap."""
-    polish_steps = [0]
-    line_search = solver_module._line_search
-
-    def counting_line_search(*args):
-        polish_steps[0] += 1
-        return line_search(*args)
-
-    monkeypatch.setattr(solver_module, "_line_search", counting_line_search)
-    for seed in range(6):
-        profile = dirichlet_profile(seed, 5 + 3 * seed, 3 + seed % 3)
-        for f in CERTIFIED_KINDS:
-            polish_steps[0] = 0
-            report = ct.solve_ctr(profile, f)
-            assert report.converged
-            warmup_steps = report.iterations - polish_steps[0]
-            assert solver_module._WARMUP_PATIENCE <= warmup_steps < solver_module._WARMUP_ITERS
-
-
 def test_stiff_utility_certifies_after_a_falling_warmup_start():
-    """negexppower:3's warmup objective falls for a few steps before it
-    rises: ending the warmup at the first step without a new best left this
-    profile uncertified at gap 6.7e3."""
+    """Guards the cold start against the uniform-start stall: polished from
+    the uniform allocation, this negexppower:3 profile stays uncertified at
+    gap 6.7e3; from the mean ideal it certifies."""
     rng = np.random.default_rng(1270)
     n, m = int(rng.integers(1, 25)), int(rng.integers(2, 7))
     assert (n, m) == (5, 6)
@@ -582,6 +545,31 @@ def test_every_cold_solve_on_small_profiles_is_certified():
     assert uncertified == []
 
 
+def test_cold_nash_solve_of_a_single_minded_profile_is_the_proportional_point():
+    """The cold start is the mean ideal, on single-minded profiles the
+    proportional allocation, which the Nash rule selects: no polish step
+    moves it."""
+    f = ct.make_utility("log")
+    for seed in range(40):
+        profile = single_minded_profile(seed, 2 + seed % 15, 2 + seed % 5)
+        report = ct.solve_ctr(profile, f)
+        assert report.converged and report.iterations == 0
+        assert np.array_equal(report.allocation.shares, profile.prefs.mean(axis=0))
+        assert ct.check_prop(profile, report.allocation).holds
+
+
+def test_cold_solve_is_the_solve_started_at_the_mean_ideal():
+    profiles = [p for p in certificate_guard_profiles() if (p.prefs.max(axis=0) > 0.0).all()]
+    assert len(profiles) > 100
+    for profile in profiles:
+        mean_ideal = ct.Allocation(profile.prefs.mean(axis=0))
+        for f in CERTIFIED_KINDS:
+            cold = ct.solve_ctr(profile, f)
+            warm = ct.solve_ctr(profile, f, start=mean_ideal)
+            assert np.array_equal(cold.allocation.shares, warm.allocation.shares)
+            assert (cold.iterations, cold.mrs_gap, cold.converged) == (warm.iterations, warm.mrs_gap, warm.converged)
+
+
 # ---------------------------------------------------------------------------
 # Solver invariants
 # ---------------------------------------------------------------------------
@@ -599,7 +587,7 @@ def test_certificate_soundness_against_grid_oracle():
 
 def test_solution_equivalence_across_seeds():
     """The objective is concave, so an ascent from a seeded perturbed start
-    certifies the same satisfactions as the uniform start."""
+    certifies the same satisfactions as the cold start."""
     f = ct.make_utility("power", p=0.5)
     for seed in range(4):
         p = dirichlet_profile(seed + 40, 6, 4)
