@@ -11,9 +11,15 @@ previous rung of a lambda ladder) starts it from x.  Each step shifts mass
 from the alternative with the smallest weak marginal contribution to the
 one with the largest strict marginal contribution, using an exact concave
 line search whose steps land bit-exactly on kink values (or on zero): it
-sorts the kinks along the exchange in one array and binary-searches them
-for the sign change of the one-sided derivative.  Between kinks the support
-pattern is fixed, and a safeguarded Newton iteration finds the smooth stop.
+sorts the kinks along the exchange in one array and gallops over them
+(indices 0, 1, 3, 7, ..., then a bisection inside the last doubling; Bentley
+and Yao 1976) for the sign change of the one-sided derivative, which usually
+comes within the first few kinks.  Between kinks the support pattern is
+fixed, and a safeguarded Newton iteration finds the smooth stop.  The
+polish builds the support masks once and, after each step, recomputes only
+the two columns the step moved.  A step that leaves x unchanged or returns
+it to its value two steps earlier ends the polish: the step is a function
+of x alone, so such a polish would cycle without ever certifying.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -117,7 +123,8 @@ def marginal_contribution(
         raise IndexError(f"alternative index {j} out of range for m={profile.m}")
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    mc_up, mc_down, _ = _marginals(profile.prefs, x.shares, f)
+    prefs, shares = profile.prefs, x.shares
+    mc_up, mc_down = _marginals(overlap(prefs, shares), f, *support_masks(prefs, shares))
     return float((mc_up if direction == "up" else mc_down)[j])
 
 
@@ -142,7 +149,8 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
     maximum: no strict marginal contribution of a growable alternative
     exceeds any weak marginal contribution of a shrinkable one.
     """
-    return _mrs_terms(profile.prefs, x.shares, f)[0]
+    prefs, shares = profile.prefs, x.shares
+    return _mrs_terms(shares, overlap(prefs, shares), f, *support_masks(prefs, shares))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,32 +158,32 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _marginals(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
-    """Strict and weak marginal contributions of every alternative at x.
+def _marginals(pi: np.ndarray, f: UtilityFunction, up: np.ndarray, down: np.ndarray):
+    """Strict and weak marginal contributions of every alternative.
 
-    Returns (mc_up, mc_down, pi): mc_up[j] sums f'(pi_i) over the agents
-    whose satisfaction grows with x_j, mc_down[j] over those whose
-    satisfaction shrinks with it, and pi holds the satisfactions at x.
+    From the satisfactions pi and the support masks (up, down) at one
+    allocation, returns (mc_up, mc_down): mc_up[j] sums f'(pi_i) over the
+    agents whose satisfaction grows with x_j, mc_down[j] over those whose
+    satisfaction shrinks with it.
     """
-    pi = overlap(prefs, x)
     fp = f.deriv(pi)
-    up, down = support_masks(prefs, x)
-    return fp @ up, fp @ down, pi
+    return fp @ up, fp @ down
 
 
-def _mrs_terms(prefs: np.ndarray, x: np.ndarray, f: UtilityFunction):
-    """The MRS gap with its exchange pair and the satisfactions at x.
+def _mrs_terms(x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, down: np.ndarray):
+    """The MRS gap at x with its exchange pair.
 
-    Returns (gap, j, k, pi): j is the growable alternative with the largest
-    strict marginal contribution, k the shrinkable one with the smallest
-    weak marginal contribution.
+    pi and (up, down) are the satisfactions and support masks at x; the
+    masks may be bool or 0/1 floats.  Returns (gap, j, k): j is the
+    growable alternative with the largest strict marginal contribution, k
+    the shrinkable one with the smallest weak marginal contribution.
     """
-    mc_up, mc_down, pi = _marginals(prefs, x, f)
+    mc_up, mc_down = _marginals(pi, f, up, down)
     mc_up = np.where(x < 1.0, mc_up, -np.inf)
     mc_down = np.where(x > 0.0, mc_down, np.inf)
     j = int(np.argmax(mc_up))
     k = int(np.argmin(mc_down))
-    return float(mc_up[j] - mc_down[k]), j, k, pi
+    return float(mc_up[j] - mc_down[k]), j, k
 
 
 def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, j: int, k: int):
@@ -224,17 +232,20 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
                 keep.append(i)
         order, steps = order[keep], steps[keep]
 
-    # first breakpoint where the right derivative is no longer positive
+    # first breakpoint where the right derivative is no longer positive.  It
+    # is usually among the first few, so gallop over indices 0, 1, 3, 7, ...
+    # (capped at the last) until one qualifies, then bisect inside the last
+    # doubling; both phases keep lo_d at the last breakpoint found positive
     lo_d, hi_idx = 0.0, None
     lo_i, hi_i = 0, len(steps) - 1
+    mid, galloping = 0, True
     while lo_i <= hi_i:
-        mid = (lo_i + hi_i) // 2
         if deriv(float(steps[mid]), right=True) <= 0.0:
-            hi_idx = mid
-            hi_i = mid - 1
+            hi_idx, hi_i = mid, mid - 1
+            galloping = False
         else:
-            lo_d = float(steps[mid])
-            lo_i = mid + 1
+            lo_d, lo_i = float(steps[mid]), mid + 1
+        mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
 
     if hi_idx is not None:
         b, o = float(steps[hi_idx]), int(order[hi_idx])
@@ -302,14 +313,24 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
     """Exchange polish from x, any point of the simplex, on a full-support
     preference matrix until the MRS certificate passes.
 
+    The support masks are built once, as 0/1 floats (a bool mask would be
+    cast on every product with f'), and after each step only the columns
+    j and k it moved are recomputed, with the comparisons of
+    ``support_masks``.  The polish also ends, uncertified, when a step
+    leaves x unchanged or returns it to its value two steps earlier: the
+    step is a function of x alone, so the polish would repeat forever.
+
     Returns (x, iterations, converged); iterations counts the polish steps.
     """
+    up, down = (mask.astype(float) for mask in support_masks(prefs, x))
+    before = x
     iters = 0
     converged = False
     stall = 0
     best_gap = np.inf
     while iters < opts.max_iters:
-        gap, j, k, pi = _mrs_terms(prefs, x, f)
+        pi = overlap(prefs, x)
+        gap, j, k = _mrs_terms(x, pi, f, up, down)
         if gap <= opts.tol:
             converged = True
             break
@@ -323,8 +344,16 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
         d, landing = _line_search(prefs, x, pi, f, j, k)
         if d <= 0.0:
             break
-        x = _apply_move(x, j, k, d, landing)
+        moved = _apply_move(x, j, k, d, landing)
         iters += 1
+        if np.array_equal(moved, x) or np.array_equal(moved, before):
+            x = moved
+            break
+        before, x = x, moved
+        for c in (j, k):
+            col = prefs[:, c] - x[c]
+            up[:, c] = col > EQUALITY_TOL
+            down[:, c] = col >= -EQUALITY_TOL
     return x, iters, converged
 
 

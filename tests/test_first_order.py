@@ -1,9 +1,10 @@
 """The paper's first-order quantities against the MRS certificate: the
 marginal contributions and directional derivatives are the terms the
 solver's gap compares, near-ties, floored satisfactions and steep
-utilities keep them well defined, and the exchange line search (its array
+utilities keep them well defined, the exchange line search (its galloping
 kink search and its Newton stops) agrees with the tuple-list bisection it
-replaced."""
+replaced, and the support masks the polish carries from step to step equal
+fresh ones."""
 
 from contextlib import contextmanager
 
@@ -222,12 +223,10 @@ def bisection_line_search(prefs, x, pi, f, j, k):
     return 0.5 * (lo + hi), (None, None)
 
 
-@pytest.fixture(scope="module")
-def criterion_06_line_searches():
-    """Every line search of a sweep over criterion 06's corpus (seed 777:
-    200 Dirichlet profiles, n 2-8, m 2-4, the five-rung ladder; the first
-    rung starts cold, each later one from the rung before), with the number
-    of f' evaluations each one made."""
+@contextmanager
+def recorded_line_searches():
+    """Record every line search the solver makes inside the block, as
+    (arguments, result, number of f' evaluations) triples."""
     records = []
     inside = [False]
     evals = [0]
@@ -247,10 +246,20 @@ def criterion_06_line_searches():
         records.append(((prefs, x.copy(), pi.copy(), f, j, k), out, evals[0]))
         return out
 
-    rng = np.random.default_rng(777)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "_line_search", recording_line_search)
         mp.setattr(ct.UtilityFunction, "deriv", counting_deriv)
+        yield records
+
+
+@pytest.fixture(scope="module")
+def criterion_06_line_searches():
+    """Every line search of a sweep over criterion 06's corpus (seed 777:
+    200 Dirichlet profiles, n 2-8, m 2-4, the five-rung ladder; the first
+    rung starts cold, each later one from the rung before), with the number
+    of f' evaluations each one made."""
+    rng = np.random.default_rng(777)
+    with recorded_line_searches() as records:
         for _ in range(200):
             m = int(rng.integers(2, 5))
             n = int(rng.integers(2, 9))
@@ -281,28 +290,11 @@ def test_line_search_makes_few_derivative_evaluations(criterion_06_line_searches
     assert np.mean(evals) <= 15.0
 
 
-@contextmanager
-def recorded_line_searches():
-    """Record every line search the solver makes inside the block, as
-    (arguments, result) pairs."""
-    records = []
-    line_search = solver_module._line_search
-
-    def recording_line_search(prefs, x, pi, f, j, k):
-        out = line_search(prefs, x, pi, f, j, k)
-        records.append(((prefs, x.copy(), pi.copy(), f, j, k), out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_module, "_line_search", recording_line_search)
-        yield records
-
-
 def assert_agrees_with_bisection(records):
     """Kink and zero landings equal the oracle's exactly, smooth stops to
     1e-12; returns the number of each landing kind."""
     kinds = {"zero": 0, "j": 0, "k": 0, None: 0}
-    for args, (d, landing) in records:
+    for args, (d, landing), _ in records:
         ref_d, ref_landing = bisection_line_search(*args)
         assert landing == ref_landing
         if landing == (None, None):
@@ -361,3 +353,90 @@ def test_kink_search_agrees_with_bisection_at_a_thousand_agents():
         assert ct.solve_utilitarian(profile).converged
     kinds = assert_agrees_with_bisection(records[::3])
     assert sum(kinds.values()) >= 20 and kinds["j"] + kinds["k"] >= 5, kinds
+
+
+def test_kink_search_gallops_past_several_doublings():
+    """Twenty j kinks at steps i/64 along e_0 - e_1 against `fans` agents
+    who want only alternative 1, under the identity utility: the right
+    derivative at kink t is (19 - t) - fans, so the first nonpositive kink
+    is 19 - fans, and its left derivative is positive.  Over every fan count
+    from 1 to 19 the landing kink runs from 18 down to 0: with one fan the
+    gallop probes 0, 1, 3, 7, 15 and the capped last kink 19 before it
+    bisects; with nine it lands on kink 10, bisecting between 7 and 15."""
+    x = np.array([0.25, 0.5, 0.25])
+    f = ct.make_utility("identity")
+    for fans in range(1, 20):
+        rows = [[0.25 + i / 64, 0.0, 0.75 - i / 64] for i in range(1, 21)] + [[0.0, 1.0, 0.0]] * fans
+        prefs = np.array(rows)
+        pi = np.minimum(prefs, x).sum(axis=1)
+        out = solver_module._line_search(prefs, x, pi, f, 0, 1)
+        assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
+        kink = 19 - fans
+        assert out == ((kink + 1) / 64, ("j", 0.25 + (kink + 1) / 64))
+
+
+def test_kink_search_without_a_qualifying_kink_brackets_up_to_dmax():
+    """Eleven j kinks at steps i/256 along e_0 - e_1 with two single-minded
+    agents, one on each moved alternative, under the quadratic utility:
+    the right derivative is positive at every kink (the gallop probes 0, 1,
+    3, 7 and the last, 10), and negative at dmax = 0.5, so the stop is
+    smooth, past the last kink.  There phi'(d) = 0.5 - 4d is linear, and
+    the Newton stop is its root 0.125 exactly; the reference bisection
+    stops within a few ulps of it."""
+    rows = [[0.25 + i / 256, 0.0, 0.75 - i / 256] for i in range(1, 12)] + [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    prefs = np.array(rows)
+    x = np.array([0.25, 0.5, 0.25])
+    pi = np.minimum(prefs, x).sum(axis=1)
+    f = ct.make_utility("quadratic")
+    assert solver_module._line_search(prefs, x, pi, f, 0, 1) == (0.125, (None, None))
+    ref_d, ref_landing = bisection_line_search(prefs, x, pi, f, 0, 1)
+    assert ref_landing == (None, None) and abs(ref_d - 0.125) <= 1e-12
+
+
+@pytest.mark.parametrize("f", [ct.make_utility("log"), ct.make_utility("negpower", p=3.0)], ids=lambda f: f.kind)
+def test_line_search_makes_few_derivative_evaluations_at_size(f):
+    """At 2000 x 50 an exchange has about 1,700 kinks, and the landing is
+    usually among the first few, which the gallop reaches in a few probes;
+    bisecting all of them takes 13-14 f' evaluations per line search."""
+    profile = dirichlet_profile(11, 2000, 50, conc=0.5)
+    with recorded_line_searches() as records:
+        assert ct.solve_ctr(profile, f).converged
+    evals = [count for _, _, count in records]
+    assert len(evals) > 50
+    assert np.mean(evals) <= 8.0
+
+
+def test_carried_support_masks_equal_fresh_masks_after_every_step():
+    """The polish carries its support masks as 0/1 floats and recomputes
+    only the two columns each step moves; at every iterate they equal
+    support_masks, through kink, zero and smooth landings."""
+    mrs_terms = solver_module._mrs_terms
+    solving = {}
+    checked = [0]
+
+    def checking_mrs_terms(x, pi, f, up, down):
+        if up.dtype == np.float64:  # the polish's carried masks, not mrs_gap's fresh ones
+            fresh_up, fresh_down = support_masks(solving["prefs"], x)
+            assert np.array_equal(up, fresh_up.astype(float))
+            assert np.array_equal(down, fresh_down.astype(float))
+            checked[0] += 1
+        return mrs_terms(x, pi, f, up, down)
+
+    with recorded_line_searches() as records, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_mrs_terms", checking_mrs_terms)
+        for seed in range(8):
+            n, m = 4 + seed % 9, 2 + seed % 4
+            profiles = (
+                dirichlet_profile(seed, n, m, conc=0.5),
+                single_minded_profile(seed, n, m),
+                duplicate_row_profile(seed, n, m),
+            )
+            for profile in profiles:
+                solving["prefs"] = profile.prefs[:, profile.prefs.max(axis=0) > 0.0]
+                for f in UTILITIES[:4]:
+                    ct.solve_ctr(profile, f)
+                ct.solve_utilitarian(profile)
+    landings = [landing[0] for _, (_, landing), _ in records]
+    assert landings.count("j") + landings.count("k") > 20 and landings.count("zero") > 5
+    assert landings.count(None) > 20
+    assert checked[0] > len(records)

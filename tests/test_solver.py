@@ -640,6 +640,20 @@ def test_exhausted_budget_reports_best_iterate_unconverged():
     assert abs(report.allocation.shares.sum() - 1.0) <= 1e-9
 
 
+def test_polish_that_returns_to_an_earlier_state_stops():
+    """A polish step is a function of x alone, so a polish that returns x to
+    its value one or two steps earlier would cycle forever: it stops there,
+    uncertified, instead of running out the 300-step stall window."""
+    rng = np.random.default_rng(10053)
+    n, m = rng.integers(1, 25), rng.integers(2, 7)
+    profile = ct.Profile(rng.dirichlet(np.full(m, 0.3), size=n))
+    assert (profile.n, profile.m) == (7, 4)
+    report = ct.solve_ctr(profile, ct.make_utility("negexppower", p=3.0))
+    assert not report.converged
+    assert report.mrs_gap == pytest.approx(2.459e-7, rel=1e-3)
+    assert report.iterations < 100
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         ct.SolverOptions(tol=0.0)
