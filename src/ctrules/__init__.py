@@ -21,7 +21,6 @@ from .axioms import (
 )
 from .bounds import (
     BoundCheck,
-    BoundReport,
     afs_bound,
     egalitarian_loss,
     el_bound_single_minded,
@@ -65,7 +64,6 @@ __all__ = [
     "Allocation",
     "AxiomReport",
     "BoundCheck",
-    "BoundReport",
     "EQUALITY_TOL",
     "GridSpec",
     "GuardError",

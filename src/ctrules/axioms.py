@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Allocation, GuardError, Profile, UtilityFunction, overlap
+from .core import Allocation, GuardError, Profile, UtilityFunction, check_allocation, overlap
 from .oracle import GridSpec, _block_overlap, _composition_chunks, enumerate_grid
 from .solver import SolverOptions, solve_ctr
 
@@ -45,22 +45,23 @@ class AxiomReport:
 def check_rr(profile: Profile, x: Allocation) -> AxiomReport:
     """Range respect: every share lies within the agents' span for that
     alternative, within 1e-9."""
+    shares = check_allocation(profile, x)
     lo = profile.prefs.min(axis=0)
     hi = profile.prefs.max(axis=0)
-    bad = (x.shares < lo - 1e-9) | (x.shares > hi + 1e-9)
+    bad = (shares < lo - 1e-9) | (shares > hi + 1e-9)
     if not bad.any():
         return AxiomReport("RR", True)
     j = int(np.argmax(bad))
     return AxiomReport(
         "RR",
         False,
-        witness={"alternative": j, "share": float(x.shares[j]), "min": float(lo[j]), "max": float(hi[j])},
+        witness={"alternative": j, "share": float(shares[j]), "min": float(lo[j]), "max": float(hi[j])},
     )
 
 
 def check_ifs(profile: Profile, x: Allocation) -> AxiomReport:
     """Individual fair share: every agent's satisfaction reaches 1/n."""
-    pi = overlap(profile.prefs, x.shares)
+    pi = overlap(profile.prefs, check_allocation(profile, x))
     threshold = 1.0 / profile.n
     bad = pi < threshold - 1e-9
     if not bad.any():
@@ -74,17 +75,18 @@ def check_ifs(profile: Profile, x: Allocation) -> AxiomReport:
 def check_prop(profile: Profile, x: Allocation) -> AxiomReport:
     """Proportionality on single-minded profiles: x_j equals the supporter
     fraction s_j/n within 1e-6.  Not applicable otherwise."""
+    shares = check_allocation(profile, x)
     if not profile.is_single_minded():
         return AxiomReport("PROP", True, applicable=False)
     target = profile.prefs.mean(axis=0)
-    dev = np.abs(x.shares - target)
+    dev = np.abs(shares - target)
     if dev.max() <= 1e-6:
         return AxiomReport("PROP", True)
     j = int(np.argmax(dev))
     return AxiomReport(
         "PROP",
         False,
-        witness={"alternative": j, "share": float(x.shares[j]), "proportional": float(target[j])},
+        witness={"alternative": j, "share": float(shares[j]), "proportional": float(target[j])},
     )
 
 
@@ -125,7 +127,7 @@ def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
-    alpha, mean = cohesive_groups(profile, overlap(profile.prefs, x.shares))
+    alpha, mean = cohesive_groups(profile, overlap(profile.prefs, check_allocation(profile, x)))
     bound = alpha ** (1.0 / lam)
     bad = (alpha > 0.0) & (mean < bound - 1e-9)
     if not bad.any():
@@ -151,9 +153,9 @@ def _blocking_witness(profile: Profile, x: Allocation, resolution: float, member
     lexicographically first such y, or None.  Each size's grid is built and
     guarded first, then walked once for all its rows, testing (point, row)
     pairs in matrix products of at most _PAIRS_PER_PRODUCT."""
+    pi = overlap(profile.prefs, check_allocation(profile, x))
     sizes = members.sum(axis=1)
     specs = {size: GridSpec.snapped(profile.m, size / profile.n, resolution) for size in np.unique(sizes).tolist()}
-    pi = overlap(profile.prefs, x.shares)
     best, found = len(members), None
     for size, spec in specs.items():
         rows = np.flatnonzero(sizes == size)

@@ -16,19 +16,10 @@ from typing import Any
 import numpy as np
 
 from .axioms import MAX_SUBSET_AGENTS, cohesive_groups
-from .core import Allocation, Profile, UtilityFunction, iav_bound_of, overlap
+from .core import Allocation, Profile, UtilityFunction, check_allocation, iav_bound_of, overlap
 from .solver import SolveReport
 
 _SLACK = 1e-6
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated closed-form bound with its parameters."""
-
-    kind: str
-    params: dict[str, Any]
-    value: float
 
 
 @dataclass(frozen=True)
@@ -50,9 +41,17 @@ def check_lambda(lam: float) -> float:
     return lam
 
 
+def check_sizes(m: int, n: int | None = None, min_agents: int = 1) -> None:
+    """Refuse m < 2 alternatives and, when n is given, n < min_agents."""
+    if m < 2:
+        raise ValueError(f"the bound needs m >= 2, got m={m!r}")
+    if n is not None and n < min_agents:
+        raise ValueError(f"the bound needs n >= {min_agents}, got n={n!r}")
+
+
 def welfare(profile: Profile, x: Allocation) -> float:
     """Total satisfaction across agents."""
-    return float(overlap(profile.prefs, x.shares).sum())
+    return float(overlap(profile.prefs, check_allocation(profile, x)).sum())
 
 
 def welfare_loss(profile: Profile, x: Allocation, util_reference: SolveReport) -> float:
@@ -68,33 +67,35 @@ def egalitarian_loss(profile: Profile, x: Allocation, egal_reference: SolveRepor
     if not egal_reference.converged:
         raise ValueError("egalitarian reference did not converge")
     maxmin = egal_reference.objective
-    min_sat = float(overlap(profile.prefs, x.shares).min())
+    min_sat = float(overlap(profile.prefs, check_allocation(profile, x)).min())
     return float(np.clip(1.0 - min_sat / maxmin, 0.0, 1.0))
 
 
 def wl_bound(lambda_upper: float, m: int) -> float:
     """Welfare-loss cap for rules with inequality aversion at most lambda."""
     lam = check_lambda(lambda_upper)
+    check_sizes(m)
     return lam * m**lam / (lam * m**lam + lam + 1.0)
 
 
 def wl_bound_single_minded(lambda_upper: float, m: int) -> float:
     """Tighter welfare-loss cap on single-minded profiles."""
     lam = check_lambda(lambda_upper)
+    check_sizes(m)
     return (m - 1.0) / m * lam / (lam + 1.0)
 
 
 def ifs_share_bound(lambda_lower: float, m: int, n: int) -> float:
     """Individual satisfaction floor for rules with IAV at least lambda."""
     check_lambda(lambda_lower)
-    if n < 2:
-        raise ValueError("needs at least two agents")
+    check_sizes(m, n, min_agents=2)
     return 1.0 / (1.0 + (m - 1.0) * (n - 1.0) ** (1.0 / lambda_lower))
 
 
 def el_bound_single_minded(lambda_lower: float, m: int, n: int) -> float:
     """Egalitarian-loss cap on single-minded profiles (uniform is maxmin)."""
     check_lambda(lambda_lower)
+    check_sizes(m, n)
     val = 1.0 - m / (1.0 + (m - 1.0) * (n - 1.0) ** (1.0 / lambda_lower))
     return float(np.clip(val, 0.0, 1.0))
 
@@ -102,6 +103,7 @@ def el_bound_single_minded(lambda_lower: float, m: int, n: int) -> float:
 def min_agent_bound(lambda_lower: float, m: int, n: int) -> float:
     """Coarser individual floor (1/m)(1/n)^(1/lambda)."""
     check_lambda(lambda_lower)
+    check_sizes(m, n)
     return (1.0 / m) * (1.0 / n) ** (1.0 / lambda_lower)
 
 
@@ -122,9 +124,8 @@ def gamma(m: int, n: int, lambda_lower: float) -> tuple[float, float]:
     first term increases and the second decreases, so the maximin sits at
     their crossing; bisection finds it to 1e-10.  Returns (value, w*).
     """
-    if m < 2 or n < 2:
-        raise ValueError("gamma needs m >= 2 and n >= 2")
     check_lambda(lambda_lower)
+    check_sizes(m, n, min_agents=2)
     inv = 1.0 / lambda_lower
 
     def h(w: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import axioms as ax
 from . import bounds as bd
-from .core import Allocation, GuardError, Profile, UtilityFunction, make_utility
+from .core import _KINDS_WITH_P, Allocation, GuardError, Profile, UtilityFunction, make_utility
 from .oracle import GridSpec, brute_force_best
 from .solver import SolveReport, SolverOptions, solve_ctr, solve_egalitarian, solve_utilitarian
 
@@ -80,28 +80,35 @@ def load_allocation(path: str | Path) -> Allocation:
 # Rules
 # ---------------------------------------------------------------------------
 
+# rule name -> utility kind; util and egal are the utilitarian and
+# egalitarian baselines, which have no utility
+RULES = {
+    "nash": "log",
+    "power": "power",
+    "negpower": "negpower",
+    "negexp": "negexppower",
+    "quad": "quadratic",
+    "util": None,
+    "egal": None,
+}
+
 
 def parse_rule(spec: str) -> str | UtilityFunction:
-    """Map a rule string to a utility (or the literal baselines).
-
-    Formats: nash | power:p | negpower:p | negexp:p | quad | util | egal.
-    """
+    """Map a rule string, a RULES name with ":p" appended where the kind
+    takes a parameter, to its utility (or to the baseline's name)."""
     name, _, param = spec.partition(":")
     name = name.strip().lower()
-    if name in ("util", "egal"):
-        if param:
-            raise ValueError(f"rule {name!r} takes no parameter")
+    if name not in RULES:
+        raise ValueError(f"unknown rule {spec!r}")
+    kind = RULES[name]
+    takes_p = kind in _KINDS_WITH_P
+    if param and not takes_p:
+        raise ValueError(f"rule {name!r} takes no parameter")
+    if takes_p and not param:
+        raise ValueError(f"rule {name!r} needs a parameter, e.g. {name}:0.5")
+    if kind is None:
         return name
-    if name == "nash":
-        return make_utility("log")
-    if name == "quad":
-        return make_utility("quadratic")
-    if name in ("power", "negpower", "negexp"):
-        if not param:
-            raise ValueError(f"rule {name!r} needs a parameter, e.g. {name}:0.5")
-        kind = "negexppower" if name == "negexp" else name
-        return make_utility(kind, p=float(param))
-    raise ValueError(f"unknown rule {spec!r}")
+    return make_utility(kind, p=float(param) if takes_p else None)
 
 
 def ladder_rule(lam: float) -> UtilityFunction:
@@ -115,23 +122,8 @@ def ladder_rule(lam: float) -> UtilityFunction:
 
 
 def rule_label(f: UtilityFunction) -> str:
-    if f.kind == "log":
-        return "nash"
-    if f.kind == "quadratic":
-        return "quad"
-    name = {"power": "power", "negpower": "negpower", "negexppower": "negexp"}[f.kind]
-    return f"{name}:{f.p:g}"
-
-
-def _report_dict(report: SolveReport) -> dict:
-    return {
-        "allocation": [float(v) for v in report.allocation.shares],
-        "satisfactions": [float(v) for v in report.satisfactions.values],
-        "objective": report.objective,
-        "mrsGap": report.mrs_gap,
-        "iterations": report.iterations,
-        "converged": report.converged,
-    }
+    name = next(name for name, kind in RULES.items() if kind == f.kind)
+    return name if f.p is None else f"{name}:{f.p:g}"
 
 
 def _emit(payload, out: str | None) -> None:
@@ -142,12 +134,24 @@ def _emit(payload, out: str | None) -> None:
         print(text)
 
 
-def _solve_with(rule: str | UtilityFunction, profile: Profile, opts: SolverOptions) -> SolveReport:
+def _solve_with(rule, profile: Profile, opts: SolverOptions) -> tuple[SolveReport, str, dict, float]:
+    """Solve a rule as parse_rule returns it.  Also returns what oracle-verify
+    compares the solve with: the grid oracle's objective, its keyword
+    arguments, and the objective's Lipschitz constant in the l1 distance."""
     if rule == "util":
-        return solve_utilitarian(profile, opts)
+        return solve_utilitarian(profile, opts), "welfare", {}, float(profile.n)
     if rule == "egal":
-        return solve_egalitarian(profile, opts)
-    return solve_ctr(profile, rule, opts)
+        return solve_egalitarian(profile, opts), "maxmin", {}, 1.0
+    return solve_ctr(profile, rule, opts), "ctr", {"f": rule}, profile.n * float(rule.deriv(rule.floor))
+
+
+def _entries(spec: str, table: dict, what: str) -> list:
+    """Table entries for a comma list of names; an unknown name is refused."""
+    names = [w.strip().lower() for w in spec.split(",") if w.strip()]
+    for name in names:
+        if name not in table:
+            raise ValueError(f"unknown {what} {name!r}")
+    return [table[name] for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -157,98 +161,66 @@ def _solve_with(rule: str | UtilityFunction, profile: Profile, opts: SolverOptio
 
 def cmd_solve(args) -> int:
     profile, _ = load_profile(args.profile)
-    rule = parse_rule(args.rule)
-    opts = SolverOptions(tol=args.tol)
-    report = _solve_with(rule, profile, opts)
-    _emit(_report_dict(report), args.out)
+    report = _solve_with(parse_rule(args.rule), profile, SolverOptions(tol=args.tol))[0]
+    _emit(
+        {
+            "allocation": [float(v) for v in report.allocation.shares],
+            "satisfactions": [float(v) for v in report.satisfactions.values],
+            "objective": report.objective,
+            "mrsGap": report.mrs_gap,
+            "iterations": report.iterations,
+            "converged": report.converged,
+        },
+        args.out,
+    )
     return 0 if report.converged else 2
+
+
+# axiom name -> check of (profile, allocation, parsed arguments);
+# "efficiency" is also accepted for "eff"
+AXIOMS = {
+    "rr": lambda p, x, args: ax.check_rr(p, x),
+    "ifs": lambda p, x, args: ax.check_ifs(p, x),
+    "prop": lambda p, x, args: ax.check_prop(p, x),
+    "afs": lambda p, x, args: ax.check_afs(p, x, lam=args.lam),
+    "core": lambda p, x, args: ax.check_core(p, x, resolution=args.resolution),
+    "eff": lambda p, x, args: ax.check_efficiency(p, x, resolution=args.resolution),
+}
 
 
 def cmd_check(args) -> int:
     profile, _ = load_profile(args.profile)
     x = load_allocation(args.allocation)
-    wanted = [a.strip().lower() for a in args.axioms.split(",") if a.strip()]
-    reports = []
-    for name in wanted:
-        if name == "rr":
-            reports.append(ax.check_rr(profile, x))
-        elif name == "ifs":
-            reports.append(ax.check_ifs(profile, x))
-        elif name == "prop":
-            reports.append(ax.check_prop(profile, x))
-        elif name == "afs":
-            reports.append(ax.check_afs(profile, x, lam=args.lam))
-        elif name == "core":
-            reports.append(ax.check_core(profile, x, resolution=args.resolution))
-        elif name in ("eff", "efficiency"):
-            reports.append(ax.check_efficiency(profile, x, resolution=args.resolution))
-        else:
-            raise ValueError(f"unknown axiom {name!r}")
-    payload = [
-        {"axiom": r.axiom, "holds": r.holds, "applicable": r.applicable, "witness": r.witness}
-        for r in reports
-    ]
+    checks = _entries(args.axioms, {**AXIOMS, "efficiency": AXIOMS["eff"]}, "axiom")
+    reports = [check(profile, x, args) for check in checks]
+    payload = [{"axiom": r.axiom, "holds": r.holds, "applicable": r.applicable, "witness": r.witness} for r in reports]
     _emit(payload, args.out)
     return 0 if all(r.holds for r in reports) else 2
 
 
+# bound name -> (kind, the parameters it reads, evaluator over them in that
+# order); gamma also returns its maximin argument, reported as omega_star
+BOUNDS = {
+    "wl": ("WL", ("lambda", "m"), bd.wl_bound),
+    "wl-sm": ("WL-single-minded", ("lambda", "m"), bd.wl_bound_single_minded),
+    "ifs-share": ("IFS-share", ("lambda", "m", "n"), bd.ifs_share_bound),
+    "el-sm": ("EL-single-minded", ("lambda", "m", "n"), bd.el_bound_single_minded),
+    "min-agent": ("minAgent", ("lambda", "m", "n"), bd.min_agent_bound),
+    "afs": ("AFS-exponent", ("lambda", "alpha"), lambda lam, alpha: bd.afs_bound(alpha, lam)),
+    "gamma": ("EL-gamma", ("lambda", "m", "n"), lambda lam, m, n: bd.gamma(m, n, lam)),
+}
+
+
 def cmd_bounds(args) -> int:
-    wanted = [w.strip().lower() for w in args.which.split(",") if w.strip()]
-    lam = args.lam
-    reports = []
-    for name in wanted:
-        if name == "wl":
-            reports.append(bd.BoundReport("WL", {"lambda": lam, "m": args.m}, bd.wl_bound(lam, args.m)))
-        elif name == "wl-sm":
-            reports.append(
-                bd.BoundReport(
-                    "WL-single-minded", {"lambda": lam, "m": args.m}, bd.wl_bound_single_minded(lam, args.m)
-                )
-            )
-        elif name == "ifs-share":
-            reports.append(
-                bd.BoundReport(
-                    "IFS-share",
-                    {"lambda": lam, "m": args.m, "n": args.n},
-                    bd.ifs_share_bound(lam, args.m, args.n),
-                )
-            )
-        elif name == "el-sm":
-            reports.append(
-                bd.BoundReport(
-                    "EL-single-minded",
-                    {"lambda": lam, "m": args.m, "n": args.n},
-                    bd.el_bound_single_minded(lam, args.m, args.n),
-                )
-            )
-        elif name == "min-agent":
-            reports.append(
-                bd.BoundReport(
-                    "minAgent",
-                    {"lambda": lam, "m": args.m, "n": args.n},
-                    bd.min_agent_bound(lam, args.m, args.n),
-                )
-            )
-        elif name == "afs":
-            reports.append(
-                bd.BoundReport(
-                    "AFS-exponent",
-                    {"lambda": lam, "alpha": args.alpha},
-                    bd.afs_bound(args.alpha, lam),
-                )
-            )
-        elif name == "gamma":
-            value, omega = bd.gamma(args.m, args.n, lam)
-            reports.append(
-                bd.BoundReport(
-                    "EL-gamma",
-                    {"lambda": lam, "m": args.m, "n": args.n, "omega_star": omega},
-                    value,
-                )
-            )
-        else:
-            raise ValueError(f"unknown bound {name!r}")
-    _emit([{"kind": r.kind, "params": r.params, "value": r.value} for r in reports], args.out)
+    given = {"lambda": args.lam, "m": args.m, "n": args.n, "alpha": args.alpha}
+    rows = []
+    for kind, names, evaluate in _entries(args.which, BOUNDS, "bound"):
+        params = {name: given[name] for name in names}
+        value = evaluate(*params.values())
+        if isinstance(value, tuple):
+            value, params["omega_star"] = value
+        rows.append({"kind": kind, "params": params, "value": value})
+    _emit(rows, args.out)
     return 0
 
 
@@ -256,14 +228,12 @@ def cmd_gen(args) -> int:
     kind, _, param = args.kind.partition(":")
     kind = kind.strip().lower()
     rng = np.random.default_rng(args.seed)
+    if kind in ("single-minded", "dirichlet") and (args.n is None or args.m is None):
+        raise ValueError(f"{kind} generation needs --n and --m")
     if kind == "single-minded":
-        if args.n is None or args.m is None:
-            raise ValueError("single-minded generation needs --n and --m")
         rows = np.zeros((args.n, args.m))
         rows[np.arange(args.n), rng.integers(0, args.m, size=args.n)] = 1.0
     elif kind == "dirichlet":
-        if args.n is None or args.m is None:
-            raise ValueError("dirichlet generation needs --n and --m")
         conc = float(param) if param else 1.0
         if conc <= 0:
             raise ValueError("dirichlet concentration must be positive")
@@ -289,8 +259,7 @@ def cmd_gen(args) -> int:
             raise ValueError(f"--m {args.m} does not match the groups spec width {rows.shape[1]}")
     else:
         raise ValueError(f"unknown generator kind {args.kind!r}")
-    profile = Profile(rows)
-    save_profile(args.out, profile, seed=args.seed)
+    save_profile(args.out, Profile(rows), seed=args.seed)
     return 0
 
 
@@ -302,10 +271,7 @@ def _lambda_grid(spec: str) -> list[float]:
         raise ValueError(f"lambda grid must look like lo:hi:count, got {spec!r}") from exc
     if not 0 < lo <= hi < np.inf or count < 1:
         raise ValueError(f"bad lambda grid {spec!r}")
-    if count == 1:
-        return [lo]
-    ratio = hi / lo
-    return [lo * ratio ** (i / (count - 1)) for i in range(count)]
+    return [lo * (hi / lo) ** (i / max(count - 1, 1)) for i in range(count)]
 
 
 def _fmt(v: float) -> str:
@@ -387,19 +353,9 @@ def cmd_oracle_verify(args) -> int:
     profile, _ = load_profile(args.profile)
     if profile.m > ax.MAX_GRID_ALTERNATIVES:
         raise GuardError(f"oracle verification is limited to m <= {ax.MAX_GRID_ALTERNATIVES}")
-    rule = parse_rule(args.rule)
-    opts = SolverOptions(tol=args.tol)
-    report = _solve_with(rule, profile, opts)
+    report, objective, kwargs, lipschitz = _solve_with(parse_rule(args.rule), profile, SolverOptions(tol=args.tol))
     spec = GridSpec(m=profile.m, resolution=args.resolution)
-    if rule == "util":
-        _, oracle_val = brute_force_best(profile, "welfare", spec)
-        lipschitz = float(profile.n)
-    elif rule == "egal":
-        _, oracle_val = brute_force_best(profile, "maxmin", spec)
-        lipschitz = 1.0
-    else:
-        _, oracle_val = brute_force_best(profile, "ctr", spec, f=rule)
-        lipschitz = profile.n * float(rule.deriv(rule.floor))
+    _, oracle_val = brute_force_best(profile, objective, spec, **kwargs)
     tolerance = lipschitz * args.resolution
     gap = oracle_val - report.objective
     ok = gap <= tolerance
@@ -430,22 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a rule on a profile file")
     p.add_argument("--profile", required=True)
-    p.add_argument("--rule", required=True, help="nash | power:p | negpower:p | negexp:p | quad | util | egal")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--rule", required=True, help=" | ".join(n + ":p" * (k in _KINDS_WITH_P) for n, k in RULES.items()))
+    p.add_argument("--tol", type=float, default=SolverOptions.tol)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="check axioms on a (profile, allocation) pair")
     p.add_argument("--profile", required=True)
     p.add_argument("--allocation", required=True)
-    p.add_argument("--axioms", required=True, help="comma list: rr,ifs,prop,afs,core,eff")
+    p.add_argument("--axioms", required=True, help="comma list: " + ",".join(AXIOMS))
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--resolution", type=float, default=0.05)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bounds", help="evaluate closed-form bounds")
-    p.add_argument("--which", required=True, help="comma list: wl,wl-sm,ifs-share,el-sm,min-agent,afs,gamma")
+    p.add_argument("--which", required=True, help="comma list: " + ",".join(BOUNDS))
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
@@ -464,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="lambda sweep over a directory of profiles, CSV out")
     p.add_argument("--profile-dir", required=True)
     p.add_argument("--lambda-grid", required=True, help="geometric grid lo:hi:count")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=SolverOptions.tol)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -472,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--rule", required=True)
     p.add_argument("--resolution", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=SolverOptions.tol)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle_verify)
 
@@ -483,12 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GuardError as exc:
+    except (GuardError, OSError, ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError, KeyError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, GuardError) else 1
 
 
 if __name__ == "__main__":

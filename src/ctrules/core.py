@@ -88,7 +88,8 @@ class Profile:
 
     def without(self, agents: int | Iterable[int]) -> "Profile":
         """Partial profile with the given agent (or agents) removed."""
-        drop = {agents} if isinstance(agents, (int, np.integer)) else set(int(a) for a in agents)
+        agents = [agents] if isinstance(agents, (int, np.integer)) else agents
+        drop = {check_agent(self, a) for a in agents}
         keep = [i for i in range(self.n) if i not in drop]
         if not keep:
             raise ValueError("cannot remove every agent")
@@ -96,7 +97,7 @@ class Profile:
 
     def replace_row(self, i: int, row: Iterable[float]) -> "Profile":
         arr = self.prefs.copy()
-        arr[i] = np.asarray(row, dtype=float)
+        arr[check_agent(self, i)] = np.asarray(row, dtype=float)
         return Profile(arr)
 
     def is_single_minded(self) -> bool:
@@ -325,6 +326,23 @@ def iav_bound_of(f: UtilityFunction) -> IavBound:
             raise ValueError("the identity baseline has no inequality-aversion bound")
 
 
+def check_agent(profile: Profile, i: int) -> int:
+    """Return agent index i after checking it lies in [0, n)."""
+    if not 0 <= i < profile.n:
+        raise IndexError(f"agent index {i} out of range for n={profile.n}")
+    return int(i)
+
+
+def check_allocation(profile: Profile, x: Allocation) -> np.ndarray:
+    """Return x's shares after checking x is an Allocation with one share per
+    alternative; numpy would broadcast a one-share allocation silently."""
+    if not isinstance(x, Allocation):
+        raise ValueError(f"expected an Allocation, got {type(x).__name__}")
+    if x.m != profile.m:
+        raise ValueError(f"allocation has {x.m} shares, the profile has m={profile.m}")
+    return x.shares
+
+
 # ---------------------------------------------------------------------------
 # Overlap satisfaction and support masks
 # ---------------------------------------------------------------------------
@@ -336,7 +354,7 @@ def overlap(prefs: np.ndarray, shares: np.ndarray) -> np.ndarray:
 
 
 def satisfaction_vector(profile: Profile, x: Allocation) -> SatisfactionVector:
-    return SatisfactionVector(overlap(profile.prefs, x.shares))
+    return SatisfactionVector(overlap(profile.prefs, check_allocation(profile, x)))
 
 
 def support_masks(prefs: np.ndarray, shares: np.ndarray):

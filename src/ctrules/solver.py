@@ -61,6 +61,8 @@ from .core import (
     Profile,
     SatisfactionVector,
     UtilityFunction,
+    check_agent,
+    check_allocation,
     make_utility,
     overlap,
     support_masks,
@@ -123,7 +125,7 @@ def marginal_contribution(
         raise IndexError(f"alternative index {j} out of range for m={profile.m}")
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    prefs, shares = profile.prefs, x.shares
+    prefs, shares = profile.prefs, check_allocation(profile, x)
     mc_up, mc_down = _marginals(overlap(prefs, shares), f, *support_masks(prefs, shares))
     return float((mc_up if direction == "up" else mc_down)[j])
 
@@ -135,10 +137,9 @@ def directional_derivative(profile: Profile, x: Allocation, y: Allocation, i: in
     are counted in full on strictly supported growing alternatives while
     losses are only counted on weakly supported shrinking ones.
     """
-    if not 0 <= i < profile.n:
-        raise IndexError(f"agent index {i} out of range for n={profile.n}")
-    up, down = support_masks(profile.prefs[i], x.shares)
-    move = y.shares - x.shares
+    shares = check_allocation(profile, x)
+    up, down = support_masks(profile.prefs[check_agent(profile, i)], shares)
+    move = check_allocation(profile, y) - shares
     return float(move @ np.where(move > 0, up, down))
 
 
@@ -149,7 +150,7 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
     maximum: no strict marginal contribution of a growable alternative
     exceeds any weak marginal contribution of a shrinkable one.
     """
-    prefs, shares = profile.prefs, x.shares
+    prefs, shares = profile.prefs, check_allocation(profile, x)
     return _mrs_terms(shares, overlap(prefs, shares), f, *support_masks(prefs, shares))[0]
 
 
@@ -429,10 +430,7 @@ def solve_ctr(
     its own start comes back bit for bit.  iterations counts polish steps.
     """
     if start is not None:
-        if not isinstance(start, Allocation):
-            raise ValueError(f"start must be an Allocation, got {type(start).__name__}")
-        if start.m != profile.m:
-            raise ValueError(f"start has {start.m} shares, the profile has m={profile.m}")
+        check_allocation(profile, start)
     if not f.strictly_concave:
         raise ValueError("solve_ctr needs a strictly concave utility; use solve_utilitarian")
     return _solve_first_order(profile, f, opts or SolverOptions(), start)

@@ -1,13 +1,14 @@
 """End-to-end CLI contract: commands, file formats, exit codes, determinism."""
 
 import json
+import re
 import time
 
 import numpy as np
 import pytest
 
 import ctrules as ct
-from ctrules.cli import ladder_rule, load_profile, main, save_profile
+from ctrules.cli import AXIOMS, BOUNDS, RULES, ladder_rule, load_profile, main, save_profile
 
 SP_DOC = {"n": 2, "m": 2, "prefs": [[0.5, 0.5], [0.0, 1.0]]}
 CORE_DOC = {
@@ -216,6 +217,82 @@ def test_overflowing_grid_exits_three(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
 
 
+# every axiom's report, each failing with its witness, pinned byte for byte
+PINNED_CHECKS = [
+    {
+        "axiom": "RR",
+        "holds": False,
+        "applicable": True,
+        "witness": {"alternative": 2, "share": 0.0, "min": 0.009421998390462288, "max": 0.9472799041889961},
+    },
+    {
+        "axiom": "IFS",
+        "holds": False,
+        "applicable": True,
+        "witness": {"agent": 3, "satisfaction": 0.05272009581100384, "threshold": 0.2},
+    },
+    {"axiom": "PROP", "holds": True, "applicable": False, "witness": None},
+    {
+        "axiom": "AFS",
+        "holds": False,
+        "applicable": True,
+        "witness": {
+            "members": [3],
+            "alpha": 0.2,
+            "mean_satisfaction": 0.05272009581100384,
+            "bound": 0.1672502061900747,
+            "lambda": 0.9,
+        },
+    },
+    {
+        "axiom": "core",
+        "holds": False,
+        "applicable": True,
+        "witness": {
+            "members": [3],
+            "budget": 0.2,
+            "deviation": [0.0, 0.0, 0.2],
+            "satisfactions_before": [0.05272009581100384],
+            "satisfactions_after": [0.2],
+            "resolution": 0.05,
+        },
+    },
+] + 2 * [
+    {
+        "axiom": "efficiency",
+        "holds": False,
+        "applicable": True,
+        "witness": {
+            "dominating": [0.45, 0.4, 0.15000000000000002],
+            "satisfactions_before": [
+                0.4078009182309967,
+                0.7522368010553819,
+                0.5745200554608888,
+                0.05272009581100384,
+                0.31679751678846574,
+            ],
+            "satisfactions_after": [
+                0.41722291662145894,
+                0.752236801055382,
+                0.6612348068071989,
+                0.20272009581100386,
+                0.46679751678846576,
+            ],
+            "resolution": 0.05,
+        },
+    }
+]
+
+
+def test_check_output_is_pinned(tmp_path, capsys):
+    prof = str(tmp_path / "p.json")
+    assert main(["gen", "--kind", "dirichlet:0.5", "--n", "5", "--m", "3", "--seed", "3", "--out", prof]) == 0
+    alloc = write_doc(tmp_path / "x.json", [0.6, 0.4, 0.0])
+    argv = ["check", "--profile", prof, "--allocation", alloc, "--axioms", "rr,ifs,prop,afs,core,eff,efficiency"]
+    assert main(argv + ["--lambda", "0.9", "--resolution", "0.05"]) == 2
+    assert capsys.readouterr().out == json.dumps(PINNED_CHECKS, indent=2) + "\n"
+
+
 def test_check_unknown_axiom_exits_one(tmp_path):
     prof = write_doc(tmp_path / "sp.json", SP_DOC)
     alloc = write_doc(tmp_path / "x.json", [0.5, 0.5])
@@ -246,6 +323,29 @@ def test_bounds_large_lambda_limit(capsys):
     assert main(["bounds", "--which", "ifs-share", "--lambda", "1e9", "--m", "5", "--n", "40"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["value"] == pytest.approx(0.2, abs=1e-4)
+
+
+# the output of the table-driven bounds command, pinned byte for byte: the
+# order of the rows, of each row's keys and of its params, and every digit
+PINNED_BOUNDS = [
+    {"kind": "WL", "params": {"lambda": 0.5, "m": 4}, "value": 0.4},
+    {"kind": "WL-single-minded", "params": {"lambda": 0.5, "m": 4}, "value": 0.25},
+    {"kind": "IFS-share", "params": {"lambda": 0.5, "m": 4, "n": 9}, "value": 0.0051813471502590676},
+    {"kind": "EL-single-minded", "params": {"lambda": 0.5, "m": 4, "n": 9}, "value": 0.9792746113989638},
+    {"kind": "minAgent", "params": {"lambda": 0.5, "m": 4, "n": 9}, "value": 0.0030864197530864196},
+    {"kind": "AFS-exponent", "params": {"lambda": 0.5, "alpha": 0.3}, "value": 0.09},
+    {
+        "kind": "EL-gamma",
+        "params": {"lambda": 0.5, "m": 4, "n": 9, "omega_star": 0.24975633507710882},
+        "value": 0.9990253403084353,
+    },
+]
+
+
+def test_bounds_output_is_pinned(capsys):
+    argv = ["bounds", "--which", "wl,wl-sm,ifs-share,el-sm,min-agent,afs,gamma", "--lambda", "0.5", "--m", "4", "--n", "9"]
+    assert main(argv + ["--alpha", "0.3"]) == 0
+    assert capsys.readouterr().out == json.dumps(PINNED_BOUNDS, indent=2) + "\n"
 
 
 def test_bounds_bad_params_exit_one():
@@ -441,6 +541,30 @@ def test_unevaluable_rule_parameter_is_refused(tmp_path, capsys):
         assert_refused(capsys, ["solve", "--profile", prof, "--rule", rule])
 
 
+def test_rule_without_a_parameter_refuses_one(tmp_path, capsys):
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    for rule in ("nash:2", "quad:1", "util:1", "egal:1"):
+        assert_refused(capsys, ["solve", "--profile", prof, "--rule", rule])
+        assert_refused(capsys, ["oracle-verify", "--profile", prof, "--rule", rule])
+
+
+def test_bound_sizes_are_refused(capsys):
+    # fewer than two alternatives, or fewer agents than the closed form covers
+    for which, m, n in (
+        ("wl", "-3", "2"),
+        ("wl", "1", "2"),
+        ("wl-sm", "0", "2"),
+        ("ifs-share", "-2", "5"),
+        ("ifs-share", "3", "1"),
+        ("el-sm", "3", "0"),
+        ("min-agent", "3", "-2"),
+        ("min-agent", "3", "0"),
+        ("gamma", "1", "5"),
+        ("gamma", "3", "1"),
+    ):
+        assert_refused(capsys, ["bounds", "--which", which, "--lambda", "1", "--m", m, "--n", n])
+
+
 def test_bad_resolution_is_refused(tmp_path, capsys):
     prof = write_doc(tmp_path / "sp.json", SP_DOC)
     alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
@@ -449,3 +573,23 @@ def test_bad_resolution_is_refused(tmp_path, capsys):
             argv = ["check", "--profile", prof, "--allocation", alloc, "--axioms", axiom, "--resolution", resolution]
             assert_refused(capsys, argv)
         assert_refused(capsys, ["oracle-verify", "--profile", prof, "--rule", "nash", "--resolution", resolution])
+
+
+# ---------------------------------------------------------------------------
+# --help reads the same tables as parsing
+# ---------------------------------------------------------------------------
+
+
+def help_text(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_lists_exactly_the_table_names(capsys):
+    rules = re.search(r"--rule RULE ((?:\S+ \| )+\S+)", help_text(capsys, "solve")).group(1)
+    assert [r.removesuffix(":p") for r in rules.split(" | ")] == list(RULES)
+    axioms = re.search(r"--axioms AXIOMS comma list: (\S+)", help_text(capsys, "check")).group(1)
+    assert axioms.split(",") == list(AXIOMS)
+    bounds = re.search(r"--which WHICH comma list: (\S+)", help_text(capsys, "bounds")).group(1)
+    assert bounds.split(",") == list(BOUNDS)

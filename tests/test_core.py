@@ -49,6 +49,50 @@ def test_profile_without():
         p.without([0, 1])
 
 
+@pytest.mark.parametrize("i", [-1, 2, 7])
+def test_profile_refuses_agent_indices_out_of_range(i):
+    p = sp_example_profile()
+    with pytest.raises(IndexError):
+        p.without(i)
+    with pytest.raises(IndexError):
+        p.without([0, i])
+    with pytest.raises(IndexError):
+        p.replace_row(i, [1.0, 0.0])
+    with pytest.raises(IndexError):
+        ct.probe_participation(p, ct.make_utility("log"), i)
+
+
+NASH = ct.make_utility("log")
+ALLOCATION_READERS = {
+    "check_rr": lambda p, x: ct.check_rr(p, x),
+    "check_ifs": lambda p, x: ct.check_ifs(p, x),
+    "check_prop": lambda p, x: ct.check_prop(p, x),
+    "check_afs": lambda p, x: ct.check_afs(p, x),
+    "check_core": lambda p, x: ct.check_core(p, x, resolution=0.1),
+    "check_efficiency": lambda p, x: ct.check_efficiency(p, x, resolution=0.1),
+    "mrs_gap": lambda p, x: ct.mrs_gap(p, x, NASH),
+    "marginal_contribution": lambda p, x: ct.marginal_contribution(p, x, NASH, 0, "up"),
+    "directional_derivative_at": lambda p, x: ct.directional_derivative(p, x, ct.Allocation.uniform(p.m), 0),
+    "directional_derivative_toward": lambda p, x: ct.directional_derivative(p, ct.Allocation.uniform(p.m), x, 0),
+    "satisfaction_vector": lambda p, x: ct.satisfaction_vector(p, x),
+    "welfare": lambda p, x: ct.welfare(p, x),
+    "welfare_loss": lambda p, x: ct.welfare_loss(p, x, ct.solve_utilitarian(p)),
+    "egalitarian_loss": lambda p, x: ct.egalitarian_loss(p, x, ct.solve_egalitarian(p)),
+    "solve_ctr_start": lambda p, x: ct.solve_ctr(p, NASH, start=x),
+}
+
+
+@pytest.mark.parametrize("shares", [[1.0], [0.5, 0.5], [0.25] * 4])
+@pytest.mark.parametrize("reader", sorted(ALLOCATION_READERS))
+def test_allocation_of_another_length_is_refused(reader, shares):
+    # a length-1 allocation would broadcast over the m = 3 alternatives
+    p = ct.Profile([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
+    with pytest.raises(ValueError, match="the profile has m=3"):
+        ALLOCATION_READERS[reader](p, ct.Allocation(shares))
+    with pytest.raises(ValueError, match="expected an Allocation"):
+        ALLOCATION_READERS[reader](p, [0.2, 0.3, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # Satisfaction
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ PUBLIC_NAMES = [
     "Allocation",
     "AxiomReport",
     "BoundCheck",
-    "BoundReport",
     "EQUALITY_TOL",
     "GridSpec",
     "GuardError",
