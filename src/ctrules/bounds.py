@@ -71,11 +71,22 @@ def egalitarian_loss(profile: Profile, x: Allocation, egal_reference: SolveRepor
     return float(np.clip(1.0 - min_sat / maxmin, 0.0, 1.0))
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where it overflows the float range; the
+    closed forms below then take their finite limits."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def wl_bound(lambda_upper: float, m: int) -> float:
     """Welfare-loss cap for rules with inequality aversion at most lambda."""
     lam = check_lambda(lambda_upper)
     check_sizes(m)
-    return lam * m**lam / (lam * m**lam + lam + 1.0)
+    scaled = lam * _power(m, lam)
+    # past the float range the cap is 1 - (lam + 1) / scaled, which rounds to 1
+    return 1.0 if math.isinf(scaled) else scaled / (scaled + lam + 1.0)
 
 
 def wl_bound_single_minded(lambda_upper: float, m: int) -> float:
@@ -89,14 +100,14 @@ def ifs_share_bound(lambda_lower: float, m: int, n: int) -> float:
     """Individual satisfaction floor for rules with IAV at least lambda."""
     check_lambda(lambda_lower)
     check_sizes(m, n, min_agents=2)
-    return 1.0 / (1.0 + (m - 1.0) * (n - 1.0) ** (1.0 / lambda_lower))
+    return 1.0 / (1.0 + (m - 1.0) * _power(n - 1.0, 1.0 / lambda_lower))
 
 
 def el_bound_single_minded(lambda_lower: float, m: int, n: int) -> float:
     """Egalitarian-loss cap on single-minded profiles (uniform is maxmin)."""
     check_lambda(lambda_lower)
     check_sizes(m, n)
-    val = 1.0 - m / (1.0 + (m - 1.0) * (n - 1.0) ** (1.0 / lambda_lower))
+    val = 1.0 - m / (1.0 + (m - 1.0) * _power(n - 1.0, 1.0 / lambda_lower))
     return float(np.clip(val, 0.0, 1.0))
 
 

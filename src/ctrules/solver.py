@@ -11,15 +11,20 @@ previous rung of a lambda ladder) starts it from x.  Each step shifts mass
 from the alternative with the smallest weak marginal contribution to the
 one with the largest strict marginal contribution, using an exact concave
 line search whose steps land bit-exactly on kink values (or on zero): it
-sorts the kinks along the exchange in one array and gallops over them
-(indices 0, 1, 3, 7, ..., then a bisection inside the last doubling; Bentley
-and Yao 1976) for the sign change of the one-sided derivative, which usually
-comes within the first few kinks.  Between kinks the support pattern is
-fixed, and a safeguarded Newton iteration finds the smooth stop.  The
-polish builds the support masks once and, after each step, recomputes only
-the two columns the step moved.  A step that leaves x unchanged or returns
-it to its value two steps earlier ends the polish: the step is a function
-of x alone, so such a polish would cycle without ever certifying.
+gallops over the kinks along the exchange in sorted order (indices 0, 1, 3,
+7, ..., then a bisection inside the last doubling; Bentley and Yao 1976) for
+the sign change of the one-sided derivative, which usually comes within the
+first few kinks.  So it sorts only the smallest few kinks and probes only
+the agents whose satisfaction can change that far, and sorts every kink
+only when its gallop passes them; its probes and landings are those of a
+search over every kink and agent, bit for bit.  Between kinks the support
+pattern is fixed, and a safeguarded Newton iteration finds the smooth stop.
+The polish builds the support masks and the elementwise minima
+min(ideal_ij, x_j), whose row sums are the satisfactions, once; after each
+step it recomputes only the two columns the step moved.  A step that leaves
+x unchanged or returns it to its value two steps earlier ends the polish:
+the step is a function of x alone, so such a polish would cycle without
+ever certifying.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -39,8 +44,10 @@ The utilitarian baseline shares this machinery with the identity utility
 reference is solved exactly by Kelley's cutting-plane method (Kelley 1960)
 instead: each overlap is the minimum of affine pieces, so a linear program
 over the allocation and the level t alone, with one cut t <= piece per
-collected piece, relaxes the maxmin problem.  Each round adds the piece
-active at the LP's allocation for every agent below the LP value.  The LP
+collected piece, relaxes the maxmin problem.  The LP starts from the
+pieces of the 2(m + 1) worst-off agents at two points (at most m + 1 rows
+are tight at an LP vertex), and each round adds the piece active at the
+LP's allocation for every agent below the LP value.  The LP
 value minus the achieved minimum satisfaction is a true optimality gap,
 reported as ``mrs_gap``; ``iterations`` sums the HiGHS simplex iterations
 over the rounds.
@@ -69,10 +76,15 @@ from .core import (
 )
 
 _STALL_WINDOW = 300
-# Up to this many agents the maxmin cut LP is also seeded at every agent's
-# ideal.  Its n * (n + 2) seed rows then cost less than the ~2 ms fixed
-# overhead of one more linprog call, and they settle most small profiles in
-# one round; past about 24 agents the rows cost more than the rounds saved.
+# The exchange line search sorts this many of the smallest kink steps first.
+# Its landing is usually among the first few, which the gallop reaches in a
+# few probes; it sorts every kink only when its gallop would pass these.
+_KINK_PREFIX = 32
+# Up to this many agents the maxmin cut LP is also seeded with every agent's
+# piece at every agent's ideal.  Its n * n extra seed rows then cost less
+# than the ~2 ms fixed overhead of one more linprog call, and they settle
+# most small profiles in one round; past about 24 agents the rows cost more
+# than the rounds saved.
 _IDEAL_SEED_AGENTS = 16
 
 
@@ -194,6 +206,15 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
     ("zero", None) when the donor empties, ("j", v) / ("k", v) when a share
     lands on a preference kink v, or (None, None) for a smooth interior
     stop.  Exact landings let the MRS certificate see ties exactly.
+
+    The kink search sorts only the _KINK_PREFIX smallest kink steps, and
+    probes only the agents whose satisfaction can move up to the last of
+    them; it sorts every kink, and probes every agent, only once its gallop
+    would pass that prefix.  Both give the probes and the landing of a
+    search over every kink and agent bit for bit.  The probe at dmax for a
+    zero landing is made only when no kink qualifies or the qualifying
+    kink's right derivative is exactly 0: by concavity any other qualifying
+    kink has a negative left derivative at dmax.
     """
     cj = prefs[:, j]
     ck = prefs[:, k]
@@ -203,53 +224,86 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
     base_j = np.minimum(cj, xj)
     base_k = np.minimum(ck, xk)
 
-    def deriv(d: float, right: bool) -> float:
-        p = pi + (np.minimum(cj, xj + d) - base_j) + (np.minimum(ck, xk - d) - base_k)
-        fp = f.deriv(p)
-        if right:
-            up = cj > xj + d + EQUALITY_TOL
-            dn = ck >= xk - d - EQUALITY_TOL
-        else:
-            up = cj >= xj + d - EQUALITY_TOL
-            dn = ck > xk - d + EQUALITY_TOL
-        return float(fp[up].sum() - fp[dn].sum())
+    def derivative_over(rows):
+        """The one-sided derivative along the exchange, summed over rows;
+        exact for every d at which no other agent is in either sum."""
+        cj_r, ck_r, pi_r, base_j_r, base_k_r = cj[rows], ck[rows], pi[rows], base_j[rows], base_k[rows]
 
-    if deriv(dmax, right=False) >= 0.0:
-        return dmax, ("zero", None)
+        def deriv(d: float, right: bool) -> float:
+            p = pi_r + (np.minimum(cj_r, xj + d) - base_j_r) + (np.minimum(ck_r, xk - d) - base_k_r)
+            fp = f.deriv(p)
+            if right:
+                up = cj_r > xj + d + EQUALITY_TOL
+                dn = ck_r >= xk - d - EQUALITY_TOL
+            else:
+                up = cj_r >= xj + d - EQUALITY_TOL
+                dn = ck_r > xk - d + EQUALITY_TOL
+            return float(fp[up].sum() - fp[dn].sum())
+
+        return deriv
+
+    full_deriv = derivative_over(slice(None))
 
     # membership-change breakpoints strictly inside (0, dmax), the j side
     # first; the stable sort keeps j before k on equal steps.  Breakpoints
     # within EQUALITY_TOL of the last one kept are one kink: keep the first
-    # of each such chain (a Python pass, run only when some gap is that small)
+    # of each such chain (a Python pass, run only when some gap is that
+    # small).  Merging a prefix of the sorted steps keeps what merging all
+    # of them keeps within it.
     vj = cj[(cj > xj + EQUALITY_TOL) & (cj - xj < dmax - EQUALITY_TOL)]
     vk = ck[(ck < xk - EQUALITY_TOL) & (xk - ck < dmax - EQUALITY_TOL)]
-    steps = np.concatenate((vj - xj, xk - vk))
-    order = np.argsort(steps, kind="stable")
-    steps = steps[order]
-    if len(steps) > 1 and np.diff(steps).min() <= EQUALITY_TOL:
-        keep = [0]
-        for i in range(1, len(steps)):
-            if steps[i] - steps[keep[-1]] > EQUALITY_TOL:
-                keep.append(i)
-        order, steps = order[keep], steps[keep]
+    all_steps = np.concatenate((vj - xj, xk - vk))
+
+    def merged_kinks(order):
+        steps = all_steps[order]
+        if len(steps) > 1 and np.diff(steps).min() <= EQUALITY_TOL:
+            keep = [0]
+            for i in range(1, len(steps)):
+                if steps[i] - steps[keep[-1]] > EQUALITY_TOL:
+                    keep.append(i)
+            order, steps = order[keep], steps[keep]
+        return order, steps
+
+    # the prefix is every step up to the _KINK_PREFIX-th smallest, ties
+    # included, in index order before the stable sort, so it is exactly the
+    # head of the full stable order.  At any d in [0, reach] only agents
+    # with cj >= xj - EQUALITY_TOL or ck >= xk - reach - EQUALITY_TOL can
+    # pass either comparison of the derivative (float rounding is monotone,
+    # so this holds as evaluated), and the others drop out of both sums.
+    complete = len(all_steps) <= _KINK_PREFIX
+    if complete:
+        order, steps = merged_kinks(np.argsort(all_steps, kind="stable"))
+        deriv = full_deriv
+    else:
+        reach = np.partition(all_steps, _KINK_PREFIX - 1)[_KINK_PREFIX - 1]
+        head = np.flatnonzero(all_steps <= reach)
+        order, steps = merged_kinks(head[np.argsort(all_steps[head], kind="stable")])
+        deriv = derivative_over(np.flatnonzero((cj >= xj - EQUALITY_TOL) | (ck >= xk - reach - EQUALITY_TOL)))
 
     # first breakpoint where the right derivative is no longer positive.  It
     # is usually among the first few, so gallop over indices 0, 1, 3, 7, ...
     # (capped at the last) until one qualifies, then bisect inside the last
-    # doubling; both phases keep lo_d at the last breakpoint found positive
-    lo_d, hi_idx = 0.0, None
+    # doubling; both phases keep lo_d at the last breakpoint found positive.
+    # A gallop that would pass the prefix goes on over every kink and agent
+    lo_d, hit, hit_slope = 0.0, None, 0.0
     lo_i, hi_i = 0, len(steps) - 1
     mid, galloping = 0, True
     while lo_i <= hi_i:
-        if deriv(float(steps[mid]), right=True) <= 0.0:
-            hi_idx, hi_i = mid, mid - 1
+        slope = deriv(float(steps[mid]), right=True)
+        if slope <= 0.0:
+            hit, hit_slope, hi_i = mid, slope, mid - 1
             galloping = False
         else:
             lo_d, lo_i = float(steps[mid]), mid + 1
+        if galloping and not complete and 2 * mid + 1 > hi_i:
+            order, steps = merged_kinks(np.argsort(all_steps, kind="stable"))
+            hi_i, complete, deriv = len(steps) - 1, True, full_deriv
         mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
 
-    if hi_idx is not None:
-        b, o = float(steps[hi_idx]), int(order[hi_idx])
+    if (hit is None or hit_slope == 0.0) and full_deriv(dmax, right=False) >= 0.0:
+        return dmax, ("zero", None)
+    if hit is not None:
+        b, o = float(steps[hit]), int(order[hit])
         if deriv(b, right=False) >= 0.0:
             return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
         hi_d = b
@@ -315,22 +369,27 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
     preference matrix until the MRS certificate passes.
 
     The support masks are built once, as 0/1 floats (a bool mask would be
-    cast on every product with f'), and after each step only the columns
-    j and k it moved are recomputed, with the comparisons of
-    ``support_masks``.  The polish also ends, uncertified, when a step
-    leaves x unchanged or returns it to its value two steps earlier: the
-    step is a function of x alone, so the polish would repeat forever.
+    cast on every product with f'), and so are the minima min(prefs, x),
+    in the layout of prefs; after each step only the columns j and k it
+    moved are recomputed, with the comparisons of ``support_masks``.  The
+    satisfactions are the row sums of the minima, which on the same layout
+    equal ``overlap`` bit for bit at a fraction of its cost (a running
+    update of them would drift by rounding).  The polish also ends,
+    uncertified, when a step leaves x unchanged or returns it to its value
+    two steps earlier: the step is a function of x alone, so the polish
+    would repeat forever.
 
     Returns (x, iterations, converged); iterations counts the polish steps.
     """
     up, down = (mask.astype(float) for mask in support_masks(prefs, x))
+    mins = np.minimum(prefs, x)
     before = x
     iters = 0
     converged = False
     stall = 0
     best_gap = np.inf
     while iters < opts.max_iters:
-        pi = overlap(prefs, x)
+        pi = mins.sum(axis=1)
         gap, j, k = _mrs_terms(x, pi, f, up, down)
         if gap <= opts.tol:
             converged = True
@@ -352,6 +411,7 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
             break
         before, x = x, moved
         for c in (j, k):
+            mins[:, c] = np.minimum(prefs[:, c], x[c])
             col = prefs[:, c] - x[c]
             up[:, c] = col > EQUALITY_TOL
             down[:, c] = col >= -EQUALITY_TOL
@@ -451,8 +511,10 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     Each overlap is the minimum of the affine pieces sum_{j in S} x_j +
     sum_{j not in S} ideal_ij, so max_x min_i overlap_i(x) is an LP over
     (x, t) once every piece is a cut t <= piece.  The loop keeps a subset of
-    the pieces, seeded with every agent's piece at the uniform allocation
-    and at the mean ideal (and, for small profiles, at every agent's ideal).
+    the pieces, seeded with the pieces of the 2(m + 1) agents with the
+    smallest overlaps at the uniform allocation and at the mean ideal (at
+    most m + 1 rows are tight at an LP vertex), and, for small profiles,
+    with every agent's piece at every agent's ideal.
     Each round solves the cut LP with HiGHS, recomputes the overlaps at its
     allocation, and adds the piece active there for every agent below the LP
     value.
@@ -471,10 +533,13 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     n, m = prefs.shape
 
     uniform = np.full(m, 1.0 / m)
-    seeds = [uniform, prefs.mean(axis=0)]
+    seeds = []
+    for y in (uniform, prefs.mean(axis=0)):
+        worst = np.argsort(overlap(prefs, y), kind="stable")[: 2 * (m + 1)]
+        seeds.append(_overlap_cuts(prefs[worst], y))
     if n <= _IDEAL_SEED_AGENTS:
-        seeds.append(prefs)
-    cuts, rhs = _overlap_cuts(prefs, np.vstack(seeds))
+        seeds.append(_overlap_cuts(prefs, prefs))
+    cuts, rhs = (np.concatenate(parts) for parts in zip(*seeds))
     keys, first = np.unique(_cut_keys(cuts, rhs), return_index=True)
     cuts, rhs = cuts[first], rhs[first]
     # maximize t; sum_j x_j = 1; no agent gains from x_j above the column max

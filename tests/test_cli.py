@@ -325,6 +325,28 @@ def test_bounds_large_lambda_limit(capsys):
     assert payload[0]["value"] == pytest.approx(0.2, abs=1e-4)
 
 
+def test_bounds_take_their_limits_where_the_power_overflows(sweep_dir, capsys):
+    # m^lambda and (n - 1)^(1/lambda) leave the float range; each bound
+    # prints its finite limit instead of ending in a traceback (or nan)
+    for which, lam, m, want in (
+        ("wl", "1e300", "3", 1.0),
+        ("wl", "1020", "2", 1.0),
+        ("ifs-share", "1e-300", "3", 0.0),
+        ("el-sm", "1e-300", "3", 1.0),
+    ):
+        assert main(["bounds", "--which", which, "--lambda", lam, "--m", m, "--n", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and err == ""
+        assert json.loads(out)[0]["value"] == want
+    # a sweep reaches the same closed forms: 3^(1/0.001) overflows at n = 4
+    assert main(["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", "0.001:1:2"]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err and err == ""
+    header, *rows = out.splitlines()
+    share_bound = header.split(",").index("min_share_bound")
+    assert [float(row.split(",")[share_bound]) for row in rows if row.startswith("0.001,")] == [0.0, 0.0]
+
+
 # the output of the table-driven bounds command, pinned byte for byte: the
 # order of the rows, of each row's keys and of its params, and every digit
 PINNED_BOUNDS = [

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ctrules as ct
 import ctrules.solver as solver_module
 from ctrules.cli import ladder_rule
-from ctrules.core import EQUALITY_TOL, support_masks
+from ctrules.core import EQUALITY_TOL, overlap, support_masks
 from helpers import dirichlet_profile, single_minded_profile
 
 UTILITIES = [
@@ -393,6 +393,42 @@ def test_kink_search_without_a_qualifying_kink_brackets_up_to_dmax():
     assert ref_landing == (None, None) and abs(ref_d - 0.125) <= 1e-12
 
 
+def test_kink_search_sorts_every_kink_once_the_gallop_passes_the_prefix():
+    """Forty j kinks at steps i/128 along e_0 - e_1, more than the sorted
+    prefix of solver._KINK_PREFIX, against three agents who want only
+    alternative 1, under the identity utility: the right derivative at kink
+    t is 36 - t, so every kink of the prefix has a positive one and the
+    first nonpositive kink, 36, lies past it.  The search must go on over
+    every kink and land there, not stop smoothly past the prefix."""
+    kinks = 40
+    assert solver_module._KINK_PREFIX < 37 < kinks
+    x = np.array([0.25, 0.5, 0.25])
+    f = ct.make_utility("identity")
+    rows = [[0.25 + i / 128, 0.0, 0.75 - i / 128] for i in range(1, kinks + 1)] + [[0.0, 1.0, 0.0]] * 3
+    prefs = np.array(rows)
+    pi = np.minimum(prefs, x).sum(axis=1)
+    out = solver_module._line_search(prefs, x, pi, f, 0, 1)
+    assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
+    assert out == (37 / 128, ("j", 0.25 + 37 / 128))
+
+
+def test_flat_derivative_from_the_qualifying_kink_lands_on_zero():
+    """Along e_0 - e_1 from x = (0.25, 0.5, 0.25) under the identity
+    utility, one agent gains from x_0 up to its kink at step 0.25, one from
+    all of it, and one loses all of x_1: the right derivative is 1 before
+    the kink and exactly 0 from it to dmax = 0.5.  The kink qualifies with a
+    zero right derivative and a positive left one, but the objective is
+    flat up to dmax, whose left derivative is 0, so the donor empties: a
+    zero landing, as the bisection oracle lands."""
+    prefs = np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    x = np.array([0.25, 0.5, 0.25])
+    pi = np.minimum(prefs, x).sum(axis=1)
+    f = ct.make_utility("identity")
+    out = solver_module._line_search(prefs, x, pi, f, 0, 1)
+    assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
+    assert out == (0.5, ("zero", None))
+
+
 @pytest.mark.parametrize("f", [ct.make_utility("log"), ct.make_utility("negpower", p=3.0)], ids=lambda f: f.kind)
 def test_line_search_makes_few_derivative_evaluations_at_size(f):
     """At 2000 x 50 an exchange has about 1,700 kinks, and the landing is
@@ -407,9 +443,11 @@ def test_line_search_makes_few_derivative_evaluations_at_size(f):
 
 
 def test_carried_support_masks_equal_fresh_masks_after_every_step():
-    """The polish carries its support masks as 0/1 floats and recomputes
-    only the two columns each step moves; at every iterate they equal
-    support_masks, through kink, zero and smooth landings."""
+    """The polish carries its support masks as 0/1 floats, and the
+    elementwise minima whose row sums are the satisfactions, and recomputes
+    only the two columns each step moves; at every iterate the masks equal
+    support_masks and the satisfactions equal overlap bit for bit, through
+    kink, zero and smooth landings."""
     mrs_terms = solver_module._mrs_terms
     solving = {}
     checked = [0]
@@ -419,6 +457,7 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
             fresh_up, fresh_down = support_masks(solving["prefs"], x)
             assert np.array_equal(up, fresh_up.astype(float))
             assert np.array_equal(down, fresh_down.astype(float))
+            assert np.array_equal(pi, overlap(solving["prefs"], x))
             checked[0] += 1
         return mrs_terms(x, pi, f, up, down)
 

@@ -221,7 +221,7 @@ def full_lp_maxmin(prefs: np.ndarray) -> float:
 
 
 def egal_reference_profiles():
-    """About forty seeded profiles, with the shapes the cut loop must handle."""
+    """About forty-five seeded profiles, with the shapes the cut loop must handle."""
     rng = np.random.default_rng(2024)
     out = []
     for k in range(28):
@@ -240,6 +240,10 @@ def egal_reference_profiles():
     out.append(dirichlet_profile(17, 40, 2, conc=0.3).prefs)
     out.append(two_group_profile(3, 5).prefs)
     out.append(core_example_profile().prefs)
+    # n well above the 2(m + 1) worst-off agents the cut LP is seeded with
+    out.append(dirichlet_profile(18, 120, 4, conc=0.3).prefs)
+    out.append(np.vstack([single_minded_profile(19, 30, 3).prefs, dirichlet_profile(20, 30, 3).prefs]))
+    out.append(np.repeat(dirichlet_profile(21, 30, 5).prefs, 5, axis=0))
     return [ct.Profile(p) for p in out]
 
 
