@@ -117,6 +117,8 @@ def ladder_rule(lam: float) -> UtilityFunction:
     if abs(lam - 1.0) <= 1e-12:
         return make_utility("log")
     if lam < 1.0:
+        if 1.0 - lam == 1.0:
+            raise ValueError(f"lambda {lam!r} is too small for a ladder rule: 1 - lambda rounds to 1")
         return make_utility("power", p=1.0 - lam)
     return make_utility("negpower", p=lam - 1.0)
 
@@ -289,7 +291,10 @@ def _afs_worst_ratio(profile: Profile, sats: np.ndarray, lam: float) -> float:
     cohesive = alpha > 0.0
     alpha, mean = alpha[cohesive], mean[cohesive]
     target = bd.afs_bound(alpha, lam) if lam <= 1.0 else alpha
-    return float(np.min(mean / target))
+    # at small lambda alpha^(1/lambda) underflows to 0 for the weaker groups,
+    # whose ratio is then inf
+    ratio = np.divide(mean, target, out=np.full_like(mean, np.inf), where=target > 0.0)
+    return float(np.min(ratio))
 
 
 def cmd_sweep(args) -> int:

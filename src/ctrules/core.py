@@ -187,12 +187,15 @@ class UtilityFunction:
     ====================  ==================  =========================
 
     Evaluation at t below ``floor`` uses t = floor, so the singular kinds
-    stay finite when an agent's overlap is 0.  Exponential-kind outputs are
-    additionally clipped to stay inside float range; the clip only engages
-    for satisfactions below roughly (1/690)^(1/p).
+    stay finite when an agent's overlap is 0; the identity's value is not
+    floored, so the utilitarian objective is exactly total satisfaction.
+    Exponential-kind outputs are additionally clipped to stay inside float
+    range; the clip only engages for satisfactions below roughly
+    (1/690)^(1/p).
 
-    The identity kind exists so the utilitarian baseline can share solver
-    code; it is not strictly concave and is rejected wherever that matters.
+    The identity kind exists so the utilitarian baseline can share the MRS
+    certificate; it is not strictly concave and is rejected wherever that
+    matters.
     """
 
     kind: UtilityKind
@@ -203,6 +206,8 @@ class UtilityFunction:
         return np.maximum(np.asarray(t, dtype=float), self.floor)
 
     def value(self, t):
+        if self.kind == "identity":
+            return np.asarray(t, dtype=float)
         t = self._t(t)
         match self.kind:
             case "log":
@@ -215,8 +220,6 @@ class UtilityFunction:
                 return -_safe_exp(t**-self.p)
             case "quadratic":
                 return t * (2.0 - t)
-            case "identity":
-                return t
 
     def deriv(self, t):
         t = self._t(t)

@@ -39,18 +39,22 @@ marginal contributions mc_up / mc_down come from ``_marginals``, which the
 certificate and ``marginal_contribution`` read, and
 ``directional_derivative`` reads the same strict/weak support masks.
 
-The utilitarian baseline shares this machinery with the identity utility
-(marginal contributions become supporter counts).  The egalitarian maxmin
-reference is solved exactly by Kelley's cutting-plane method (Kelley 1960)
-instead: each overlap is the minimum of affine pieces, so a linear program
-over the allocation and the level t alone, with one cut t <= piece per
-collected piece, relaxes the maxmin problem.  The LP starts from the
-pieces of the 2(m + 1) worst-off agents at two points (at most m + 1 rows
-are tight at an LP vertex), and each round adds the piece active at the
-LP's allocation for every agent below the LP value.  The LP
-value minus the achieved minimum satisfaction is a true optimality gap,
-reported as ``mrs_gap``; ``iterations`` sums the HiGHS simplex iterations
-over the rounds.
+The utilitarian reference is exact in one pass: total satisfaction is
+separable across alternatives, each term concave and piecewise linear, so
+water-filling its segments in order of decreasing slope solves it.  Its
+report carries the identity-utility MRS gap (marginal contributions become
+supporter counts) as the certificate, and ``iterations`` is 0.  The
+egalitarian maxmin reference is solved exactly by Kelley's cutting-plane
+method (Kelley 1960): each overlap is the minimum of affine pieces, so a
+linear program over the allocation and the level t alone, with one cut
+t <= piece per collected piece, relaxes the maxmin problem.  The LP starts
+from the pieces of the 2(m + 1) worst-off agents at two points (at most
+m + 1 rows are tight at an LP vertex), and each round adds the piece active
+at the LP's allocation for every agent below the LP value.  The cut LP is
+one HiGHS model for the whole solve, so each round's dual simplex restarts
+from the previous optimal basis.  The LP value minus the achieved minimum
+satisfaction is a true optimality gap, reported as ``mrs_gap``;
+``iterations`` sums the HiGHS simplex iterations over the rounds.
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import linprog
+# The HiGHS binding that scipy.optimize.linprog(method="highs") itself builds
+# its solver from; solve_egalitarian keeps one such model for a whole solve.
+from scipy.optimize._highspy import _core as highs
 
 from .core import (
     EQUALITY_TOL,
@@ -80,12 +86,6 @@ _STALL_WINDOW = 300
 # Its landing is usually among the first few, which the gallop reaches in a
 # few probes; it sorts every kink only when its gallop would pass these.
 _KINK_PREFIX = 32
-# Up to this many agents the maxmin cut LP is also seeded with every agent's
-# piece at every agent's ideal.  Its n * n extra seed rows then cost less
-# than the ~2 ms fixed overhead of one more linprog call, and they settle
-# most small profiles in one round; past about 24 agents the rows cost more
-# than the rounds saved.
-_IDEAL_SEED_AGENTS = 16
 
 
 @dataclass(frozen=True)
@@ -418,29 +418,6 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
     return x, iters, converged
 
 
-def _solve_first_order(
-    profile: Profile, f: UtilityFunction, opts: SolverOptions, start: Allocation | None = None
-) -> SolveReport:
-    prefs = profile.prefs
-    m = profile.m
-
-    supported = prefs.max(axis=0) > 0.0
-    if supported.sum() == 1:
-        x = np.zeros(m)
-        x[int(np.flatnonzero(supported)[0])] = 1.0
-        return _make_report(profile, x, f, iterations=0, converged=True, opts=opts)
-
-    # polish from the start's mass on the supported columns, or from the mean
-    # ideal; the certificate does not depend on where the polish began
-    x0 = np.maximum(start.shares[supported], 0.0) if start is not None else None
-    if x0 is None or not x0.sum() > 0.0:
-        x0 = prefs.mean(axis=0)[supported]
-    x_sub, iters, converged = _ascend(prefs[:, supported], f, opts, _on_simplex(x0))
-    x = np.zeros(m)
-    x[supported] = x_sub
-    return _make_report(profile, x, f, iterations=iters, converged=converged, opts=opts)
-
-
 def _on_simplex(x: np.ndarray) -> np.ndarray:
     """x divided by its sum, unless that sum is already 1 within 1e-9: a
     point on the simplex (such as a solve's own optimum) is kept bit for bit."""
@@ -493,16 +470,56 @@ def solve_ctr(
         check_allocation(profile, start)
     if not f.strictly_concave:
         raise ValueError("solve_ctr needs a strictly concave utility; use solve_utilitarian")
-    return _solve_first_order(profile, f, opts or SolverOptions(), start)
+    opts = opts or SolverOptions()
+    prefs = profile.prefs
+    m = profile.m
+
+    supported = prefs.max(axis=0) > 0.0
+    if supported.sum() == 1:
+        x = np.zeros(m)
+        x[int(np.flatnonzero(supported)[0])] = 1.0
+        return _make_report(profile, x, f, iterations=0, converged=True, opts=opts)
+
+    # polish from the start's mass on the supported columns, or from the mean
+    # ideal; the certificate does not depend on where the polish began
+    x0 = np.maximum(start.shares[supported], 0.0) if start is not None else None
+    if x0 is None or not x0.sum() > 0.0:
+        x0 = prefs.mean(axis=0)[supported]
+    x_sub, iters, converged = _ascend(prefs[:, supported], f, opts, _on_simplex(x0))
+    x = np.zeros(m)
+    x[supported] = x_sub
+    return _make_report(profile, x, f, iterations=iters, converged=converged, opts=opts)
 
 
 def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> SolveReport:
-    """Maximize total satisfaction (piecewise-linear) via the shared scheme.
+    """Maximize total satisfaction by water-filling.
 
-    With the identity utility marginal contributions are supporter counts,
-    so the MRS certificate reduces to an integer comparison.
+    Total satisfaction is separable: sum_j g_j(x_j) with g_j(v) = sum_i
+    min(ideal_ij, v), concave and piecewise linear, of slope the number of
+    agents whose ideal share of j exceeds v.  Sorting each column gives
+    every segment of every g_j; filling them in order of decreasing slope
+    (equal slopes in increasing column order) until the budget of 1 is spent
+    is optimal.  Every filled column's share is its last kink value exactly,
+    and the one partial column gets the remainder.  The report carries the
+    identity MRS gap (supporter counts, so an exact integer comparison) as
+    its certificate; iterations is 0.
     """
-    return _solve_first_order(profile, make_utility("identity"), opts or SolverOptions())
+    opts = opts or SolverOptions()
+    prefs = profile.prefs
+    n, m = prefs.shape
+    # row r >= 1 of the zero row over the ascending sort ends, in every
+    # column, the segment of slope n + 1 - r, so the row-major order of the
+    # segment lengths is the fill order; a column with c filled segments
+    # stands at its kink in row c.  Rows sum to 1 only within 1e-9, so the
+    # segments may end short of the budget; the last one then takes the rest
+    kinks = np.vstack([np.zeros(m), np.sort(np.maximum(prefs, 0.0), axis=0)])
+    lengths = np.diff(kinks, axis=0).ravel()
+    last = min(int(np.searchsorted(np.cumsum(lengths), 1.0)), n * m - 1)
+    filled = last // m + (np.arange(m) < last % m)
+    x = kinks[filled, np.arange(m)]
+    partial = last % m
+    x[partial] = 1.0 - np.delete(x, partial).sum()
+    return _make_report(profile, x, make_utility("identity"), iterations=0, converged=True, opts=opts)
 
 
 def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> SolveReport:
@@ -513,11 +530,11 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     (x, t) once every piece is a cut t <= piece.  The loop keeps a subset of
     the pieces, seeded with the pieces of the 2(m + 1) agents with the
     smallest overlaps at the uniform allocation and at the mean ideal (at
-    most m + 1 rows are tight at an LP vertex), and, for small profiles,
-    with every agent's piece at every agent's ideal.
-    Each round solves the cut LP with HiGHS, recomputes the overlaps at its
-    allocation, and adds the piece active there for every agent below the LP
-    value.
+    most m + 1 rows are tight at an LP vertex).  Each round solves the cut
+    LP, recomputes the overlaps at its allocation, and adds the piece active
+    there for every agent below the LP value.  The cut LP is one HiGHS
+    model for the whole solve: a round adds only its fresh cuts, and the
+    dual simplex restarts from the previous round's optimal basis.
 
     The cut LP relaxes the maxmin problem, so its value minus the minimum
     satisfaction of the best allocation found is a true optimality gap,
@@ -530,39 +547,28 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     """
     opts = opts or SolverOptions()
     prefs = profile.prefs
-    n, m = prefs.shape
+    m = profile.m
 
     uniform = np.full(m, 1.0 / m)
     seeds = []
     for y in (uniform, prefs.mean(axis=0)):
         worst = np.argsort(overlap(prefs, y), kind="stable")[: 2 * (m + 1)]
         seeds.append(_overlap_cuts(prefs[worst], y))
-    if n <= _IDEAL_SEED_AGENTS:
-        seeds.append(_overlap_cuts(prefs, prefs))
     cuts, rhs = (np.concatenate(parts) for parts in zip(*seeds))
     keys, first = np.unique(_cut_keys(cuts, rhs), return_index=True)
-    cuts, rhs = cuts[first], rhs[first]
-    # maximize t; sum_j x_j = 1; no agent gains from x_j above the column max
-    c = np.append(np.zeros(m), -1.0)
-    a_eq = np.append(np.ones(m), 0.0)[None, :]
-    bounds = np.column_stack([np.zeros(m + 1), np.append(prefs.max(axis=0), 1.0)])
+    lp = _CutLP(prefs.max(axis=0))
+    lp.add(cuts[first], rhs[first])
 
     best_x, best_min = uniform, float(overlap(prefs, uniform).min())
     upper = 1.0  # no overlap exceeds 1
     iterations = 0
     for _ in range(opts.max_iters):
-        # presolve is skipped: on these dense (m + 1)-column LPs it costs
-        # more than it saves, about a fifth of each round at size
-        a_ub = np.hstack([-cuts.astype(float), np.ones((len(rhs), 1))])
-        res = linprog(
-            c, A_ub=a_ub, b_ub=rhs, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs", options={"presolve": False}
-        )
-        iterations += int(res.nit)
-        if res.status != 0:
+        nit, t, x = lp.solve()
+        iterations += nit
+        if t is None:
             break
-        t = -float(res.fun)
         upper = min(upper, t)
-        x = np.maximum(res.x[:m], 0.0)
+        x = np.maximum(x, 0.0)
         x /= x.sum()
         pi = overlap(prefs, x)
         if pi.min() > best_min:
@@ -575,8 +581,7 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
         if not fresh.any():
             break
         keys = np.concatenate([keys, new_keys[fresh]])
-        cuts = np.vstack([cuts, new_cuts[first[fresh]]])
-        rhs = np.concatenate([rhs, new_rhs[first[fresh]]])
+        lp.add(new_cuts[first[fresh]], new_rhs[first[fresh]])
 
     sats = SatisfactionVector(overlap(prefs, best_x))
     gap = upper - sats.min()
@@ -588,6 +593,49 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
         iterations=iterations,
         converged=bool(gap <= opts.tol),
     )
+
+
+class _CutLP:
+    """The maxmin cut LP: maximize t over (x, t) subject to sum_j x_j = 1,
+    0 <= x_j <= col_max_j (no agent gains from x_j above its column's
+    largest ideal share), 0 <= t <= 1 and the collected cuts t <= x[S] + rhs.
+
+    One HiGHS model lives for the whole solve, so each solve after the first
+    restarts the dual simplex from the previous optimal basis.  Presolve is
+    off: on these dense (m + 1)-column LPs it costs more than it saves.
+    """
+
+    def __init__(self, col_max: np.ndarray):
+        m = self.m = len(col_max)
+        self.model = highs._Highs()
+        self.model.setOptionValue("output_flag", False)
+        self.model.setOptionValue("presolve", "off")
+        # minimize -t over the columns x_0..x_{m-1}, t; then the row sum_j x_j = 1
+        no_entries = np.zeros(0, dtype=np.int32)
+        cost, upper = np.append(np.zeros(m), -1.0), np.append(col_max, 1.0)
+        self.model.addCols(m + 1, cost, np.zeros(m + 1), upper, 0, no_entries, no_entries, np.zeros(0))
+        alternatives = np.arange(m, dtype=np.int32)
+        self.model.addRows(1, np.ones(1), np.ones(1), m, np.zeros(1, dtype=np.int32), alternatives, np.ones(m))
+
+    def add(self, cuts: np.ndarray, rhs: np.ndarray) -> None:
+        """Add the rows t - x[S] <= rhs, one per boolean cut row S."""
+        k = len(rhs)
+        # the t column is the last entry of every row, so row r's entries are
+        # its cut's alternatives in order, then t
+        rows, cols = np.nonzero(np.hstack([cuts, np.ones((k, 1), dtype=bool)]))
+        starts = np.searchsorted(rows, np.arange(k)).astype(np.int32)
+        values = np.where(cols == self.m, 1.0, -1.0)
+        self.model.addRows(k, np.full(k, -highs.kHighsInf), rhs, len(cols), starts, cols.astype(np.int32), values)
+
+    def solve(self):
+        """(simplex iterations, LP value, allocation), with value and
+        allocation None when the LP does not solve to optimality."""
+        status = self.model.run()
+        info = self.model.getInfo()
+        nit = int(info.simplex_iteration_count)
+        if status == highs.HighsStatus.kError or self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+            return nit, None, None
+        return nit, -float(info.objective_function_value), np.array(self.model.getSolution().col_value[: self.m])
 
 
 def _overlap_cuts(prefs: np.ndarray, points: np.ndarray):

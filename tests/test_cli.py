@@ -3,6 +3,7 @@
 import json
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -475,6 +476,30 @@ def test_sweep_missing_directory_exits_one(tmp_path):
 
 def test_sweep_bad_grid_exits_one(sweep_dir):
     assert main(["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", "2:1:3"]) == 1
+
+
+def test_sweep_refuses_a_lambda_whose_complement_rounds_to_one(sweep_dir, capsys):
+    # the ladder rule below 1 is power with p = 1 - lambda, which is 1.0 here
+    assert main(["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", "1e-300:1:2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "lambda 1e-300" in err and "1 - lambda rounds to 1" in err
+
+
+def test_sweep_afs_ratio_skips_targets_that_underflow(sweep_dir, capsys):
+    # alpha^(1/lambda) underflows to 0 for every cohesive group of these
+    # profiles at lambda 1e-4, and for some of them at 1e-3; a group with no
+    # positive target has ratio inf, computed without a division by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", "1e-4:1e-3:2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    afs = header.split(",").index("afs_worst")
+    by_lambda = {}
+    for row in rows:
+        by_lambda.setdefault(row.split(",")[0], []).append(float(row.split(",")[afs]))
+    assert by_lambda["0.0001"] == [np.inf, np.inf]
+    assert len(by_lambda["0.001"]) == 2 and all(np.isfinite(by_lambda["0.001"]))
 
 
 # ---------------------------------------------------------------------------

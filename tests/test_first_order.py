@@ -474,7 +474,7 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
                 solving["prefs"] = profile.prefs[:, profile.prefs.max(axis=0) > 0.0]
                 for f in UTILITIES[:4]:
                     ct.solve_ctr(profile, f)
-                ct.solve_utilitarian(profile)
+                    ct.solve_ctr(profile, f, start=ct.Allocation.uniform(m))
     landings = [landing[0] for _, (_, landing), _ in records]
     assert landings.count("j") + landings.count("k") > 20 and landings.count("zero") > 5
     assert landings.count(None) > 20
