@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .core import Allocation, GuardError, Profile, UtilityFunction, check_allocation, overlap
-from .oracle import GridSpec, _block_overlap, _composition_chunks, enumerate_grid
+from .oracle import GridSpec, _BlockOverlap, _composition_chunks, enumerate_grid
 from .solver import SolverOptions, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
@@ -161,10 +161,11 @@ def _blocking_witness(profile: Profile, x: Allocation, resolution: float, member
         rows = np.flatnonzero(sizes == size)
         weights = members[rows].T.astype(float)
         step = max(1, _PAIRS_PER_PRODUCT // len(rows))
+        block_overlap = _BlockOverlap(profile.prefs, spec)
         for block in _composition_chunks(spec):
             if best <= rows[0]:
                 break
-            after = _block_overlap(block, profile.prefs)
+            after = block_overlap(block)
             worse = (after < pi - 1e-9).astype(float)
             better = (after > pi + resolution).astype(float)
             for lo in range(0, len(block), step):
@@ -177,7 +178,7 @@ def _blocking_witness(profile: Profile, x: Allocation, resolution: float, member
                     found = {
                         "members": np.flatnonzero(chosen).tolist(),
                         "budget": spec.budget,
-                        "deviation": block[r].tolist(),
+                        "deviation": (block[r] * spec.resolution).tolist(),
                         "satisfactions_before": pi[chosen].tolist(),
                         "satisfactions_after": after[r, chosen].tolist(),
                         "resolution": resolution,

@@ -2,15 +2,21 @@
 
 Enumerates every nonnegative vector with entries that are multiples of a
 fixed resolution and a fixed total, in lexicographic order, and maximizes a
-chosen objective over that grid.  Only meant for small m; the point count is
-the stars-and-bars binomial and grows combinatorially.
+chosen objective over that grid.  Blocks of the grid travel as integer step
+counts; an agent's satisfaction at a point is read from one table per
+alternative (the overlap of k steps with the agent's ideal) and summed in
+column order, and a point is scaled by the resolution only where it is
+returned.  Only meant for small m; the point count is the stars-and-bars
+binomial and grows combinatorially.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
+from decimal import Context
 from typing import Iterator, Literal
 
 import numpy as np
@@ -44,6 +50,14 @@ def _step_count(budget: float, resolution: float) -> int:
     return round(ratio)
 
 
+def _count_text(count: int) -> str:
+    """A count as an error prints it: whole up to 1e15, else to three
+    significant digits in %.3g form (1.23e+16), however many digits it has."""
+    if count <= 10**15:
+        return str(count)
+    return format(Context(prec=3).create_decimal(count).normalize(), "g")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Grid over {y >= 0, sum y = budget} with the given step.
@@ -66,10 +80,9 @@ class GridSpec:
                 f"budget {self.budget!r} is not an integer multiple of resolution {self.resolution!r}"
             )
         guard = max_grid_points()
-        if self.num_points() > guard:
-            raise GuardError(
-                f"grid has {self.num_points()} points, exceeding the guard of {guard}"
-            )
+        points = self.num_points()
+        if points > guard:
+            raise GuardError(f"grid has {_count_text(points)} points, exceeding the guard of {_count_text(guard)}")
 
     @classmethod
     def snapped(cls, m: int, budget: float, resolution: float) -> GridSpec:
@@ -84,35 +97,37 @@ class GridSpec:
         return math.comb(self.steps + self.m - 1, self.m - 1)
 
 
-# Most rows in one vectorized block; _block_overlap holds rows x n x m floats.
+# Most rows in one vectorized block; its satisfactions, and each overlap
+# table, hold at most rows x n floats.
 _BLOCK_ROW_CAP = 100_000
 
 
-def _line_block(prefix: list[int], t: np.ndarray, remaining: int, parts: int, scale: float) -> np.ndarray:
-    block = np.empty((t.size, parts))
+def _line_block(prefix: list[int], t: np.ndarray, remaining: int, parts: int) -> np.ndarray:
+    block = np.empty((t.size, parts), dtype=np.int64, order="F")
     if prefix:
-        block[:, : len(prefix)] = np.array(prefix) * scale
-    block[:, -2] = t * scale
-    block[:, -1] = (remaining - t) * scale
+        block[:, : len(prefix)] = prefix
+    block[:, -2] = t
+    block[:, -1] = remaining - t
     return block
 
 
-def _triangle_block(prefix: list[int], remaining: int, parts: int, scale: float) -> np.ndarray:
+def _triangle_block(prefix: list[int], remaining: int, parts: int) -> np.ndarray:
     counts = np.arange(remaining + 1, 0, -1)
     a = np.repeat(np.arange(remaining + 1), counts)
     starts = np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
     b = np.arange(a.size) - starts
-    block = np.empty((a.size, parts))
+    block = np.empty((a.size, parts), dtype=np.int64, order="F")
     if prefix:
-        block[:, : len(prefix)] = np.array(prefix) * scale
-    block[:, -3] = a * scale
-    block[:, -2] = b * scale
-    block[:, -1] = (remaining - a - b) * scale
+        block[:, : len(prefix)] = prefix
+    block[:, -3] = a
+    block[:, -2] = b
+    block[:, -1] = remaining - a - b
     return block
 
 
 def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
-    """Yield blocks of the grid's points in lex order.
+    """Yield blocks of the grid's points in lex order, as integer step
+    counts (a point is its row times ``spec.resolution``).
 
     The last two or three coordinates of each prefix are vectorized into
     blocks of at most _BLOCK_ROW_CAP rows (a line too long is cut into
@@ -120,17 +135,17 @@ def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
     enumeration stays fast without materializing the whole grid.
     """
     if spec.m == 1:
-        yield np.array([[spec.steps * spec.resolution]])
+        yield np.array([[spec.steps]])
         return
 
     def rec(prefix: list[int], remaining: int, left: int) -> Iterator[np.ndarray]:
         if left == 2:
             for start in range(0, remaining + 1, _BLOCK_ROW_CAP):
                 t = np.arange(start, min(start + _BLOCK_ROW_CAP, remaining + 1))
-                yield _line_block(prefix, t, remaining, spec.m, spec.resolution)
+                yield _line_block(prefix, t, remaining, spec.m)
             return
         if left == 3 and (remaining + 1) * (remaining + 2) // 2 <= _BLOCK_ROW_CAP:
-            yield _triangle_block(prefix, remaining, spec.m, spec.resolution)
+            yield _triangle_block(prefix, remaining, spec.m)
             return
         for a in range(remaining + 1):
             yield from rec(prefix + [a], remaining - a, left - 1)
@@ -141,12 +156,40 @@ def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
 def enumerate_grid(spec: GridSpec) -> Iterator[np.ndarray]:
     """Stream every grid vector exactly once, lexicographically ascending."""
     for block in _composition_chunks(spec):
-        yield from block
+        yield from block * spec.resolution
 
 
-def _block_overlap(block: np.ndarray, prefs: np.ndarray) -> np.ndarray:
-    """Satisfaction of every agent (columns) at every grid point (rows)."""
-    return np.minimum(block[:, None, :], prefs[None]).sum(axis=2)
+class _BlockOverlap:
+    """Satisfaction of every agent (columns) at every point (rows) of a
+    grid's blocks of step counts: the sum over alternatives j, in column
+    order, of the table row T_j[k] = min(k * resolution, prefs[:, j]).
+
+    A table is built from the lowest step a block reads in its column, over
+    as many steps as the block has rows (at most to the grid's last step),
+    and kept while later blocks read inside it.  Over an m >= 3 grid the
+    first block already spans every step, so each table is built once; an
+    m = 2 grid longer than one block rebuilds two tables of one run each."""
+
+    def __init__(self, prefs: np.ndarray, spec: GridSpec):
+        self.prefs = prefs
+        self.spec = spec
+        self.tables = [np.empty((0, len(prefs)))] * spec.m
+        self.lows = [0] * spec.m
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        pi = None
+        for j, (lo, hi) in enumerate(zip(block.min(axis=0).tolist(), block.max(axis=0).tolist())):
+            if not self.lows[j] <= lo <= hi < self.lows[j] + len(self.tables[j]):
+                self.tables[j] = None  # free the old table before its successor is built
+                steps = np.arange(lo, min(lo + len(block), self.spec.steps + 1))
+                self.tables[j] = np.minimum(steps[:, None] * self.spec.resolution, self.prefs[:, j])
+                self.lows[j] = lo
+            rows = np.take(self.tables[j], block[:, j] - self.lows[j], axis=0)
+            if pi is None:
+                pi = rows
+            else:
+                pi += rows
+        return pi
 
 
 def brute_force_best(
@@ -163,27 +206,27 @@ def brute_force_best(
     """
     if spec.m != profile.m:
         raise ValueError(f"grid dimension {spec.m} does not match profile m={profile.m}")
-    if objective == "ctr":
-        if f is None:
-            raise ValueError("objective 'ctr' requires a utility function")
-        floor = f.floor
+    scores = {
+        "ctr": lambda pi: f.value(np.maximum(pi, f.floor, out=pi)).sum(axis=1),
+        "welfare": lambda pi: pi.sum(axis=1),
+        # a minimum is exact in any order, and a pass per agent is far
+        # faster than a reduction along each short row
+        "maxmin": lambda pi: functools.reduce(np.minimum, pi.T),
+    }
+    if objective not in scores:
+        raise ValueError(f"unknown objective {objective!r}")
+    if objective == "ctr" and f is None:
+        raise ValueError("objective 'ctr' requires a utility function")
 
+    overlap = _BlockOverlap(profile.prefs, spec)
     best_val = -np.inf
     best_vec: np.ndarray | None = None
     for block in _composition_chunks(spec):
-        pi = _block_overlap(block, profile.prefs)
-        if objective == "ctr":
-            vals = f.value(np.maximum(pi, floor)).sum(axis=1)
-        elif objective == "welfare":
-            vals = pi.sum(axis=1)
-        elif objective == "maxmin":
-            vals = pi.min(axis=1)
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
+        vals = scores[objective](overlap(block))
         idx = int(np.argmax(vals))
         # strict > keeps the first (lexicographically smallest) maximizer
         if vals[idx] > best_val:
             best_val = float(vals[idx])
-            best_vec = block[idx].copy()
+            best_vec = block[idx] * spec.resolution
     assert best_vec is not None
     return best_vec, best_val

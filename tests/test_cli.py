@@ -218,6 +218,20 @@ def test_overflowing_grid_exits_three(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
 
 
+def test_huge_grid_is_refused_with_a_short_point_count(tmp_path, capsys):
+    # C(1e300 + 2, 2) has 600 digits; the guard prints three significant ones
+    prof = str(tmp_path / "g.json")
+    assert main(["gen", "--kind", "dirichlet:1.0", "--n", "6", "--m", "3", "--seed", "0", "--out", prof]) == 0
+    alloc = write_doc(tmp_path / "x.json", [0.25, 0.25, 0.5])
+    for argv, count in (
+        (["check", "--profile", prof, "--allocation", alloc, "--axioms", "core,eff", "--resolution", "1e-300"], "1.39e+598"),
+        (["oracle-verify", "--profile", prof, "--rule", "nash", "--resolution", "1e-300"], "5e+599"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: grid has {count} points, exceeding the guard of 10000000\n"
+
+
 # every axiom's report, each failing with its witness, pinned byte for byte
 PINNED_CHECKS = [
     {

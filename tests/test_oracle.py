@@ -1,6 +1,7 @@
 """Grid enumeration and brute-force argmax."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,32 @@ def test_brute_force_requires_utility_for_ctr():
         ct.brute_force_best(sp_example_profile(), "ctr", ct.GridSpec(2, 0.5))
 
 
+def test_bad_objective_is_refused_before_any_block(monkeypatch):
+    def no_blocks(spec):
+        raise AssertionError("a block was requested")
+
+    monkeypatch.setattr(ct.oracle, "_composition_chunks", no_blocks)
+    p = sp_example_profile()
+    with pytest.raises(ValueError, match="unknown objective 'nash'"):
+        ct.brute_force_best(p, "nash", ct.GridSpec(2, 0.5))
+    with pytest.raises(ValueError, match="requires a utility function"):
+        ct.brute_force_best(p, "ctr", ct.GridSpec(2, 0.5))
+
+
+def test_guard_prints_huge_point_counts_to_three_digits(monkeypatch):
+    monkeypatch.setenv("CTR_MAX_GRID", "10")
+    for spec, count in [
+        ((2, 0.05), "21"),
+        ((2, 1e-14), "100000000000001"),  # 1e14 + 1, below 1e15: whole
+        ((3, 1e-15), "5e+29"),
+        ((3, 1e-300), "5e+599"),  # exact count has 600 digits
+        ((4, 1 / 3e5), "4.5e+15"),
+    ]:
+        with pytest.raises(ct.GuardError) as info:
+            ct.GridSpec(*spec)
+        assert str(info.value) == f"grid has {count} points, exceeding the guard of 10", spec
+
+
 def test_brute_force_dimension_mismatch():
     with pytest.raises(ValueError):
         ct.brute_force_best(dirichlet_profile(0, 3, 3), "welfare", ct.GridSpec(2, 0.5))
@@ -133,3 +160,58 @@ def test_capped_blocks_give_the_uncapped_results(monkeypatch):
     assert np.array_equal(capped[0], uncapped[0])
     assert capped[1:] == uncapped[1:]
     assert any(not report.holds for report in capped if isinstance(report, ct.AxiomReport))
+
+
+# (m, budget, resolution): every point of each grid, budgets that are and
+# are not whole, steps that do and do not divide the ideals' entries
+BIT_IDENTITY_GRIDS = [
+    (2, 1.0, 0.01),
+    (3, 1.0, 0.05),
+    (3, 3 / 7, 3 / 7 / 9),
+    (4, 1.0, 0.1),
+    (4, 0.5, 0.5 / 7),
+    (5, 1.0, 0.2),
+    (6, 1.0, 0.25),
+    (7, 1.0, 0.25),
+    (7, 2 / 3, 2 / 3 / 5),
+]
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_block_overlap_is_bit_identical_to_pointwise_overlap(monkeypatch, cap):
+    # column-order sums agree with numpy's own reduction over m <= 7 terms;
+    # above that numpy sums pairwise, and the two may differ by an ulp
+    if cap is not None:
+        monkeypatch.setattr(ct.oracle, "_BLOCK_ROW_CAP", cap)
+    rng = np.random.default_rng(15)
+    for m, budget, res in BIT_IDENTITY_GRIDS:
+        spec = ct.GridSpec(m, res, budget)
+        prefs = rng.dirichlet(np.full(m, 0.7), size=5)
+        prefs[0] = 0.0
+        prefs[0, 0] = 1.0  # single-minded
+        prefs[1] = np.arange(m) * res  # entries on the grid ...
+        prefs[1, -1] = 1.0 - prefs[1, :-1].sum()  # ... but the last
+        overlap = ct.oracle._BlockOverlap(prefs, spec)
+        points = 0
+        for block in ct.oracle._composition_chunks(spec):
+            assert cap is None or len(block) <= cap
+            pi = overlap(block)
+            for steps, row in zip(block, pi):
+                reference = np.minimum(prefs, steps * spec.resolution).sum(axis=1)
+                assert np.array_equal(row, reference), (m, budget, steps)
+            points += len(block)
+        assert points == spec.num_points()
+
+
+def test_fine_two_alternative_grid_keeps_its_tables_small():
+    # tables over the whole million-step range would take about 150 MB
+    p = dirichlet_profile(4, 8, 2)
+    spec = ct.GridSpec(2, 1e-6)
+    tracemalloc.start()
+    try:
+        vec, val = ct.brute_force_best(p, "maxmin", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+    assert val == ct.core.overlap(p.prefs, vec).min()
