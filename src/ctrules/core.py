@@ -43,7 +43,7 @@ class GuardError(RuntimeError):
 
 
 def _as_matrix(prefs: Iterable) -> np.ndarray:
-    arr = np.array(prefs, dtype=float)
+    arr = np.array(prefs, dtype=float, order="F")
     if arr.ndim != 2:
         raise ValueError(f"preference profile must be 2-dimensional, got shape {arr.shape}")
     return arr
@@ -55,6 +55,14 @@ class Profile:
 
     Rows must be stochastic: finite nonnegative entries summing to 1 within
     1e-9.
+
+    prefs is stored column-major (Fortran order), decided here once for
+    every caller.  The rule polish reads and rewrites whole columns, and
+    the row sums over column-major minima that give ``overlap``'s
+    satisfactions take about a third of the time of row-major ones at
+    2000 x 50.  Those sums add the columns in index order, the same order
+    for the polish and for every re-check, so a solve reports the
+    certificate its polish stopped on.
     """
 
     prefs: np.ndarray
@@ -367,10 +375,9 @@ def support_masks(prefs: np.ndarray, shares: np.ndarray):
     lowering x_j hurts agent i.  ``up`` is a subset of ``down``; they differ
     exactly on ties ``x^i_j == x_j`` (within EQUALITY_TOL).
 
-    The masks are C-ordered even when prefs is not (the solver's column
-    subset ``prefs[:, supported]`` is Fortran-ordered): a matmul against a
-    Fortran-ordered bool mask casts it in a transposing copy that costs
-    ten times the product itself.
+    The masks are C-ordered even though a profile's prefs are column-major:
+    a matmul against a Fortran-ordered bool mask casts it in a transposing
+    copy that costs ten times the product itself.
     """
     d = np.subtract(prefs, shares, order="C")
     return d > EQUALITY_TOL, d >= -EQUALITY_TOL

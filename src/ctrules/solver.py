@@ -19,12 +19,14 @@ the agents whose satisfaction can change that far, and sorts every kink
 only when its gallop passes them; its probes and landings are those of a
 search over every kink and agent, bit for bit.  Between kinks the support
 pattern is fixed, and a safeguarded Newton iteration finds the smooth stop.
-The polish builds the support masks and the elementwise minima
-min(ideal_ij, x_j), whose row sums are the satisfactions, once; after each
-step it recomputes only the two columns the step moved.  A step that leaves
-x unchanged or returns it to its value two steps earlier ends the polish:
-the step is a function of x alone, so such a polish would cycle without
-ever certifying.
+The polish works on the profile's column-major prefs over all m columns
+(an alternative no agent supports has no strict marginal contribution, so
+it never gains mass).  It builds the support masks and the elementwise
+minima min(ideal_ij, x_j), whose row sums are the satisfactions, once;
+after each step it recomputes only the two columns the step moved.  A step
+that leaves x unchanged or returns it to its value two steps earlier ends
+the polish: the step is a function of x alone, so such a polish would cycle
+without ever certifying.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -32,7 +34,10 @@ The polish stops when the marginal-rate-of-substitution gap
 
 drops below tolerance; a nonpositive gap certifies global optimality of the
 concave program, so the certificate relies neither on smoothness nor on
-where the polish started.
+where the polish started.  The report carries the satisfactions and the gap
+of the point the polish stopped at, which equal ``overlap`` and ``mrs_gap``
+there bit for bit, so no solve computes its certificate twice.  Every
+solver builds its report the same way: converged means gap <= tol.
 
 The paper's first-order quantities live here, computed one way: the
 marginal contributions mc_up / mc_down come from ``_marginals``, which the
@@ -365,57 +370,56 @@ def _apply_move(x: np.ndarray, j: int, k: int, d: float, landing) -> np.ndarray:
 
 
 def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.ndarray):
-    """Exchange polish from x, any point of the simplex, on a full-support
-    preference matrix until the MRS certificate passes.
+    """Exchange polish of a profile's prefs from x, any point of the
+    simplex, until the MRS certificate passes.
 
     The support masks are built once, as 0/1 floats (a bool mask would be
     cast on every product with f'), and so are the minima min(prefs, x),
-    in the layout of prefs; after each step only the columns j and k it
-    moved are recomputed, with the comparisons of ``support_masks``.  The
-    satisfactions are the row sums of the minima, which on the same layout
-    equal ``overlap`` bit for bit at a fraction of its cost (a running
-    update of them would drift by rounding).  The polish also ends,
-    uncertified, when a step leaves x unchanged or returns it to its value
-    two steps earlier: the step is a function of x alone, so the polish
-    would repeat forever.
+    in the profile's column-major layout; after each step only the columns
+    j and k it moved are recomputed, with the comparisons of
+    ``support_masks``.  The satisfactions are the row sums of the minima,
+    which equal ``overlap`` bit for bit at a fraction of its cost (a
+    running update of them would drift by rounding), so the gap equals
+    ``mrs_gap`` at the same point.  The polish also ends, uncertified, when
+    a step leaves x unchanged or returns it to its value two steps earlier
+    (the step is a function of x alone, so the polish would repeat
+    forever), when its gap stalls, when the line search makes no move, and
+    after max_iters steps.  A step changes the sum of x only by rounding.
 
-    Returns (x, iterations, converged); iterations counts the polish steps.
+    Returns (x, pi, gap, iterations): the point the polish stopped at, its
+    satisfactions and MRS gap, and the number of polish steps.
     """
     up, down = (mask.astype(float) for mask in support_masks(prefs, x))
     mins = np.minimum(prefs, x)
     before = x
     iters = 0
-    converged = False
+    repeated = False
     stall = 0
     best_gap = np.inf
-    while iters < opts.max_iters:
+    while True:
         pi = mins.sum(axis=1)
         gap, j, k = _mrs_terms(x, pi, f, up, down)
-        if gap <= opts.tol:
-            converged = True
-            break
+        if gap <= opts.tol or repeated or iters >= opts.max_iters:
+            return x, pi, gap, iters
         if gap < best_gap - 1e-14:
             best_gap = gap
             stall = 0
         else:
             stall += 1
             if stall > _STALL_WINDOW:
-                break
+                return x, pi, gap, iters
         d, landing = _line_search(prefs, x, pi, f, j, k)
         if d <= 0.0:
-            break
+            return x, pi, gap, iters
         moved = _apply_move(x, j, k, d, landing)
         iters += 1
-        if np.array_equal(moved, x) or np.array_equal(moved, before):
-            x = moved
-            break
+        repeated = np.array_equal(moved, x) or np.array_equal(moved, before)
         before, x = x, moved
         for c in (j, k):
             mins[:, c] = np.minimum(prefs[:, c], x[c])
             col = prefs[:, c] - x[c]
             up[:, c] = col > EQUALITY_TOL
             down[:, c] = col >= -EQUALITY_TOL
-    return x, iters, converged
 
 
 def _on_simplex(x: np.ndarray) -> np.ndarray:
@@ -425,25 +429,18 @@ def _on_simplex(x: np.ndarray) -> np.ndarray:
     return x / s if abs(s - 1.0) > 1e-9 else x
 
 
-def _make_report(
-    profile: Profile,
-    x: np.ndarray,
-    f: UtilityFunction,
-    iterations: int,
-    converged: bool,
-    opts: SolverOptions,
+def _report(
+    x: np.ndarray, pi: np.ndarray, objective: float, gap: float, iterations: int, opts: SolverOptions
 ) -> SolveReport:
-    allocation = Allocation(np.maximum(_on_simplex(x), 0.0))
-    sats = SatisfactionVector(overlap(profile.prefs, allocation.shares))
-    objective = float(f.value(sats.values).sum())
-    gap = mrs_gap(profile, allocation, f)
+    """The report of a solve that stopped at x, where the satisfactions are
+    pi and the certificate is gap; converged means gap <= tol."""
     return SolveReport(
-        allocation=allocation,
-        satisfactions=sats,
-        objective=objective,
+        allocation=Allocation(x),
+        satisfactions=SatisfactionVector(pi),
+        objective=float(objective),
         mrs_gap=gap,
         iterations=iterations,
-        converged=bool(converged and gap <= opts.tol),
+        converged=bool(gap <= opts.tol),
     )
 
 
@@ -454,13 +451,16 @@ def solve_ctr(
 
     Requires a strictly concave utility; the identity baseline is rejected
     (use solve_utilitarian).  The objective is concave, so one ascent
-    suffices: converged is True exactly when its MRS gap certifies a global
-    optimum, wherever the ascent started.
+    suffices: converged is True exactly when the MRS gap the polish stopped
+    on certifies a global optimum, wherever it started.  The report's
+    mrs_gap and satisfactions are those of the polish's last point, equal
+    bit for bit to ``mrs_gap`` and ``overlap`` at the reported allocation.
 
     Without start the polish is cold: it starts from the mean of the agents'
-    ideals (on single-minded profiles, the proportional allocation).  With
-    start (an allocation over the profile's m alternatives, such as the
-    optimum of a nearby rule) it starts from start restricted to the
+    ideals (on single-minded profiles, the proportional allocation; on a
+    profile that supports one alternative only, that alternative's vertex).
+    With start (an allocation over the profile's m alternatives, such as
+    the optimum of a nearby rule) it starts from start restricted to the
     supported alternatives and renormalised; a start with no mass on any
     supported alternative falls back to the cold start.  A start that sums
     to 1 within 1e-9 is not renormalised, so a certified optimum given as
@@ -472,23 +472,14 @@ def solve_ctr(
         raise ValueError("solve_ctr needs a strictly concave utility; use solve_utilitarian")
     opts = opts or SolverOptions()
     prefs = profile.prefs
-    m = profile.m
-
-    supported = prefs.max(axis=0) > 0.0
-    if supported.sum() == 1:
-        x = np.zeros(m)
-        x[int(np.flatnonzero(supported)[0])] = 1.0
-        return _make_report(profile, x, f, iterations=0, converged=True, opts=opts)
 
     # polish from the start's mass on the supported columns, or from the mean
     # ideal; the certificate does not depend on where the polish began
-    x0 = np.maximum(start.shares[supported], 0.0) if start is not None else None
+    x0 = np.where(prefs.max(axis=0) > 0.0, np.maximum(start.shares, 0.0), 0.0) if start is not None else None
     if x0 is None or not x0.sum() > 0.0:
-        x0 = prefs.mean(axis=0)[supported]
-    x_sub, iters, converged = _ascend(prefs[:, supported], f, opts, _on_simplex(x0))
-    x = np.zeros(m)
-    x[supported] = x_sub
-    return _make_report(profile, x, f, iterations=iters, converged=converged, opts=opts)
+        x0 = np.maximum(prefs.mean(axis=0), 0.0)
+    x, pi, gap, iters = _ascend(prefs, f, opts, _on_simplex(x0))
+    return _report(x, pi, f.value(pi).sum(), gap, iters, opts)
 
 
 def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> SolveReport:
@@ -518,8 +509,10 @@ def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     filled = last // m + (np.arange(m) < last % m)
     x = kinks[filled, np.arange(m)]
     partial = last % m
-    x[partial] = 1.0 - np.delete(x, partial).sum()
-    return _make_report(profile, x, make_utility("identity"), iterations=0, converged=True, opts=opts)
+    x[partial] = max(1.0 - np.delete(x, partial).sum(), 0.0)
+    pi = overlap(prefs, x)
+    gap = _mrs_terms(x, pi, make_utility("identity"), *support_masks(prefs, x))[0]
+    return _report(x, pi, pi.sum(), gap, 0, opts)
 
 
 def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> SolveReport:
@@ -550,16 +543,17 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     m = profile.m
 
     uniform = np.full(m, 1.0 / m)
+    mean = prefs.mean(axis=0)
+    best_x, best_pi = uniform, overlap(prefs, uniform)
     seeds = []
-    for y in (uniform, prefs.mean(axis=0)):
-        worst = np.argsort(overlap(prefs, y), kind="stable")[: 2 * (m + 1)]
+    for y, pi in ((uniform, best_pi), (mean, overlap(prefs, mean))):
+        worst = np.argsort(pi, kind="stable")[: 2 * (m + 1)]
         seeds.append(_overlap_cuts(prefs[worst], y))
     cuts, rhs = (np.concatenate(parts) for parts in zip(*seeds))
     keys, first = np.unique(_cut_keys(cuts, rhs), return_index=True)
     lp = _CutLP(prefs.max(axis=0))
     lp.add(cuts[first], rhs[first])
 
-    best_x, best_min = uniform, float(overlap(prefs, uniform).min())
     upper = 1.0  # no overlap exceeds 1
     iterations = 0
     for _ in range(opts.max_iters):
@@ -571,9 +565,9 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
         x = np.maximum(x, 0.0)
         x /= x.sum()
         pi = overlap(prefs, x)
-        if pi.min() > best_min:
-            best_x, best_min = x, float(pi.min())
-        if upper - best_min <= opts.tol:
+        if pi.min() > best_pi.min():
+            best_x, best_pi = x, pi
+        if upper - best_pi.min() <= opts.tol:
             break
         new_cuts, new_rhs = _overlap_cuts(prefs[pi < t], x)
         new_keys, first = np.unique(_cut_keys(new_cuts, new_rhs), return_index=True)
@@ -583,16 +577,8 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
         keys = np.concatenate([keys, new_keys[fresh]])
         lp.add(new_cuts[first[fresh]], new_rhs[first[fresh]])
 
-    sats = SatisfactionVector(overlap(prefs, best_x))
-    gap = upper - sats.min()
-    return SolveReport(
-        allocation=Allocation(best_x),
-        satisfactions=sats,
-        objective=sats.min(),
-        mrs_gap=gap,
-        iterations=iterations,
-        converged=bool(gap <= opts.tol),
-    )
+    worst = float(best_pi.min())
+    return _report(best_x, best_pi, worst, upper - worst, iterations, opts)
 
 
 class _CutLP:

@@ -471,7 +471,7 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
                 duplicate_row_profile(seed, n, m),
             )
             for profile in profiles:
-                solving["prefs"] = profile.prefs[:, profile.prefs.max(axis=0) > 0.0]
+                solving["prefs"] = profile.prefs
                 for f in UTILITIES[:4]:
                     ct.solve_ctr(profile, f)
                     ct.solve_ctr(profile, f, start=ct.Allocation.uniform(m))

@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 import ctrules as ct
 import ctrules.solver as solver_module
 from ctrules.cli import ladder_rule
+from ctrules.core import overlap
 from helpers import (
     core_example_profile,
     dirichlet_profile,
@@ -94,6 +95,15 @@ def test_unsupported_alternative_gets_nothing():
     report = ct.solve_ctr(p, ct.make_utility("log"))
     assert report.converged
     assert report.allocation.shares[2] == 0.0
+
+
+def test_profile_supporting_one_alternative_gets_its_vertex_in_zero_steps():
+    p = ct.Profile([[0.0, 1.0, 0.0]] * 4)
+    for f in RULES:
+        for start in (None, ct.Allocation([0.5, 0.25, 0.25])):
+            report = ct.solve_ctr(p, f, start=start)
+            assert report.converged and report.iterations == 0
+            assert np.array_equal(report.allocation.shares, [0.0, 1.0, 0.0])
 
 
 def test_report_objective_matches_satisfactions():
@@ -675,6 +685,73 @@ def test_exhausted_budget_reports_best_iterate_unconverged():
     assert not report.converged
     assert report.mrs_gap > 1e-7
     assert abs(report.allocation.shares.sum() - 1.0) <= 1e-9
+
+
+def test_solve_capped_at_the_steps_it_needs_is_certified():
+    """The cap ends the polish after its last step, not before the gap of
+    the point that step reached is known."""
+    p = ct.Profile(np.random.default_rng(123).dirichlet(np.ones(6), size=10))
+    f = ct.make_utility("log")
+    assert ct.solve_ctr(p, f).iterations == 23
+    capped = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=23))
+    assert capped.iterations == 23 and capped.converged
+    assert capped.mrs_gap <= ct.SolverOptions().tol
+    short = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=22))
+    assert short.iterations == 22 and not short.converged
+
+
+def report_recheck_solves():
+    """Seeded (profile, f, opts, start) solves that end every way a rule
+    solve can: certified cold and warm, at m = 20 and with an unsupported
+    or a single supported column, capped, and stopped on a repeated state."""
+    log, neg3 = ct.make_utility("log"), ct.make_utility("negpower", p=3.0)
+    default = ct.SolverOptions()
+    for seed in (1, 2):
+        wide = dirichlet_profile(seed, 300, 20, conc=0.5)
+        yield wide, log, default, None
+        yield wide, neg3, default, ct.Allocation.uniform(20)
+    rows = np.random.default_rng(5).dirichlet(np.ones(4), size=9)
+    unsupported = ct.Profile(np.hstack([rows, np.zeros((9, 1))]))
+    for f in CERTIFIED_KINDS:
+        yield unsupported, f, default, None
+        yield unsupported, f, default, ct.Allocation([0.1, 0.2, 0.3, 0.2, 0.2])
+    single = ct.Profile([[0.0, 1.0, 0.0]] * 4)
+    yield single, log, default, None
+    yield single, neg3, default, ct.Allocation([0.5, 0.25, 0.25])
+    needs_23 = ct.Profile(np.random.default_rng(123).dirichlet(np.ones(6), size=10))
+    for cap in (1, 3, 22, 23):
+        yield needs_23, log, ct.SolverOptions(max_iters=cap), None
+    rng = np.random.default_rng(10053)
+    n, m = rng.integers(1, 25), rng.integers(2, 7)
+    yield ct.Profile(rng.dirichlet(np.full(m, 0.3), size=n)), ct.make_utility("negexppower", p=3.0), default, None
+    yield dirichlet_profile(4, 8, 5), log, ct.SolverOptions(tol=1e-14), None
+
+
+def assert_report_rechecks(profile, f, report, tol):
+    """The report's certificate, satisfactions and objective equal their
+    recomputation from the profile and the reported allocation bit for bit."""
+    sats = report.satisfactions.values
+    assert report.mrs_gap == ct.mrs_gap(profile, report.allocation, f)
+    assert np.array_equal(sats, overlap(profile.prefs, report.allocation.shares))
+    assert report.objective == f.value(sats).sum()
+    assert report.converged == (report.mrs_gap <= tol)
+
+
+def test_every_report_equals_its_recomputation_bit_for_bit():
+    outcomes = set()
+    identity = ct.make_utility("identity")
+    for profile, f, opts, start in report_recheck_solves():
+        report = ct.solve_ctr(profile, f, opts, start=start)
+        assert_report_rechecks(profile, f, report, opts.tol)
+        outcomes.add((profile.m, report.converged, report.iterations == opts.max_iters))
+        util = ct.solve_utilitarian(profile, opts)
+        assert_report_rechecks(profile, identity, util, opts.tol)
+        egal = ct.solve_egalitarian(profile, opts)
+        assert np.array_equal(egal.satisfactions.values, overlap(profile.prefs, egal.allocation.shares))
+        assert egal.objective == egal.satisfactions.min()
+        assert egal.converged == (egal.mrs_gap <= opts.tol)
+    # certified and uncertified, capped and not, and the 300 x 20 solves all ran
+    assert {(20, True, False), (6, False, True), (6, True, True), (4, False, False)} <= outcomes
 
 
 def test_polish_that_returns_to_an_earlier_state_stops():
