@@ -93,11 +93,15 @@ def check_prop(profile: Profile, x: Allocation) -> AxiomReport:
 def cohesive_groups(profile: Profile, sats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Capped cohesion and mean satisfaction of every nonempty agent subset.
 
-    Entry k of both arrays is the subset with bitmask k + 1 (bit i is agent
+    Entry k of both tables is the subset with bitmask k + 1 (bit i is agent
     i).  ``alpha`` is min(alpha_S, |S|/n), where alpha_S is the mass of the
     intersection of the members' ideals; ``mean`` averages ``sats`` over the
-    members.  The table doubles over agents: masks in [2^i, 2^(i+1)) are the
-    masks below 2^i joined by agent i.  Time is O(2^n m), memory O(2^n).
+    members.  sats may also hold one row of satisfactions per allocation,
+    such as the rungs of a lambda ladder: ``mean`` then has one row per row
+    of sats, and the cohesion table, which depends on the profile alone, is
+    built once for all of them.  The tables double over agents: masks in
+    [2^i, 2^(i+1)) are the masks below 2^i joined by agent i.  Time is
+    O(2^n (m + r)) and memory O(2^n (r + 2)) for r rows of sats.
     """
     n = profile.n
     if n > MAX_SUBSET_AGENTS:
@@ -110,12 +114,17 @@ def cohesive_groups(profile: Profile, sats: np.ndarray) -> tuple[np.ndarray, np.
         for i in range(n):
             np.minimum(col[: 1 << i], column[i], out=col[1 << i : 2 << i])
         alpha += col
-    total = np.zeros(size)
-    count = np.zeros(size)
+    # the mean table reuses col as the member counts, and the sums of its
+    # rows become their means in place
+    sats = np.asarray(sats, dtype=float)
+    total = np.zeros(sats.shape[:-1] + (size,))
+    count = col
+    count[0] = 0.0
     for i in range(n):
-        total[1 << i : 2 << i] = total[: 1 << i] + sats[i]
-        count[1 << i : 2 << i] = count[: 1 << i] + 1.0
-    return np.minimum(alpha[1:], count[1:] / n), total[1:] / count[1:]
+        np.add(total[..., : 1 << i], sats[..., i, None], out=total[..., 1 << i : 2 << i])
+        np.add(count[: 1 << i], 1.0, out=count[1 << i : 2 << i])
+    mean = np.divide(total[..., 1:], count[1:], out=total[..., 1:])
+    return np.minimum(alpha[1:], count[1:] / n, out=alpha[1:]), mean
 
 
 def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:

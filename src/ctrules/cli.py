@@ -11,6 +11,7 @@ rejected.  Exit codes: 0 success, 1 I/O or parse failure, 2 non-convergence
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -280,21 +281,27 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _afs_worst_ratio(profile: Profile, sats: np.ndarray, lam: float) -> float:
-    """Worst group mean-satisfaction over its target share.
+def _afs_worst_ratios(profile: Profile, sats: np.ndarray, lambdas: list[float]) -> list[float]:
+    """Worst group mean-satisfaction over its target share, for each rung:
+    row r of sats holds the satisfactions at lambdas[r].
 
     Targets alpha^(1/lambda) for lambda <= 1 (the certified guarantee) and
     plain alpha above 1, where only the exact fair-share target is a
-    meaningful yardstick.
+    meaningful yardstick.  The cohesion table does not depend on the rung,
+    so one ``cohesive_groups`` call serves every rung.
     """
-    alpha, mean = ax.cohesive_groups(profile, sats)
+    alpha, means = ax.cohesive_groups(profile, sats)
     cohesive = alpha > 0.0
-    alpha, mean = alpha[cohesive], mean[cohesive]
-    target = bd.afs_bound(alpha, lam) if lam <= 1.0 else alpha
-    # at small lambda alpha^(1/lambda) underflows to 0 for the weaker groups,
-    # whose ratio is then inf
-    ratio = np.divide(mean, target, out=np.full_like(mean, np.inf), where=target > 0.0)
-    return float(np.min(ratio))
+    alpha = alpha[cohesive]
+    worst = []
+    for lam, mean in zip(lambdas, means):
+        mean = mean[cohesive]
+        target = bd.afs_bound(alpha, lam) if lam <= 1.0 else alpha
+        # at small lambda alpha^(1/lambda) underflows to 0 for the weaker
+        # groups, whose ratio is then inf
+        ratio = np.divide(mean, target, out=np.full_like(mean, np.inf), where=target > 0.0)
+        worst.append(float(np.min(ratio)))
+    return worst
 
 
 def cmd_sweep(args) -> int:
@@ -311,6 +318,7 @@ def cmd_sweep(args) -> int:
         seed = int(meta.get("seed", -1))
         util_ref = solve_utilitarian(profile, opts)
         egal_ref = solve_egalitarian(profile, opts)
+        rungs = []
         report = None
         for lam in lambdas:
             f = ladder_rule(lam)
@@ -318,6 +326,13 @@ def cmd_sweep(args) -> int:
             report = solve_ctr(profile, f, opts, start=report.allocation if report else None)
             if not (report.converged and util_ref.converged and egal_ref.converged):
                 unconverged.append(f"{path.name}@lambda={lam:g}")
+            rungs.append((lam, f, report))
+        afs_worst = (
+            _afs_worst_ratios(profile, np.array([r.satisfactions.values for _, _, r in rungs]), lambdas)
+            if profile.n <= ax.MAX_SUBSET_AGENTS
+            else [np.nan] * len(rungs)
+        )
+        for (lam, f, report), afs in zip(rungs, afs_worst):
             sats = report.satisfactions.values
             wl_emp = bd.welfare_loss(profile, report.allocation, util_ref)
             el_emp = bd.egalitarian_loss(profile, report.allocation, egal_ref)
@@ -325,9 +340,6 @@ def cmd_sweep(args) -> int:
             # there, as afs_worst does past the subset guard
             el_bound = bd.gamma(profile.m, profile.n, lam)[0] if profile.n >= 2 else np.nan
             share_bound = bd.ifs_share_bound(lam, profile.m, profile.n) if profile.n >= 2 else np.nan
-            afs_worst = (
-                _afs_worst_ratio(profile, sats, lam) if profile.n <= ax.MAX_SUBSET_AGENTS else np.nan
-            )
             row = [
                 _fmt(lam),
                 rule_label(f),
@@ -340,7 +352,7 @@ def cmd_sweep(args) -> int:
                 _fmt(el_bound),
                 _fmt(float(sats.min())),
                 _fmt(share_bound),
-                _fmt(afs_worst),
+                _fmt(afs),
             ]
             lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
@@ -382,7 +394,10 @@ def cmd_oracle_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ctr`` parser, built once per process: ``main`` only reads it,
+    and each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ctr",
         description="Budget-aggregation rules with concave utilities: solve, check axioms, evaluate bounds.",

@@ -111,17 +111,28 @@ def _line_block(prefix: list[int], t: np.ndarray, remaining: int, parts: int) ->
     return block
 
 
-def _triangle_block(prefix: list[int], remaining: int, parts: int) -> np.ndarray:
+def _triangle(remaining: int) -> np.ndarray:
+    """Every (a, b, remaining - a - b) with a + b <= remaining, in lex order,
+    as the rows of an integer array."""
     counts = np.arange(remaining + 1, 0, -1)
     a = np.repeat(np.arange(remaining + 1), counts)
     starts = np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
     b = np.arange(a.size) - starts
-    block = np.empty((a.size, parts), dtype=np.int64, order="F")
+    return np.column_stack((a, b, remaining - a - b))
+
+
+def _triangle_block(largest: np.ndarray, prefix: list[int], remaining: int, parts: int) -> np.ndarray:
+    """The triangle of ``remaining`` under prefix, sliced from ``largest``,
+    the triangle of some R >= remaining: the rows of largest whose first
+    coordinate is at least R - remaining are its last
+    (remaining + 1)(remaining + 2)/2 rows, and with that coordinate lowered
+    by R - remaining they are the smaller triangle in order."""
+    tail = largest[len(largest) - (remaining + 1) * (remaining + 2) // 2 :]
+    block = np.empty((len(tail), parts), dtype=np.int64, order="F")
     if prefix:
         block[:, : len(prefix)] = prefix
-    block[:, -3] = a
-    block[:, -2] = b
-    block[:, -1] = remaining - a - b
+    block[:, -3:] = tail
+    block[:, -3] -= largest[0, 2] - remaining
     return block
 
 
@@ -137,15 +148,20 @@ def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
     if spec.m == 1:
         yield np.array([[spec.steps]])
         return
+    # the first triangle the walk reaches is its largest, built once
+    largest = None
 
     def rec(prefix: list[int], remaining: int, left: int) -> Iterator[np.ndarray]:
+        nonlocal largest
         if left == 2:
             for start in range(0, remaining + 1, _BLOCK_ROW_CAP):
                 t = np.arange(start, min(start + _BLOCK_ROW_CAP, remaining + 1))
                 yield _line_block(prefix, t, remaining, spec.m)
             return
         if left == 3 and (remaining + 1) * (remaining + 2) // 2 <= _BLOCK_ROW_CAP:
-            yield _triangle_block(prefix, remaining, spec.m)
+            if largest is None or largest[0, 2] < remaining:
+                largest = _triangle(remaining)
+            yield _triangle_block(largest, prefix, remaining, spec.m)
             return
         for a in range(remaining + 1):
             yield from rec(prefix + [a], remaining - a, left - 1)

@@ -19,14 +19,28 @@ the agents whose satisfaction can change that far, and sorts every kink
 only when its gallop passes them; its probes and landings are those of a
 search over every kink and agent, bit for bit.  Between kinks the support
 pattern is fixed, and a safeguarded Newton iteration finds the smooth stop.
+
+Pair steps are first order, so on a smooth face they zigzag between pairs.
+After two smooth stops in a row, when the pair lies on the free face F =
+{j : x_j > 0, no agent tied at x_j}, the polish takes a projected Newton
+step instead (Bertsekas 1982): on F the satisfactions are affine in x_F,
+so the objective's gradient and Hessian there are f'(pi) and f''(pi)
+carried through the supporters, and the Newton direction solves the system
+reduced to sum(d) = 0, on its range when singular (columns whose
+supporters add up alike leave flat exchanges).  Its exact line search
+lands on the first kink or zero along the direction, snapped to that
+value, or stops smoothly with the pair search's safeguarded Newton
+iteration.  A step with no predicted gain above rounding, or that moves
+x only at the rounding level, is left to the pair search.
+
 The polish works on the profile's column-major prefs over all m columns
 (an alternative no agent supports has no strict marginal contribution, so
 it never gains mass).  It builds the support masks and the elementwise
 minima min(ideal_ij, x_j), whose row sums are the satisfactions, once;
-after each step it recomputes only the two columns the step moved.  A step
-that leaves x unchanged or returns it to its value two steps earlier ends
-the polish: the step is a function of x alone, so such a polish would cycle
-without ever certifying.
+after each step it recomputes only the columns the step moved.  A step
+that returns the polish to a state it held within the last few steps ends
+it: the step is a function of x and of the count of smooth stops before
+it, so such a polish would cycle without ever certifying.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -64,6 +78,7 @@ satisfaction is a true optimality gap, reported as ``mrs_gap``;
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -91,6 +106,13 @@ _STALL_WINDOW = 300
 # Its landing is usually among the first few, which the gallop reaches in a
 # few probes; it sorts every kink only when its gallop would pass these.
 _KINK_PREFIX = 32
+# The Newton step drops the eigenvalues of its unit-diagonal reduced system
+# below this fraction of the largest: their directions are the face's flat
+# exchanges, along which no satisfaction moves.
+_SINGULAR = 1e-12
+# The polish stops on a state (x, smooth-stop count) that it reached within
+# this many steps before.
+_CYCLE = 8
 
 
 @dataclass(frozen=True)
@@ -317,35 +339,161 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
 
     # smooth sign change inside (lo_d, hi_d).  No breakpoint lies inside, so
     # the support pattern a_i = [cj_i > xj + d] - [ck_i > xk - d] is fixed
-    # there: phi'(d) = sum_i f'(p_i) a_i and phi''(d) = sum_i f''(p_i) a_i^2,
-    # summed over the agents with a_i != 0 (where a_i^2 = 1).  Newton steps
-    # from lo keep the sign bracket [lo, hi] and fall back to bisection when
-    # a step leaves it or phi'' is not negative.  A step below one ulp of
-    # xj + xk no longer changes the moved shares, so it ends the search.
-    lo, hi = lo_d, hi_d
-    centre = 0.5 * (lo + hi)
+    # there; only the agents with a_i != 0 move.  A step below one ulp of
+    # xj + xk no longer changes the moved shares.
+    centre = 0.5 * (lo_d + hi_d)
     a = (cj > xj + centre).astype(float) - (ck > xk - centre)
     act = np.flatnonzero(a)
     a, cj, ck, pi, base_j, base_k = a[act], cj[act], ck[act], pi[act], base_j[act], base_k[act]
-    ulps = math.ulp(xj + xk)
-    d = lo
+
+    def sats(d: float) -> np.ndarray:
+        return pi + (np.minimum(cj, xj + d) - base_j) + (np.minimum(ck, xk - d) - base_k)
+
+    return _smooth_stop(f, sats, a, lo_d, hi_d, math.ulp(xj + xk)), (None, None)
+
+
+def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: float, ulps: float) -> float:
+    """The root of phi'(t) = f'(sats(t)) @ rate inside (lo, hi), where the
+    satisfactions sats(t) move at the fixed rates ``rate`` (no kink lies
+    inside), phi'(lo) > 0 and phi'(hi) <= 0.
+
+    phi''(t) = f''(sats(t)) @ rate^2.  Newton steps from lo keep the sign
+    bracket [lo, hi] and fall back to bisection when a step leaves it or
+    phi'' is not negative; a step of at most ulps ends the search.  Both
+    line searches stop this way: a pair exchange, whose rates are +-1 (so
+    rate^2 is exactly 1), and a Newton direction.
+    """
+    square = rate * rate
+    t = lo
     for _ in range(80):
-        p = pi + (np.minimum(cj, xj + d) - base_j) + (np.minimum(ck, xk - d) - base_k)
-        slope = float(f.deriv(p) @ a)
-        curve = float(f.second(p).sum())
+        p = sats(t)
+        slope = float(f.deriv(p) @ rate)
+        curve = float((f.second(p) * square).sum())
         if slope > 0.0:
-            lo = d
+            lo = t
         else:
-            hi = d
-        nxt = d - slope / curve if math.isfinite(curve) and curve < 0.0 else math.nan
-        if abs(nxt - d) <= ulps:
-            return min(max(nxt, lo), hi), (None, None)
+            hi = t
+        nxt = t - slope / curve if math.isfinite(curve) and curve < 0.0 else math.nan
+        if abs(nxt - t) <= ulps:
+            return min(max(nxt, lo), hi)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
             if hi - lo <= ulps:
-                return nxt, (None, None)
-        d = nxt
-    return d, (None, None)
+                return nxt
+        t = nxt
+    return t
+
+
+def _newton_direction(f: UtilityFunction, pi: np.ndarray, supp: np.ndarray) -> np.ndarray | None:
+    """The Newton direction d, with sum(d) = 0 and max |d_j| = 1, on a face
+    whose satisfactions move at the rates supp @ d; None when its predicted
+    gain is not above rounding.
+
+    supp holds the strict supporters (0/1 floats) of the face's columns.
+    On the face the objective has the gradient g = f'(pi) @ supp and the
+    Hessian -Q, Q = supp^T diag(-f''(pi)) supp.  With d = (z, -sum z),
+    eliminating the column r whose supporters carry the least curvature, z
+    solves (Z^T Q Z) z = Z^T g, where the columns of supp Z are supp_a -
+    supp_r.  The reduced system is solved on its range: scaled to a unit
+    diagonal, its eigenvalues below _SINGULAR of the largest are dropped.
+    Their directions (two columns with the same supporters, or supporter
+    sets that add up alike) move no satisfaction, so the objective is flat
+    along them; a face with no other direction has none.  The predicted
+    gain g @ d must exceed n eps sum_j |g_j d_j|, about the rounding of g.
+    """
+    weight = -f.second(pi)
+    r = int(np.argmin(weight @ supp))
+    cols = np.arange(supp.shape[1]) != r
+    reduced = supp[:, cols] - supp[:, [r]]
+    system = reduced.T @ (reduced * weight[:, None])
+    diag = np.diag(system)
+    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag), where=diag > 0.0)
+    vals, vecs = np.linalg.eigh(system * scale[:, None] * scale)
+    if not vals[-1] > 0.0:
+        return None
+    kept = vals > _SINGULAR * vals[-1]
+    vals, vecs = vals[kept], vecs[:, kept]
+    grad = f.deriv(pi) @ supp
+    z = vecs @ (((grad[cols] - grad[r]) * scale) @ vecs / vals) * scale
+    d = np.empty(supp.shape[1])
+    d[cols] = z
+    d[r] = -z.sum()
+    if not grad @ d > len(pi) * np.finfo(float).eps * (np.abs(grad) @ np.abs(d)):
+        return None
+    return d / np.abs(d).max()
+
+
+def _ray_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, supp: np.ndarray, d: np.ndarray):
+    """Maximize the objective along x + t d for t from 0 to the first kink.
+
+    prefs, x and d hold the face's columns (max |d_j| = 1), supp their
+    strict supporters (0/1 floats), and no agent is tied with any x_j.  Up
+    to the first kink the satisfactions are pi + t (supp @ d).  The first
+    kink is the nearest value, over the columns, that x_j reaches moving
+    along d_j: the smallest ideal share above x_j when it grows, the
+    largest below x_j (or zero) when it shrinks.  Returns (t, c, v): when
+    the objective still rises into the first kink, t is its step and column
+    c lands on v (an ideal share, or zero); otherwise t is the smooth stop
+    before it, and c and v are None.
+    """
+    rate = supp @ d
+    above = np.where(supp > 0.0, prefs, np.inf).min(axis=0)
+    below = np.maximum(np.where(supp > 0.0, -np.inf, prefs).max(axis=0), 0.0)
+    target = np.where(d > 0.0, above, below)
+    steps = np.divide(target - x, d, out=np.full_like(d, np.inf), where=d != 0.0)
+    c = int(np.argmin(steps))
+    end = float(steps[c])
+    act = np.flatnonzero(rate)
+    rate, pi = rate[act], pi[act]
+    if float(f.deriv(pi + end * rate) @ rate) >= 0.0:
+        return end, c, float(target[c])
+
+    def sats(t: float) -> np.ndarray:
+        return pi + t * rate
+
+    return _smooth_stop(f, sats, rate, 0.0, end, math.ulp(x.sum())), None, None
+
+
+def _newton_step(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, down: np.ndarray, j: int, k: int):
+    """A Newton step on the free face of x: (the point it reaches, whether
+    it stopped smoothly), or None when it is not taken.
+
+    The free face is F = {j : x_j > 0, no agent tied at x_j}; near x the
+    satisfactions are affine in x_F.  The step is taken only when the MRS
+    pair (j, k) lies in F: otherwise the gap is held by a column at zero or
+    on a kink, which only a pair step moves (at the optimum of its face the
+    pairs inside F have no gap).  It searches along ``_newton_direction``
+    with ``_ray_search``, and a landing column takes its kink or zero value
+    exactly.  The largest other share of F then takes what keeps sum(x_F)
+    unchanged, so the step changes the sum of x only by rounding, as a pair
+    step does.  A smooth stop no farther than one ulp of sum(x_F), the
+    resolution of its search, and a step that leaves x unchanged are not
+    taken: at the rounding floor such steps would only shuffle last bits.
+    """
+    free = (x > 0.0) & (up.sum(axis=0) == down.sum(axis=0))
+    if not (free[j] and free[k]):
+        return None
+    free = np.flatnonzero(free)
+    supp = up[:, free]
+    d = _newton_direction(f, pi, supp)
+    if d is None:
+        return None
+    old = x[free]
+    t, c, v = _ray_search(prefs[:, free], old, pi, f, supp, d)
+    # a smooth stop within the search's resolution of 0 is rounding noise
+    if not (t > 0.0 if c is not None else t > math.ulp(old.sum())):
+        return None
+    new = np.maximum(old + t * d, 0.0)
+    if c is not None:
+        new[c] = v
+    b = int(np.argmax(np.where(np.arange(len(free)) == c, -np.inf, new)))
+    new[b] = 0.0
+    new[b] = max(old.sum() - new.sum(), 0.0)
+    moved = x.copy()
+    moved[free] = new
+    if np.array_equal(moved, x):
+        return None
+    return moved, c is None
 
 
 def _apply_move(x: np.ndarray, j: int, k: int, d: float, landing) -> np.ndarray:
@@ -373,25 +521,30 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
     """Exchange polish of a profile's prefs from x, any point of the
     simplex, until the MRS certificate passes.
 
-    The support masks are built once, as 0/1 floats (a bool mask would be
-    cast on every product with f'), and so are the minima min(prefs, x),
-    in the profile's column-major layout; after each step only the columns
-    j and k it moved are recomputed, with the comparisons of
-    ``support_masks``.  The satisfactions are the row sums of the minima,
-    which equal ``overlap`` bit for bit at a fraction of its cost (a
-    running update of them would drift by rounding), so the gap equals
-    ``mrs_gap`` at the same point.  The polish also ends, uncertified, when
-    a step leaves x unchanged or returns it to its value two steps earlier
-    (the step is a function of x alone, so the polish would repeat
-    forever), when its gap stalls, when the line search makes no move, and
-    after max_iters steps.  A step changes the sum of x only by rounding.
+    Each step is a pair step along the MRS pair (j, k), or a Newton step
+    (``_newton_step``) when the last two steps stopped smoothly; a Newton
+    step that is not taken leaves the step to the pair search.  The support
+    masks are built once, as 0/1 floats (a bool mask would be cast on every
+    product with f'), and so are the minima min(prefs, x), in the profile's
+    column-major layout; after each step only the columns it moved (j and
+    k, or the free columns a Newton step moved) are recomputed, with the
+    comparisons of ``support_masks``.  The satisfactions are the row sums
+    of the minima, which equal ``overlap`` bit for bit at a fraction of its
+    cost (a running update of them would drift by rounding), so the gap
+    equals ``mrs_gap`` at the same point.  The polish also ends,
+    uncertified, when a step returns it to a state (x, smooth-stop count)
+    it held within the last _CYCLE steps (the step is a function of that
+    state, so the polish would repeat forever), when its gap stalls, when
+    the line search makes no move, and after max_iters steps.  A step
+    changes the sum of x only by rounding.
 
     Returns (x, pi, gap, iterations): the point the polish stopped at, its
     satisfactions and MRS gap, and the number of polish steps.
     """
     up, down = (mask.astype(float) for mask in support_masks(prefs, x))
     mins = np.minimum(prefs, x)
-    before = x
+    smooth = 0
+    recent = collections.deque([(x.tobytes(), smooth)], maxlen=_CYCLE)
     iters = 0
     repeated = False
     stall = 0
@@ -408,14 +561,20 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
             stall += 1
             if stall > _STALL_WINDOW:
                 return x, pi, gap, iters
-        d, landing = _line_search(prefs, x, pi, f, j, k)
-        if d <= 0.0:
-            return x, pi, gap, iters
-        moved = _apply_move(x, j, k, d, landing)
+        step = _newton_step(prefs, x, pi, f, up, down, j, k) if smooth == 2 else None
+        if step is None:
+            d, landing = _line_search(prefs, x, pi, f, j, k)
+            if d <= 0.0:
+                return x, pi, gap, iters
+            step = _apply_move(x, j, k, d, landing), landing[0] is None
+        moved, smoothly = step
+        after = min(smooth + 1, 2) if smoothly else 0
         iters += 1
-        repeated = np.array_equal(moved, x) or np.array_equal(moved, before)
-        before, x = x, moved
-        for c in (j, k):
+        state = (moved.tobytes(), after)
+        repeated = state in recent
+        recent.append(state)
+        before, x, smooth = x, moved, after
+        for c in np.flatnonzero(x != before).tolist():
             mins[:, c] = np.minimum(prefs[:, c], x[c])
             col = prefs[:, c] - x[c]
             up[:, c] = col > EQUALITY_TOL

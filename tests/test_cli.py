@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ctrules as ct
-from ctrules.cli import AXIOMS, BOUNDS, RULES, ladder_rule, load_profile, main, save_profile
+from ctrules.cli import AXIOMS, BOUNDS, RULES, build_parser, ladder_rule, load_profile, main, save_profile
 
 SP_DOC = {"n": 2, "m": 2, "prefs": [[0.5, 0.5], [0.0, 1.0]]}
 CORE_DOC = {
@@ -645,6 +645,18 @@ def help_text(capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     return " ".join(capsys.readouterr().out.split())
+
+
+def test_parser_is_built_once_and_each_parse_starts_afresh(capsys):
+    assert build_parser() is build_parser()
+    assert main(["bounds", "--which", "wl", "--lambda", "2", "--m", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["params"] == {"lambda": 2.0, "m": 5}
+    # the second parse takes the default m, not the first call's value
+    assert main(["bounds", "--which", "wl", "--lambda", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["params"] == {"lambda": 2.0, "m": 2}
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--which", "wl"])
+    assert exc.value.code == 2 and "required: --lambda" in capsys.readouterr().err
 
 
 def test_help_lists_exactly_the_table_names(capsys):

@@ -138,6 +138,46 @@ def test_no_block_exceeds_the_row_cap(m, res):
     assert sum(sizes) == ct.GridSpec(m, res).num_points()
 
 
+def rebuilt_triangle_block(prefix, remaining, parts):
+    """A triangle block built anew for its prefix, as every block
+    was before they were sliced from the walk's largest triangle."""
+    counts = np.arange(remaining + 1, 0, -1)
+    a = np.repeat(np.arange(remaining + 1), counts)
+    starts = np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+    b = np.arange(a.size) - starts
+    block = np.empty((a.size, parts), dtype=np.int64, order="F")
+    if prefix:
+        block[:, : len(prefix)] = prefix
+    block[:, -3] = a
+    block[:, -2] = b
+    block[:, -1] = remaining - a - b
+    return block
+
+
+@pytest.mark.parametrize("m,res", [(3, 0.05), (4, 0.05), (4, 1 / 12), (5, 0.1), (6, 0.25)])
+def test_sliced_triangles_equal_rebuilt_ones(monkeypatch, m, res):
+    rebuilt = []
+    slicing = ct.oracle._triangle_block
+
+    def both(largest, prefix, remaining, parts):
+        block = slicing(largest, prefix, remaining, parts)
+        reference = rebuilt_triangle_block(prefix, remaining, parts)
+        assert block.dtype == reference.dtype and block.flags.f_contiguous
+        assert np.array_equal(block, reference), (prefix, remaining)
+        rebuilt.append(remaining)
+        return block
+
+    monkeypatch.setattr(ct.oracle, "_triangle_block", both)
+    blocks = list(ct.oracle._composition_chunks(ct.GridSpec(m, res)))
+    assert sum(len(block) for block in blocks) == ct.GridSpec(m, res).num_points()
+    assert len(rebuilt) == math.comb(ct.GridSpec(m, res).steps + m - 3, m - 3)
+    largest = ct.oracle._triangle(13)
+    for remaining in range(14):
+        for prefix in ([], [2], [0, 5]):
+            block = ct.oracle._triangle_block(largest, prefix, remaining, len(prefix) + 3)
+            assert np.array_equal(block, rebuilt_triangle_block(prefix, remaining, len(prefix) + 3))
+
+
 def test_capped_blocks_give_the_uncapped_results(monkeypatch):
     f = ct.make_utility("log")
     spec = ct.GridSpec(2, 0.05)

@@ -692,12 +692,19 @@ def test_solve_capped_at_the_steps_it_needs_is_certified():
     the point that step reached is known."""
     p = ct.Profile(np.random.default_rng(123).dirichlet(np.ones(6), size=10))
     f = ct.make_utility("log")
-    assert ct.solve_ctr(p, f).iterations == 23
-    capped = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=23))
-    assert capped.iterations == 23 and capped.converged
+    assert ct.solve_ctr(p, f).iterations == 10
+    capped = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=10))
+    assert capped.iterations == 10 and capped.converged
     assert capped.mrs_gap <= ct.SolverOptions().tol
-    short = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=22))
-    assert short.iterations == 22 and not short.converged
+    short = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=9))
+    assert short.iterations == 9 and not short.converged
+
+
+def cycling_profile(case: int) -> ct.Profile:
+    """Case `case` of the certificate scan's Dirichlet-0.3 rows."""
+    rng = np.random.default_rng(10000 + case)
+    n, m = rng.integers(1, 25), rng.integers(2, 7)
+    return ct.Profile(rng.dirichlet(np.full(m, 0.3), size=n))
 
 
 def report_recheck_solves():
@@ -718,12 +725,10 @@ def report_recheck_solves():
     single = ct.Profile([[0.0, 1.0, 0.0]] * 4)
     yield single, log, default, None
     yield single, neg3, default, ct.Allocation([0.5, 0.25, 0.25])
-    needs_23 = ct.Profile(np.random.default_rng(123).dirichlet(np.ones(6), size=10))
-    for cap in (1, 3, 22, 23):
-        yield needs_23, log, ct.SolverOptions(max_iters=cap), None
-    rng = np.random.default_rng(10053)
-    n, m = rng.integers(1, 25), rng.integers(2, 7)
-    yield ct.Profile(rng.dirichlet(np.full(m, 0.3), size=n)), ct.make_utility("negexppower", p=3.0), default, None
+    needs_10 = ct.Profile(np.random.default_rng(123).dirichlet(np.ones(6), size=10))
+    for cap in (1, 3, 9, 10):
+        yield needs_10, log, ct.SolverOptions(max_iters=cap), None
+    yield cycling_profile(77), ct.make_utility("negexppower", p=3.0), default, None
     yield dirichlet_profile(4, 8, 5), log, ct.SolverOptions(tol=1e-14), None
 
 
@@ -755,17 +760,26 @@ def test_every_report_equals_its_recomputation_bit_for_bit():
 
 
 def test_polish_that_returns_to_an_earlier_state_stops():
-    """A polish step is a function of x alone, so a polish that returns x to
-    its value one or two steps earlier would cycle forever: it stops there,
-    uncertified, instead of running out the 300-step stall window."""
-    rng = np.random.default_rng(10053)
-    n, m = rng.integers(1, 25), rng.integers(2, 7)
-    profile = ct.Profile(rng.dirichlet(np.full(m, 0.3), size=n))
-    assert (profile.n, profile.m) == (7, 4)
-    report = ct.solve_ctr(profile, ct.make_utility("negexppower", p=3.0))
+    """A polish step is a function of x and of the count of smooth stops
+    before it, so a polish that returns to a state it held within the last
+    solver._CYCLE steps would cycle forever: it stops there, uncertified,
+    instead of running out the 300-step stall window.  The first profile
+    returns to its state two steps earlier; the second cycles through three
+    states, which a comparison with the last two alone runs out."""
+    f = ct.make_utility("negexppower", p=3.0)
+    profile = cycling_profile(229)
+    assert (profile.n, profile.m) == (7, 3)
+    report = ct.solve_ctr(profile, f)
     assert not report.converged
-    assert report.mrs_gap == pytest.approx(2.459e-7, rel=1e-3)
+    assert report.mrs_gap == pytest.approx(5.066e-7, rel=1e-3)
     assert report.iterations < 100
+    three = cycling_profile(5)
+    assert (three.n, three.m) == (9, 3)
+    report = ct.solve_ctr(three, f)
+    assert not report.converged and report.iterations < 100
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_CYCLE", 2)
+        assert ct.solve_ctr(three, f).iterations > 300
 
 
 def test_solver_options_validation():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ctrules as ct
-from ctrules.cli import _afs_worst_ratio
+from ctrules.cli import _afs_worst_ratios, main
 
 NASH = ct.make_utility("log")
 SQRT = ct.make_utility("power", p=0.5)  # inequality aversion exactly 1/2
@@ -95,13 +95,45 @@ def test_verify_bounds_afs_margin_matches_reference():
 
 
 def test_sweep_worst_ratio_matches_reference():
+    lambdas = [0.5, 1.0, 2.0]
     for p, x in CORPUS:
         sats = ct.satisfaction_vector(p, x).values
         table = reference_groups(p.prefs, sats)
-        for lam in (0.5, 1.0, 2.0):
+        worst = _afs_worst_ratios(p, np.array([sats] * len(lambdas)), lambdas)
+        for lam, got in zip(lambdas, worst):
             ratio = min(
                 mean / (alpha ** (1.0 / lam) if lam <= 1.0 else alpha)
                 for alpha, mean, _ in table.values()
                 if alpha > 0.0
             )
-            assert _afs_worst_ratio(p, sats, lam) == pytest.approx(ratio, rel=1e-12)
+            assert got == pytest.approx(ratio, rel=1e-12)
+
+
+def test_table_of_several_rows_equals_the_table_of_each_row():
+    """Rows of satisfactions (the rungs of a sweep) share one cohesion
+    table; each row's means equal those of a one-row call bit for bit."""
+    rng = np.random.default_rng(5)
+    for p, _ in CORPUS:
+        rows = np.array([ct.satisfaction_vector(p, ct.Allocation(rng.dirichlet(np.ones(p.m)))).values for _ in range(4)])
+        alpha, means = ct.cohesive_groups(p, rows)
+        assert means.shape == (4, (1 << p.n) - 1)
+        for row, mean in zip(rows, means):
+            one_alpha, one_mean = ct.cohesive_groups(p, row)
+            assert np.array_equal(alpha, one_alpha) and np.array_equal(mean, one_mean)
+
+
+def test_sweep_builds_the_cohesion_table_once_per_profile(tmp_path, monkeypatch):
+    calls = []
+    table = ct.axioms.cohesive_groups
+
+    def counting(profile, sats):
+        calls.append(np.shape(sats))
+        return table(profile, sats)
+
+    monkeypatch.setattr(ct.axioms, "cohesive_groups", counting)
+    for seed in (1, 2):
+        assert main(["gen", "--kind", "dirichlet:1.0", "--n", "5", "--m", "3", "--seed", str(seed), "--out", str(tmp_path / f"p{seed}.json")]) == 0
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--profile-dir", str(tmp_path), "--lambda-grid", "0.25:4:5", "--out", str(out)]) == 0
+    assert calls == [(5, 5), (5, 5)]
+    assert len(out.read_text().splitlines()) == 11
