@@ -22,7 +22,6 @@ from .solver import SolverOptions, solve_ctr
 MAX_SUBSET_AGENTS = 20
 MAX_CORE_AGENTS = 12
 MAX_GRID_ALTERNATIVES = 4
-_PAIRS_PER_PRODUCT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -155,43 +154,52 @@ def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     )
 
 
-def _blocking_witness(profile: Profile, x: Allocation, resolution: float, members: np.ndarray) -> dict | None:
-    """Witness for the lowest row of the boolean membership matrix ``members``
-    whose coalition s a grid deviation y >= 0 of budget |s|/n blocks (every
-    member weakly better off, one by more than the resolution), at the
-    lexicographically first such y, or None.  Each size's grid is built and
-    guarded first, then walked once for all its rows, testing (point, row)
-    pairs in matrix products of at most _PAIRS_PER_PRODUCT."""
+def _blocking_witness(profile: Profile, x: Allocation, resolution: float, sizes: list[int]) -> dict | None:
+    """Witness for the lowest-bitmask coalition s of one of the given sizes
+    that a grid deviation y >= 0 of budget |s|/n blocks (every member weakly
+    better off, one by more than the resolution), at the first such y in lex
+    order, or None.  With W the agents a point leaves not worse off and B
+    (inside W) those it leaves better off by more than the resolution, its
+    lowest blocked coalition of size k is W's k lowest agents if they meet
+    B, else W's k - 1 lowest plus B's lowest.  All sizes' grids are built
+    and guarded first, then walked by increasing size until 2^k - 1 exceeds
+    the best bitmask."""
     pi = overlap(profile.prefs, check_allocation(profile, x))
-    sizes = members.sum(axis=1)
-    specs = {size: GridSpec.snapped(profile.m, size / profile.n, resolution) for size in np.unique(sizes).tolist()}
-    best, found = len(members), None
-    for size, spec in specs.items():
-        rows = np.flatnonzero(sizes == size)
-        weights = members[rows].T.astype(float)
-        step = max(1, _PAIRS_PER_PRODUCT // len(rows))
+    specs = [(k, GridSpec.snapped(profile.m, k / profile.n, resolution)) for k in sizes]
+    ones, best, found = np.ones(profile.n), np.inf, None
+    for k, spec in specs:
+        if best < (1 << k) - 1:
+            break
         block_overlap = _BlockOverlap(profile.prefs, spec)
         for block in _composition_chunks(spec):
-            if best <= rows[0]:
-                break
             after = block_overlap(block)
-            worse = (after < pi - 1e-9).astype(float)
-            better = (after > pi + resolution).astype(float)
-            for lo in range(0, len(block), step):
-                w = weights[:, : np.searchsorted(rows, best)]
-                ok = (worse[lo : lo + step] @ w == 0.0) & (better[lo : lo + step] @ w > 0.0)
-                if ok.any():
-                    c = int(np.argmax(ok.any(axis=0)))
-                    r = lo + int(np.argmax(ok[:, c]))
-                    best, chosen = int(rows[c]), members[rows[c]]
-                    found = {
-                        "members": np.flatnonzero(chosen).tolist(),
-                        "budget": spec.budget,
-                        "deviation": (block[r] * spec.resolution).tolist(),
-                        "satisfactions_before": pi[chosen].tolist(),
-                        "satisfactions_after": after[r, chosen].tolist(),
-                        "resolution": resolution,
-                    }
+            fit, gain = after >= pi - 1e-9, after > pi + resolution
+            # most points block nothing: count W and B before the closed form
+            rows = np.flatnonzero((fit @ ones >= k) & (gain @ ones > 0.0))
+            if not rows.size:
+                continue
+            fit, gain = fit[rows], gain[rows]
+            rank = np.cumsum(fit, axis=1)
+            coalition = fit & (rank <= k)
+            swap = np.flatnonzero(~(coalition & gain).any(axis=1))
+            coalition[swap] &= rank[swap] < k
+            coalition[swap, np.argmax(gain[swap], axis=1)] = True
+            members = np.nonzero(coalition)[1].reshape(-1, k)
+            # the last key sorts first, so this is bitmask order; ties keep the first point
+            first = int(np.lexsort(members.T)[0])
+            chosen, r = members[first], int(rows[first])
+            mask = sum(1 << i for i in chosen.tolist())
+            if mask < best:
+                best, found = mask, {
+                    "members": chosen.tolist(),
+                    "budget": spec.budget,
+                    "deviation": (block[r] * spec.resolution).tolist(),
+                    "satisfactions_before": pi[chosen].tolist(),
+                    "satisfactions_after": after[r, chosen].tolist(),
+                    "resolution": resolution,
+                }
+            if best == (1 << k) - 1:
+                break
     return found
 
 
@@ -208,9 +216,7 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
         raise GuardError(f"core search is limited to n <= {MAX_CORE_AGENTS}")
     if m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"core search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    # row k is the coalition with bitmask k + 1, as in cohesive_groups
-    members = ((np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    witness = _blocking_witness(profile, x, resolution, members)
+    witness = _blocking_witness(profile, x, resolution, list(range(1, n + 1)))
     return AxiomReport("core", witness is None, witness or {"resolution": resolution})
 
 
@@ -220,7 +226,7 @@ def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> Axio
     grand coalition)."""
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"efficiency search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    witness = _blocking_witness(profile, x, resolution, np.ones((1, profile.n), dtype=bool))
+    witness = _blocking_witness(profile, x, resolution, [profile.n])
     if witness is None:
         return AxiomReport("efficiency", True, witness={"resolution": resolution})
     del witness["members"], witness["budget"]

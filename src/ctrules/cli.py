@@ -149,8 +149,10 @@ def _solve_with(rule, profile: Profile, opts: SolverOptions) -> tuple[SolveRepor
 
 
 def _entries(spec: str, table: dict, what: str) -> list:
-    """Table entries for a comma list of names; an unknown name is refused."""
+    """Table entries for a nonempty comma list of names; an unknown name is refused."""
     names = [w.strip().lower() for w in spec.split(",") if w.strip()]
+    if not names:
+        raise ValueError(f"no {what} named in {spec!r}")
     for name in names:
         if name not in table:
             raise ValueError(f"unknown {what} {name!r}")
@@ -334,10 +336,10 @@ def cmd_sweep(args) -> int:
         )
         for (lam, f, report), afs in zip(rungs, afs_worst):
             sats = report.satisfactions.values
-            wl_emp = bd.welfare_loss(profile, report.allocation, util_ref)
-            el_emp = bd.egalitarian_loss(profile, report.allocation, egal_ref)
-            # the closed-form bounds need two agents; a one-agent row gets nan
-            # there, as afs_worst does past the subset guard
+            # an uncertified reference leaves its loss nan, and the two-agent
+            # bounds leave a one-agent row nan, as afs_worst does past the subset guard
+            wl_emp = bd.welfare_loss(profile, report.allocation, util_ref) if util_ref.converged else np.nan
+            el_emp = bd.egalitarian_loss(profile, report.allocation, egal_ref) if egal_ref.converged else np.nan
             el_bound = bd.gamma(profile.m, profile.n, lam)[0] if profile.n >= 2 else np.nan
             share_bound = bd.ifs_share_bound(lam, profile.m, profile.n) if profile.n >= 2 else np.nan
             row = [

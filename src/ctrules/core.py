@@ -225,7 +225,8 @@ class UtilityFunction:
             case "negpower":
                 return -(t**-self.p)
             case "negexppower":
-                return -_safe_exp(t**-self.p)
+                with np.errstate(over="ignore"):  # t^-p may overflow before the clip
+                    return -_safe_exp(t**-self.p)
             case "quadratic":
                 return t * (2.0 - t)
 
@@ -240,7 +241,8 @@ class UtilityFunction:
                 return self.p * t ** (-self.p - 1.0)
             case "negexppower":
                 # assembled in log space so floored inputs stay finite
-                logmag = np.log(self.p) - (self.p + 1.0) * np.log(t) + np.minimum(t**-self.p, _EXP_CLIP)
+                with np.errstate(over="ignore"):  # t^-p may overflow before the clip
+                    logmag = np.log(self.p) - (self.p + 1.0) * np.log(t) + np.minimum(t**-self.p, _EXP_CLIP)
                 return np.exp(np.minimum(logmag, _LOG_MAG_CLIP))
             case "quadratic":
                 return 2.0 - 2.0 * t
@@ -258,12 +260,10 @@ class UtilityFunction:
                 return -self.p * (self.p + 1.0) * t ** (-self.p - 2.0)
             case "negexppower":
                 # d/dt [p t^-(p+1) e^(t^-p)] = -p e^(t^-p) t^-(p+2) ((p+1) + p t^-p)
-                logmag = (
-                    np.log(self.p)
-                    - (self.p + 2.0) * np.log(t)
-                    + np.minimum(t**-self.p, _EXP_CLIP)
-                    + np.log((self.p + 1.0) + self.p * t**-self.p)
-                )
+                with np.errstate(over="ignore"):  # t^-p may overflow before the clips
+                    inv = t**-self.p
+                    logmag = np.log(self.p) - (self.p + 2.0) * np.log(t) + np.minimum(inv, _EXP_CLIP)
+                    logmag += np.log((self.p + 1.0) + self.p * inv)
                 return -np.exp(np.minimum(logmag, _LOG_MAG_CLIP))
             case "quadratic":
                 return np.full_like(t, -2.0)

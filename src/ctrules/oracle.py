@@ -102,71 +102,62 @@ class GridSpec:
 _BLOCK_ROW_CAP = 100_000
 
 
-def _line_block(prefix: list[int], t: np.ndarray, remaining: int, parts: int) -> np.ndarray:
-    block = np.empty((t.size, parts), dtype=np.int64, order="F")
-    if prefix:
-        block[:, : len(prefix)] = prefix
-    block[:, -2] = t
-    block[:, -1] = remaining - t
-    return block
+def _compositions(steps: int, parts: int) -> tuple[np.ndarray, list[int]]:
+    """Every composition of steps into parts, as the rows of a Fortran-ordered
+    integer array in lex order, and lengths[r] = C(r + parts - 1, parts - 1),
+    the number of compositions of r <= steps.  Built one width at a time, as
+    columns: the rows under first coordinate a are the last lengths[steps - a]
+    rows of the narrower set with their first coordinate lowered by a."""
+    cols = np.array([[steps]])
+    lengths = np.ones(steps + 1, dtype=np.int64)
+    for _ in range(parts - 1):
+        counts = lengths[::-1]
+        first = np.repeat(np.arange(steps + 1), counts)
+        rest = np.take(cols, np.arange(len(first)) + np.repeat(cols.shape[1] - np.cumsum(counts), counts), axis=1)
+        rest[0] -= first
+        cols = np.vstack((first, rest))
+        lengths = np.cumsum(lengths)
+    return cols.T, lengths.tolist()
 
 
-def _triangle(remaining: int) -> np.ndarray:
-    """Every (a, b, remaining - a - b) with a + b <= remaining, in lex order,
-    as the rows of an integer array."""
-    counts = np.arange(remaining + 1, 0, -1)
-    a = np.repeat(np.arange(remaining + 1), counts)
-    starts = np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    b = np.arange(a.size) - starts
-    return np.column_stack((a, b, remaining - a - b))
-
-
-def _triangle_block(largest: np.ndarray, prefix: list[int], remaining: int, parts: int) -> np.ndarray:
-    """The triangle of ``remaining`` under prefix, sliced from ``largest``,
-    the triangle of some R >= remaining: the rows of largest whose first
-    coordinate is at least R - remaining are its last
-    (remaining + 1)(remaining + 2)/2 rows, and with that coordinate lowered
-    by R - remaining they are the smaller triangle in order."""
-    tail = largest[len(largest) - (remaining + 1) * (remaining + 2) // 2 :]
-    block = np.empty((len(tail), parts), dtype=np.int64, order="F")
-    if prefix:
-        block[:, : len(prefix)] = prefix
-    block[:, -3:] = tail
-    block[:, -3] -= largest[0, 2] - remaining
-    return block
+def _prefixes(remaining: int, left: int, prefix: tuple = ()) -> Iterator[tuple[tuple, int]]:
+    """Every (prefix, steps left) of ``left`` leading coordinates, in lex order."""
+    if left == 0:
+        yield prefix, remaining
+        return
+    for a in range(remaining + 1):
+        yield from _prefixes(remaining - a, left - 1, prefix + (a,))
 
 
 def _composition_chunks(spec: GridSpec) -> Iterator[np.ndarray]:
     """Yield blocks of the grid's points in lex order, as integer step
     counts (a point is its row times ``spec.resolution``).
 
-    The last two or three coordinates of each prefix are vectorized into
-    blocks of at most _BLOCK_ROW_CAP rows (a line too long is cut into
-    consecutive runs, a triangle too large is split into lines) so
-    enumeration stays fast without materializing the whole grid.
+    A block is every point under one prefix of leading coordinates; the
+    trailing ``parts`` are the most whose composition set fits in
+    _BLOCK_ROW_CAP rows.  Two of them make a line, built directly and cut
+    into runs of at most the cap.  From three on, a prefix leaving R steps
+    takes the last C(R + parts - 1, parts - 1) rows of the set of all steps,
+    built once per walk, with the first coordinate lowered by steps - R.
     """
-    if spec.m == 1:
-        yield np.array([[spec.steps]])
-        return
-    # the first triangle the walk reaches is its largest, built once
-    largest = None
-
-    def rec(prefix: list[int], remaining: int, left: int) -> Iterator[np.ndarray]:
-        nonlocal largest
-        if left == 2:
+    steps, m = spec.steps, spec.m
+    parts = 1
+    while parts < m and math.comb(steps + parts, parts) <= _BLOCK_ROW_CAP:
+        parts += 1
+    if parts <= 2 <= m:
+        for prefix, remaining in _prefixes(steps, m - 2):
             for start in range(0, remaining + 1, _BLOCK_ROW_CAP):
                 t = np.arange(start, min(start + _BLOCK_ROW_CAP, remaining + 1))
-                yield _line_block(prefix, t, remaining, spec.m)
-            return
-        if left == 3 and (remaining + 1) * (remaining + 2) // 2 <= _BLOCK_ROW_CAP:
-            if largest is None or largest[0, 2] < remaining:
-                largest = _triangle(remaining)
-            yield _triangle_block(largest, prefix, remaining, spec.m)
-            return
-        for a in range(remaining + 1):
-            yield from rec(prefix + [a], remaining - a, left - 1)
-
-    yield from rec([], spec.steps, spec.m)
+                block = np.empty((len(t), m), dtype=np.int64, order="F")
+                block[:, :-2], block[:, -2], block[:, -1] = prefix, t, remaining - t
+                yield block
+        return
+    comps, lengths = _compositions(steps, parts)
+    for prefix, remaining in _prefixes(steps, m - parts):
+        block = np.empty((lengths[remaining], m), dtype=np.int64, order="F")
+        block[:, : len(prefix)], block[:, len(prefix) :] = prefix, comps[len(comps) - lengths[remaining] :]
+        block[:, len(prefix)] -= steps - remaining
+        yield block
 
 
 def enumerate_grid(spec: GridSpec) -> Iterator[np.ndarray]:

@@ -257,6 +257,20 @@ def test_verify_bounds_negpower_single_minded_shares():
         assert share.bound == pytest.approx(ct.ifs_share_bound(2.5, 3, 6))
 
 
+@pytest.mark.parametrize("f,lam", [(NASH, 1.0), (ct.make_utility("power", p=0.5), 0.5), (ct.make_utility("negpower", p=1.0), 2.0)])
+def test_verify_bounds_single_minded_refinements(f, lam):
+    for seed in range(4):
+        p = single_minded_profile(seed + 900, 6, 3)
+        report = ct.solve_ctr(p, f)
+        util_ref, egal_ref = _references(p)
+        checks = {c.kind: c for c in ct.verify_bounds(p, f, report, util_ref, egal_ref)}
+        wl, el = checks["WL-single-minded"], checks["EL-single-minded"]
+        assert wl.bound == ct.wl_bound_single_minded(lam, 3)
+        assert el.bound == ct.el_bound_single_minded(lam, 3, 6)
+        assert wl.empirical == checks["WL"].empirical and el.empirical == checks["EL-gamma"].empirical
+        assert wl.satisfied and el.satisfied, (seed, wl, el)
+
+
 def test_verify_bounds_negexppower_skips_welfare_side():
     f = ct.make_utility("negexppower", p=1.0)
     p = dirichlet_profile(600, 4, 3)

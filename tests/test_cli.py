@@ -1,5 +1,6 @@
 """End-to-end CLI contract: commands, file formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import re
 import time
@@ -314,6 +315,15 @@ def test_check_unknown_axiom_exits_one(tmp_path):
     assert main(["check", "--profile", prof, "--allocation", alloc, "--axioms", "pareto"]) == 1
 
 
+def test_empty_axiom_and_bound_lists_exit_one(tmp_path, capsys):
+    # an empty list would check nothing and read as success
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    alloc = write_doc(tmp_path / "x.json", [0.5, 0.5])
+    for names in ("", ",", " , "):
+        assert_refused(capsys, ["check", "--profile", prof, "--allocation", alloc, "--axioms", names])
+        assert_refused(capsys, ["bounds", "--which", names, "--lambda", "1", "--m", "3", "--n", "4"])
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -474,6 +484,26 @@ def test_sweep_writes_rows_for_one_agent_profiles(tmp_path):
         lam = float(row["lambda"])
         assert float(row["el_bound"]) == pytest.approx(ct.gamma(3, 2, lam)[0], abs=1e-11)
         assert float(row["min_share_bound"]) == pytest.approx(ct.ifs_share_bound(lam, 3, 2), abs=1e-11)
+
+
+@pytest.mark.parametrize("reference,column", [("solve_utilitarian", "wl_emp"), ("solve_egalitarian", "el_emp")])
+def test_sweep_writes_nan_losses_for_an_uncertified_reference(sweep_dir, tmp_path, monkeypatch, capsys, reference, column):
+    """An uncertified reference leaves its loss column nan; every row is
+    still written, listed on stderr, and the sweep exits 2."""
+    args = ["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", "0.5:2:3", "--out"]
+    assert main(args + [str(tmp_path / "certified.csv")]) == 0
+    solve = getattr(ct.cli, reference)
+    monkeypatch.setattr(ct.cli, reference, lambda *a, **k: dataclasses.replace(solve(*a, **k), converged=False))
+    assert main(args + [str(tmp_path / "uncertified.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("warning: 6 rows did not converge: p1.json@lambda=0.5, ") and "Traceback" not in err
+    certified, uncertified = ((tmp_path / f"{name}.csv").read_text().splitlines() for name in ("certified", "uncertified"))
+    header = certified[0].split(",")
+    assert uncertified[0] == certified[0] and len(uncertified) == len(certified) == 7
+    for before, after in zip(certified[1:], uncertified[1:]):
+        before, after = dict(zip(header, before.split(","))), dict(zip(header, after.split(",")))
+        assert after.pop(column) == "nan" and before.pop(column) != "nan"
+        assert after == before
 
 
 def test_sweep_empty_directory(tmp_path):

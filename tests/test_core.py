@@ -1,5 +1,7 @@
 """Core types, overlap satisfaction, support masks, and the utility family."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,18 @@ def test_negpower_p_is_capped_where_the_floor_derivative_overflows():
     # a larger floor moves the cap up
     f = ct.make_utility("negpower", p=40.0, floor=1e-6)
     assert np.isfinite(f.deriv(0.0)) and np.isfinite(f.second(0.0))
+
+
+def test_steep_negexppower_clips_without_overflow_warnings():
+    # at p = 40, t^-p overflows at the floor (1e360) and 2^40 lies far past
+    # the exponent clip at 0.5, so every value is a clipped one
+    f = ct.make_utility("negexppower", p=40.0)
+    clipped = (-np.exp(690.0), np.exp(705.0), -np.exp(705.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (f.floor, 0.5, np.array([f.floor, 0.5])):
+            for got, want in zip((f.value(t), f.deriv(t), f.second(t)), clipped):
+                assert np.all(got == want), (t, got, want)
 
 
 def test_floor_applies_below_threshold():

@@ -125,11 +125,39 @@ def test_core_walks_one_grid_per_coalition_size(monkeypatch):
             assert sizes == list(range(1, profile.n + 1))
 
 
-def test_split_matrix_products_find_the_same_witness(monkeypatch):
-    # three (point, coalition) pairs per product: most blocks are split
-    expected = [ct.check_core(p, x, resolution=res) for _, p, x, res in CASES]
-    monkeypatch.setattr(ct.axioms, "_PAIRS_PER_PRODUCT", 3)
-    assert [ct.check_core(p, x, resolution=res) for _, p, x, res in CASES] == expected
+# (prefs, allocation, witness members) at resolution 0.1, small enough to
+# follow by hand
+HAND_MADE = [
+    # agent 0 can at best break even on a budget of 1/2, and agent 1 gains:
+    # at the witness W = {0, 1} and B = {1}, so the lowest agent of W misses
+    # B and agent 1 is swapped in
+    ([[0, 0.5, 0.5], [0, 0, 1]], [0, 1, 0], [1]),
+    # the same with a twin of agent 1: B = {1, 2}, and the swap takes its
+    # lowest agent ({2} would lose to {0, 1} on the next size)
+    ([[0, 0.5, 0.5], [0, 0, 1], [0, 0, 1]], [0.7, 0.1, 0.2], [1]),
+    # no single agent blocks; at the witness the two lowest agents of
+    # W = {0, 1, 2} miss B = {2}, so the pair is {0, 2}
+    ([[0, 0.5, 0.5], [0, 0.5, 0.5], [0.5, 0, 0.5]], [0.2, 0.7, 0.1], [0, 2]),
+    # {2} blocks alone, but {0, 1} (bitmask 3) is lower than {2} (bitmask 4)
+    ([[0, 0, 1], [0, 0, 1], [0, 1, 0]], [0.3, 0.2, 0.5], [0, 1]),
+]
+
+
+@pytest.mark.parametrize("prefs,shares,members", HAND_MADE)
+def test_hand_made_witnesses_match_per_coalition_reference(prefs, shares, members):
+    profile, x = ct.Profile(prefs), ct.Allocation(shares)
+    report = ct.check_core(profile, x, resolution=0.1)
+    assert (report.holds, report.witness) == reference_core(profile, x, 0.1)
+    assert report.witness["members"] == members
+    pi = np.minimum(profile.prefs, x.shares).sum(axis=1)
+    after = np.minimum(profile.prefs, report.witness["deviation"]).sum(axis=1)
+    fit = np.flatnonzero(after >= pi - 1e-9)
+    gain = np.flatnonzero(after > pi + 0.1)
+    if members == [0, 1]:
+        assert reference_blocking(profile.prefs, pi, [2], 0.1) is not None
+    else:  # the k lowest agents of W miss B
+        assert not set(fit[: len(members)]) & set(gain)
+        assert members == [*fit[: len(members) - 1], gain[0]]
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Grid enumeration and brute-force argmax."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -138,44 +139,50 @@ def test_no_block_exceeds_the_row_cap(m, res):
     assert sum(sizes) == ct.GridSpec(m, res).num_points()
 
 
-def rebuilt_triangle_block(prefix, remaining, parts):
-    """A triangle block built anew for its prefix, as every block
-    was before they were sliced from the walk's largest triangle."""
-    counts = np.arange(remaining + 1, 0, -1)
-    a = np.repeat(np.arange(remaining + 1), counts)
-    starts = np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    b = np.arange(a.size) - starts
-    block = np.empty((a.size, parts), dtype=np.int64, order="F")
-    if prefix:
-        block[:, : len(prefix)] = prefix
-    block[:, -3] = a
-    block[:, -2] = b
-    block[:, -1] = remaining - a - b
-    return block
+def itertools_compositions(steps, parts):
+    """Every composition of steps into parts, in lex order, from the
+    stars-and-bars placements of parts - 1 bars among steps + parts - 1 slots."""
+    comps = []
+    for bars in itertools.combinations(range(steps + parts - 1), parts - 1):
+        edges = (-1, *bars, steps + parts - 1)
+        comps.append([hi - lo - 1 for lo, hi in zip(edges, edges[1:])])
+    return sorted(comps)
 
 
-@pytest.mark.parametrize("m,res", [(3, 0.05), (4, 0.05), (4, 1 / 12), (5, 0.1), (6, 0.25)])
-def test_sliced_triangles_equal_rebuilt_ones(monkeypatch, m, res):
-    rebuilt = []
-    slicing = ct.oracle._triangle_block
+@pytest.mark.parametrize("parts", range(1, 7))
+def test_composition_sets_match_itertools(parts):
+    for steps in (0, 1, 4, 9):
+        comps, lengths = ct.oracle._compositions(steps, parts)
+        assert comps.dtype == np.int64 and comps.flags.f_contiguous
+        assert comps.tolist() == itertools_compositions(steps, parts)
+        assert lengths == [math.comb(r + parts - 1, parts - 1) for r in range(steps + 1)]
 
-    def both(largest, prefix, remaining, parts):
-        block = slicing(largest, prefix, remaining, parts)
-        reference = rebuilt_triangle_block(prefix, remaining, parts)
-        assert block.dtype == reference.dtype and block.flags.f_contiguous
-        assert np.array_equal(block, reference), (prefix, remaining)
-        rebuilt.append(remaining)
-        return block
 
-    monkeypatch.setattr(ct.oracle, "_triangle_block", both)
-    blocks = list(ct.oracle._composition_chunks(ct.GridSpec(m, res)))
-    assert sum(len(block) for block in blocks) == ct.GridSpec(m, res).num_points()
-    assert len(rebuilt) == math.comb(ct.GridSpec(m, res).steps + m - 3, m - 3)
-    largest = ct.oracle._triangle(13)
-    for remaining in range(14):
-        for prefix in ([], [2], [0, 5]):
-            block = ct.oracle._triangle_block(largest, prefix, remaining, len(prefix) + 3)
-            assert np.array_equal(block, rebuilt_triangle_block(prefix, remaining, len(prefix) + 3))
+@pytest.mark.parametrize("cap", [None, 40, 6, 3])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_blocks_are_the_grid_under_one_prefix_each(monkeypatch, m, cap):
+    # small caps leave fewer trailing coordinates, so prefixes get longer,
+    # and the smallest cuts lines into runs
+    if cap is not None:
+        monkeypatch.setattr(ct.oracle, "_BLOCK_ROW_CAP", cap)
+    cap = ct.oracle._BLOCK_ROW_CAP
+    for steps in (1, 4, 9):
+        parts = max(p for p in range(1, m + 1) if math.comb(steps + p - 1, p - 1) <= cap)
+        runs = parts == 1 < m  # a line longer than the cap is cut into runs
+        lead = m - 2 if runs else m - parts
+        grid = itertools_compositions(steps, m)
+        blocks = list(ct.oracle._composition_chunks(ct.GridSpec(m, 1 / steps)))
+        assert np.concatenate(blocks).tolist() == grid
+        start = 0
+        for block in blocks:
+            assert block.dtype == np.int64 and block.flags.f_contiguous and len(block) <= cap
+            prefix = block[0, :lead].tolist()
+            assert (block[:, :lead] == prefix).all()
+            stop = start + len(block)
+            if not runs:  # every point under the prefix: its neighbours lie under others
+                assert start == 0 or grid[start - 1][:lead] != prefix
+                assert stop == len(grid) or grid[stop][:lead] != prefix
+            start = stop
 
 
 def test_capped_blocks_give_the_uncapped_results(monkeypatch):
