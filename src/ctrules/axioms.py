@@ -4,8 +4,13 @@ Allocation-level checks (range respect, fair-share axioms, core stability,
 efficiency) either certify the axiom or return a re-checkable witness of
 its violation.  The grid-based refutation searches are sound for violations
 but only resolution-complete for satisfaction, so reports carry the
-resolution used.  Rule-level probes (participation, strategyproofness)
-re-solve perturbed instances and search for profitable deviations.
+resolution used.  Efficiency tries a certificate before its walk: Pareto
+weights w >= 1 from a small LP (Isermann 1974) bound the total gain of
+every grid deviation, and when that bound rules out a witness the check
+holds without walking; a failed LP or a loose bound leaves the verdict to
+the walk, so reports are the walk's either way.  Rule-level probes
+(participation, strategyproofness) re-solve perturbed instances and search
+for profitable deviations; an uncertified solve makes them raise.
 """
 
 from __future__ import annotations
@@ -15,9 +20,18 @@ from typing import Any
 
 import numpy as np
 
-from .core import Allocation, GuardError, Profile, UtilityFunction, check_allocation, overlap
+from .core import (
+    EQUALITY_TOL,
+    Allocation,
+    GuardError,
+    Profile,
+    UtilityFunction,
+    check_allocation,
+    overlap,
+    support_masks,
+)
 from .oracle import GridSpec, _BlockOverlap, _composition_chunks, enumerate_grid
-from .solver import SolverOptions, solve_ctr
+from .solver import SolverOptions, _pareto_weights, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
 MAX_CORE_AGENTS = 12
@@ -220,13 +234,50 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
     return AxiomReport("core", witness is None, witness or {"resolution": resolution})
 
 
+def _certified_efficient(profile: Profile, x: np.ndarray, resolution: float) -> bool:
+    """True when Pareto weights prove that the efficiency walk at this
+    resolution finds no witness.
+
+    For weights w >= 1 from ``_pareto_weights`` and any y on the simplex,
+    concavity bounds sum_i w_i (u_i(y) - pi_i) by the moved mass times
+    their MRS gap, plus m * EQUALITY_TOL * sum(w) for the ties the support
+    masks round and |sum(x) - 1| * sum(w) for x's budget drift.  A point the
+    walk reports leaves every agent at least pi_i - 1e-9, so its total gain
+    is at most that bound plus 1e-9 * sum(w - 1), and it exceeds
+    resolution - (n - 1) * 1e-9.  The rounding slack covers the float table
+    sums of the walk and of pi, the grid points' products, the weighted
+    products and this comparison, each a few (n + m) ulps of sum(w).
+    """
+    n, m = profile.n, profile.m
+    found = _pareto_weights(x, *support_masks(profile.prefs, x))
+    if found is None:
+        return False
+    w, gap = found
+    total = float(w.sum())
+    bound = max(gap, 0.0) + (m * EQUALITY_TOL + abs(float(x.sum()) - 1.0)) * total + 1e-9 * (total - n)
+    slack = 16 * (n + m) * np.finfo(float).eps * total
+    return bound <= resolution - (n - 1) * 1e-9 - slack
+
+
 def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> AxiomReport:
     """Pareto efficiency by grid refutation: no grid allocation weakly
     dominates x with one gain above the resolution (the core's test for the
-    grand coalition)."""
+    grand coalition).
+
+    The paper's rules maximize increasing concave sums, so their outcomes
+    are efficient, and an efficient allocation of this piecewise-linear
+    problem is a weighted-utilitarian optimum for some weights w >= 1
+    (Isermann 1974).  Such weights bound the total gain of every grid
+    deviation, so when the bound rules out a witness the check holds
+    without walking the grid; otherwise, or when the weights' LP fails,
+    the walk decides.  Both paths give the same report.
+    """
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"efficiency search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    witness = _blocking_witness(profile, x, resolution, [profile.n])
+    # a grid past the size guard is refused before any LP
+    GridSpec.snapped(profile.m, 1.0, resolution)
+    certified = _certified_efficient(profile, check_allocation(profile, x), resolution)
+    witness = None if certified else _blocking_witness(profile, x, resolution, [profile.n])
     if witness is None:
         return AxiomReport("efficiency", True, witness={"resolution": resolution})
     del witness["members"], witness["budget"]
@@ -267,18 +318,25 @@ def probe_strategyproofness(
 
     The witness records the best manipulation found and its gain; the probe
     holds iff no misreport gains more than 1e-6.  Soundness is one-sided:
-    a finer grid can only find more manipulations.
+    a finer grid can only find more manipulations.  Raises RuntimeError when
+    the honest solve or any misreport re-solve is uncertified, as the
+    participation probe does: a gain read off an uncertified solve is not
+    the rule's.
     """
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"misreport search is limited to m <= {MAX_GRID_ALTERNATIVES}")
     spec = GridSpec.snapped(profile.m, 1.0, resolution)
     opts = opts or SolverOptions()
     honest = solve_ctr(profile, f, opts)
+    if not honest.converged:
+        raise RuntimeError("solver failed to converge during strategyproofness probe")
     honest_sat = float(honest.satisfactions.values[i])
     best_gain = 0.0
     best: dict[str, Any] | None = None
     for y in enumerate_grid(spec):
         manipulated = solve_ctr(profile.replace_row(i, y), f, opts, start=honest.allocation)
+        if not manipulated.converged:
+            raise RuntimeError("solver failed to converge during strategyproofness probe")
         sat = float(overlap(profile.prefs, manipulated.allocation.shares)[i])
         gain = sat - honest_sat
         if gain > best_gain + 1e-12:

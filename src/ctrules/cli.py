@@ -60,9 +60,14 @@ def save_profile(path: str | Path, profile: Profile, labels: list[str] | None = 
         doc["labels"] = labels
     if seed is not None:
         doc["seed"] = seed
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write(path, json.dumps(doc, indent=1) + "\n")
+
+
+def _write(path: str | Path, text: str) -> None:
+    """Write an output file, creating its parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def load_allocation(path: str | Path) -> Allocation:
@@ -132,7 +137,7 @@ def rule_label(f: UtilityFunction) -> str:
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write(out, text + "\n")
     else:
         print(text)
 
@@ -359,7 +364,7 @@ def cmd_sweep(args) -> int:
             lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if unconverged:

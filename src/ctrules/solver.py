@@ -56,7 +56,10 @@ solver builds its report the same way: converged means gap <= tol.
 The paper's first-order quantities live here, computed one way: the
 marginal contributions mc_up / mc_down come from ``_marginals``, which the
 certificate and ``marginal_contribution`` read, and
-``directional_derivative`` reads the same strict/weak support masks.
+``directional_derivative`` reads the same strict/weak support masks.  The
+efficiency check's Pareto weights come from one small HiGHS LP
+(``_pareto_weights``): weights w >= 1 that meet the MRS condition in place
+of f'(pi), whose gap is read through the same ``_marginals``.
 
 The utilitarian reference is exact in one pass: total satisfaction is
 separable across alternatives, each term concave and piecewise linear, so
@@ -165,7 +168,7 @@ def marginal_contribution(
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     prefs, shares = profile.prefs, check_allocation(profile, x)
-    mc_up, mc_down = _marginals(overlap(prefs, shares), f, *support_masks(prefs, shares))
+    mc_up, mc_down = _marginals(f.deriv(overlap(prefs, shares)), *support_masks(prefs, shares))
     return float((mc_up if direction == "up" else mc_down)[j])
 
 
@@ -198,16 +201,15 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _marginals(pi: np.ndarray, f: UtilityFunction, up: np.ndarray, down: np.ndarray):
+def _marginals(weights: np.ndarray, up: np.ndarray, down: np.ndarray):
     """Strict and weak marginal contributions of every alternative.
 
-    From the satisfactions pi and the support masks (up, down) at one
-    allocation, returns (mc_up, mc_down): mc_up[j] sums f'(pi_i) over the
-    agents whose satisfaction grows with x_j, mc_down[j] over those whose
-    satisfaction shrinks with it.
+    From agent weights and the support masks (up, down) at one allocation,
+    returns (mc_up, mc_down): mc_up[j] sums the weights of the agents whose
+    satisfaction grows with x_j, mc_down[j] of those whose satisfaction
+    shrinks with it.  A rule's weights are f'(pi) at the satisfactions pi.
     """
-    fp = f.deriv(pi)
-    return fp @ up, fp @ down
+    return weights @ up, weights @ down
 
 
 def _mrs_terms(x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, down: np.ndarray):
@@ -218,7 +220,12 @@ def _mrs_terms(x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray
     growable alternative with the largest strict marginal contribution, k
     the shrinkable one with the smallest weak marginal contribution.
     """
-    mc_up, mc_down = _marginals(pi, f, up, down)
+    return _exchange_terms(x, f.deriv(pi), up, down)
+
+
+def _exchange_terms(x: np.ndarray, weights: np.ndarray, up: np.ndarray, down: np.ndarray):
+    """``_mrs_terms`` under arbitrary agent weights in place of f'(pi)."""
+    mc_up, mc_down = _marginals(weights, up, down)
     mc_up = np.where(x < 1.0, mc_up, -np.inf)
     mc_down = np.where(x > 0.0, mc_down, np.inf)
     j = int(np.argmax(mc_up))
@@ -781,6 +788,48 @@ class _CutLP:
         if status == highs.HighsStatus.kError or self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
             return nit, None, None
         return nit, -float(info.objective_function_value), np.array(self.model.getSolution().col_value[: self.m])
+
+
+def _pareto_weights(x: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Agent weights w >= 1 under which x is a weighted-utilitarian optimum,
+    with the weighted MRS gap they leave, or None.
+
+    (up, down) are the support masks at x.  One HiGHS LP minimizes sum(w)
+    over w_i >= 1 and a free level c, subject to up[:, j] . w <= c for every
+    growable j (x_j < 1) and down[:, k] . w >= c for every shrinkable k
+    (x_k > 0): the rule certificate's MRS condition with w in place of
+    f'(pi).  The LP's w is clipped to at least 1, so its tolerances cannot
+    break w >= 1, and the gap is recomputed from w in float; it may then be
+    slightly positive.  None when the LP is infeasible (x is not exactly
+    efficient), fails or returns a non-finite w.
+    """
+    n = len(up)
+    growable = x < 1.0
+    rows = np.vstack([up[:, growable].T, down[:, x > 0.0].T])
+    k = len(rows)
+    # row r is mask_r . w - c: at most 0 on the growable rows, which come
+    # first, and at least 0 on the shrinkable ones
+    r, cols = np.nonzero(np.hstack([rows, np.ones((k, 1), dtype=bool)]))
+    starts = np.searchsorted(r, np.arange(k)).astype(np.int32)
+    values = np.where(cols == n, -1.0, 1.0)
+    first = np.arange(k) < np.count_nonzero(growable)
+    model = highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "off")
+    no_entries = np.zeros(0, dtype=np.int32)
+    cost, lower = np.append(np.ones(n), 0.0), np.append(np.ones(n), -highs.kHighsInf)
+    model.addCols(n + 1, cost, lower, np.full(n + 1, highs.kHighsInf), 0, no_entries, no_entries, np.zeros(0))
+    model.addRows(
+        k, np.where(first, -highs.kHighsInf, 0.0), np.where(first, 0.0, highs.kHighsInf),
+        len(cols), starts, cols.astype(np.int32), values,
+    )
+    status = model.run()
+    if status == highs.HighsStatus.kError or model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return None
+    w = np.maximum(np.array(model.getSolution().col_value[:n]), 1.0)
+    if not np.isfinite(w).all():
+        return None
+    return w, _exchange_terms(x, w, up, down)[0]
 
 
 def _overlap_cuts(prefs: np.ndarray, points: np.ndarray):

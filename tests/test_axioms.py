@@ -338,6 +338,24 @@ def test_sp_grid_guard_fires_before_solving(monkeypatch):
         ct.probe_strategyproofness(dirichlet_profile(0, 3, 3), NASH, 0, resolution=1e-6)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_sp_refuses_uncertified_misreport_solves(seed):
+    # steep negexppower leaves several of these misreport re-solves
+    # uncertified; a gain read off them is not the rule's, so the probe
+    # raises as the participation probe does
+    f = ct.make_utility("negexppower", p=8)
+    p = ct.Profile(np.random.default_rng(seed).dirichlet(np.full(3, 0.5), size=5))
+    with pytest.raises(RuntimeError, match="strategyproofness probe"):
+        ct.probe_strategyproofness(p, f, 0, resolution=0.25)
+
+
+def test_sp_refuses_an_uncertified_honest_solve():
+    p = dirichlet_profile(0, 6, 3)
+    assert not ct.solve_ctr(p, NASH, ct.SolverOptions(max_iters=1)).converged
+    with pytest.raises(RuntimeError, match="strategyproofness probe"):
+        ct.probe_strategyproofness(p, NASH, 0, resolution=0.25, opts=ct.SolverOptions(max_iters=1))
+
+
 def test_sp_rejects_bad_resolution():
     for resolution in (0.0, float("nan")):
         with pytest.raises(ValueError):

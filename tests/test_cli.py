@@ -590,6 +590,33 @@ def test_save_profile_includes_labels(tmp_path):
     assert profile.n == 1
 
 
+@pytest.mark.parametrize("command", ["gen", "solve", "check", "bounds", "sweep", "oracle-verify"])
+def test_out_into_a_missing_directory_creates_it(sweep_dir, tmp_path, capsys, command):
+    """Every --out creates its missing parent directories, and the file holds
+    what the command writes where its parent exists."""
+    prof = str(sweep_dir / "p1.json")
+    alloc = write_doc(tmp_path / "x.json", [0.2, 0.3, 0.5])
+    argv = {
+        "gen": ["gen", "--kind", "dirichlet:1.0", "--n", "6", "--m", "3", "--seed", "1"],
+        "solve": ["solve", "--profile", prof, "--rule", "nash"],
+        "check": ["check", "--profile", prof, "--allocation", alloc, "--axioms", "rr,eff"],
+        "bounds": ["bounds", "--which", "wl,gamma", "--lambda", "2", "--m", "3", "--n", "4"],
+        "sweep": ["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", "0.5:2:3"],
+        "oracle-verify": ["oracle-verify", "--profile", prof, "--rule", "nash", "--resolution", "0.05"],
+    }[command]
+    out = tmp_path / "new" / "deeper" / "out.txt"
+    code = main(argv + ["--out", str(out)])
+    assert code in (0, 2), capsys.readouterr().err
+    if command == "gen":  # gen has no stdout form: compare with a file in an existing directory
+        flat = tmp_path / "flat.json"
+        assert main(argv + ["--out", str(flat)]) == 0
+        assert out.read_text(encoding="utf-8") == flat.read_text(encoding="utf-8")
+        return
+    capsys.readouterr()
+    assert main(argv) == code
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # bad input: refused with exit 1 and an error line, never a traceback
 # ---------------------------------------------------------------------------
