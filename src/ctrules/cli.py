@@ -38,7 +38,7 @@ def load_profile(path: str | Path) -> tuple[Profile, dict]:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "prefs" not in doc:
         raise ValueError(f"{path}: not a profile document")
-    prefs = np.array(doc["prefs"], dtype=float)
+    prefs = _numbers(path, doc["prefs"], "prefs")
     if prefs.ndim != 2:
         raise ValueError(f"{path}: prefs must be a matrix")
     n, m = prefs.shape
@@ -75,11 +75,20 @@ def load_allocation(path: str | Path) -> Allocation:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, list):
-        return Allocation(np.array(doc, dtype=float))
+        return Allocation(_numbers(path, doc, "allocation"))
     for key in ("allocation", "shares"):
         if isinstance(doc, dict) and key in doc:
-            return Allocation(np.array(doc[key], dtype=float))
+            return Allocation(_numbers(path, doc[key], key))
     raise ValueError(f"{path}: no allocation found")
+
+
+def _numbers(path: str | Path, value, what: str) -> np.ndarray:
+    """value as a float array; an object, a string that is not a number or a
+    ragged list where a number belongs is refused with the file's path."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {what} must be an array of numbers ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ class Profile:
 
     def without(self, agents: int | Iterable[int]) -> "Profile":
         """Partial profile with the given agent (or agents) removed."""
-        agents = [agents] if isinstance(agents, (int, np.integer)) else agents
+        agents = agents if isinstance(agents, Iterable) else [agents]
         drop = {check_agent(self, a) for a in agents}
         keep = [i for i in range(self.n) if i not in drop]
         if not keep:
@@ -305,9 +305,11 @@ def make_utility(kind: UtilityKind, p: float | None = None, floor: float = 1e-9)
 def iav(f: UtilityFunction, t: float) -> float:
     """Inequality aversion -t f''(t) / f'(t) at a point.
 
-    Requires t at or above the evaluation floor and f'(t) > 0; a nonpositive
-    derivative signals an invalid family member at that point.
+    Requires a finite t at or above the evaluation floor and f'(t) > 0; a
+    nonpositive derivative signals an invalid family member at that point.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if t < f.floor:
         raise ValueError(f"t={t!r} is below the evaluation floor {f.floor!r}")
     fp = float(f.deriv(t))
@@ -338,7 +340,10 @@ def iav_bound_of(f: UtilityFunction) -> IavBound:
 
 
 def check_agent(profile: Profile, i: int) -> int:
-    """Return agent index i after checking it lies in [0, n)."""
+    """Return agent index i after checking it is an integer in [0, n); a
+    float or bool index would otherwise be truncated to some agent."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise IndexError(f"agent index must be an integer, got {i!r}")
     if not 0 <= i < profile.n:
         raise IndexError(f"agent index {i} out of range for n={profile.n}")
     return int(i)

@@ -54,18 +54,20 @@ there bit for bit, so no solve computes its certificate twice.  Every
 solver builds its report the same way: converged means gap <= tol.
 
 The paper's first-order quantities live here, computed one way: the
-marginal contributions mc_up / mc_down come from ``_marginals``, which the
-certificate and ``marginal_contribution`` read, and
-``directional_derivative`` reads the same strict/weak support masks.  The
-efficiency check's Pareto weights come from one small HiGHS LP
-(``_pareto_weights``): weights w >= 1 that meet the MRS condition in place
-of f'(pi), whose gap is read through the same ``_marginals``.
+marginal contributions mc_up / mc_down are the agent weights times the
+strict/weak support masks, a product ``_exchange_terms`` (the certificate)
+and ``marginal_contribution`` both take, and ``directional_derivative``
+reads the same masks.  The efficiency check's Pareto weights come from one
+small LP (``_pareto_weights``): weights w >= 1 that meet the MRS condition
+in place of f'(pi), whose gap is the same ``_exchange_terms``.  Both LPs
+here, this one and the maxmin cut LP below, are HiGHS models built by one
+class, ``_LP``.
 
 The utilitarian reference is exact in one pass: total satisfaction is
 separable across alternatives, each term concave and piecewise linear, so
 water-filling its segments in order of decreasing slope solves it.  Its
-report carries the identity-utility MRS gap (marginal contributions become
-supporter counts) as the certificate, and ``iterations`` is 0.  The
+report carries the MRS gap under unit agent weights (marginal contributions
+become supporter counts) as the certificate, and ``iterations`` is 0.  The
 egalitarian maxmin reference is solved exactly by Kelley's cutting-plane
 method (Kelley 1960): each overlap is the minimum of affine pieces, so a
 linear program over the allocation and the level t alone, with one cut
@@ -88,7 +90,7 @@ from typing import Literal
 
 import numpy as np
 # The HiGHS binding that scipy.optimize.linprog(method="highs") itself builds
-# its solver from; solve_egalitarian keeps one such model for a whole solve.
+# its solver from; _LP is the one place that constructs a model from it.
 from scipy.optimize._highspy import _core as highs
 
 from .core import (
@@ -99,7 +101,6 @@ from .core import (
     UtilityFunction,
     check_agent,
     check_allocation,
-    make_utility,
     overlap,
     support_masks,
 )
@@ -168,8 +169,8 @@ def marginal_contribution(
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     prefs, shares = profile.prefs, check_allocation(profile, x)
-    mc_up, mc_down = _marginals(f.deriv(overlap(prefs, shares)), *support_masks(prefs, shares))
-    return float((mc_up if direction == "up" else mc_down)[j])
+    up, down = support_masks(prefs, shares)
+    return float((f.deriv(overlap(prefs, shares)) @ (up if direction == "up" else down))[j])
 
 
 def directional_derivative(profile: Profile, x: Allocation, y: Allocation, i: int) -> float:
@@ -201,17 +202,6 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _marginals(weights: np.ndarray, up: np.ndarray, down: np.ndarray):
-    """Strict and weak marginal contributions of every alternative.
-
-    From agent weights and the support masks (up, down) at one allocation,
-    returns (mc_up, mc_down): mc_up[j] sums the weights of the agents whose
-    satisfaction grows with x_j, mc_down[j] of those whose satisfaction
-    shrinks with it.  A rule's weights are f'(pi) at the satisfactions pi.
-    """
-    return weights @ up, weights @ down
-
-
 def _mrs_terms(x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, down: np.ndarray):
     """The MRS gap at x with its exchange pair.
 
@@ -224,10 +214,15 @@ def _mrs_terms(x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray
 
 
 def _exchange_terms(x: np.ndarray, weights: np.ndarray, up: np.ndarray, down: np.ndarray):
-    """``_mrs_terms`` under arbitrary agent weights in place of f'(pi)."""
-    mc_up, mc_down = _marginals(weights, up, down)
-    mc_up = np.where(x < 1.0, mc_up, -np.inf)
-    mc_down = np.where(x > 0.0, mc_down, np.inf)
+    """``_mrs_terms`` under arbitrary agent weights in place of f'(pi).
+
+    The strict and weak marginal contributions are mc_up = weights @ up and
+    mc_down = weights @ down: mc_up[j] sums the weights of the agents whose
+    satisfaction grows with x_j, mc_down[j] of those whose satisfaction
+    shrinks with it.
+    """
+    mc_up = np.where(x < 1.0, weights @ up, -np.inf)
+    mc_down = np.where(x > 0.0, weights @ down, np.inf)
     j = int(np.argmax(mc_up))
     k = int(np.argmin(mc_down))
     return float(mc_up[j] - mc_down[k]), j, k
@@ -658,8 +653,9 @@ def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     (equal slopes in increasing column order) until the budget of 1 is spent
     is optimal.  Every filled column's share is its last kink value exactly,
     and the one partial column gets the remainder.  The report carries the
-    identity MRS gap (supporter counts, so an exact integer comparison) as
-    its certificate; iterations is 0.
+    MRS gap under unit agent weights, which is ``mrs_gap`` under the identity
+    utility (supporter counts, so an exact integer comparison), as its
+    certificate; iterations is 0.
     """
     opts = opts or SolverOptions()
     prefs = profile.prefs
@@ -677,7 +673,7 @@ def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     partial = last % m
     x[partial] = max(1.0 - np.delete(x, partial).sum(), 0.0)
     pi = overlap(prefs, x)
-    gap = _mrs_terms(x, pi, make_utility("identity"), *support_masks(prefs, x))[0]
+    gap = _exchange_terms(x, np.ones(n), *support_masks(prefs, x))[0]
     return _report(x, pi, pi.sum(), gap, 0, opts)
 
 
@@ -717,18 +713,23 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
         seeds.append(_overlap_cuts(prefs[worst], y))
     cuts, rhs = (np.concatenate(parts) for parts in zip(*seeds))
     keys, first = np.unique(_cut_keys(cuts, rhs), return_index=True)
-    lp = _CutLP(prefs.max(axis=0))
-    lp.add(cuts[first], rhs[first])
+    # minimize -t over the columns x_0..x_{m-1}, t with 0 <= x_j <= col_max_j
+    # (no agent gains from x_j above its column's largest ideal share) and
+    # 0 <= t <= 1, subject to sum_j x_j = 1 and the cuts t - x[S] <= rhs
+    lp = _LP(np.append(np.zeros(m), -1.0), np.zeros(m + 1), np.append(prefs.max(axis=0), 1.0))
+    lp.add(np.ones((1, m), dtype=bool), 1.0, 0.0, np.ones(1), np.ones(1))
+    lp.add(cuts[first], -1.0, 1.0, np.full(len(first), -highs.kHighsInf), rhs[first])
 
     upper = 1.0  # no overlap exceeds 1
     iterations = 0
     for _ in range(opts.max_iters):
-        nit, t, x = lp.solve()
+        nit, value, cols = lp.solve()
         iterations += nit
-        if t is None:
+        if value is None:
             break
+        t = -value
         upper = min(upper, t)
-        x = np.maximum(x, 0.0)
+        x = np.maximum(cols[:m], 0.0)
         x /= x.sum()
         pi = overlap(prefs, x)
         if pi.min() > best_pi.min():
@@ -741,61 +742,58 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
         if not fresh.any():
             break
         keys = np.concatenate([keys, new_keys[fresh]])
-        lp.add(new_cuts[first[fresh]], new_rhs[first[fresh]])
+        first = first[fresh]
+        lp.add(new_cuts[first], -1.0, 1.0, np.full(len(first), -highs.kHighsInf), new_rhs[first])
 
     worst = float(best_pi.min())
     return _report(best_x, best_pi, worst, upper - worst, iterations, opts)
 
 
-class _CutLP:
-    """The maxmin cut LP: maximize t over (x, t) subject to sum_j x_j = 1,
-    0 <= x_j <= col_max_j (no agent gains from x_j above its column's
-    largest ideal share), 0 <= t <= 1 and the collected cuts t <= x[S] + rhs.
+class _LP:
+    """One HiGHS model: minimize cost . v over lower <= v <= upper and the
+    rows added so far.
 
-    One HiGHS model lives for the whole solve, so each solve after the first
-    restarts the dual simplex from the previous optimal basis.  Presolve is
-    off: on these dense (m + 1)-column LPs it costs more than it saves.
+    Every row is lower_r <= coef * sum(v[S_r]) + last * v[-1] <= upper_r
+    for a boolean mask S_r over the columns before the last: the maxmin cuts
+    t - x[S] <= rhs, its budget row sum(x) = 1 (last = 0) and the Pareto
+    rows mask . w - c.  Presolve is off: on these small dense LPs it costs
+    more than it saves.  Rows added to a solved model keep its basis, so
+    the next solve restarts the dual simplex from the previous optimum.
     """
 
-    def __init__(self, col_max: np.ndarray):
-        m = self.m = len(col_max)
+    def __init__(self, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray):
         self.model = highs._Highs()
         self.model.setOptionValue("output_flag", False)
         self.model.setOptionValue("presolve", "off")
-        # minimize -t over the columns x_0..x_{m-1}, t; then the row sum_j x_j = 1
         no_entries = np.zeros(0, dtype=np.int32)
-        cost, upper = np.append(np.zeros(m), -1.0), np.append(col_max, 1.0)
-        self.model.addCols(m + 1, cost, np.zeros(m + 1), upper, 0, no_entries, no_entries, np.zeros(0))
-        alternatives = np.arange(m, dtype=np.int32)
-        self.model.addRows(1, np.ones(1), np.ones(1), m, np.zeros(1, dtype=np.int32), alternatives, np.ones(m))
+        self.model.addCols(len(cost), cost, lower, upper, 0, no_entries, no_entries, np.zeros(0))
 
-    def add(self, cuts: np.ndarray, rhs: np.ndarray) -> None:
-        """Add the rows t - x[S] <= rhs, one per boolean cut row S."""
-        k = len(rhs)
-        # the t column is the last entry of every row, so row r's entries are
-        # its cut's alternatives in order, then t
-        rows, cols = np.nonzero(np.hstack([cuts, np.ones((k, 1), dtype=bool)]))
+    def add(self, masks: np.ndarray, coef: float, last: float, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Add one row per boolean mask row, with bounds lower and upper."""
+        k, width = masks.shape
+        # the last column is the final entry of every row with last != 0, so
+        # row r's entries are its mask's columns in order, then the last one
+        rows, cols = np.nonzero(np.hstack([masks, np.full((k, 1), last != 0.0)]))
         starts = np.searchsorted(rows, np.arange(k)).astype(np.int32)
-        values = np.where(cols == self.m, 1.0, -1.0)
-        self.model.addRows(k, np.full(k, -highs.kHighsInf), rhs, len(cols), starts, cols.astype(np.int32), values)
+        values = np.where(cols == width, last, coef)
+        self.model.addRows(k, lower, upper, len(cols), starts, cols.astype(np.int32), values)
 
     def solve(self):
-        """(simplex iterations, LP value, allocation), with value and
-        allocation None when the LP does not solve to optimality."""
+        """(simplex iterations, objective, column values), with objective
+        and column values None when the LP does not solve to optimality."""
         status = self.model.run()
-        info = self.model.getInfo()
-        nit = int(info.simplex_iteration_count)
+        nit = int(self.model.getInfoValue("simplex_iteration_count")[1])
         if status == highs.HighsStatus.kError or self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
             return nit, None, None
-        return nit, -float(info.objective_function_value), np.array(self.model.getSolution().col_value[: self.m])
+        return nit, self.model.getObjectiveValue(), np.array(self.model.getSolution().col_value)
 
 
 def _pareto_weights(x: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Agent weights w >= 1 under which x is a weighted-utilitarian optimum,
     with the weighted MRS gap they leave, or None.
 
-    (up, down) are the support masks at x.  One HiGHS LP minimizes sum(w)
-    over w_i >= 1 and a free level c, subject to up[:, j] . w <= c for every
+    (up, down) are the support masks at x.  One LP minimizes sum(w) over
+    w_i >= 1 and a free level c, subject to up[:, j] . w <= c for every
     growable j (x_j < 1) and down[:, k] . w >= c for every shrinkable k
     (x_k > 0): the rule certificate's MRS condition with w in place of
     f'(pi).  The LP's w is clipped to at least 1, so its tolerances cannot
@@ -806,27 +804,15 @@ def _pareto_weights(x: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[np
     n = len(up)
     growable = x < 1.0
     rows = np.vstack([up[:, growable].T, down[:, x > 0.0].T])
-    k = len(rows)
     # row r is mask_r . w - c: at most 0 on the growable rows, which come
     # first, and at least 0 on the shrinkable ones
-    r, cols = np.nonzero(np.hstack([rows, np.ones((k, 1), dtype=bool)]))
-    starts = np.searchsorted(r, np.arange(k)).astype(np.int32)
-    values = np.where(cols == n, -1.0, 1.0)
-    first = np.arange(k) < np.count_nonzero(growable)
-    model = highs._Highs()
-    model.setOptionValue("output_flag", False)
-    model.setOptionValue("presolve", "off")
-    no_entries = np.zeros(0, dtype=np.int32)
-    cost, lower = np.append(np.ones(n), 0.0), np.append(np.ones(n), -highs.kHighsInf)
-    model.addCols(n + 1, cost, lower, np.full(n + 1, highs.kHighsInf), 0, no_entries, no_entries, np.zeros(0))
-    model.addRows(
-        k, np.where(first, -highs.kHighsInf, 0.0), np.where(first, 0.0, highs.kHighsInf),
-        len(cols), starts, cols.astype(np.int32), values,
-    )
-    status = model.run()
-    if status == highs.HighsStatus.kError or model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+    first = np.arange(len(rows)) < np.count_nonzero(growable)
+    lp = _LP(np.append(np.ones(n), 0.0), np.append(np.ones(n), -highs.kHighsInf), np.full(n + 1, highs.kHighsInf))
+    lp.add(rows, 1.0, -1.0, np.where(first, -highs.kHighsInf, 0.0), np.where(first, 0.0, highs.kHighsInf))
+    cols = lp.solve()[2]
+    if cols is None:
         return None
-    w = np.maximum(np.array(model.getSolution().col_value[:n]), 1.0)
+    w = np.maximum(cols[:n], 1.0)
     if not np.isfinite(w).all():
         return None
     return w, _exchange_terms(x, w, up, down)[0]

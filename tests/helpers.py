@@ -1,9 +1,12 @@
-"""Shared test fixtures: seeded instance generators and a perturbed-start
-solver run."""
+"""Shared test fixtures: seeded instance generators, a perturbed-start
+solver run and a failing HiGHS model."""
+
+import types
 
 import numpy as np
 
 import ctrules as ct
+from ctrules import solver
 
 
 def perturbed_start_ascent(profile: ct.Profile, f: ct.UtilityFunction, seed: int):
@@ -51,3 +54,26 @@ def sp_example_profile() -> ct.Profile:
 def random_allocation(seed: int, m: int) -> ct.Allocation:
     rng = np.random.default_rng(seed)
     return ct.Allocation(rng.dirichlet(np.ones(m)))
+
+
+class FailingHighs(solver.highs._Highs):
+    """A HiGHS model that fails as ``mode`` says: "status" reports an
+    infeasible model, "error" an error status from run, and "nonfinite"
+    an optimum with infinite column values.  Patch it in as
+    ``solver.highs._Highs``."""
+
+    mode = "status"
+
+    def run(self):
+        status = super().run()
+        return solver.highs.HighsStatus.kError if self.mode == "error" else status
+
+    def getModelStatus(self):
+        if self.mode == "status":
+            return solver.highs.HighsModelStatus.kInfeasible
+        return super().getModelStatus()
+
+    def getSolution(self):
+        if self.mode == "nonfinite":
+            return types.SimpleNamespace(col_value=[np.inf] * self.getNumCol())
+        return super().getSolution()

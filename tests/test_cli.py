@@ -627,6 +627,7 @@ def assert_refused(capsys, argv):
     err = capsys.readouterr().err
     assert code == 1, (argv, err)
     assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+    return err
 
 
 def test_non_finite_tol_is_refused(tmp_path, sweep_dir, capsys):
@@ -691,6 +692,27 @@ def test_bad_resolution_is_refused(tmp_path, capsys):
             argv = ["check", "--profile", prof, "--allocation", alloc, "--axioms", axiom, "--resolution", resolution]
             assert_refused(capsys, argv)
         assert_refused(capsys, ["oracle-verify", "--profile", prof, "--rule", "nash", "--resolution", resolution])
+
+
+MALFORMED_PROFILES = [{"prefs": [[{}, 0.5]]}, {"prefs": {"a": 1}}, {"prefs": [[0.5, [0.5]], [0.0, 1.0]]}]
+MALFORMED_ALLOCATIONS = [{"allocation": {"a": 1}}, {"shares": [0.5, "x"]}, [[0.5], 0.5], [{}, 0.5]]
+
+
+def test_non_numbers_in_a_file_are_refused_with_its_path(tmp_path, capsys):
+    # an object or a ragged list where a number belongs
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
+    for k, doc in enumerate(MALFORMED_PROFILES):
+        bad = write_doc(tmp_path / f"bad_profile_{k}.json", doc)
+        for argv in (
+            ["solve", "--profile", bad, "--rule", "nash"],
+            ["check", "--profile", bad, "--allocation", alloc, "--axioms", "rr"],
+        ):
+            assert f"error: {bad}: prefs" in assert_refused(capsys, argv)
+    for k, doc in enumerate(MALFORMED_ALLOCATIONS):
+        bad = write_doc(tmp_path / f"bad_allocation_{k}.json", doc)
+        argv = ["check", "--profile", prof, "--allocation", bad, "--axioms", "rr"]
+        assert f"error: {bad}: " in assert_refused(capsys, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Core types, overlap satisfaction, support masks, and the utility family."""
 
+import math
 import warnings
 
 import numpy as np
@@ -62,6 +63,29 @@ def test_profile_refuses_agent_indices_out_of_range(i):
         p.replace_row(i, [1.0, 0.0])
     with pytest.raises(IndexError):
         ct.probe_participation(p, ct.make_utility("log"), i)
+
+
+@pytest.mark.parametrize("i", [1.5, 1.0, np.float64(1.0), "1", True, None])
+def test_profile_refuses_agent_indices_that_are_not_integers(i):
+    # a float index used to be truncated to agent 1
+    p = sp_example_profile()
+    x = ct.Allocation.uniform(2)
+    with pytest.raises(IndexError, match="must be an integer"):
+        p.without(i)
+    with pytest.raises(IndexError, match="must be an integer"):
+        p.without([0, i])
+    with pytest.raises(IndexError, match="must be an integer"):
+        p.replace_row(i, [1.0, 0.0])
+    with pytest.raises(IndexError, match="must be an integer"):
+        ct.directional_derivative(p, x, ct.Allocation([1.0, 0.0]), i)
+    with pytest.raises(IndexError, match="must be an integer"):
+        ct.probe_participation(p, ct.make_utility("log"), i)
+
+
+def test_profile_accepts_numpy_integer_agent_indices():
+    p = sp_example_profile()
+    assert np.array_equal(p.without(np.int64(1)).prefs, p.without(1).prefs)
+    assert np.array_equal(p.replace_row(np.int32(1), [1.0, 0.0]).prefs, p.replace_row(1, [1.0, 0.0]).prefs)
 
 
 NASH = ct.make_utility("log")
@@ -337,6 +361,13 @@ def test_iav_errors():
         ct.iav(f, 1e-12)  # below floor
     with pytest.raises(ValueError):
         ct.iav(ct.make_utility("quadratic"), 1.0)  # f'(1) = 0
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_iav_refuses_non_finite_points(t):
+    for f in (ct.make_utility("log"), ct.make_utility("negpower", p=2.0), ct.make_utility("quadratic")):
+        with pytest.raises(ValueError, match="finite"):
+            ct.iav(f, t)
 
 
 def test_iav_bound_of_catalog():

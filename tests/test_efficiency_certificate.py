@@ -2,14 +2,13 @@
 never hides a witness, certifies every rule optimum, and leaves every
 report as the walk alone would build it."""
 
-import types
-
 import numpy as np
 import pytest
 
 import ctrules as ct
 from ctrules import axioms, solver
 from ctrules.core import support_masks
+from helpers import FailingHighs
 
 RULES = [ct.make_utility("log"), ct.make_utility("negpower", p=3.0), ct.make_utility("power", p=0.5)]
 RESOLUTIONS = (0.05, 0.25)
@@ -74,24 +73,6 @@ def test_every_rule_optimum_is_certified_without_a_walk(monkeypatch):
                 assert ct.check_efficiency(p, x, res) == axioms.AxiomReport("efficiency", True, {"resolution": res})
 
 
-class _FailingHighs(solver.highs._Highs):
-    mode = "status"
-
-    def run(self):
-        status = super().run()
-        return solver.highs.HighsStatus.kError if self.mode == "error" else status
-
-    def getModelStatus(self):
-        if self.mode == "status":
-            return solver.highs.HighsModelStatus.kInfeasible
-        return super().getModelStatus()
-
-    def getSolution(self):
-        if self.mode == "nonfinite":
-            return types.SimpleNamespace(col_value=[np.inf] * self.getNumCol())
-        return super().getSolution()
-
-
 @pytest.mark.parametrize("mode", ["status", "error", "nonfinite"])
 def test_a_failed_lp_falls_through_to_the_walk(monkeypatch, mode):
     _, p, optima, others = CORPUS[11]
@@ -99,8 +80,8 @@ def test_a_failed_lp_falls_through_to_the_walk(monkeypatch, mode):
     walks = []
     walk = axioms._blocking_witness
     monkeypatch.setattr(axioms, "_blocking_witness", lambda *args: walks.append(1) or walk(*args))
-    monkeypatch.setattr(_FailingHighs, "mode", mode)
-    monkeypatch.setattr(solver.highs, "_Highs", _FailingHighs)
+    monkeypatch.setattr(FailingHighs, "mode", mode)
+    monkeypatch.setattr(solver.highs, "_Highs", FailingHighs)
     assert solver._pareto_weights(optima[0].shares, *support_masks(p.prefs, optima[0].shares)) is None
     assert [ct.check_efficiency(p, x, 0.05) for x in optima + others] == expected
     assert len(walks) == len(expected)

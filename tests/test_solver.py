@@ -14,6 +14,7 @@ import ctrules.solver as solver_module
 from ctrules.cli import ladder_rule
 from ctrules.core import overlap
 from helpers import (
+    FailingHighs,
     core_example_profile,
     dirichlet_profile,
     perturbed_start_ascent,
@@ -311,14 +312,14 @@ def test_egalitarian_stops_when_a_round_adds_no_new_cut(monkeypatch):
     # no gap of a float LP reaches 1e-300, so the loop must end because
     # every cut it would add is already in the LP, not at the round cap
     calls = []
-    solve = solver_module._CutLP.solve
+    solve = solver_module._LP.solve
 
     def counting_solve(self):
         out = solve(self)
         calls.append(out[0])
         return out
 
-    monkeypatch.setattr(solver_module._CutLP, "solve", counting_solve)
+    monkeypatch.setattr(solver_module._LP, "solve", counting_solve)
     p = dirichlet_profile(0, 20, 6)
     reference = ct.solve_egalitarian(p)
     rounds = len(calls)
@@ -330,13 +331,21 @@ def test_egalitarian_stops_when_a_round_adds_no_new_cut(monkeypatch):
     assert strict.objective == pytest.approx(reference.objective, abs=1e-12)
 
 
-def test_egalitarian_lp_failure_falls_back_to_uniform(monkeypatch):
-    monkeypatch.setattr(solver_module._CutLP, "solve", lambda self: (7, None, None))
+@pytest.mark.parametrize("failure", ["solve", "status", "error"])
+def test_egalitarian_lp_failure_falls_back_to_uniform(monkeypatch, failure):
     p = dirichlet_profile(3, 6, 4)
+    if failure == "solve":
+        monkeypatch.setattr(solver_module._LP, "solve", lambda self: (7, None, None))
+        iterations = 7
+    else:
+        # HiGHS runs the first round's LP, then reports the failure
+        iterations = ct.solve_egalitarian(p, ct.SolverOptions(max_iters=1)).iterations
+        monkeypatch.setattr(FailingHighs, "mode", failure)
+        monkeypatch.setattr(solver_module.highs, "_Highs", FailingHighs)
     report = ct.solve_egalitarian(p)
     assert not report.converged
     assert np.array_equal(report.allocation.shares, np.full(4, 0.25))
-    assert report.iterations == 7
+    assert report.iterations == iterations
     # the gap is still an upper bound: no satisfaction exceeds 1
     assert report.mrs_gap == pytest.approx(1.0 - report.objective)
 
