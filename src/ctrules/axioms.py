@@ -2,36 +2,26 @@
 
 Allocation-level checks (range respect, fair-share axioms, core stability,
 efficiency) either certify the axiom or return a re-checkable witness of
-its violation.  The grid-based refutation searches are sound for violations
-but only resolution-complete for satisfaction, so reports carry the
-resolution used.  Efficiency tries a certificate before its walk: Pareto
-weights w >= 1 from a small LP (Isermann 1974) bound the total gain of
-every grid deviation, and when that bound rules out a witness the check
-holds without walking; a failed LP or a loose bound leaves the verdict to
-the walk, so reports are the walk's either way.  Rule-level probes
-(participation, strategyproofness) re-solve perturbed instances and search
-for profitable deviations; an uncertified solve makes them raise.
+its violation.  The core's grid refutation is sound for violations but only
+resolution-complete for satisfaction; efficiency is decided over the whole
+simplex by one exact LP, and a failed LP raises instead of answering.  Both
+reports carry the resolution, the least gain a witness must show.
+Rule-level probes (participation, strategyproofness) re-solve perturbed
+instances and search for profitable deviations; an uncertified solve makes
+them raise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .core import (
-    EQUALITY_TOL,
-    Allocation,
-    GuardError,
-    Profile,
-    UtilityFunction,
-    check_allocation,
-    overlap,
-    support_masks,
-)
+from .core import Allocation, GuardError, Profile, UtilityFunction, check_allocation, overlap
 from .oracle import GridSpec, _BlockOverlap, _composition_chunks, enumerate_grid
-from .solver import SolverOptions, _pareto_weights, solve_ctr
+from .solver import _LP, SolverOptions, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
 MAX_CORE_AGENTS = 12
@@ -168,18 +158,18 @@ def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     )
 
 
-def _blocking_witness(profile: Profile, x: Allocation, resolution: float, sizes: list[int]) -> dict | None:
-    """Witness for the lowest-bitmask coalition s of one of the given sizes
-    that a grid deviation y >= 0 of budget |s|/n blocks (every member weakly
-    better off, one by more than the resolution), at the first such y in lex
-    order, or None.  With W the agents a point leaves not worse off and B
-    (inside W) those it leaves better off by more than the resolution, its
-    lowest blocked coalition of size k is W's k lowest agents if they meet
-    B, else W's k - 1 lowest plus B's lowest.  All sizes' grids are built
-    and guarded first, then walked by increasing size until 2^k - 1 exceeds
-    the best bitmask."""
+def _blocking_witness(profile: Profile, x: Allocation, resolution: float) -> dict | None:
+    """Witness for the lowest-bitmask coalition s that a grid deviation
+    y >= 0 of budget |s|/n blocks (every member weakly better off, one by
+    more than the resolution), at the first such y in lex order, or None.
+    With W the agents a point leaves not worse off and B (inside W) those
+    it leaves better off by more than the resolution, its lowest blocked
+    coalition of size k is W's k lowest agents if they meet B, else W's
+    k - 1 lowest plus B's lowest.  Every size's grid is built and guarded
+    first, then walked by increasing size until 2^k - 1 exceeds the best
+    bitmask."""
     pi = overlap(profile.prefs, check_allocation(profile, x))
-    specs = [(k, GridSpec.snapped(profile.m, k / profile.n, resolution)) for k in sizes]
+    specs = [(k, GridSpec.snapped(profile.m, k / profile.n, resolution)) for k in range(1, profile.n + 1)]
     ones, best, found = np.ones(profile.n), np.inf, None
     for k, spec in specs:
         if best < (1 << k) - 1:
@@ -230,58 +220,62 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
         raise GuardError(f"core search is limited to n <= {MAX_CORE_AGENTS}")
     if m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"core search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    witness = _blocking_witness(profile, x, resolution, list(range(1, n + 1)))
+    witness = _blocking_witness(profile, x, resolution)
     return AxiomReport("core", witness is None, witness or {"resolution": resolution})
 
 
-def _certified_efficient(profile: Profile, x: np.ndarray, resolution: float) -> bool:
-    """True when Pareto weights prove that the efficiency walk at this
-    resolution finds no witness.
-
-    For weights w >= 1 from ``_pareto_weights`` and any y on the simplex,
-    concavity bounds sum_i w_i (u_i(y) - pi_i) by the moved mass times
-    their MRS gap, plus m * EQUALITY_TOL * sum(w) for the ties the support
-    masks round and |sum(x) - 1| * sum(w) for x's budget drift.  A point the
-    walk reports leaves every agent at least pi_i - 1e-9, so its total gain
-    is at most that bound plus 1e-9 * sum(w - 1), and it exceeds
-    resolution - (n - 1) * 1e-9.  The rounding slack covers the float table
-    sums of the walk and of pi, the grid points' products, the weighted
-    products and this comparison, each a few (n + m) ulps of sum(w).
-    """
-    n, m = profile.n, profile.m
-    found = _pareto_weights(x, *support_masks(profile.prefs, x))
-    if found is None:
-        return False
-    w, gap = found
-    total = float(w.sum())
-    bound = max(gap, 0.0) + (m * EQUALITY_TOL + abs(float(x.sum()) - 1.0)) * total + 1e-9 * (total - n)
-    slack = 16 * (n + m) * np.finfo(float).eps * total
-    return bound <= resolution - (n - 1) * 1e-9 - slack
-
-
 def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> AxiomReport:
-    """Pareto efficiency by grid refutation: no grid allocation weakly
-    dominates x with one gain above the resolution (the core's test for the
-    grand coalition).
+    """Pareto efficiency by one exact LP: x fails iff some allocation y
+    leaves every agent at least pi_i - 1e-9 and one above pi_i + resolution.
 
     The paper's rules maximize increasing concave sums, so their outcomes
-    are efficient, and an efficient allocation of this piecewise-linear
-    problem is a weighted-utilitarian optimum for some weights w >= 1
-    (Isermann 1974).  Such weights bound the total gain of every grid
-    deviation, so when the bound rules out a witness the check holds
-    without walking the grid; otherwise, or when the weights' LP fails,
-    the walk decides.  Both paths give the same report.
+    pass.  The LP maximizes total satisfaction over y on the simplex and
+    v_ij <= min(y_j, ideal_ij), holding every agent at sum_j v_ij >= pi_i
+    exactly (x itself is feasible).  A total gain of at most the resolution
+    holds, which settles a rule optimum in one solve.  Otherwise the optimal
+    y is the witness if it lifts one agent above the resolution, and if not
+    the same model is re-solved for each agent's own satisfaction, in index
+    order, until one such y turns up.  A witness is re-checked with
+    ``overlap``; a failed LP, non-finite values, or a witness that leaves
+    an agent below pi_i - 1e-9 raise RuntimeError, never a verdict.
     """
-    if profile.m > MAX_GRID_ALTERNATIVES:
-        raise GuardError(f"efficiency search is limited to m <= {MAX_GRID_ALTERNATIVES}")
-    # a grid past the size guard is refused before any LP
-    GridSpec.snapped(profile.m, 1.0, resolution)
-    certified = _certified_efficient(profile, check_allocation(profile, x), resolution)
-    witness = None if certified else _blocking_witness(profile, x, resolution, [profile.n])
-    if witness is None:
-        return AxiomReport("efficiency", True, witness={"resolution": resolution})
-    del witness["members"], witness["budget"]
-    return AxiomReport("efficiency", False, witness={"dominating": witness.pop("deviation"), **witness})
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    prefs = profile.prefs
+    n, m = prefs.shape
+    pi = overlap(prefs, check_allocation(profile, x))
+    # columns y_0..y_{m-1}, then v_ij at m + i m + j with 0 <= v_ij <= ideal_ij
+    v = m + np.arange(n * m)
+    lp = _LP(np.append(np.zeros(m), np.full(n * m, -1.0)), np.zeros(m + n * m), np.append(np.ones(m), prefs.ravel()))
+    lp.add_rows(np.ones(1), np.ones(1), np.zeros(1), np.arange(m), np.ones(m))
+    pairs = np.column_stack([v, np.tile(np.arange(m), n)]).ravel()
+    lp.add_rows(np.full(n * m, -np.inf), np.zeros(n * m), 2 * np.arange(n * m), pairs, np.tile([1.0, -1.0], n * m))
+    lp.add_rows(pi, np.full(n, np.inf), m * np.arange(n), v, np.ones(n * m))
+    for agent in [None, *range(n)]:
+        if agent is not None:
+            lp.set_cost(np.append(np.zeros(m), np.repeat(np.arange(n) == agent, m) * -1.0))
+        value, cols = lp.solve()[1:]
+        if value is None or not (math.isfinite(value) and np.isfinite(cols).all()):
+            raise RuntimeError("the efficiency LP failed")
+        if agent is None and -value - pi.sum() <= resolution:
+            break
+        y = np.maximum(cols[:m], 0.0)
+        y /= y.sum()
+        after = overlap(prefs, y)
+        if (after > pi + resolution).any():
+            if not (after >= pi - 1e-9).all():
+                raise RuntimeError("the efficiency LP's witness leaves an agent worse off")
+            return AxiomReport(
+                "efficiency",
+                False,
+                witness={
+                    "dominating": y.tolist(),
+                    "satisfactions_before": pi.tolist(),
+                    "satisfactions_after": after.tolist(),
+                    "resolution": resolution,
+                },
+            )
+    return AxiomReport("efficiency", True, witness={"resolution": resolution})
 
 
 def probe_participation(

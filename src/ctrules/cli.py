@@ -4,8 +4,9 @@ bound tables, instance generation, and lambda sweeps.
 Profiles travel as JSON documents {"n": int, "m": int, "prefs": [[...]]}
 with optional "labels" and "seed" keys.  Rows must sum to 1 within 1e-6;
 rows off by more than 1e-12 are renormalized on load, anything worse is
-rejected.  Exit codes: 0 success, 1 I/O or parse failure, 2 non-convergence
-(or a failed oracle comparison), 3 size-guard violation.
+rejected; "n", "m" and "seed" must be JSON integers.  Exit codes: 0
+success, 1 I/O or parse failure, 2 non-convergence, a failed check or oracle
+comparison, or a failed LP, 3 size-guard violation.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ def load_profile(path: str | Path) -> tuple[Profile, dict]:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "prefs" not in doc:
         raise ValueError(f"{path}: not a profile document")
+    for key in ("n", "m", "seed"):
+        # bool is an int subclass, and true would pass for 1
+        if key in doc and type(doc[key]) is not int:
+            raise ValueError(f"{path}: {key} must be an integer, got {doc[key]!r}")
     prefs = _numbers(path, doc["prefs"], "prefs")
     if prefs.ndim != 2:
         raise ValueError(f"{path}: prefs must be a matrix")
@@ -83,12 +88,16 @@ def load_allocation(path: str | Path) -> Allocation:
 
 
 def _numbers(path: str | Path, value, what: str) -> np.ndarray:
-    """value as a float array; an object, a string that is not a number or a
-    ragged list where a number belongs is refused with the file's path."""
+    """value as a float array; an object, a string, a boolean or a ragged
+    list where a number belongs is refused with the file's path (numpy
+    would read "0.5" as 0.5 and true as 1)."""
     try:
-        return np.array(value, dtype=float)
+        numbers = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {what} must be an array of numbers ({exc})") from None
+    if any(isinstance(v, (str, bool)) for v in np.array(value, dtype=object).flat):
+        raise ValueError(f"{path}: {what} must be an array of numbers, not strings or booleans")
+    return numbers
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +340,7 @@ def cmd_sweep(args) -> int:
     unconverged: list[str] = []
     for path in files:
         profile, meta = load_profile(path)
-        seed = int(meta.get("seed", -1))
+        seed = meta.get("seed", -1)
         util_ref = solve_utilitarian(profile, opts)
         egal_ref = solve_egalitarian(profile, opts)
         rungs = []
@@ -475,9 +484,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GuardError, OSError, ValueError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, GuardError) else 1
+        # a GuardError is a RuntimeError, so it is told apart first
+        if isinstance(exc, GuardError):
+            return 3
+        return 2 if isinstance(exc, RuntimeError) else 1
 
 
 if __name__ == "__main__":

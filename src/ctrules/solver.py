@@ -57,11 +57,8 @@ The paper's first-order quantities live here, computed one way: the
 marginal contributions mc_up / mc_down are the agent weights times the
 strict/weak support masks, a product ``_exchange_terms`` (the certificate)
 and ``marginal_contribution`` both take, and ``directional_derivative``
-reads the same masks.  The efficiency check's Pareto weights come from one
-small LP (``_pareto_weights``): weights w >= 1 that meet the MRS condition
-in place of f'(pi), whose gap is the same ``_exchange_terms``.  Both LPs
-here, this one and the maxmin cut LP below, are HiGHS models built by one
-class, ``_LP``.
+reads the same masks.  Every LP, the maxmin cut LP below and the
+efficiency check's Pareto LP, is a HiGHS model built by one class, ``_LP``.
 
 The utilitarian reference is exact in one pass: total satisfaction is
 separable across alternatives, each term concave and piecewise linear, so
@@ -717,8 +714,8 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     # (no agent gains from x_j above its column's largest ideal share) and
     # 0 <= t <= 1, subject to sum_j x_j = 1 and the cuts t - x[S] <= rhs
     lp = _LP(np.append(np.zeros(m), -1.0), np.zeros(m + 1), np.append(prefs.max(axis=0), 1.0))
-    lp.add(np.ones((1, m), dtype=bool), 1.0, 0.0, np.ones(1), np.ones(1))
-    lp.add(cuts[first], -1.0, 1.0, np.full(len(first), -highs.kHighsInf), rhs[first])
+    lp.add_rows(np.ones(1), np.ones(1), np.zeros(1), np.arange(m), np.ones(m))
+    lp.add_rows(np.full(len(first), -highs.kHighsInf), rhs[first], *_cut_rows(cuts[first]))
 
     upper = 1.0  # no overlap exceeds 1
     iterations = 0
@@ -743,7 +740,7 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
             break
         keys = np.concatenate([keys, new_keys[fresh]])
         first = first[fresh]
-        lp.add(new_cuts[first], -1.0, 1.0, np.full(len(first), -highs.kHighsInf), new_rhs[first])
+        lp.add_rows(np.full(len(first), -highs.kHighsInf), new_rhs[first], *_cut_rows(new_cuts[first]))
 
     worst = float(best_pi.min())
     return _report(best_x, best_pi, worst, upper - worst, iterations, opts)
@@ -753,12 +750,10 @@ class _LP:
     """One HiGHS model: minimize cost . v over lower <= v <= upper and the
     rows added so far.
 
-    Every row is lower_r <= coef * sum(v[S_r]) + last * v[-1] <= upper_r
-    for a boolean mask S_r over the columns before the last: the maxmin cuts
-    t - x[S] <= rhs, its budget row sum(x) = 1 (last = 0) and the Pareto
-    rows mask . w - c.  Presolve is off: on these small dense LPs it costs
-    more than it saves.  Rows added to a solved model keep its basis, so
-    the next solve restarts the dual simplex from the previous optimum.
+    Rows come in compressed form, as HiGHS takes them.  Presolve is off: on
+    these small LPs it costs more than it saves.  Rows added to a solved
+    model, and new costs, keep its basis, so the next solve restarts the
+    simplex from the previous optimum.
     """
 
     def __init__(self, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray):
@@ -768,15 +763,13 @@ class _LP:
         no_entries = np.zeros(0, dtype=np.int32)
         self.model.addCols(len(cost), cost, lower, upper, 0, no_entries, no_entries, np.zeros(0))
 
-    def add(self, masks: np.ndarray, coef: float, last: float, lower: np.ndarray, upper: np.ndarray) -> None:
-        """Add one row per boolean mask row, with bounds lower and upper."""
-        k, width = masks.shape
-        # the last column is the final entry of every row with last != 0, so
-        # row r's entries are its mask's columns in order, then the last one
-        rows, cols = np.nonzero(np.hstack([masks, np.full((k, 1), last != 0.0)]))
-        starts = np.searchsorted(rows, np.arange(k)).astype(np.int32)
-        values = np.where(cols == width, last, coef)
-        self.model.addRows(k, lower, upper, len(cols), starts, cols.astype(np.int32), values)
+    def add_rows(self, lower, upper, starts: np.ndarray, index: np.ndarray, value: np.ndarray) -> None:
+        """Add the rows lower_r <= sum_k value_k v[index_k] <= upper_r, where
+        row r's entries k run from starts[r] to the next row's start."""
+        self.model.addRows(len(lower), lower, upper, len(index), starts.astype(np.int32), index.astype(np.int32), value)
+
+    def set_cost(self, cost: np.ndarray) -> None:
+        self.model.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
 
     def solve(self):
         """(simplex iterations, objective, column values), with objective
@@ -786,36 +779,6 @@ class _LP:
         if status == highs.HighsStatus.kError or self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
             return nit, None, None
         return nit, self.model.getObjectiveValue(), np.array(self.model.getSolution().col_value)
-
-
-def _pareto_weights(x: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Agent weights w >= 1 under which x is a weighted-utilitarian optimum,
-    with the weighted MRS gap they leave, or None.
-
-    (up, down) are the support masks at x.  One LP minimizes sum(w) over
-    w_i >= 1 and a free level c, subject to up[:, j] . w <= c for every
-    growable j (x_j < 1) and down[:, k] . w >= c for every shrinkable k
-    (x_k > 0): the rule certificate's MRS condition with w in place of
-    f'(pi).  The LP's w is clipped to at least 1, so its tolerances cannot
-    break w >= 1, and the gap is recomputed from w in float; it may then be
-    slightly positive.  None when the LP is infeasible (x is not exactly
-    efficient), fails or returns a non-finite w.
-    """
-    n = len(up)
-    growable = x < 1.0
-    rows = np.vstack([up[:, growable].T, down[:, x > 0.0].T])
-    # row r is mask_r . w - c: at most 0 on the growable rows, which come
-    # first, and at least 0 on the shrinkable ones
-    first = np.arange(len(rows)) < np.count_nonzero(growable)
-    lp = _LP(np.append(np.ones(n), 0.0), np.append(np.ones(n), -highs.kHighsInf), np.full(n + 1, highs.kHighsInf))
-    lp.add(rows, 1.0, -1.0, np.where(first, -highs.kHighsInf, 0.0), np.where(first, 0.0, highs.kHighsInf))
-    cols = lp.solve()[2]
-    if cols is None:
-        return None
-    w = np.maximum(cols[:n], 1.0)
-    if not np.isfinite(w).all():
-        return None
-    return w, _exchange_terms(x, w, up, down)[0]
 
 
 def _overlap_cuts(prefs: np.ndarray, points: np.ndarray):
@@ -829,6 +792,14 @@ def _overlap_cuts(prefs: np.ndarray, points: np.ndarray):
     cuts = prefs[None, :, :] >= np.atleast_2d(points)[:, None, :]
     rhs = np.where(cuts, 0.0, prefs).sum(axis=2)
     return cuts.reshape(-1, prefs.shape[1]), rhs.ravel()
+
+
+def _cut_rows(cuts: np.ndarray):
+    """The cuts t - x[S] as compressed rows (starts, index, value): each
+    row's mask columns with -1, then the level t (column m) with +1."""
+    k, m = cuts.shape
+    rows, cols = np.nonzero(np.hstack([cuts, np.ones((k, 1), dtype=bool)]))
+    return np.searchsorted(rows, np.arange(k)), cols, np.where(cols == m, 1.0, -1.0)
 
 
 def _cut_keys(cuts: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -244,8 +244,17 @@ def test_efficiency_unanimous_ideal_holds():
 
 
 def test_efficiency_guard():
-    with pytest.raises(ct.GuardError):
-        ct.check_efficiency(dirichlet_profile(0, 2, 5), ct.Allocation.uniform(5), resolution=0.1)
+    # the LP walks no grid, so efficiency has no m guard: at m = 5-8 the Nash
+    # optimum holds and an allocation that puts mass where nobody wants it fails
+    for m in range(5, 9):
+        p = ct.Profile(np.insert(dirichlet_profile(m, 2 * m, m - 1).prefs, 0, 0.0, axis=1))
+        report = ct.solve_ctr(p, NASH)
+        assert report.converged
+        assert ct.check_efficiency(p, report.allocation, resolution=0.01).holds
+        wasteful = ct.Allocation(0.5 * report.allocation.shares + 0.5 * np.eye(m)[0])
+        failed = ct.check_efficiency(p, wasteful, resolution=0.01)
+        assert not failed.holds
+        _revalidate(p, wasteful, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +283,14 @@ def test_participation_fuzz_over_rules():
         f = rules[trial % len(rules)]
         i = int(rng.integers(p.n))
         assert ct.probe_participation(p, f, i).holds
+
+
+def test_participation_refuses_an_uncertified_solve():
+    # one polish step certifies neither the full nor the reduced solve
+    p = dirichlet_profile(0, 6, 3)
+    assert not ct.solve_ctr(p, NASH, ct.SolverOptions(max_iters=1)).converged
+    with pytest.raises(RuntimeError, match="participation probe"):
+        ct.probe_participation(p, NASH, 0, opts=ct.SolverOptions(max_iters=1))
 
 
 def test_participation_needs_two_agents():

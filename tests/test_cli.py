@@ -11,6 +11,7 @@ import pytest
 
 import ctrules as ct
 from ctrules.cli import AXIOMS, BOUNDS, RULES, build_parser, ladder_rule, load_profile, main, save_profile
+from helpers import FailingHighs
 
 SP_DOC = {"n": 2, "m": 2, "prefs": [[0.5, 0.5], [0.0, 1.0]]}
 CORE_DOC = {
@@ -195,7 +196,7 @@ def test_check_grid_guard_exits_three_at_once(tmp_path, capsys):
     prefs = np.random.default_rng(1).dirichlet(np.ones(4), 10).tolist()
     prof = write_doc(tmp_path / "m4.json", {"n": 10, "m": 4, "prefs": prefs})
     alloc = write_doc(tmp_path / "x.json", [0.25] * 4)
-    for axiom, resolution in (("eff", "1e-6"), ("core", "1e-3"), ("core", "1e-9")):
+    for axiom, resolution in (("core", "1e-3"), ("core", "1e-9")):
         argv = ["check", "--profile", prof, "--allocation", alloc, "--axioms", axiom, "--resolution", resolution]
         start = time.perf_counter()
         assert main(argv) == 3, argv
@@ -209,7 +210,6 @@ def test_overflowing_grid_exits_three(tmp_path, capsys):
     alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
     check = ["check", "--profile", prof, "--allocation", alloc, "--resolution", "1e-320", "--axioms"]
     for argv in (
-        check + ["eff"],
         check + ["core"],
         ["oracle-verify", "--profile", prof, "--rule", "nash", "--resolution", "1e-320"],
     ):
@@ -217,6 +217,18 @@ def test_overflowing_grid_exits_three(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 3, (argv, err)
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("mode", ["status", "error", "nonfinite"])
+def test_a_failed_efficiency_lp_exits_two(tmp_path, monkeypatch, capsys, mode):
+    # a failed LP is reported as an error, never as holds
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
+    monkeypatch.setattr(FailingHighs, "mode", mode)
+    monkeypatch.setattr(ct.solver.highs, "_Highs", FailingHighs)
+    assert main(["check", "--profile", prof, "--allocation", alloc, "--axioms", "eff"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: the efficiency LP failed\n"
 
 
 def test_huge_grid_is_refused_with_a_short_point_count(tmp_path, capsys):
@@ -279,7 +291,7 @@ PINNED_CHECKS = [
         "holds": False,
         "applicable": True,
         "witness": {
-            "dominating": [0.45, 0.4, 0.15000000000000002],
+            "dominating": [0.4155562521160524, 0.3905780016095377, 0.1938657462744099],
             "satisfactions_before": [
                 0.4078009182309967,
                 0.7522368010553819,
@@ -288,11 +300,11 @@ PINNED_CHECKS = [
                 0.31679751678846574,
             ],
             "satisfactions_after": [
-                0.41722291662145894,
-                0.752236801055382,
-                0.6612348068071989,
-                0.20272009581100386,
-                0.46679751678846576,
+                0.4078009182309966,
+                0.7522368010553819,
+                0.6706568051976611,
+                0.24658584208541373,
+                0.5106632630628756,
             ],
             "resolution": 0.05,
         },
@@ -694,12 +706,25 @@ def test_bad_resolution_is_refused(tmp_path, capsys):
         assert_refused(capsys, ["oracle-verify", "--profile", prof, "--rule", "nash", "--resolution", resolution])
 
 
-MALFORMED_PROFILES = [{"prefs": [[{}, 0.5]]}, {"prefs": {"a": 1}}, {"prefs": [[0.5, [0.5]], [0.0, 1.0]]}]
-MALFORMED_ALLOCATIONS = [{"allocation": {"a": 1}}, {"shares": [0.5, "x"]}, [[0.5], 0.5], [{}, 0.5]]
+MALFORMED_PROFILES = [
+    {"prefs": [[{}, 0.5]]},
+    {"prefs": {"a": 1}},
+    {"prefs": [[0.5, [0.5]], [0.0, 1.0]]},
+    {"prefs": [["0.5", "0.5"], [True, False]]},
+    {"prefs": [[0.5, 0.5], [0.0, True]]},
+]
+MALFORMED_ALLOCATIONS = [
+    {"allocation": {"a": 1}},
+    {"shares": [0.5, "x"]},
+    [[0.5], 0.5],
+    [{}, 0.5],
+    ["0.25", "0.75"],
+    {"shares": [False, True]},
+]
 
 
 def test_non_numbers_in_a_file_are_refused_with_its_path(tmp_path, capsys):
-    # an object or a ragged list where a number belongs
+    # an object, a string, a boolean or a ragged list where a number belongs
     prof = write_doc(tmp_path / "sp.json", SP_DOC)
     alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
     for k, doc in enumerate(MALFORMED_PROFILES):
@@ -713,6 +738,17 @@ def test_non_numbers_in_a_file_are_refused_with_its_path(tmp_path, capsys):
         bad = write_doc(tmp_path / f"bad_allocation_{k}.json", doc)
         argv = ["check", "--profile", prof, "--allocation", bad, "--axioms", "rr"]
         assert f"error: {bad}: " in assert_refused(capsys, argv)
+
+
+@pytest.mark.parametrize("key,value", [("seed", None), ("seed", 1.7), ("seed", "7"), ("seed", True), ("n", True), ("m", 2.0)])
+def test_profile_metadata_must_be_integers(tmp_path, sweep_dir, capsys, key, value):
+    # null used to end in a traceback, 1.7 was printed as seed 1, "7" and
+    # true were read as 7 and 1, and a declared n of true matched n = 1
+    doc = {"n": 1, "m": 2, "prefs": [[0.25, 0.75]], "seed": 3, key: value}
+    bad = write_doc(tmp_path / "bad.json", doc)
+    assert f"error: {bad}: {key} must be an integer" in assert_refused(capsys, ["solve", "--profile", bad, "--rule", "nash"])
+    write_doc(sweep_dir / "bad.json", doc)
+    assert_refused(capsys, ["sweep", "--profile-dir", str(sweep_dir), "--lambda-grid", "1:1:1"])
 
 
 # ---------------------------------------------------------------------------

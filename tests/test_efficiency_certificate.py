@@ -1,13 +1,12 @@
-"""The Pareto-weight certificate in front of the efficiency grid walk: it
-never hides a witness, certifies every rule optimum, and leaves every
-report as the walk alone would build it."""
+"""The efficiency LP: it finds every witness the grid walk finds and more,
+settles every rule optimum in one solve, re-solves per agent only when the
+total gain is spread, and raises when HiGHS fails."""
 
 import numpy as np
 import pytest
 
 import ctrules as ct
 from ctrules import axioms, solver
-from ctrules.core import support_masks
 from helpers import FailingHighs
 
 RULES = [ct.make_utility("log"), ct.make_utility("negpower", p=3.0), ct.make_utility("power", p=0.5)]
@@ -40,59 +39,145 @@ def corpus_allocations(s, p):
 CORPUS = [(s, p, *corpus_allocations(s, p)) for s, p in corpus_profiles()]
 
 
-def walk_only(profile, x, resolution):
-    """check_efficiency with the certificate's LP failing, so the walk decides."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(axioms, "_pareto_weights", lambda *args: None)
-        return ct.check_efficiency(profile, x, resolution)
+def walk_witness(p, x, resolution):
+    """The first point in lex order of the full-budget grid, its step
+    snapped to the resolution, that leaves every agent at least pi - 1e-9
+    and one above pi + resolution, or None."""
+    points = np.array(list(ct.enumerate_grid(ct.GridSpec.snapped(p.m, 1.0, resolution))))
+    pi = ct.satisfaction_vector(p, x).values
+    after = np.minimum(p.prefs[None], points[:, None, :]).sum(axis=2)
+    hit = (after >= pi - 1e-9).all(axis=1) & (after > pi + resolution).any(axis=1)
+    return points[np.argmax(hit)] if hit.any() else None
 
 
-def test_reports_equal_the_walk_alone_and_no_witness_is_certified():
-    certified = witnesses = 0
+def assert_rechecks(p, x, report):
+    """A failing report's witness dominates x, recomputed from the raw profile."""
+    w = report.witness
+    y = np.array(w["dominating"])
+    pi = ct.satisfaction_vector(p, x).values
+    after = np.minimum(p.prefs, y).sum(axis=1)
+    assert y.min() >= 0.0 and abs(y.sum() - 1.0) <= 1e-9
+    assert w["satisfactions_before"] == pi.tolist() and w["satisfactions_after"] == after.tolist()
+    assert (after >= pi - 1e-9).all() and (after > pi + w["resolution"]).any()
+
+
+def lp_solves(monkeypatch):
+    """A list that grows by one for every LP solve from now on."""
+    solves = []
+    solve = solver._LP.solve
+    monkeypatch.setattr(solver._LP, "solve", lambda self: solves.append(1) or solve(self))
+    return solves
+
+
+def test_every_walk_witness_is_an_lp_witness():
+    walked = extra = 0
     for _, p, optima, others in CORPUS:
         for x in optima + others:
             for res in RESOLUTIONS:
-                walked = walk_only(p, x, res)
-                assert ct.check_efficiency(p, x, res) == walked
-                fired = axioms._certified_efficient(p, x.shares, res)
-                assert not (fired and not walked.holds), (p.prefs, x.shares, res, walked.witness)
-                certified += fired
-                witnesses += not walked.holds
-    # the corpus exercises both outcomes
-    assert certified > 500 and witnesses > 50, (certified, witnesses)
+                report = ct.check_efficiency(p, x, res)
+                on_grid = walk_witness(p, x, res) is not None
+                assert not (on_grid and report.holds), (p.prefs, x.shares, res)
+                if not report.holds:
+                    assert_rechecks(p, x, report)
+                walked += on_grid
+                extra += not (report.holds or on_grid)
+    # the LP decides over the whole simplex, so it also finds witnesses off the grid
+    assert walked > 50 and extra > 5, (walked, extra)
+
+
+def degenerate_profiles():
+    """Seeded profiles with n 1-8 and m 2-8: Dirichlet rows, single-minded
+    rows, duplicate rows and a column nobody supports."""
+    for s in range(32):
+        rng = np.random.default_rng(700 + s)
+        n, m, kind = 1 + s % 8, 2 + s % 7, s % 4
+        if kind == 0:
+            rows = rng.dirichlet(np.full(m, 0.5), n)
+        elif kind == 1:
+            rows = np.eye(m)[rng.integers(0, m, n)]
+        elif kind == 2:
+            rows = rng.dirichlet(np.ones(m), 2)[rng.integers(0, 2, n)]
+        else:
+            rows = np.insert(rng.dirichlet(np.ones(m - 1), n), int(rng.integers(0, m)), 0.0, axis=1)
+        yield ct.Profile(rows)
 
 
 def test_every_rule_optimum_is_certified_without_a_walk(monkeypatch):
     def no_walk(*args):
-        raise AssertionError("the efficiency walk ran on a rule optimum")
+        raise AssertionError("the efficiency check walked a grid")
 
-    monkeypatch.setattr(axioms, "_blocking_witness", no_walk)
-    for _, p, optima, _ in CORPUS:
-        for x in optima:
-            for res in RESOLUTIONS:
-                assert ct.check_efficiency(p, x, res) == axioms.AxiomReport("efficiency", True, {"resolution": res})
+    monkeypatch.setattr(axioms, "_composition_chunks", no_walk)
+    solves = lp_solves(monkeypatch)
+    rules = RULES + [ct.make_utility("negexppower", p=1.0)]
+    checked = 0
+    for p in degenerate_profiles():
+        for f in rules:
+            report = ct.solve_ctr(p, f)
+            assert report.converged
+            for res in (1e-6, 1e-3, 0.1):
+                solves.clear()
+                holds = axioms.AxiomReport("efficiency", True, {"resolution": res})
+                assert ct.check_efficiency(p, report.allocation, res) == holds, (p.prefs, f, res)
+                # a total gain under the resolution settles it in the first solve
+                assert len(solves) == 1
+                checked += p.m > 4
+    assert checked > 100
+
+
+def test_the_per_agent_solves_decide_a_spread_gain(monkeypatch):
+    solves = lp_solves(monkeypatch)
+    # five identical agents each gain 0.02 from the wasted mass: 0.1 in
+    # total, above the resolution, but no agent alone gains more than 0.02
+    p = ct.Profile([[0.5, 0.5, 0.0]] * 5)
+    x = ct.Allocation([0.48, 0.5, 0.02])
+    assert ct.check_efficiency(p, x, 0.05).holds
+    assert len(solves) == 1 + p.n
+    assert not ct.check_efficiency(p, x, 0.01).holds
+
+    # seeded 0.1-grid profiles halfway between a random allocation and the
+    # Nash optimum: checks the first solve leaves to the per-agent ones end
+    # both ways.  They agree with the walk, except where the best gain is
+    # the resolution itself: the walk's float sums then find gains a few
+    # ulps above it, so it is held to a gain 1e-12 above
+    outcomes = set()
+    rng = np.random.default_rng(2024)
+    for _ in range(120):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(3, 5))
+        p = ct.Profile(rng.multinomial(10, np.ones(m) / m, size=n) / 10)
+        x = ct.Allocation(0.5 * rng.multinomial(20, np.ones(m) / m) / 20 + 0.5 * ct.solve_ctr(p, RULES[0]).allocation.shares)
+        res = float(rng.choice([0.02, 0.05, 0.1]))
+        solves.clear()
+        report = ct.check_efficiency(p, x, res)
+        if len(solves) > 1:
+            outcomes.add(report.holds)
+        if not report.holds:
+            assert_rechecks(p, x, report)
+        elif walk_witness(p, x, res + 1e-12) is not None:
+            raise AssertionError((p.prefs, x.shares, res))
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("mode", ["status", "error", "nonfinite"])
-def test_a_failed_lp_falls_through_to_the_walk(monkeypatch, mode):
+def test_a_failed_lp_raises(monkeypatch, mode):
     _, p, optima, others = CORPUS[11]
-    expected = [walk_only(p, x, 0.05) for x in optima + others]
-    walks = []
-    walk = axioms._blocking_witness
-    monkeypatch.setattr(axioms, "_blocking_witness", lambda *args: walks.append(1) or walk(*args))
     monkeypatch.setattr(FailingHighs, "mode", mode)
     monkeypatch.setattr(solver.highs, "_Highs", FailingHighs)
-    assert solver._pareto_weights(optima[0].shares, *support_masks(p.prefs, optima[0].shares)) is None
-    assert [ct.check_efficiency(p, x, 0.05) for x in optima + others] == expected
-    assert len(walks) == len(expected)
+    for x in optima + others:
+        with pytest.raises(RuntimeError, match="efficiency LP failed"):
+            ct.check_efficiency(p, x, 0.05)
 
 
-def test_a_too_fine_resolution_is_refused_before_the_lp(monkeypatch):
-    def no_lp(*args):
-        raise AssertionError("the certificate's LP ran before the grid guard")
-
-    monkeypatch.setattr(axioms, "_pareto_weights", no_lp)
-    _, p, optima, _ = CORPUS[2]
+def test_a_fine_resolution_needs_no_grid(monkeypatch):
+    _, p, optima, others = CORPUS[2]
     assert p.m == 4
-    with pytest.raises(ct.GuardError):
-        ct.check_efficiency(p, optima[0], resolution=1e-4)
+    # the grid at 1e-6 would have about 1.7e17 points
+    assert ct.check_efficiency(p, optima[0], resolution=1e-6).holds
+    assert not ct.check_efficiency(p, others[2], resolution=1e-6).holds
+
+    def no_lp(*args):
+        raise AssertionError("the LP was built for a resolution that is refused")
+
+    monkeypatch.setattr(axioms, "_LP", no_lp)
+    for resolution in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="resolution must be finite and positive"):
+            ct.check_efficiency(p, optima[0], resolution)

@@ -1,6 +1,7 @@
-"""The one-pass core and efficiency searches against the per-coalition grid
-walk over itertools.combinations and enumerate_grid, plus properties of both
-searches on degenerate profiles."""
+"""The one-pass core search against the per-coalition grid walk over
+itertools.combinations and enumerate_grid, the efficiency LP against the
+grand coalition's walk, plus properties of both checks on degenerate
+profiles."""
 
 import itertools
 
@@ -93,18 +94,24 @@ def test_core_and_efficiency_match_per_coalition_reference(case, profile, x, res
     report = ct.check_core(profile, x, resolution=resolution)
     assert (report.holds, report.witness) == reference_core(profile, x, resolution)
 
+    # the LP decides over the whole simplex, so every grid witness is an LP
+    # witness, and each LP witness re-checks from the raw profile
     pi = np.minimum(profile.prefs, x.shares).sum(axis=1)
     grand = reference_blocking(profile.prefs, pi, range(profile.n), resolution)
     eff = ct.check_efficiency(profile, x, resolution=resolution)
-    assert eff.holds == (grand is None)
     if grand is not None:
-        _, y, before, after = grand
+        assert not eff.holds
+    if not eff.holds:
+        y = np.array(eff.witness["dominating"])
+        after = np.minimum(profile.prefs, y).sum(axis=1)
+        assert y.min() >= 0.0 and abs(y.sum() - 1.0) <= 1e-9
         assert eff.witness == {
             "dominating": y.tolist(),
-            "satisfactions_before": before.tolist(),
+            "satisfactions_before": pi.tolist(),
             "satisfactions_after": after.tolist(),
             "resolution": resolution,
         }
+        assert (after >= pi - 1e-9).all() and (after > pi + resolution).any()
 
 
 def test_core_walks_one_grid_per_coalition_size(monkeypatch):

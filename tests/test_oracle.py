@@ -197,7 +197,7 @@ def test_capped_blocks_give_the_uncapped_results(monkeypatch):
             for objective in ("ctr", "welfare", "maxmin"):
                 vec, val = ct.brute_force_best(p, objective, spec, f=f)
                 out.append((vec.tolist(), val))
-            out += [ct.check_efficiency(p, x, 0.05) for x in allocations]
+            out += [ct.check_core(p, x, 0.05) for x in allocations]
         return out
 
     uncapped = outputs()

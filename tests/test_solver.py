@@ -1,6 +1,8 @@
 """Solver behavior: known optima, certificates, references, and geometry."""
 
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +331,23 @@ def test_egalitarian_stops_when_a_round_adds_no_new_cut(monkeypatch):
     assert len(calls) - rounds <= rounds + 1
     assert strict.converged == (strict.mrs_gap <= 1e-300)
     assert strict.objective == pytest.approx(reference.objective, abs=1e-12)
+
+
+def test_only_the_lp_class_constructs_a_highs_model():
+    # the binding is private scipy API; with one construction site, a module
+    # that moves in a scipy release is mended in one place
+    sites = []
+    for path in sorted(Path(solver_module.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        inside = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and node.name == "_LP":
+                inside.update(range(node.lineno, node.end_lineno + 1))
+        for k, line in enumerate(text.splitlines(), 1):
+            if "_Highs" in line:
+                sites.append((path.name, k, k in inside))
+    assert [site for site in sites if not site[2]] == []
+    assert len(sites) == 1
 
 
 @pytest.mark.parametrize("failure", ["solve", "status", "error"])
