@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Allocation, GuardError, Profile, UtilityFunction, check_allocation, overlap
+from .core import EQUALITY_TOL, Allocation, GuardError, Profile, UtilityFunction, check_allocation, overlap
 from .oracle import GridSpec, _BlockOverlap, _composition_chunks, enumerate_grid
 from .solver import _LP, SolverOptions, solve_ctr
 
@@ -161,7 +161,8 @@ def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
 def _blocking_witness(profile: Profile, x: Allocation, resolution: float) -> dict | None:
     """Witness for the lowest-bitmask coalition s that a grid deviation
     y >= 0 of budget |s|/n blocks (every member weakly better off, one by
-    more than the resolution), at the first such y in lex order, or None.
+    more than the resolution plus EQUALITY_TOL), at the first such y in lex
+    order, or None.
     With W the agents a point leaves not worse off and B (inside W) those
     it leaves better off by more than the resolution, its lowest blocked
     coalition of size k is W's k lowest agents if they meet B, else W's
@@ -177,7 +178,8 @@ def _blocking_witness(profile: Profile, x: Allocation, resolution: float) -> dic
         block_overlap = _BlockOverlap(profile.prefs, spec)
         for block in _composition_chunks(spec):
             after = block_overlap(block)
-            fit, gain = after >= pi - 1e-9, after > pi + resolution
+            # on grid-aligned inputs an exact gain of the resolution can sum a few ulps above it
+            fit, gain = after >= pi - 1e-9, after - pi > resolution + EQUALITY_TOL
             # most points block nothing: count W and B before the closed form
             rows = np.flatnonzero((fit @ ones >= k) & (gain @ ones > 0.0))
             if not rows.size:
@@ -213,7 +215,9 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
     For every coalition s, searches deviations y >= 0 with total budget
     |s|/n (on a grid of approximately the requested resolution) that weakly
     improve every member and strictly improve one by more than the
-    resolution.  Holds iff no blocking pair is found.
+    resolution plus EQUALITY_TOL, so an exact gain of the resolution that
+    sums a few ulps above it does not block.  Holds iff no blocking pair is
+    found.
     """
     n, m = profile.n, profile.m
     if n > MAX_CORE_AGENTS:
@@ -237,10 +241,14 @@ def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> Axio
     the same model is re-solved for each agent's own satisfaction, in index
     order, until one such y turns up.  A witness is re-checked with
     ``overlap``; a failed LP, non-finite values, or a witness that leaves
-    an agent below pi_i - 1e-9 raise RuntimeError, never a verdict.
+    an agent below pi_i - 1e-9 raise RuntimeError, never a verdict.  A
+    resolution below EQUALITY_TOL, where the float rounding of the
+    satisfactions would count as a gain, is a ValueError.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    if resolution < EQUALITY_TOL:
+        raise ValueError(f"resolution {resolution!r} is below the rounding floor {EQUALITY_TOL!r} of the satisfactions")
     prefs = profile.prefs
     n, m = prefs.shape
     pi = overlap(prefs, check_allocation(profile, x))

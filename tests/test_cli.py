@@ -231,6 +231,17 @@ def test_a_failed_efficiency_lp_exits_two(tmp_path, monkeypatch, capsys, mode):
     assert captured.out == "" and captured.err == "error: the efficiency LP failed\n"
 
 
+def test_an_efficiency_resolution_below_the_rounding_floor_exits_one(tmp_path, capsys):
+    # the SP example's Nash optimum, where rounding noise would count as a gain
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
+    argv = ["check", "--profile", prof, "--allocation", alloc, "--axioms", "efficiency"]
+    assert main([*argv, "--resolution", "1e-16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: resolution 1e-16 is below the rounding floor")
+    assert main([*argv, "--resolution", "1e-12"]) == 0
+
+
 def test_huge_grid_is_refused_with_a_short_point_count(tmp_path, capsys):
     # C(1e300 + 2, 2) has 600 digits; the guard prints three significant ones
     prof = str(tmp_path / "g.json")

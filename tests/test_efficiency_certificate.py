@@ -181,3 +181,17 @@ def test_a_fine_resolution_needs_no_grid(monkeypatch):
     for resolution in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="resolution must be finite and positive"):
             ct.check_efficiency(p, optima[0], resolution)
+
+
+def test_a_resolution_below_the_rounding_floor_is_refused(monkeypatch):
+    _, p, _, _ = CORPUS[2]
+    report = ct.solve_ctr(p, RULES[0])
+    assert report.converged
+    assert ct.check_efficiency(p, report.allocation, resolution=ct.EQUALITY_TOL).holds
+
+    def no_lp(*args):
+        raise AssertionError("the LP was built for a resolution that is refused")
+
+    monkeypatch.setattr(axioms, "_LP", no_lp)
+    with pytest.raises(ValueError, match="below the rounding floor"):
+        ct.check_efficiency(p, report.allocation, resolution=1e-16)

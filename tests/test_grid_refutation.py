@@ -4,6 +4,7 @@ grand coalition's walk, plus properties of both checks on degenerate
 profiles."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,3 +189,19 @@ def test_nash_optimum_is_efficient_on_degenerate_profiles(profile):
     assert ct.check_efficiency(profile, report.allocation, resolution=0.1).holds
     core = ct.check_core(profile, report.allocation, resolution=0.1)
     assert core.axiom == "core" and core.witness["resolution"] == 0.1
+
+
+def test_a_gain_of_exactly_the_resolution_does_not_block():
+    # twins with ideal (0.3, 0.4, 0.3) under x = (0.3, 0.3, 0.4): the grand
+    # coalition's best deviation is its ideal, which lifts both by exactly
+    # 0.1, and no smaller coalition gains at all on a budget of 1/2
+    prefs, shares, ideal = [[0.3, 0.4, 0.3]] * 2, [0.3, 0.3, 0.4], [0.3, 0.4, 0.3]
+    tenths = [[Fraction(round(10 * v), 10) for v in row] for row in (prefs[0], shares, ideal)]
+    exact = sum(map(min, tenths[0], tenths[2])) - sum(map(min, tenths[0], tenths[1]))
+    assert exact == Fraction(1, 10)
+    profile = ct.Profile(prefs)
+    before = np.minimum(profile.prefs, shares).sum(axis=1)
+    after = np.minimum(profile.prefs, ideal).sum(axis=1)
+    assert (after > before + 0.1).all()  # the float sums clear it by an ulp
+    report = ct.check_core(profile, ct.Allocation(shares), resolution=0.1)
+    assert report.holds and report.witness == {"resolution": 0.1}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ctrules as ct
+from ctrules.cli import main
 from helpers import core_example_profile, dirichlet_profile, sp_example_profile
 
 
@@ -254,6 +255,137 @@ def test_fine_two_alternative_grid_keeps_its_tables_small():
     # tables over the whole million-step range would take about 150 MB
     p = dirichlet_profile(4, 8, 2)
     spec = ct.GridSpec(2, 1e-6)
+    tracemalloc.start()
+    try:
+        vec, val = ct.brute_force_best(p, "maxmin", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+    assert val == ct.core.overlap(p.prefs, vec).min()
+
+
+def unpruned_best(prefs, objective, spec, f=None):
+    """Argmax over every point of enumerate_grid, with numpy's own overlap
+    np.minimum(prefs, y).sum(axis=1); the first maximizer is kept."""
+    points = list(ct.enumerate_grid(spec))
+    pi = np.array([np.minimum(prefs, y).sum(axis=1) for y in points])
+    if objective == "ctr":
+        vals = f.value(np.maximum(pi, f.floor)).sum(axis=1)
+    elif objective == "welfare":
+        vals = pi.sum(axis=1)
+    else:
+        vals = pi.min(axis=1)
+    k = int(np.argmax(vals))
+    return points[k], float(vals[k])
+
+
+UTILITIES = [
+    ct.make_utility(kind, p)
+    for kind, p in [
+        ("log", None),
+        ("power", 0.5),
+        ("negpower", 3.0),
+        ("negpower", 9.0),
+        ("negexppower", 1.0),
+        ("negexppower", 3.0),
+        ("quadratic", None),
+        ("identity", None),
+    ]
+]
+OBJECTIVES = [("welfare", None), ("maxmin", None)] + [("ctr", f) for f in UTILITIES]
+# (m, budget, resolution): whole and partial budgets, m = 2 to 6
+PRUNING_GRIDS = [
+    (2, 1.0, 0.01),
+    (2, 0.7, 0.7 / 40),
+    (3, 1.0, 0.04),
+    (3, 0.6, 0.6 / 25),
+    (4, 1.0, 0.1),
+    (4, 0.5, 0.5 / 12),
+    (5, 1.0, 0.125),
+    (6, 1.0, 0.2),
+]
+
+
+def pruning_profile(seed, m, resolution):
+    """Dirichlet rows, then a single-minded row, a row on the grid (ties
+    between points) and a duplicated agent (plateaus)."""
+    rng = np.random.default_rng(seed)
+    prefs = rng.dirichlet(np.full(m, 0.6), size=int(rng.integers(4, 12)))
+    prefs[0] = np.eye(m)[rng.integers(m)]
+    prefs[1, :-1] = rng.multinomial(int(1 / resolution), np.full(m, 1 / m))[:-1] * resolution
+    prefs[1, -1] = 1.0 - prefs[1, :-1].sum()
+    prefs[-1] = prefs[-2]
+    return ct.Profile(prefs)
+
+
+@pytest.mark.parametrize("cap", [None, 16])
+@pytest.mark.parametrize("m,budget,resolution", PRUNING_GRIDS)
+def test_pruned_oracle_is_bit_identical_to_the_unpruned_argmax(monkeypatch, m, budget, resolution, cap):
+    # a small cap splits the lines into groups, the segments into runs, and
+    # scores each run of consecutive points as its own block
+    if cap is not None:
+        monkeypatch.setattr(ct.oracle, "_BLOCK_ROW_CAP", cap)
+    spec = ct.GridSpec(m, resolution, budget)
+    for seed in (m, 10 + m):
+        p = pruning_profile(seed, m, resolution)
+        for objective, f in OBJECTIVES:
+            vec, val = ct.brute_force_best(p, objective, spec, f=f)
+            ref_vec, ref_val = unpruned_best(p.prefs, objective, spec, f)
+            assert np.array_equal(vec, ref_vec) and val == ref_val, (seed, objective, f)
+
+
+def test_pruned_oracle_keeps_the_lexicographically_first_of_exact_ties():
+    # maxmin is min(x_0, min(x_1, 1/2) + min(x_2, 1/2)), which is 1/2 along
+    # x_0 = 1/2 for every split of the rest; sixteenths sum exactly
+    p = ct.Profile([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+    spec = ct.GridSpec(3, 1 / 16)
+    vec, val = ct.brute_force_best(p, "maxmin", spec)
+    ties = [y for y in ct.enumerate_grid(spec) if np.minimum(p.prefs, y).sum(axis=1).min() == 0.5]
+    assert len(ties) == 9
+    assert vec.tolist() == ties[0].tolist() == [0.5, 0.0, 0.5] and val == 0.5
+    ref_vec, ref_val = unpruned_best(p.prefs, "maxmin", spec)
+    assert np.array_equal(vec, ref_vec) and val == ref_val
+
+
+def test_pruned_oracle_scores_a_small_share_of_the_grid(monkeypatch):
+    rows = []
+    call = ct.oracle._BlockOverlap.__call__
+
+    def counted(self, block):
+        rows.append(len(block))
+        return call(self, block)
+
+    monkeypatch.setattr(ct.oracle._BlockOverlap, "__call__", counted)
+    spec = ct.GridSpec(4, 0.01)
+    p = dirichlet_profile(7, 8, 4)
+    for objective, f in [("welfare", None), ("maxmin", None), ("ctr", ct.make_utility("log"))]:
+        rows.clear()
+        ct.brute_force_best(p, objective, spec, f=f)
+        # the rows that build the tables, the lines' prefix sums and the
+        # scored points together stay under a tenth of the grid
+        assert sum(rows) < 0.1 * spec.num_points(), (objective, sum(rows))
+
+
+def test_oracle_verify_reports_what_the_unpruned_walk_reports(tmp_path, capsys, monkeypatch):
+    prof = tmp_path / "r.json"
+    assert main(["gen", "--kind", "dirichlet:1.0", "--n", "5", "--m", "3", "--seed", "4", "--out", str(prof)]) == 0
+    outputs = []
+    for oracle in (None, lambda profile, objective, spec, f=None: unpruned_best(profile.prefs, objective, spec, f)):
+        if oracle is not None:
+            monkeypatch.setattr(ct.cli, "brute_force_best", oracle)
+        capsys.readouterr()
+        for rule in ("nash", "negpower:3", "util", "egal"):
+            code = main(["oracle-verify", "--profile", str(prof), "--rule", rule, "--resolution", "0.01"])
+            outputs.append((rule, code, capsys.readouterr().out))
+    assert outputs[:4] == outputs[4:]
+    assert [code for _, code, _ in outputs] == [0] * 8
+
+
+def test_fine_three_alternative_grid_stays_small():
+    # the 8M-point grid of the fine maxmin tests
+    p = dirichlet_profile(5, 8, 3)
+    spec = ct.GridSpec(3, 0.00025)
     tracemalloc.start()
     try:
         vec, val = ct.brute_force_best(p, "maxmin", spec)
