@@ -276,6 +276,8 @@ def cmd_gen(args) -> int:
             weights = np.array([float(w) for w in weights_str.split(",")], dtype=float)
             if size < 1:
                 raise ValueError(f"group size must be positive in {chunk!r}")
+            if blocks and len(weights) != blocks[0].shape[1]:
+                raise ValueError(f"group {chunk!r} has {len(weights)} weights, the first group has {blocks[0].shape[1]}")
             if abs(weights.sum() - 1.0) > 1e-6:
                 raise ValueError(f"group weights must sum to 1 in {chunk!r}")
             weights = weights / weights.sum()

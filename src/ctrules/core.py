@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import ClassVar, Iterable, Literal
 
 import numpy as np
 
@@ -194,7 +194,16 @@ class UtilityFunction:
     identity              t                   0 (utilitarian baseline)
     ====================  ==================  =========================
 
-    Evaluation at t below ``floor`` uses t = floor, so the singular kinds
+    p is required, and finite, for exactly the kinds that take it: power
+    needs 0 < p < 1, negpower and negexppower p > 0, and negpower's p must
+    keep |f''(floor)| = p (p+1) floor^-(p+2) finite (an infinite marginal
+    would turn the certificate's f' @ mask products into NaN, an infinite
+    curvature the line search's Newton step and iav at the floor).
+    Construction refuses anything else with ValueError, so every instance,
+    built directly, by ``make_utility`` or by ``dataclasses.replace``, is a
+    member of the family.
+
+    Evaluation at t below ``floor`` (1e-9) uses t = floor, so the singular kinds
     stay finite when an agent's overlap is 0; the identity's value is not
     floored, so the utilitarian objective is exactly total satisfaction.
     Exponential-kind outputs are additionally clipped to stay inside float
@@ -208,7 +217,26 @@ class UtilityFunction:
 
     kind: UtilityKind
     p: float | None = None
-    floor: float = 1e-9
+    floor: ClassVar[float] = 1e-9
+
+    def __post_init__(self):
+        kind, p = self.kind, self.p
+        if kind in _KINDS_WITH_P:
+            if p is None:
+                raise ValueError(f"kind {kind!r} requires a parameter p")
+            if not math.isfinite(p):
+                raise ValueError(f"kind {kind!r} needs a finite p, got {p!r}")
+            if kind == "power" and not 0.0 < p < 1.0:
+                raise ValueError(f"power utilities need p in (0, 1), got {p!r}")
+            if kind in ("negpower", "negexppower") and p <= 0.0:
+                raise ValueError(f"kind {kind!r} needs p > 0, got {p!r}")
+            if kind == "negpower" and math.log(p) + math.log(p + 1.0) - (p + 2.0) * math.log(self.floor) >= _LOG_FLOAT_MAX:
+                raise ValueError(f"negpower p={p!r} overflows f'' at the utility floor {self.floor!r}; use a smaller p")
+        elif kind in ("log", "quadratic", "identity"):
+            if p is not None:
+                raise ValueError(f"kind {kind!r} takes no parameter")
+        else:
+            raise ValueError(f"unknown utility kind {kind!r}")
 
     def _t(self, t):
         return np.maximum(np.asarray(t, dtype=float), self.floor)
@@ -275,31 +303,8 @@ class UtilityFunction:
         return self.kind != "identity"
 
 
-def make_utility(kind: UtilityKind, p: float | None = None, floor: float = 1e-9) -> UtilityFunction:
-    """Build a family member, validating the parameter range for the kind."""
-    if not 0.0 < floor <= 1e-3:
-        raise ValueError(f"floor must lie in (0, 1e-3], got {floor!r}")
-    if kind in _KINDS_WITH_P:
-        if p is None:
-            raise ValueError(f"kind {kind!r} requires a parameter p")
-        if not math.isfinite(p):
-            raise ValueError(f"kind {kind!r} needs a finite p, got {p!r}")
-        if kind == "power" and not 0.0 < p < 1.0:
-            raise ValueError(f"power utilities need p in (0, 1), got {p!r}")
-        if kind in ("negpower", "negexppower") and p <= 0.0:
-            raise ValueError(f"kind {kind!r} needs p > 0, got {p!r}")
-        # |f''(floor)| = p (p+1) floor^-(p+2) must stay finite, and so then
-        # does f'(floor): an infinite marginal turns the certificate's
-        # f' @ mask products into NaN, an infinite curvature the line
-        # search's Newton step and iav at the floor
-        if kind == "negpower" and math.log(p) + math.log(p + 1.0) - (p + 2.0) * math.log(floor) >= _LOG_FLOAT_MAX:
-            raise ValueError(f"negpower p={p!r} overflows f'' at the utility floor {floor!r}; use a smaller p")
-    elif kind in ("log", "quadratic", "identity"):
-        if p is not None:
-            raise ValueError(f"kind {kind!r} takes no parameter")
-    else:
-        raise ValueError(f"unknown utility kind {kind!r}")
-    return UtilityFunction(kind=kind, p=p, floor=floor)
+# The one way to build a utility: UtilityFunction checks its own parameters.
+make_utility = UtilityFunction
 
 
 def iav(f: UtilityFunction, t: float) -> float:

@@ -103,6 +103,9 @@ from .core import (
 )
 
 _STALL_WINDOW = 300
+# The cap on the polish steps of a rule solve and on the cutting-plane
+# rounds of the maxmin reference.
+_MAX_ITERS = 200_000
 # The exchange line search sorts this many of the smallest kink steps first.
 # Its landing is usually among the first few, which the gallop reaches in a
 # few probes; it sorts every kink only when its gallop would pass these.
@@ -118,22 +121,16 @@ _CYCLE = 8
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the iterative solver.
-
-    tol is the gap tolerance certifying convergence: the MRS gap for rule
+    """The gap tolerance certifying convergence: the MRS gap for rule
     solves, the cut-LP bound minus the achieved minimum for the maxmin
-    reference.  max_iters caps the polish steps of rule solves and the
-    cutting-plane rounds of the maxmin reference.
+    reference.  tol must be a finite positive number, not a bool.
     """
 
     tol: float = 1e-7
-    max_iters: int = 200_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if isinstance(self.tol, bool) or not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
     exceeds any weak marginal contribution of a shrinkable one.
     """
     prefs, shares = profile.prefs, check_allocation(profile, x)
-    return _mrs_terms(shares, overlap(prefs, shares), f, *support_masks(prefs, shares))[0]
+    return _exchange_terms(shares, f.deriv(overlap(prefs, shares)), *support_masks(prefs, shares))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +196,17 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mrs_terms(x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, down: np.ndarray):
-    """The MRS gap at x with its exchange pair.
-
-    pi and (up, down) are the satisfactions and support masks at x; the
-    masks may be bool or 0/1 floats.  Returns (gap, j, k): j is the
-    growable alternative with the largest strict marginal contribution, k
-    the shrinkable one with the smallest weak marginal contribution.
-    """
-    return _exchange_terms(x, f.deriv(pi), up, down)
-
-
 def _exchange_terms(x: np.ndarray, weights: np.ndarray, up: np.ndarray, down: np.ndarray):
-    """``_mrs_terms`` under arbitrary agent weights in place of f'(pi).
+    """The MRS gap at x with its exchange pair, under the agent weights
+    ``weights`` (f'(pi) for a rule, ones for the utilitarian reference).
 
-    The strict and weak marginal contributions are mc_up = weights @ up and
-    mc_down = weights @ down: mc_up[j] sums the weights of the agents whose
+    (up, down) are the support masks at x, bool or 0/1 floats.  The strict
+    and weak marginal contributions are mc_up = weights @ up and mc_down =
+    weights @ down: mc_up[j] sums the weights of the agents whose
     satisfaction grows with x_j, mc_down[j] of those whose satisfaction
-    shrinks with it.
+    shrinks with it.  Returns (gap, j, k): j is the growable alternative
+    with the largest strict marginal contribution, k the shrinkable one
+    with the smallest weak marginal contribution.
     """
     mc_up = np.where(x < 1.0, weights @ up, -np.inf)
     mc_down = np.where(x > 0.0, weights @ down, np.inf)
@@ -534,7 +524,7 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
     uncertified, when a step returns it to a state (x, smooth-stop count)
     it held within the last _CYCLE steps (the step is a function of that
     state, so the polish would repeat forever), when its gap stalls, when
-    the line search makes no move, and after max_iters steps.  A step
+    the line search makes no move, and after _MAX_ITERS steps.  A step
     changes the sum of x only by rounding.
 
     Returns (x, pi, gap, iterations): the point the polish stopped at, its
@@ -550,8 +540,8 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
     best_gap = np.inf
     while True:
         pi = mins.sum(axis=1)
-        gap, j, k = _mrs_terms(x, pi, f, up, down)
-        if gap <= opts.tol or repeated or iters >= opts.max_iters:
+        gap, j, k = _exchange_terms(x, f.deriv(pi), up, down)
+        if gap <= opts.tol or repeated or iters >= _MAX_ITERS:
             return x, pi, gap, iters
         if gap < best_gap - 1e-14:
             best_gap = gap
@@ -692,7 +682,7 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     satisfaction of the best allocation found is a true optimality gap,
     reported as mrs_gap; converged means that gap is at most tol.
     iterations sums the HiGHS simplex iterations over the rounds.  The loop
-    also ends, unconverged, at max_iters rounds, when a round adds no new
+    also ends, unconverged, at _MAX_ITERS rounds, when a round adds no new
     cut, or when an LP fails.  A failed LP keeps the best allocation so far
     (the uniform one if the first LP fails) and the last LP bound (1 before
     any), so the reported gap stays a true gap.
@@ -719,7 +709,7 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
 
     upper = 1.0  # no overlap exceeds 1
     iterations = 0
-    for _ in range(opts.max_iters):
+    for _ in range(_MAX_ITERS):
         nit, value, cols = lp.solve()
         iterations += nit
         if value is None:

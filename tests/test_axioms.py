@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ctrules as ct
+from ctrules import solver
 from helpers import core_example_profile, dirichlet_profile, sp_example_profile
 
 NASH = ct.make_utility("log")
@@ -285,12 +286,13 @@ def test_participation_fuzz_over_rules():
         assert ct.probe_participation(p, f, i).holds
 
 
-def test_participation_refuses_an_uncertified_solve():
+def test_participation_refuses_an_uncertified_solve(monkeypatch):
     # one polish step certifies neither the full nor the reduced solve
     p = dirichlet_profile(0, 6, 3)
-    assert not ct.solve_ctr(p, NASH, ct.SolverOptions(max_iters=1)).converged
+    monkeypatch.setattr(solver, "_MAX_ITERS", 1)
+    assert not ct.solve_ctr(p, NASH).converged
     with pytest.raises(RuntimeError, match="participation probe"):
-        ct.probe_participation(p, NASH, 0, opts=ct.SolverOptions(max_iters=1))
+        ct.probe_participation(p, NASH, 0)
 
 
 def test_participation_needs_two_agents():
@@ -366,11 +368,12 @@ def test_sp_refuses_uncertified_misreport_solves(seed):
         ct.probe_strategyproofness(p, f, 0, resolution=0.25)
 
 
-def test_sp_refuses_an_uncertified_honest_solve():
+def test_sp_refuses_an_uncertified_honest_solve(monkeypatch):
     p = dirichlet_profile(0, 6, 3)
-    assert not ct.solve_ctr(p, NASH, ct.SolverOptions(max_iters=1)).converged
+    monkeypatch.setattr(solver, "_MAX_ITERS", 1)
+    assert not ct.solve_ctr(p, NASH).converged
     with pytest.raises(RuntimeError, match="strategyproofness probe"):
-        ct.probe_strategyproofness(p, NASH, 0, resolution=0.25, opts=ct.SolverOptions(max_iters=1))
+        ct.probe_strategyproofness(p, NASH, 0, resolution=0.25)
 
 
 def test_sp_rejects_bad_resolution():

@@ -1,5 +1,7 @@
 """Closed-form bounds, loss measurements, and the verification harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,14 @@ def test_welfare_loss_requires_converged_reference():
         ct.welfare_loss(p, ref.allocation, broken)
 
 
+def test_egalitarian_loss_requires_converged_reference():
+    p = dirichlet_profile(2, 3, 3)
+    ref = ct.solve_egalitarian(p)
+    broken = dataclasses.replace(ref, converged=False)
+    with pytest.raises(ValueError, match="egalitarian reference did not converge"):
+        ct.egalitarian_loss(p, ref.allocation, broken)
+
+
 def test_egalitarian_loss_zero_at_reference():
     p = dirichlet_profile(3, 4, 3)
     ref = ct.solve_egalitarian(p)
@@ -146,6 +156,9 @@ def test_bound_parameter_validation():
         ct.ifs_share_bound(1.0, 3, 1)
     with pytest.raises(ValueError):
         ct.afs_bound(0.5, 2.0)
+    for alpha in (0.0, 1.5, np.array([0.5, 0.0])):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            ct.afs_bound(alpha, 0.5)
     with pytest.raises(ValueError):
         ct.gamma(1, 10, 1.0)
     for lam in (float("nan"), float("inf")):

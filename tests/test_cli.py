@@ -231,6 +231,15 @@ def test_a_failed_efficiency_lp_exits_two(tmp_path, monkeypatch, capsys, mode):
     assert captured.out == "" and captured.err == "error: the efficiency LP failed\n"
 
 
+def test_an_efficiency_witness_that_leaves_an_agent_worse_off_exits_two(tmp_path, monkeypatch, capsys):
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    alloc = write_doc(tmp_path / "x.json", [0.25, 0.75])
+    monkeypatch.setattr(ct.solver._LP, "solve", lambda self: (0, -10.0, np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])))
+    assert main(["check", "--profile", prof, "--allocation", alloc, "--axioms", "eff"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: the efficiency LP's witness leaves an agent worse off\n"
+
+
 def test_an_efficiency_resolution_below_the_rounding_floor_exits_one(tmp_path, capsys):
     # the SP example's Nash optimum, where rounding noise would count as a gain
     prof = write_doc(tmp_path / "sp.json", SP_DOC)
@@ -749,6 +758,46 @@ def test_non_numbers_in_a_file_are_refused_with_its_path(tmp_path, capsys):
         bad = write_doc(tmp_path / f"bad_allocation_{k}.json", doc)
         argv = ["check", "--profile", prof, "--allocation", bad, "--axioms", "rr"]
         assert f"error: {bad}: " in assert_refused(capsys, argv)
+
+
+# (argv, message): refusals of gen's spec, the sweep grid and the file
+# loaders; {name} stands for a file of REFUSAL_FILES, {out} for an output
+# path and {dir} for a directory
+REFUSAL_FILES = {
+    "prof": SP_DOC,
+    "listdoc": [0.5, 0.5],
+    "flat": {"prefs": [0.5, 0.5]},
+    "noalloc": {"weights": [0.25, 0.75]},
+}
+REFUSALS = {
+    "gen-dirichlet-without-n-m": (["gen", "--kind", "dirichlet"], "dirichlet generation needs --n and --m"),
+    "gen-single-minded-without-m": (["gen", "--kind", "single-minded", "--n", "3"], "single-minded generation needs --n and --m"),
+    "gen-concentration": (["gen", "--kind", "dirichlet:0", "--n", "3", "--m", "2"], "dirichlet concentration must be positive"),
+    "gen-groups-without-spec": (["gen", "--kind", "groups"], 'groups generation needs a spec, e.g. groups:"3:1,0,0;3:.5,.5,0"'),
+    "gen-group-size": (["gen", "--kind", "groups:0:1,0"], "group size must be positive in '0:1,0'"),
+    "gen-group-weights": (["gen", "--kind", "groups:2:0.5,0.4"], "group weights must sum to 1 in '2:0.5,0.4'"),
+    "gen-ragged-groups": (["gen", "--kind", "groups:2:1,0;3:1,0,0"], "group '3:1,0,0' has 3 weights, the first group has 2"),
+    "gen-groups-n": (["gen", "--kind", "groups:2:1,0", "--n", "3"], "--n 3 does not match the groups spec total 2"),
+    "gen-groups-m": (["gen", "--kind", "groups:2:1,0", "--m", "3"], "--m 3 does not match the groups spec width 2"),
+    "gen-unknown-kind": (["gen", "--kind", "zipf", "--n", "2", "--m", "2"], "unknown generator kind 'zipf'"),
+    "sweep-malformed-grid": (["sweep", "--profile-dir", "{dir}", "--lambda-grid", "1:2"], "lambda grid must look like lo:hi:count, got '1:2'"),
+    "profile-not-a-document": (["solve", "--profile", "{listdoc}", "--rule", "nash"], "{listdoc}: not a profile document"),
+    "prefs-not-a-matrix": (["solve", "--profile", "{flat}", "--rule", "nash"], "{flat}: prefs must be a matrix"),
+    "no-allocation": (["check", "--profile", "{prof}", "--allocation", "{noalloc}", "--axioms", "rr"], "{noalloc}: no allocation found"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_each_refusal_is_one_error_line(tmp_path, capsys, case):
+    argv, message = REFUSALS[case]
+    paths = {name: write_doc(tmp_path / f"{name}.json", doc) for name, doc in REFUSAL_FILES.items()}
+    out = tmp_path / "out.json"
+    paths.update(dir=str(tmp_path), out=str(out))
+    if argv[0] == "gen":
+        argv = [*argv, "--out", "{out}"]
+    err = assert_refused(capsys, [arg.format(**paths) for arg in argv])
+    assert err == f"error: {message.format(**paths)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [("seed", None), ("seed", 1.7), ("seed", "7"), ("seed", True), ("n", True), ("m", 2.0)])

@@ -1,5 +1,6 @@
 """Core types, overlap satisfaction, support masks, and the utility family."""
 
+import dataclasses
 import math
 import warnings
 
@@ -31,6 +32,10 @@ def test_profile_rejects_bad_rows():
         ct.Profile([[float("nan"), 1.0], [0.5, 0.5]])
     with pytest.raises(ValueError):
         ct.Profile([[float("inf"), 0.0]])
+    with pytest.raises(ValueError, match="must be 2-dimensional"):
+        ct.Profile([0.5, 0.5])
+    with pytest.raises(ValueError, match="at least one agent"):
+        ct.Profile(np.zeros((0, 3)))
 
 
 def test_allocation_validation():
@@ -40,6 +45,8 @@ def test_allocation_validation():
         ct.Allocation([-0.1, 1.1])
     with pytest.raises(ValueError):
         ct.Allocation([float("nan"), 1.0])
+    with pytest.raises(ValueError, match="flat vector"):
+        ct.Allocation([[0.5, 0.5]])
     assert ct.Allocation.uniform(4).shares.sum() == pytest.approx(1.0)
 
 
@@ -245,6 +252,13 @@ def test_marginal_contribution_refuses_unknown_direction(direction):
         ct.marginal_contribution(sp_example_profile(), ct.Allocation([0.5, 0.5]), f, 1, direction)
 
 
+@pytest.mark.parametrize("j", [-1, 2])
+def test_marginal_contribution_refuses_alternatives_out_of_range(j):
+    f = ct.make_utility("log")
+    with pytest.raises(IndexError, match=f"alternative index {j} out of range for m=2"):
+        ct.marginal_contribution(sp_example_profile(), ct.Allocation([0.5, 0.5]), f, j, "up")
+
+
 # ---------------------------------------------------------------------------
 # Utility family
 # ---------------------------------------------------------------------------
@@ -268,9 +282,40 @@ def test_make_utility_parameter_validation():
     with pytest.raises(ValueError):
         ct.make_utility("log", p=2.0)
     with pytest.raises(ValueError):
-        ct.make_utility("log", floor=0.1)
-    with pytest.raises(ValueError):
         ct.make_utility("wat")  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(
+    "kind,p,message",
+    [
+        ("power", 2.0, r"power utilities need p in \(0, 1\), got 2.0"),
+        ("log", 3.0, "kind 'log' takes no parameter"),
+        ("negpower", float("nan"), "kind 'negpower' needs a finite p, got nan"),
+        ("cubic", None, "unknown utility kind 'cubic'"),
+        ("negexppower", None, "kind 'negexppower' requires a parameter p"),
+    ],
+    ids=["power:2", "log:3", "negpower:nan", "cubic", "negexppower"],
+)
+def test_utility_function_refuses_members_outside_the_family(kind, p, message):
+    # direct construction runs make_utility's checks: no convex or unknown f
+    # reaches a solver, which would certify it or fail deep inside
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ct.UtilityFunction(kind, p=p)
+
+
+def test_replacing_a_utility_parameter_is_checked_too():
+    f = ct.make_utility("negpower", p=3.0)
+    with pytest.raises(ValueError, match=r"^kind 'negpower' needs p > 0, got -3.0$"):
+        dataclasses.replace(f, p=-3.0)
+    assert dataclasses.replace(f, p=2.0) == ct.make_utility("negpower", p=2.0)
+
+
+def test_utility_fields_are_kind_and_p_and_the_floor_is_fixed():
+    assert ct.make_utility is ct.UtilityFunction
+    assert [field.name for field in dataclasses.fields(ct.UtilityFunction)] == ["kind", "p"]
+    assert ct.UtilityFunction.floor == ct.make_utility("log").floor == 1e-9
+    with pytest.raises(TypeError):
+        ct.make_utility("log", floor=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["power", "negpower", "negexppower"])
@@ -293,9 +338,6 @@ def test_negpower_p_is_capped_where_the_floor_derivative_overflows():
     for bad in (32.0, 33.0, 33.1, 40.0, 1e6):
         with pytest.raises(ValueError, match="overflows"):
             ct.make_utility("negpower", p=bad)
-    # a larger floor moves the cap up
-    f = ct.make_utility("negpower", p=40.0, floor=1e-6)
-    assert np.isfinite(f.deriv(0.0)) and np.isfinite(f.second(0.0))
 
 
 def test_steep_negexppower_clips_without_overflow_warnings():
@@ -311,9 +353,9 @@ def test_steep_negexppower_clips_without_overflow_warnings():
 
 
 def test_floor_applies_below_threshold():
-    f = ct.make_utility("log", floor=1e-6)
-    assert f.value(0.0) == pytest.approx(np.log(1e-6))
-    assert f.deriv(1e-9) == pytest.approx(1e6)
+    f = ct.make_utility("log")
+    assert f.value(0.0) == pytest.approx(np.log(1e-9))
+    assert f.deriv(1e-12) == pytest.approx(1e9)
 
 
 @pytest.mark.parametrize(
@@ -385,6 +427,10 @@ def test_iav_bound_of_catalog():
 def test_iav_bound_ordering():
     with pytest.raises(ValueError):
         ct.IavBound(2.0, 1.0)
+    with pytest.raises(ValueError, match="lower IAV bound must be nonnegative"):
+        ct.IavBound(-0.5, None)
+    with pytest.raises(ValueError, match="upper IAV bound must be positive"):
+        ct.IavBound(None, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,15 @@ def test_a_fine_resolution_needs_no_grid(monkeypatch):
             ct.check_efficiency(p, optima[0], resolution)
 
 
+def test_a_witness_that_leaves_an_agent_worse_off_raises(monkeypatch):
+    # an LP optimum y = (0.5, 0.5) at the SP example's Nash optimum lifts
+    # agent 0 from 0.75 to 1 and lowers agent 1 to 0.5: the re-check refuses it
+    p, x = ct.Profile([[0.5, 0.5], [0.0, 1.0]]), ct.Allocation([0.25, 0.75])
+    monkeypatch.setattr(solver._LP, "solve", lambda self: (0, -10.0, np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])))
+    with pytest.raises(RuntimeError, match="^the efficiency LP's witness leaves an agent worse off$"):
+        ct.check_efficiency(p, x, resolution=0.05)
+
+
 def test_a_resolution_below_the_rounding_floor_is_refused(monkeypatch):
     _, p, _, _ = CORPUS[2]
     report = ct.solve_ctr(p, RULES[0])

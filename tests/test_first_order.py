@@ -165,7 +165,7 @@ STIFF_5X4 = [
 ]
 
 
-def test_stiff_profile_on_a_segment_of_optima_certifies_in_few_steps():
+def test_stiff_profile_on_a_segment_of_optima_certifies_in_few_steps(monkeypatch):
     """One of the derandomized examples above: negexppower p = 4.18 on a 5x4
     profile whose optima form a segment (the supporters of alternatives 0
     and 3 add up to those of 1 and 2, so the face's reduced Newton system
@@ -173,7 +173,8 @@ def test_stiff_profile_on_a_segment_of_optima_certifies_in_few_steps():
     69,458 steps and end uncertified; the Newton step solves the system on
     its range and certifies within a few."""
     f = ct.make_utility("negexppower", p=4.175797009176113)
-    report = ct.solve_ctr(ct.Profile(STIFF_5X4), f, ct.SolverOptions(max_iters=20))
+    monkeypatch.setattr(solver_module, "_MAX_ITERS", 20)
+    report = ct.solve_ctr(ct.Profile(STIFF_5X4), f)
     assert report.converged and report.iterations <= 20
     assert report.mrs_gap <= ct.SolverOptions().tol
 
@@ -551,20 +552,25 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
     only the columns each step moves; at every iterate the masks equal
     support_masks and the satisfactions equal overlap bit for bit, through
     kink, zero and smooth landings of pair steps and of Newton steps."""
-    mrs_terms = solver_module._mrs_terms
+    exchange_terms = solver_module._exchange_terms
     newton_step = solver_module._newton_step
     solving = {}
     checked = [0]
     newton = {True: 0, False: 0}
 
-    def checking_mrs_terms(x, pi, f, up, down):
+    def remembering_deriv(self, t):
+        # the polish takes f' of the satisfactions right before the gap
+        solving["pi"] = t
+        return deriv(self, t)
+
+    def checking_exchange_terms(x, weights, up, down):
         if up.dtype == np.float64:  # the polish's carried masks, not mrs_gap's fresh ones
             fresh_up, fresh_down = support_masks(solving["prefs"], x)
             assert np.array_equal(up, fresh_up.astype(float))
             assert np.array_equal(down, fresh_down.astype(float))
-            assert np.array_equal(pi, overlap(solving["prefs"], x))
+            assert np.array_equal(solving["pi"], overlap(solving["prefs"], x))
             checked[0] += 1
-        return mrs_terms(x, pi, f, up, down)
+        return exchange_terms(x, weights, up, down)
 
     def counting_newton_step(*args):
         step = newton_step(*args)
@@ -573,7 +579,9 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
         return step
 
     with recorded_line_searches() as records, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_module, "_mrs_terms", checking_mrs_terms)
+        deriv = ct.UtilityFunction.deriv  # the line-search recorder's counting f'
+        mp.setattr(solver_module, "_exchange_terms", checking_exchange_terms)
+        mp.setattr(ct.UtilityFunction, "deriv", remembering_deriv)
         mp.setattr(solver_module, "_newton_step", counting_newton_step)
         for seed in range(8):
             n, m = 4 + seed % 9, 2 + seed % 4

@@ -53,6 +53,10 @@ def test_grid_guard_env_override(monkeypatch):
         ct.GridSpec(2, 0.05)
     monkeypatch.setenv("CTR_MAX_GRID", "1000")
     assert ct.GridSpec(2, 0.05).num_points() == 21
+    for raw in ("1e6", "ten", ""):
+        monkeypatch.setenv("CTR_MAX_GRID", raw)
+        with pytest.raises(ValueError, match="CTR_MAX_GRID must be an integer"):
+            ct.GridSpec(2, 0.05)
 
 
 def test_brute_force_sp_example():

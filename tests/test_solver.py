@@ -1,6 +1,7 @@
 """Solver behavior: known optima, certificates, references, and geometry."""
 
 import ast
+import dataclasses
 import time
 from pathlib import Path
 
@@ -300,11 +301,12 @@ def test_utilitarian_fills_the_lower_of_two_tied_columns_first():
     assert ct.welfare(p, swapped) == pytest.approx(report.objective, abs=1e-15)
 
 
-def test_egalitarian_round_cap_reports_unconverged():
+def test_egalitarian_round_cap_reports_unconverged(monkeypatch):
     # this profile needs three cut rounds; one round leaves a gap of 0.08
     p = dirichlet_profile(0, 20, 6)
     assert ct.solve_egalitarian(p).converged
-    capped = ct.solve_egalitarian(p, ct.SolverOptions(max_iters=1))
+    monkeypatch.setattr(solver_module, "_MAX_ITERS", 1)
+    capped = ct.solve_egalitarian(p)
     assert not capped.converged
     assert capped.mrs_gap > 1e-2
     assert capped.objective == np.minimum(p.prefs, capped.allocation.shares).sum(axis=1).min()
@@ -358,7 +360,9 @@ def test_egalitarian_lp_failure_falls_back_to_uniform(monkeypatch, failure):
         iterations = 7
     else:
         # HiGHS runs the first round's LP, then reports the failure
-        iterations = ct.solve_egalitarian(p, ct.SolverOptions(max_iters=1)).iterations
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_MAX_ITERS", 1)
+            iterations = ct.solve_egalitarian(p).iterations
         monkeypatch.setattr(FailingHighs, "mode", failure)
         monkeypatch.setattr(solver_module.highs, "_Highs", FailingHighs)
     report = ct.solve_egalitarian(p)
@@ -697,34 +701,37 @@ def test_outputs_are_range_respecting():
         assert np.all(report.allocation.shares <= hi)
 
 
-def test_objective_is_monotone_in_iteration_budget():
+def test_objective_is_monotone_in_iteration_budget(monkeypatch):
     p = dirichlet_profile(99, 8, 5)
     f = ct.make_utility("log")
     objectives = []
     for cap in (5, 20, 80, 200, 400, 2000):
-        rep = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=cap))
-        objectives.append(rep.objective)
+        monkeypatch.setattr(solver_module, "_MAX_ITERS", cap)
+        objectives.append(ct.solve_ctr(p, f).objective)
     assert all(b >= a - 1e-12 for a, b in zip(objectives, objectives[1:]))
 
 
-def test_exhausted_budget_reports_best_iterate_unconverged():
+def test_exhausted_budget_reports_best_iterate_unconverged(monkeypatch):
     p = dirichlet_profile(123, 10, 6)
-    report = ct.solve_ctr(p, ct.make_utility("log"), ct.SolverOptions(max_iters=3))
+    monkeypatch.setattr(solver_module, "_MAX_ITERS", 3)
+    report = ct.solve_ctr(p, ct.make_utility("log"))
     assert not report.converged
     assert report.mrs_gap > 1e-7
     assert abs(report.allocation.shares.sum() - 1.0) <= 1e-9
 
 
-def test_solve_capped_at_the_steps_it_needs_is_certified():
+def test_solve_capped_at_the_steps_it_needs_is_certified(monkeypatch):
     """The cap ends the polish after its last step, not before the gap of
     the point that step reached is known."""
     p = ct.Profile(np.random.default_rng(123).dirichlet(np.ones(6), size=10))
     f = ct.make_utility("log")
     assert ct.solve_ctr(p, f).iterations == 10
-    capped = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=10))
+    monkeypatch.setattr(solver_module, "_MAX_ITERS", 10)
+    capped = ct.solve_ctr(p, f)
     assert capped.iterations == 10 and capped.converged
     assert capped.mrs_gap <= ct.SolverOptions().tol
-    short = ct.solve_ctr(p, f, ct.SolverOptions(max_iters=9))
+    monkeypatch.setattr(solver_module, "_MAX_ITERS", 9)
+    short = ct.solve_ctr(p, f)
     assert short.iterations == 9 and not short.converged
 
 
@@ -736,28 +743,29 @@ def cycling_profile(case: int) -> ct.Profile:
 
 
 def report_recheck_solves():
-    """Seeded (profile, f, opts, start) solves that end every way a rule
-    solve can: certified cold and warm, at m = 20 and with an unsupported
-    or a single supported column, capped, and stopped on a repeated state."""
+    """Seeded (profile, f, opts, start, cap) solves that end every way a
+    rule solve can: certified cold and warm, at m = 20 and with an
+    unsupported or a single supported column, capped at cap steps (and cut
+    rounds) in place of solver._MAX_ITERS, and stopped on a repeated state."""
     log, neg3 = ct.make_utility("log"), ct.make_utility("negpower", p=3.0)
-    default = ct.SolverOptions()
+    default, uncapped = ct.SolverOptions(), solver_module._MAX_ITERS
     for seed in (1, 2):
         wide = dirichlet_profile(seed, 300, 20, conc=0.5)
-        yield wide, log, default, None
-        yield wide, neg3, default, ct.Allocation.uniform(20)
+        yield wide, log, default, None, uncapped
+        yield wide, neg3, default, ct.Allocation.uniform(20), uncapped
     rows = np.random.default_rng(5).dirichlet(np.ones(4), size=9)
     unsupported = ct.Profile(np.hstack([rows, np.zeros((9, 1))]))
     for f in CERTIFIED_KINDS:
-        yield unsupported, f, default, None
-        yield unsupported, f, default, ct.Allocation([0.1, 0.2, 0.3, 0.2, 0.2])
+        yield unsupported, f, default, None, uncapped
+        yield unsupported, f, default, ct.Allocation([0.1, 0.2, 0.3, 0.2, 0.2]), uncapped
     single = ct.Profile([[0.0, 1.0, 0.0]] * 4)
-    yield single, log, default, None
-    yield single, neg3, default, ct.Allocation([0.5, 0.25, 0.25])
+    yield single, log, default, None, uncapped
+    yield single, neg3, default, ct.Allocation([0.5, 0.25, 0.25]), uncapped
     needs_10 = ct.Profile(np.random.default_rng(123).dirichlet(np.ones(6), size=10))
     for cap in (1, 3, 9, 10):
-        yield needs_10, log, ct.SolverOptions(max_iters=cap), None
-    yield cycling_profile(77), ct.make_utility("negexppower", p=3.0), default, None
-    yield dirichlet_profile(4, 8, 5), log, ct.SolverOptions(tol=1e-14), None
+        yield needs_10, log, default, None, cap
+    yield cycling_profile(77), ct.make_utility("negexppower", p=3.0), default, None, uncapped
+    yield dirichlet_profile(4, 8, 5), log, ct.SolverOptions(tol=1e-14), None, uncapped
 
 
 def assert_report_rechecks(profile, f, report, tol):
@@ -773,13 +781,15 @@ def assert_report_rechecks(profile, f, report, tol):
 def test_every_report_equals_its_recomputation_bit_for_bit():
     outcomes = set()
     identity = ct.make_utility("identity")
-    for profile, f, opts, start in report_recheck_solves():
-        report = ct.solve_ctr(profile, f, opts, start=start)
+    for profile, f, opts, start, cap in report_recheck_solves():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "_MAX_ITERS", cap)
+            report = ct.solve_ctr(profile, f, opts, start=start)
+            util = ct.solve_utilitarian(profile, opts)
+            egal = ct.solve_egalitarian(profile, opts)
         assert_report_rechecks(profile, f, report, opts.tol)
-        outcomes.add((profile.m, report.converged, report.iterations == opts.max_iters))
-        util = ct.solve_utilitarian(profile, opts)
+        outcomes.add((profile.m, report.converged, report.iterations == cap))
         assert_report_rechecks(profile, identity, util, opts.tol)
-        egal = ct.solve_egalitarian(profile, opts)
         assert np.array_equal(egal.satisfactions.values, overlap(profile.prefs, egal.allocation.shares))
         assert egal.objective == egal.satisfactions.min()
         assert egal.converged == (egal.mrs_gap <= opts.tol)
@@ -814,6 +824,11 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         ct.SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
-        ct.SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
         ct.SolverOptions(tol=float("nan"))
+
+
+def test_solver_options_hold_only_a_tol_that_is_not_a_bool():
+    assert [field.name for field in dataclasses.fields(ct.SolverOptions)] == ["tol"]
+    # True would otherwise pass as the number 1.0
+    with pytest.raises(ValueError, match="^tol must be finite and positive, got True$"):
+        ct.SolverOptions(tol=True)
