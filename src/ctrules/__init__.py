@@ -49,7 +49,6 @@ from .core import (
 from .oracle import GridSpec, brute_force_best, enumerate_grid
 from .solver import (
     SolveReport,
-    SolverOptions,
     directional_derivative,
     marginal_contribution,
     mrs_gap,
@@ -71,7 +70,6 @@ __all__ = [
     "Profile",
     "SatisfactionVector",
     "SolveReport",
-    "SolverOptions",
     "UtilityFunction",
     "afs_bound",
     "brute_force_best",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import EQUALITY_TOL, Allocation, GuardError, Profile, UtilityFunction, check_allocation, overlap
 from .oracle import GridSpec, _BlockOverlap, _composition_chunks, enumerate_grid
-from .solver import _LP, SolverOptions, solve_ctr
+from .solver import _LP, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
 MAX_CORE_AGENTS = 12
@@ -286,57 +286,43 @@ def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> Axio
     return AxiomReport("efficiency", True, witness={"resolution": resolution})
 
 
-def probe_participation(
-    profile: Profile,
-    f: UtilityFunction,
-    i: int,
-    opts: SolverOptions | None = None,
-) -> AxiomReport:
-    """Compare agent i's satisfaction when voting versus abstaining."""
+def probe_participation(profile: Profile, f: UtilityFunction, i: int) -> AxiomReport:
+    """Compare agent i's satisfaction when voting versus abstaining; raises
+    RuntimeError when either solve is uncertified."""
     if profile.n < 2:
         raise ValueError("participation needs at least two agents")
-    opts = opts or SolverOptions()
-    full = solve_ctr(profile, f, opts)
-    reduced = solve_ctr(profile.without(i), f, opts, start=full.allocation)
+    full = solve_ctr(profile, f)
+    reduced = solve_ctr(profile.without(i), f, start=full.allocation)
     if not (full.converged and reduced.converged):
         raise RuntimeError("solver failed to converge during participation probe")
     with_vote = float(full.satisfactions.values[i])
     without_vote = float(overlap(profile.prefs, reduced.allocation.shares)[i])
     holds = with_vote >= without_vote - 1e-6
-    witness = None
-    if not holds:
-        witness = {"agent": i, "voting": with_vote, "abstaining": without_vote}
+    witness = None if holds else {"agent": i, "voting": with_vote, "abstaining": without_vote}
     return AxiomReport("participation", holds, witness=witness)
 
 
-def probe_strategyproofness(
-    profile: Profile,
-    f: UtilityFunction,
-    i: int,
-    resolution: float,
-    opts: SolverOptions | None = None,
-) -> AxiomReport:
+def probe_strategyproofness(profile: Profile, f: UtilityFunction, i: int, resolution: float) -> AxiomReport:
     """Search a misreport grid for a profitable manipulation by agent i.
 
     The witness records the best manipulation found and its gain; the probe
     holds iff no misreport gains more than 1e-6.  Soundness is one-sided:
     a finer grid can only find more manipulations.  Raises RuntimeError when
-    the honest solve or any misreport re-solve is uncertified, as the
-    participation probe does: a gain read off an uncertified solve is not
-    the rule's.
+    the honest solve or any misreport re-solve is uncertified (its MRS gap
+    is above the solver's 1e-7 certificate), as the participation probe
+    does: a gain read off an uncertified solve is not the rule's.
     """
     if profile.m > MAX_GRID_ALTERNATIVES:
         raise GuardError(f"misreport search is limited to m <= {MAX_GRID_ALTERNATIVES}")
     spec = GridSpec.snapped(profile.m, 1.0, resolution)
-    opts = opts or SolverOptions()
-    honest = solve_ctr(profile, f, opts)
+    honest = solve_ctr(profile, f)
     if not honest.converged:
         raise RuntimeError("solver failed to converge during strategyproofness probe")
     honest_sat = float(honest.satisfactions.values[i])
     best_gain = 0.0
     best: dict[str, Any] | None = None
     for y in enumerate_grid(spec):
-        manipulated = solve_ctr(profile.replace_row(i, y), f, opts, start=honest.allocation)
+        manipulated = solve_ctr(profile.replace_row(i, y), f, start=honest.allocation)
         if not manipulated.converged:
             raise RuntimeError("solver failed to converge during strategyproofness probe")
         sat = float(overlap(profile.prefs, manipulated.allocation.shares)[i])
@@ -350,5 +336,4 @@ def probe_strategyproofness(
                 "honest_satisfaction": honest_sat,
                 "manipulated_satisfaction": sat,
             }
-    holds = best_gain <= 1e-6
-    return AxiomReport("strategyproofness", holds, witness=best)
+    return AxiomReport("strategyproofness", best_gain <= 1e-6, witness=best)

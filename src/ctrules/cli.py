@@ -5,8 +5,8 @@ Profiles travel as JSON documents {"n": int, "m": int, "prefs": [[...]]}
 with optional "labels" and "seed" keys.  Rows must sum to 1 within 1e-6;
 rows off by more than 1e-12 are renormalized on load, anything worse is
 rejected; "n", "m" and "seed" must be JSON integers.  Exit codes: 0
-success, 1 I/O or parse failure, 2 non-convergence, a failed check or oracle
-comparison, or a failed LP, 3 size-guard violation.
+success, 1 usage error, I/O or parse failure, 2 non-convergence, a failed
+check or oracle comparison, or a failed LP, 3 size-guard violation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import axioms as ax
 from . import bounds as bd
 from .core import _KINDS_WITH_P, Allocation, GuardError, Profile, UtilityFunction, make_utility
 from .oracle import GridSpec, brute_force_best
-from .solver import SolveReport, SolverOptions, solve_ctr, solve_egalitarian, solve_utilitarian
+from .solver import SolveReport, solve_ctr, solve_egalitarian, solve_utilitarian
 
 SWEEP_HEADER = "lambda,rule,m,n,seed,wl_emp,wl_bound,el_emp,el_bound,min_share,min_share_bound,afs_worst"
 
@@ -87,6 +87,14 @@ def load_allocation(path: str | Path) -> Allocation:
     raise ValueError(f"{path}: no allocation found")
 
 
+def _spec_number(convert, text: str, message: str):
+    """convert(text) for a number in a rule or gen spec, refused with message."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(message) from None
+
+
 def _numbers(path: str | Path, value, what: str) -> np.ndarray:
     """value as a float array; an object, a string, a boolean or a ragged
     list where a number belongs is refused with the file's path (numpy
@@ -132,7 +140,8 @@ def parse_rule(spec: str) -> str | UtilityFunction:
         raise ValueError(f"rule {name!r} needs a parameter, e.g. {name}:0.5")
     if kind is None:
         return name
-    return make_utility(kind, p=float(param) if takes_p else None)
+    p = _spec_number(float, param, f"rule {name!r} needs a number parameter, got {param!r}") if takes_p else None
+    return make_utility(kind, p=p)
 
 
 def ladder_rule(lam: float) -> UtilityFunction:
@@ -160,15 +169,15 @@ def _emit(payload, out: str | None) -> None:
         print(text)
 
 
-def _solve_with(rule, profile: Profile, opts: SolverOptions) -> tuple[SolveReport, str, dict, float]:
+def _solve_with(rule, profile: Profile) -> tuple[SolveReport, str, dict, float]:
     """Solve a rule as parse_rule returns it.  Also returns what oracle-verify
     compares the solve with: the grid oracle's objective, its keyword
     arguments, and the objective's Lipschitz constant in the l1 distance."""
     if rule == "util":
-        return solve_utilitarian(profile, opts), "welfare", {}, float(profile.n)
+        return solve_utilitarian(profile), "welfare", {}, float(profile.n)
     if rule == "egal":
-        return solve_egalitarian(profile, opts), "maxmin", {}, 1.0
-    return solve_ctr(profile, rule, opts), "ctr", {"f": rule}, profile.n * float(rule.deriv(rule.floor))
+        return solve_egalitarian(profile), "maxmin", {}, 1.0
+    return solve_ctr(profile, rule), "ctr", {"f": rule}, profile.n * float(rule.deriv(rule.floor))
 
 
 def _entries(spec: str, table: dict, what: str) -> list:
@@ -189,7 +198,7 @@ def _entries(spec: str, table: dict, what: str) -> list:
 
 def cmd_solve(args) -> int:
     profile, _ = load_profile(args.profile)
-    report = _solve_with(parse_rule(args.rule), profile, SolverOptions(tol=args.tol))[0]
+    report = _solve_with(parse_rule(args.rule), profile)[0]
     _emit(
         {
             "allocation": [float(v) for v in report.allocation.shares],
@@ -262,7 +271,7 @@ def cmd_gen(args) -> int:
         rows = np.zeros((args.n, args.m))
         rows[np.arange(args.n), rng.integers(0, args.m, size=args.n)] = 1.0
     elif kind == "dirichlet":
-        conc = float(param) if param else 1.0
+        conc = _spec_number(float, param, f"dirichlet concentration must be a number, got {param!r}") if param else 1.0
         if conc <= 0:
             raise ValueError("dirichlet concentration must be positive")
         rows = rng.dirichlet(np.full(args.m, conc), size=args.n)
@@ -272,8 +281,9 @@ def cmd_gen(args) -> int:
         blocks = []
         for chunk in param.split(";"):
             size_str, _, weights_str = chunk.partition(":")
-            size = int(size_str)
-            weights = np.array([float(w) for w in weights_str.split(",")], dtype=float)
+            size = _spec_number(int, size_str, f"group size must be an integer in {chunk!r}")
+            bad_weights = f"group weights must be numbers in {chunk!r}"
+            weights = np.array([_spec_number(float, w, bad_weights) for w in weights_str.split(",")])
             if size < 1:
                 raise ValueError(f"group size must be positive in {chunk!r}")
             if blocks and len(weights) != blocks[0].shape[1]:
@@ -336,21 +346,20 @@ def cmd_sweep(args) -> int:
     if not directory.is_dir():
         raise OSError(f"{directory} is not a directory")
     lambdas = _lambda_grid(args.lambda_grid)
-    opts = SolverOptions(tol=args.tol)
     files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
     lines = [SWEEP_HEADER]
     unconverged: list[str] = []
     for path in files:
         profile, meta = load_profile(path)
         seed = meta.get("seed", -1)
-        util_ref = solve_utilitarian(profile, opts)
-        egal_ref = solve_egalitarian(profile, opts)
+        util_ref = solve_utilitarian(profile)
+        egal_ref = solve_egalitarian(profile)
         rungs = []
         report = None
         for lam in lambdas:
             f = ladder_rule(lam)
             # each rung starts from the previous rung's optimum
-            report = solve_ctr(profile, f, opts, start=report.allocation if report else None)
+            report = solve_ctr(profile, f, start=report.allocation if report else None)
             if not (report.converged and util_ref.converged and egal_ref.converged):
                 unconverged.append(f"{path.name}@lambda={lam:g}")
             rungs.append((lam, f, report))
@@ -367,20 +376,8 @@ def cmd_sweep(args) -> int:
             el_emp = bd.egalitarian_loss(profile, report.allocation, egal_ref) if egal_ref.converged else np.nan
             el_bound = bd.gamma(profile.m, profile.n, lam)[0] if profile.n >= 2 else np.nan
             share_bound = bd.ifs_share_bound(lam, profile.m, profile.n) if profile.n >= 2 else np.nan
-            row = [
-                _fmt(lam),
-                rule_label(f),
-                str(profile.m),
-                str(profile.n),
-                str(seed),
-                _fmt(wl_emp),
-                _fmt(bd.wl_bound(lam, profile.m)),
-                _fmt(el_emp),
-                _fmt(el_bound),
-                _fmt(float(sats.min())),
-                _fmt(share_bound),
-                _fmt(afs),
-            ]
+            numbers = [wl_emp, bd.wl_bound(lam, profile.m), el_emp, el_bound, float(sats.min()), share_bound, afs]
+            row = [_fmt(lam), rule_label(f), str(profile.m), str(profile.n), str(seed), *map(_fmt, numbers)]
             lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -397,7 +394,7 @@ def cmd_oracle_verify(args) -> int:
     profile, _ = load_profile(args.profile)
     if profile.m > ax.MAX_GRID_ALTERNATIVES:
         raise GuardError(f"oracle verification is limited to m <= {ax.MAX_GRID_ALTERNATIVES}")
-    report, objective, kwargs, lipschitz = _solve_with(parse_rule(args.rule), profile, SolverOptions(tol=args.tol))
+    report, objective, kwargs, lipschitz = _solve_with(parse_rule(args.rule), profile)
     spec = GridSpec(m=profile.m, resolution=args.resolution)
     _, oracle_val = brute_force_best(profile, objective, spec, **kwargs)
     tolerance = lipschitz * args.resolution
@@ -421,11 +418,19 @@ def cmd_oracle_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and so each subparser, whose usage errors raise ValueError:
+    ``main`` reports them as bad input, one error line and exit 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``ctr`` parser, built once per process: ``main`` only reads it,
     and each parse returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctr",
         description="Budget-aggregation rules with concave utilities: solve, check axioms, evaluate bounds.",
     )
@@ -434,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a rule on a profile file")
     p.add_argument("--profile", required=True)
     p.add_argument("--rule", required=True, help=" | ".join(n + ":p" * (k in _KINDS_WITH_P) for n, k in RULES.items()))
-    p.add_argument("--tol", type=float, default=SolverOptions.tol)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
@@ -467,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="lambda sweep over a directory of profiles, CSV out")
     p.add_argument("--profile-dir", required=True)
     p.add_argument("--lambda-grid", required=True, help="geometric grid lo:hi:count")
-    p.add_argument("--tol", type=float, default=SolverOptions.tol)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -475,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--rule", required=True)
     p.add_argument("--resolution", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=SolverOptions.tol)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle_verify)
 
@@ -483,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, KeyError, IndexError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

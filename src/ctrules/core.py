@@ -14,6 +14,7 @@ contributions, directional derivatives and the MRS certificate) live in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Literal
 
@@ -194,11 +195,12 @@ class UtilityFunction:
     identity              t                   0 (utilitarian baseline)
     ====================  ==================  =========================
 
-    p is required, and finite, for exactly the kinds that take it: power
-    needs 0 < p < 1, negpower and negexppower p > 0, and negpower's p must
-    keep |f''(floor)| = p (p+1) floor^-(p+2) finite (an infinite marginal
-    would turn the certificate's f' @ mask products into NaN, an infinite
-    curvature the line search's Newton step and iav at the floor).
+    p is required, as a finite real number (not a bool), for exactly the
+    kinds that take it: power needs 0 < p < 1, negpower and negexppower
+    p > 0, and negpower's p must keep |f''(floor)| = p (p+1)
+    floor^-(p+2) finite (an infinite marginal would turn the certificate's
+    f' @ mask products into NaN, an infinite curvature the line search's
+    Newton step and iav at the floor).
     Construction refuses anything else with ValueError, so every instance,
     built directly, by ``make_utility`` or by ``dataclasses.replace``, is a
     member of the family.
@@ -224,6 +226,9 @@ class UtilityFunction:
         if kind in _KINDS_WITH_P:
             if p is None:
                 raise ValueError(f"kind {kind!r} requires a parameter p")
+            # bool is an int subclass, and True would pass for p = 1
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"kind {kind!r} needs a real number p, got {p!r}")
             if not math.isfinite(p):
                 raise ValueError(f"kind {kind!r} needs a finite p, got {p!r}")
             if kind == "power" and not 0.0 < p < 1.0:

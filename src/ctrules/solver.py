@@ -46,12 +46,12 @@ The polish stops when the marginal-rate-of-substitution gap
 
     max_{j: x_j < 1} mc_up_j  -  min_{k: x_k > 0} mc_down_k
 
-drops below tolerance; a nonpositive gap certifies global optimality of the
-concave program, so the certificate relies neither on smoothness nor on
-where the polish started.  The report carries the satisfactions and the gap
+drops to _TOL = 1e-7; a nonpositive gap certifies global optimality of
+the concave program, so the certificate relies neither on smoothness nor
+on where the polish started.  The report carries the satisfactions and the gap
 of the point the polish stopped at, which equal ``overlap`` and ``mrs_gap``
 there bit for bit, so no solve computes its certificate twice.  Every
-solver builds its report the same way: converged means gap <= tol.
+solver reports converged as gap <= _TOL, one constant no caller can set.
 
 The paper's first-order quantities live here, computed one way: the
 marginal contributions mc_up / mc_down are the agent weights times the
@@ -103,6 +103,10 @@ from .core import (
 )
 
 _STALL_WINDOW = 300
+# The certificate every solve is held to: converged means the MRS gap of a
+# rule solve, or the cut-LP bound minus the achieved minimum of the maxmin
+# reference, is at most this.
+_TOL = 1e-7
 # The cap on the polish steps of a rule solve and on the cutting-plane
 # rounds of the maxmin reference.
 _MAX_ITERS = 200_000
@@ -117,20 +121,6 @@ _SINGULAR = 1e-12
 # The polish stops on a state (x, smooth-stop count) that it reached within
 # this many steps before.
 _CYCLE = 8
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """The gap tolerance certifying convergence: the MRS gap for rule
-    solves, the cut-LP bound minus the achieved minimum for the maxmin
-    reference.  tol must be a finite positive number, not a bool.
-    """
-
-    tol: float = 1e-7
-
-    def __post_init__(self):
-        if isinstance(self.tol, bool) or not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -183,9 +173,9 @@ def directional_derivative(profile: Profile, x: Allocation, y: Allocation, i: in
 def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
     """First-order optimality residual of x for the f-aggregation objective.
 
-    Nonpositive (in particular below solver tolerance) certifies a global
-    maximum: no strict marginal contribution of a growable alternative
-    exceeds any weak marginal contribution of a shrinkable one.
+    Nonpositive certifies a global maximum: no strict marginal contribution
+    of a growable alternative exceeds any weak marginal contribution of a
+    shrinkable one.  The solvers count a gap of at most _TOL as certified.
     """
     prefs, shares = profile.prefs, check_allocation(profile, x)
     return _exchange_terms(shares, f.deriv(overlap(prefs, shares)), *support_masks(prefs, shares))[0]
@@ -506,7 +496,7 @@ def _apply_move(x: np.ndarray, j: int, k: int, d: float, landing) -> np.ndarray:
     return out
 
 
-def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.ndarray):
+def _ascend(prefs: np.ndarray, f: UtilityFunction, x: np.ndarray):
     """Exchange polish of a profile's prefs from x, any point of the
     simplex, until the MRS certificate passes.
 
@@ -541,7 +531,7 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, opts: SolverOptions, x: np.nd
     while True:
         pi = mins.sum(axis=1)
         gap, j, k = _exchange_terms(x, f.deriv(pi), up, down)
-        if gap <= opts.tol or repeated or iters >= _MAX_ITERS:
+        if gap <= _TOL or repeated or iters >= _MAX_ITERS:
             return x, pi, gap, iters
         if gap < best_gap - 1e-14:
             best_gap = gap
@@ -577,32 +567,29 @@ def _on_simplex(x: np.ndarray) -> np.ndarray:
     return x / s if abs(s - 1.0) > 1e-9 else x
 
 
-def _report(
-    x: np.ndarray, pi: np.ndarray, objective: float, gap: float, iterations: int, opts: SolverOptions
-) -> SolveReport:
+def _report(x: np.ndarray, pi: np.ndarray, objective: float, gap: float, iterations: int) -> SolveReport:
     """The report of a solve that stopped at x, where the satisfactions are
-    pi and the certificate is gap; converged means gap <= tol."""
+    pi and the certificate is gap; converged means gap <= _TOL."""
     return SolveReport(
         allocation=Allocation(x),
         satisfactions=SatisfactionVector(pi),
         objective=float(objective),
         mrs_gap=gap,
         iterations=iterations,
-        converged=bool(gap <= opts.tol),
+        converged=bool(gap <= _TOL),
     )
 
 
-def solve_ctr(
-    profile: Profile, f: UtilityFunction, opts: SolverOptions | None = None, *, start: Allocation | None = None
-) -> SolveReport:
+def solve_ctr(profile: Profile, f: UtilityFunction, *, start: Allocation | None = None) -> SolveReport:
     """Maximize sum_i f(satisfaction_i) over the simplex.
 
     Requires a strictly concave utility; the identity baseline is rejected
     (use solve_utilitarian).  The objective is concave, so one ascent
     suffices: converged is True exactly when the MRS gap the polish stopped
-    on certifies a global optimum, wherever it started.  The report's
-    mrs_gap and satisfactions are those of the polish's last point, equal
-    bit for bit to ``mrs_gap`` and ``overlap`` at the reported allocation.
+    on is at most _TOL, which certifies a global optimum wherever it
+    started.  The report's mrs_gap and satisfactions are those of the
+    polish's last point, equal bit for bit to ``mrs_gap`` and ``overlap``
+    at the reported allocation.
 
     Without start the polish is cold: it starts from the mean of the agents'
     ideals (on single-minded profiles, the proportional allocation; on a
@@ -618,7 +605,6 @@ def solve_ctr(
         check_allocation(profile, start)
     if not f.strictly_concave:
         raise ValueError("solve_ctr needs a strictly concave utility; use solve_utilitarian")
-    opts = opts or SolverOptions()
     prefs = profile.prefs
 
     # polish from the start's mass on the supported columns, or from the mean
@@ -626,11 +612,11 @@ def solve_ctr(
     x0 = np.where(prefs.max(axis=0) > 0.0, np.maximum(start.shares, 0.0), 0.0) if start is not None else None
     if x0 is None or not x0.sum() > 0.0:
         x0 = np.maximum(prefs.mean(axis=0), 0.0)
-    x, pi, gap, iters = _ascend(prefs, f, opts, _on_simplex(x0))
-    return _report(x, pi, f.value(pi).sum(), gap, iters, opts)
+    x, pi, gap, iters = _ascend(prefs, f, _on_simplex(x0))
+    return _report(x, pi, f.value(pi).sum(), gap, iters)
 
 
-def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> SolveReport:
+def solve_utilitarian(profile: Profile) -> SolveReport:
     """Maximize total satisfaction by water-filling.
 
     Total satisfaction is separable: sum_j g_j(x_j) with g_j(v) = sum_i
@@ -642,9 +628,8 @@ def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     and the one partial column gets the remainder.  The report carries the
     MRS gap under unit agent weights, which is ``mrs_gap`` under the identity
     utility (supporter counts, so an exact integer comparison), as its
-    certificate; iterations is 0.
+    certificate, held to _TOL; iterations is 0.
     """
-    opts = opts or SolverOptions()
     prefs = profile.prefs
     n, m = prefs.shape
     # row r >= 1 of the zero row over the ascending sort ends, in every
@@ -661,10 +646,10 @@ def solve_utilitarian(profile: Profile, opts: SolverOptions | None = None) -> So
     x[partial] = max(1.0 - np.delete(x, partial).sum(), 0.0)
     pi = overlap(prefs, x)
     gap = _exchange_terms(x, np.ones(n), *support_masks(prefs, x))[0]
-    return _report(x, pi, pi.sum(), gap, 0, opts)
+    return _report(x, pi, pi.sum(), gap, 0)
 
 
-def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> SolveReport:
+def solve_egalitarian(profile: Profile) -> SolveReport:
     """Maximize the minimum satisfaction exactly, by Kelley's cutting planes.
 
     Each overlap is the minimum of the affine pieces sum_{j in S} x_j +
@@ -680,14 +665,13 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
 
     The cut LP relaxes the maxmin problem, so its value minus the minimum
     satisfaction of the best allocation found is a true optimality gap,
-    reported as mrs_gap; converged means that gap is at most tol.
+    reported as mrs_gap; converged means that gap is at most _TOL.
     iterations sums the HiGHS simplex iterations over the rounds.  The loop
     also ends, unconverged, at _MAX_ITERS rounds, when a round adds no new
     cut, or when an LP fails.  A failed LP keeps the best allocation so far
     (the uniform one if the first LP fails) and the last LP bound (1 before
     any), so the reported gap stays a true gap.
     """
-    opts = opts or SolverOptions()
     prefs = profile.prefs
     m = profile.m
 
@@ -721,7 +705,7 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
         pi = overlap(prefs, x)
         if pi.min() > best_pi.min():
             best_x, best_pi = x, pi
-        if upper - best_pi.min() <= opts.tol:
+        if upper - best_pi.min() <= _TOL:
             break
         new_cuts, new_rhs = _overlap_cuts(prefs[pi < t], x)
         new_keys, first = np.unique(_cut_keys(new_cuts, new_rhs), return_index=True)
@@ -733,7 +717,7 @@ def solve_egalitarian(profile: Profile, opts: SolverOptions | None = None) -> So
         lp.add_rows(np.full(len(first), -highs.kHighsInf), new_rhs[first], *_cut_rows(new_cuts[first]))
 
     worst = float(best_pi.min())
-    return _report(best_x, best_pi, worst, upper - worst, iterations, opts)
+    return _report(best_x, best_pi, worst, upper - worst, iterations)
 
 
 class _LP:

@@ -538,6 +538,20 @@ def test_sweep_writes_nan_losses_for_an_uncertified_reference(sweep_dir, tmp_pat
         assert after == before
 
 
+def test_sweep_past_the_subset_cap_writes_nan_afs_ratios(tmp_path):
+    """Past MAX_SUBSET_AGENTS agents the cohesive-group table is not
+    enumerated: every afs_worst cell is nan and the sweep still exits 0."""
+    d = tmp_path / "wide"
+    n = ct.axioms.MAX_SUBSET_AGENTS + 1
+    assert main(["gen", "--kind", "dirichlet:1", "--n", str(n), "--m", "3", "--seed", "2", "--out", str(d / "p.json")]) == 0
+    out = tmp_path / "wide.csv"
+    assert main(["sweep", "--profile-dir", str(d), "--lambda-grid", "0.5:2:3", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert len(rows) == 3 and all(row["n"] == str(n) for row in rows)
+    assert [row["afs_worst"] for row in rows] == ["nan"] * 3
+
+
 def test_sweep_empty_directory(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()
@@ -760,9 +774,9 @@ def test_non_numbers_in_a_file_are_refused_with_its_path(tmp_path, capsys):
         assert f"error: {bad}: " in assert_refused(capsys, argv)
 
 
-# (argv, message): refusals of gen's spec, the sweep grid and the file
-# loaders; {name} stands for a file of REFUSAL_FILES, {out} for an output
-# path and {dir} for a directory
+# (argv, message): refusals of gen's spec, a rule's parameter, the sweep
+# grid and the file loaders; {name} stands for a file of REFUSAL_FILES,
+# {out} for an output path and {dir} for a directory
 REFUSAL_FILES = {
     "prof": SP_DOC,
     "listdoc": [0.5, 0.5],
@@ -773,8 +787,14 @@ REFUSALS = {
     "gen-dirichlet-without-n-m": (["gen", "--kind", "dirichlet"], "dirichlet generation needs --n and --m"),
     "gen-single-minded-without-m": (["gen", "--kind", "single-minded", "--n", "3"], "single-minded generation needs --n and --m"),
     "gen-concentration": (["gen", "--kind", "dirichlet:0", "--n", "3", "--m", "2"], "dirichlet concentration must be positive"),
+    "gen-concentration-not-a-number": (
+        ["gen", "--kind", "dirichlet:abc", "--n", "3", "--m", "2"],
+        "dirichlet concentration must be a number, got 'abc'",
+    ),
     "gen-groups-without-spec": (["gen", "--kind", "groups"], 'groups generation needs a spec, e.g. groups:"3:1,0,0;3:.5,.5,0"'),
     "gen-group-size": (["gen", "--kind", "groups:0:1,0"], "group size must be positive in '0:1,0'"),
+    "gen-group-size-not-an-integer": (["gen", "--kind", "groups:x:1,0"], "group size must be an integer in 'x:1,0'"),
+    "gen-group-weights-not-numbers": (["gen", "--kind", "groups:2:a,b"], "group weights must be numbers in '2:a,b'"),
     "gen-group-weights": (["gen", "--kind", "groups:2:0.5,0.4"], "group weights must sum to 1 in '2:0.5,0.4'"),
     "gen-ragged-groups": (["gen", "--kind", "groups:2:1,0;3:1,0,0"], "group '3:1,0,0' has 3 weights, the first group has 2"),
     "gen-groups-n": (["gen", "--kind", "groups:2:1,0", "--n", "3"], "--n 3 does not match the groups spec total 2"),
@@ -784,6 +804,10 @@ REFUSALS = {
     "profile-not-a-document": (["solve", "--profile", "{listdoc}", "--rule", "nash"], "{listdoc}: not a profile document"),
     "prefs-not-a-matrix": (["solve", "--profile", "{flat}", "--rule", "nash"], "{flat}: prefs must be a matrix"),
     "no-allocation": (["check", "--profile", "{prof}", "--allocation", "{noalloc}", "--axioms", "rr"], "{noalloc}: no allocation found"),
+    "rule-parameter-not-a-number": (
+        ["solve", "--profile", "{prof}", "--rule", "negpower:abc"],
+        "rule 'negpower' needs a number parameter, got 'abc'",
+    ),
 }
 
 
@@ -829,9 +853,31 @@ def test_parser_is_built_once_and_each_parse_starts_afresh(capsys):
     # the second parse takes the default m, not the first call's value
     assert main(["bounds", "--which", "wl", "--lambda", "2"]) == 0
     assert json.loads(capsys.readouterr().out)[0]["params"] == {"lambda": 2.0, "m": 2}
+    err = assert_refused(capsys, ["bounds", "--which", "wl"])
+    assert err == "error: ctr bounds: the following arguments are required: --lambda\n"
     with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--which", "wl"])
-    assert exc.value.code == 2 and "required: --lambda" in capsys.readouterr().err
+        main(["bounds", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["solve", "--rule", "nash"], "ctr solve: the following arguments are required: --profile"),
+        (["solve", "--profile", "{prof}", "--rule", "nash", "--tol", "1e-9"], "ctr: unrecognized arguments: --tol 1e-9"),
+        (["solve", "--profile", "{prof}", "--rule", "nash", "--tol", "abc"], "ctr: unrecognized arguments: --tol abc"),
+        (["bounds", "--which", "wl", "--lambda", "abc"], "ctr bounds: argument --lambda: invalid float value: 'abc'"),
+        (["bogus"], "ctr: argument command: invalid choice: 'bogus'"),
+        ([], "ctr: the following arguments are required: command"),
+    ],
+    ids=["missing-profile", "tol", "tol-abc", "bad-float", "unknown-command", "no-command"],
+)
+def test_usage_errors_exit_1_with_one_error_line(tmp_path, capsys, argv, fragment):
+    # exit 2 is left to non-convergence and failed checks, so a script can
+    # tell a mistyped command from a failed solve
+    prof = write_doc(tmp_path / "sp.json", SP_DOC)
+    err = assert_refused(capsys, [arg.format(prof=prof) for arg in argv])
+    assert err.startswith(f"error: {fragment}") and err.count("\n") == 1
 
 
 def test_help_lists_exactly_the_table_names(capsys):

@@ -293,8 +293,12 @@ def test_make_utility_parameter_validation():
         ("negpower", float("nan"), "kind 'negpower' needs a finite p, got nan"),
         ("cubic", None, "unknown utility kind 'cubic'"),
         ("negexppower", None, "kind 'negexppower' requires a parameter p"),
+        # True would build p = 1, and "2" would end in math.isfinite's TypeError
+        ("negpower", True, "kind 'negpower' needs a real number p, got True"),
+        ("negexppower", True, "kind 'negexppower' needs a real number p, got True"),
+        ("negpower", "2", "kind 'negpower' needs a real number p, got '2'"),
     ],
-    ids=["power:2", "log:3", "negpower:nan", "cubic", "negexppower"],
+    ids=["power:2", "log:3", "negpower:nan", "cubic", "negexppower", "negpower:True", "negexppower:True", "negpower:str"],
 )
 def test_utility_function_refuses_members_outside_the_family(kind, p, message):
     # direct construction runs make_utility's checks: no convex or unknown f

@@ -153,7 +153,7 @@ def test_steep_negexppower_solve_certifies_or_reports_a_finite_gap(seed, n, m, p
     assert np.isfinite(report.mrs_gap)
     assert np.isfinite(report.allocation.shares).all()
     if report.converged:
-        assert report.mrs_gap <= ct.SolverOptions().tol
+        assert report.mrs_gap <= solver_module._TOL
 
 
 STIFF_5X4 = [
@@ -176,7 +176,7 @@ def test_stiff_profile_on_a_segment_of_optima_certifies_in_few_steps(monkeypatch
     monkeypatch.setattr(solver_module, "_MAX_ITERS", 20)
     report = ct.solve_ctr(ct.Profile(STIFF_5X4), f)
     assert report.converged and report.iterations <= 20
-    assert report.mrs_gap <= ct.SolverOptions().tol
+    assert report.mrs_gap <= solver_module._TOL
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "Profile",
     "SatisfactionVector",
     "SolveReport",
-    "SolverOptions",
     "UtilityFunction",
     "afs_bound",
     "brute_force_best",

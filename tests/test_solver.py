@@ -1,7 +1,6 @@
 """Solver behavior: known optima, certificates, references, and geometry."""
 
 import ast
-import dataclasses
 import time
 from pathlib import Path
 
@@ -128,7 +127,7 @@ def test_mrs_gap_at_solver_output_is_within_tol():
         p = dirichlet_profile(seed, 5, 3)
         report = ct.solve_ctr(p, f)
         assert report.converged
-        assert ct.mrs_gap(p, report.allocation, f) <= ct.SolverOptions().tol
+        assert ct.mrs_gap(p, report.allocation, f) <= solver_module._TOL
 
 
 def test_mrs_gap_sp_truthful_at_even_split():
@@ -271,7 +270,7 @@ def test_egalitarian_matches_full_lp_reference(profile):
     report = ct.solve_egalitarian(profile)
     assert report.converged
     assert report.objective == pytest.approx(full_lp_optimum(profile.prefs, "maxmin"), abs=1e-9)
-    assert report.mrs_gap <= ct.SolverOptions().tol
+    assert report.mrs_gap <= solver_module._TOL
     raw = np.minimum(profile.prefs, report.allocation.shares).sum(axis=1).min()
     assert report.objective == raw
     assert np.array_equal(report.satisfactions.values, np.minimum(profile.prefs, report.allocation.shares).sum(axis=1))
@@ -329,7 +328,8 @@ def test_egalitarian_stops_when_a_round_adds_no_new_cut(monkeypatch):
     rounds = len(calls)
     assert rounds > 1
     assert reference.iterations == sum(calls)
-    strict = ct.solve_egalitarian(p, ct.SolverOptions(tol=1e-300))
+    monkeypatch.setattr(solver_module, "_TOL", 1e-300)
+    strict = ct.solve_egalitarian(p)
     assert len(calls) - rounds <= rounds + 1
     assert strict.converged == (strict.mrs_gap <= 1e-300)
     assert strict.objective == pytest.approx(reference.objective, abs=1e-12)
@@ -379,7 +379,7 @@ def test_egalitarian_scales_to_2000_agents():
     report = ct.solve_egalitarian(p)
     assert time.perf_counter() - start < 5.0
     assert report.converged
-    assert report.mrs_gap <= ct.SolverOptions().tol
+    assert report.mrs_gap <= solver_module._TOL
     # each round adds only its fresh cuts to one HiGHS model, so the dual
     # simplex restarts from the last basis: about 500 simplex iterations
     # here, against about 2,500 when every round solves from scratch
@@ -492,7 +492,7 @@ def warm_start_profile(seed: int, n: int, m: int, shape: int) -> ct.Profile:
 def test_warm_start_certifies_the_cold_optimum(seed, n, m, shape, kind_idx):
     profile = warm_start_profile(seed, n, m, shape)
     f = CERTIFIED_KINDS[kind_idx]
-    tol = ct.SolverOptions().tol
+    tol = solver_module._TOL
     cold = ct.solve_ctr(profile, f)
     assert cold.converged
     vertex = np.zeros(m)
@@ -729,7 +729,7 @@ def test_solve_capped_at_the_steps_it_needs_is_certified(monkeypatch):
     monkeypatch.setattr(solver_module, "_MAX_ITERS", 10)
     capped = ct.solve_ctr(p, f)
     assert capped.iterations == 10 and capped.converged
-    assert capped.mrs_gap <= ct.SolverOptions().tol
+    assert capped.mrs_gap <= solver_module._TOL
     monkeypatch.setattr(solver_module, "_MAX_ITERS", 9)
     short = ct.solve_ctr(p, f)
     assert short.iterations == 9 and not short.converged
@@ -743,12 +743,13 @@ def cycling_profile(case: int) -> ct.Profile:
 
 
 def report_recheck_solves():
-    """Seeded (profile, f, opts, start, cap) solves that end every way a
+    """Seeded (profile, f, tol, start, cap) solves that end every way a
     rule solve can: certified cold and warm, at m = 20 and with an
     unsupported or a single supported column, capped at cap steps (and cut
-    rounds) in place of solver._MAX_ITERS, and stopped on a repeated state."""
+    rounds) in place of solver._MAX_ITERS, held to tol in place of
+    solver._TOL, and stopped on a repeated state."""
     log, neg3 = ct.make_utility("log"), ct.make_utility("negpower", p=3.0)
-    default, uncapped = ct.SolverOptions(), solver_module._MAX_ITERS
+    default, uncapped = solver_module._TOL, solver_module._MAX_ITERS
     for seed in (1, 2):
         wide = dirichlet_profile(seed, 300, 20, conc=0.5)
         yield wide, log, default, None, uncapped
@@ -765,7 +766,7 @@ def report_recheck_solves():
     for cap in (1, 3, 9, 10):
         yield needs_10, log, default, None, cap
     yield cycling_profile(77), ct.make_utility("negexppower", p=3.0), default, None, uncapped
-    yield dirichlet_profile(4, 8, 5), log, ct.SolverOptions(tol=1e-14), None, uncapped
+    yield dirichlet_profile(4, 8, 5), log, 1e-14, None, uncapped
 
 
 def assert_report_rechecks(profile, f, report, tol):
@@ -781,18 +782,19 @@ def assert_report_rechecks(profile, f, report, tol):
 def test_every_report_equals_its_recomputation_bit_for_bit():
     outcomes = set()
     identity = ct.make_utility("identity")
-    for profile, f, opts, start, cap in report_recheck_solves():
+    for profile, f, tol, start, cap in report_recheck_solves():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver_module, "_MAX_ITERS", cap)
-            report = ct.solve_ctr(profile, f, opts, start=start)
-            util = ct.solve_utilitarian(profile, opts)
-            egal = ct.solve_egalitarian(profile, opts)
-        assert_report_rechecks(profile, f, report, opts.tol)
+            mp.setattr(solver_module, "_TOL", tol)
+            report = ct.solve_ctr(profile, f, start=start)
+            util = ct.solve_utilitarian(profile)
+            egal = ct.solve_egalitarian(profile)
+        assert_report_rechecks(profile, f, report, tol)
         outcomes.add((profile.m, report.converged, report.iterations == cap))
-        assert_report_rechecks(profile, identity, util, opts.tol)
+        assert_report_rechecks(profile, identity, util, tol)
         assert np.array_equal(egal.satisfactions.values, overlap(profile.prefs, egal.allocation.shares))
         assert egal.objective == egal.satisfactions.min()
-        assert egal.converged == (egal.mrs_gap <= opts.tol)
+        assert egal.converged == (egal.mrs_gap <= tol)
     # certified and uncertified, capped and not, and the 300 x 20 solves all ran
     assert {(20, True, False), (6, False, True), (6, True, True), (4, False, False)} <= outcomes
 
@@ -819,16 +821,3 @@ def test_polish_that_returns_to_an_earlier_state_stops():
         mp.setattr(solver_module, "_CYCLE", 2)
         assert ct.solve_ctr(three, f).iterations > 300
 
-
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        ct.SolverOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        ct.SolverOptions(tol=float("nan"))
-
-
-def test_solver_options_hold_only_a_tol_that_is_not_a_bool():
-    assert [field.name for field in dataclasses.fields(ct.SolverOptions)] == ["tol"]
-    # True would otherwise pass as the number 1.0
-    with pytest.raises(ValueError, match="^tol must be finite and positive, got True$"):
-        ct.SolverOptions(tol=True)
