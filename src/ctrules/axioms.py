@@ -19,13 +19,11 @@ from typing import Any
 
 import numpy as np
 
-from .core import EQUALITY_TOL, Allocation, GuardError, Profile, UtilityFunction, check_allocation, overlap
+from .core import EQUALITY_TOL, Allocation, GuardError, Profile, UtilityFunction, _is_real, check_allocation, overlap
 from .oracle import GridSpec, _BlockOverlap, _composition_chunks, enumerate_grid
 from .solver import _LP, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
-MAX_CORE_AGENTS = 12
-MAX_GRID_ALTERNATIVES = 4
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     least alpha^(1/lam) - 1e-9.  Checks all 2^n - 1 subsets; the witness is
     the violating subset with the lowest bitmask.
     """
-    if not 0.0 < lam <= 1.0:
+    if not (_is_real(lam) and 0.0 < lam <= 1.0):
         raise ValueError("lambda must lie in (0, 1]")
     alpha, mean = cohesive_groups(profile, overlap(profile.prefs, check_allocation(profile, x)))
     bound = alpha ** (1.0 / lam)
@@ -219,11 +217,6 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
     sums a few ulps above it does not block.  Holds iff no blocking pair is
     found.
     """
-    n, m = profile.n, profile.m
-    if n > MAX_CORE_AGENTS:
-        raise GuardError(f"core search is limited to n <= {MAX_CORE_AGENTS}")
-    if m > MAX_GRID_ALTERNATIVES:
-        raise GuardError(f"core search is limited to m <= {MAX_GRID_ALTERNATIVES}")
     witness = _blocking_witness(profile, x, resolution)
     return AxiomReport("core", witness is None, witness or {"resolution": resolution})
 
@@ -312,8 +305,6 @@ def probe_strategyproofness(profile: Profile, f: UtilityFunction, i: int, resolu
     is above the solver's 1e-7 certificate), as the participation probe
     does: a gain read off an uncertified solve is not the rule's.
     """
-    if profile.m > MAX_GRID_ALTERNATIVES:
-        raise GuardError(f"misreport search is limited to m <= {MAX_GRID_ALTERNATIVES}")
     spec = GridSpec.snapped(profile.m, 1.0, resolution)
     honest = solve_ctr(profile, f)
     if not honest.converged:

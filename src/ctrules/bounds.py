@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .axioms import MAX_SUBSET_AGENTS, cohesive_groups
-from .core import Allocation, Profile, UtilityFunction, check_allocation, iav_bound_of, overlap
+from .core import Allocation, Profile, UtilityFunction, _is_real, check_allocation, iav_bound_of, overlap
 from .solver import SolveReport
 
 _SLACK = 1e-6
@@ -34,8 +34,10 @@ class BoundCheck:
 
 
 def check_lambda(lam: float) -> float:
-    """Return an inequality-aversion bound after checking it is finite and
-    positive; every closed-form guarantee needs one."""
+    """Return an inequality-aversion bound after checking it is a finite,
+    positive real number (not a bool); every closed-form guarantee needs one."""
+    if not _is_real(lam):
+        raise ValueError(f"lambda must be a real number, got {lam!r}")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and positive, got {lam!r}")
     return lam
@@ -123,7 +125,7 @@ def afs_bound(alpha: float | np.ndarray, lambda_lower: float) -> float | np.ndar
     number or an array of them."""
     if not np.all((0.0 < alpha) & (alpha <= 1.0)):
         raise ValueError("alpha must lie in (0, 1]")
-    if not 0.0 < lambda_lower <= 1.0:
+    if not (_is_real(lambda_lower) and 0.0 < lambda_lower <= 1.0):
         raise ValueError("lambda must lie in (0, 1]")
     return alpha ** (1.0 / lambda_lower)
 

@@ -39,8 +39,13 @@ UtilityKind = Literal["log", "power", "negpower", "negexppower", "quadratic", "i
 _KINDS_WITH_P = {"power", "negpower", "negexppower"}
 
 
+def _is_real(value) -> bool:
+    """value is a real number; bool is an int subclass, and True would pass for 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class GuardError(RuntimeError):
-    """A search or enumeration exceeds its configured size guard."""
+    """A search or enumeration exceeds its size guard."""
 
 
 def _as_matrix(prefs: Iterable) -> np.ndarray:
@@ -226,8 +231,7 @@ class UtilityFunction:
         if kind in _KINDS_WITH_P:
             if p is None:
                 raise ValueError(f"kind {kind!r} requires a parameter p")
-            # bool is an int subclass, and True would pass for p = 1
-            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            if not _is_real(p):
                 raise ValueError(f"kind {kind!r} needs a real number p, got {p!r}")
             if not math.isfinite(p):
                 raise ValueError(f"kind {kind!r} needs a finite p, got {p!r}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
 from dataclasses import dataclass
 from decimal import Context
 from typing import Iterator, Literal
@@ -29,21 +28,10 @@ import numpy as np
 
 from .core import GuardError, Profile, UtilityFunction
 
-DEFAULT_MAX_POINTS = 10_000_000
-_ENV_GUARD = "CTR_MAX_GRID"
+# The one size guard of every grid walk: the most points a GridSpec may have.
+_MAX_GRID_POINTS = 10_000_000
 
 Objective = Literal["ctr", "welfare", "maxmin"]
-
-
-def max_grid_points() -> int:
-    """Size guard for grid enumeration; overridable via CTR_MAX_GRID."""
-    raw = os.environ.get(_ENV_GUARD)
-    if raw is None:
-        return DEFAULT_MAX_POINTS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_GUARD} must be an integer, got {raw!r}") from exc
 
 
 def _step_count(budget: float, resolution: float) -> int:
@@ -69,8 +57,8 @@ class GridSpec:
     """Grid over {y >= 0, sum y = budget} with the given step.
 
     The budget must be an integer multiple of the resolution (within 1e-9)
-    and the stars-and-bars point count C(steps + m - 1, m - 1) must respect
-    the size guard.
+    and the stars-and-bars point count C(steps + m - 1, m - 1) must not
+    exceed _MAX_GRID_POINTS, read at construction.
     """
 
     m: int
@@ -85,8 +73,7 @@ class GridSpec:
             raise ValueError(
                 f"budget {self.budget!r} is not an integer multiple of resolution {self.resolution!r}"
             )
-        guard = max_grid_points()
-        points = self.num_points()
+        points, guard = self.num_points(), _MAX_GRID_POINTS
         if points > guard:
             raise GuardError(f"grid has {_count_text(points)} points, exceeding the guard of {_count_text(guard)}")
 

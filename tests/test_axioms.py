@@ -208,11 +208,22 @@ def test_core_single_agent_inefficient_allocation_blocked():
     assert not report.holds
 
 
-def test_core_guards():
-    with pytest.raises(ct.GuardError):
-        ct.check_core(dirichlet_profile(0, 13, 2), ct.Allocation([0.5, 0.5]), resolution=0.1)
-    with pytest.raises(ct.GuardError):
-        ct.check_core(dirichlet_profile(0, 2, 5), ct.Allocation.uniform(5), resolution=0.1)
+# C(105, 5) points: the full-budget grid at m = 6 and resolution 0.01
+M6_GUARD = "^grid has 96560646 points, exceeding the guard of 10000000$"
+
+
+def test_core_guards(monkeypatch):
+    # the point count is the one guard: no grid is walked when the grand
+    # coalition's exceeds it, and neither n nor m is capped below it
+    def no_walk(spec):
+        raise AssertionError("a grid was walked before the guard")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ct.axioms, "_composition_chunks", no_walk)
+        with pytest.raises(ct.GuardError, match=M6_GUARD):
+            ct.check_core(dirichlet_profile(0, 2, 6), ct.Allocation.uniform(6), resolution=0.01)
+    assert ct.check_core(dirichlet_profile(0, 13, 2), ct.Allocation([0.5, 0.5]), resolution=0.1).axiom == "core"
+    assert ct.check_core(dirichlet_profile(0, 2, 6), ct.Allocation.uniform(6), resolution=0.1).axiom == "core"
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +355,19 @@ def test_sp_single_agent_no_gain():
 
 
 def test_sp_guard():
-    with pytest.raises(ct.GuardError):
-        ct.probe_strategyproofness(dirichlet_profile(0, 2, 5), NASH, 0, resolution=0.25)
+    with pytest.raises(ct.GuardError, match=M6_GUARD):
+        ct.probe_strategyproofness(dirichlet_profile(0, 2, 6), NASH, 0, resolution=0.01)
+
+
+def test_sp_probe_runs_at_five_alternatives():
+    # 15 misreports at resolution 0.5; the best one re-solves, from the
+    # honest optimum as the probe starts it, to its gain
+    p = dirichlet_profile(0, 3, 5)
+    report = ct.probe_strategyproofness(p, NASH, 0, resolution=0.5)
+    w = report.witness
+    assert not report.holds and w["misreport"] == [0.0, 1.0, 0.0, 0.0, 0.0] and w["gain"] > 0.1
+    x = ct.solve_ctr(p.replace_row(0, w["misreport"]), NASH, start=ct.solve_ctr(p, NASH).allocation).allocation
+    assert ct.satisfaction_vector(p, x).values[0] == w["manipulated_satisfaction"]
 
 
 def test_sp_grid_guard_fires_before_solving(monkeypatch):

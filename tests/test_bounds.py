@@ -168,6 +168,32 @@ def test_bound_parameter_validation():
             ct.gamma(3, 10, lam)
 
 
+@pytest.mark.parametrize("lam", [True, False, "2", None, np.bool_(True)])
+def test_lambda_must_be_a_real_number(lam):
+    # True passed for lambda = 1: wl_bound(True, 3) read 0.6
+    p = ct.Profile([[0.5, 0.5]])
+    for call in (
+        lambda: ct.wl_bound(lam, 3),
+        lambda: ct.wl_bound_single_minded(lam, 3),
+        lambda: ct.ifs_share_bound(lam, 3, 4),
+        lambda: ct.el_bound_single_minded(lam, 3, 4),
+        lambda: ct.min_agent_bound(lam, 3, 4),
+        lambda: ct.gamma(3, 4, lam),
+    ):
+        with pytest.raises(ValueError, match="lambda must be"):
+            call()
+    with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\]$"):
+        ct.afs_bound(0.5, lam)
+    with pytest.raises(ValueError, match=r"^lambda must lie in \(0, 1\]$"):
+        ct.check_afs(p, ct.Allocation([0.5, 0.5]), lam=lam)
+    if isinstance(lam, bool):
+        with pytest.raises(ValueError, match=f"^lambda must be a real number, got {lam}$"):
+            ct.wl_bound(lam, 3)
+    # numpy's numbers are real numbers
+    assert ct.wl_bound(np.float64(1.0), 3) == ct.wl_bound(1.0, 3)
+    assert ct.afs_bound(0.25, np.float64(0.5)) == ct.afs_bound(0.25, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # gamma
 # ---------------------------------------------------------------------------

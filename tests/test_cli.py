@@ -182,12 +182,23 @@ def test_check_accepts_bare_share_array(tmp_path):
     assert main(["check", "--profile", prof, "--allocation", alloc, "--axioms", "rr"]) == 0
 
 
-def test_check_guard_violation_exits_three(tmp_path):
+M6_GUARD = "error: grid has 96560646 points, exceeding the guard of 10000000\n"
+
+
+def test_check_guard_violation_exits_three(tmp_path, capsys):
+    # only the point guard refuses: 13 agents pass, six alternatives pass
+    # at the default resolution 0.05 and exit 3 at 0.01
     rng = np.random.default_rng(0)
-    prefs = rng.dirichlet(np.ones(2), 13).tolist()
-    prof = write_doc(tmp_path / "big.json", {"n": 13, "m": 2, "prefs": prefs})
+    prof = write_doc(tmp_path / "big.json", {"n": 13, "m": 2, "prefs": rng.dirichlet(np.ones(2), 13).tolist()})
     alloc = write_doc(tmp_path / "x.json", [0.5, 0.5])
-    assert main(["check", "--profile", prof, "--allocation", alloc, "--axioms", "core"]) == 3
+    assert main(["check", "--profile", prof, "--allocation", alloc, "--axioms", "core"]) in (0, 2)
+    wide = write_doc(tmp_path / "wide.json", {"n": 2, "m": 6, "prefs": rng.dirichlet(np.ones(6), 2).tolist()})
+    alloc = write_doc(tmp_path / "y.json", [1 / 6] * 6)
+    assert main(["check", "--profile", wide, "--allocation", alloc, "--axioms", "core"]) in (0, 2)
+    capsys.readouterr()
+    argv = ["check", "--profile", wide, "--allocation", alloc, "--axioms", "core", "--resolution", "0.01"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", M6_GUARD)
 
 
 def test_check_grid_guard_exits_three_at_once(tmp_path, capsys):
@@ -620,11 +631,24 @@ def test_oracle_verify_random_corpus(tmp_path, capsys):
         capsys.readouterr()
 
 
-def test_oracle_verify_guard(tmp_path):
-    rng = np.random.default_rng(0)
-    prefs = rng.dirichlet(np.ones(5), 3).tolist()
-    prof = write_doc(tmp_path / "wide.json", {"n": 3, "m": 5, "prefs": prefs})
+def test_oracle_verify_guard(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the grid guard")
+
+    monkeypatch.setattr(ct.cli, "solve_ctr", no_solve)
+    prefs = np.random.default_rng(0).dirichlet(np.ones(6), 3).tolist()
+    prof = write_doc(tmp_path / "wide.json", {"n": 3, "m": 6, "prefs": prefs})
     assert main(["oracle-verify", "--profile", prof, "--rule", "nash"]) == 3
+    assert capsys.readouterr() == ("", M6_GUARD)
+
+
+@pytest.mark.parametrize("rule", ["nash", "egal", "util", "negpower:3"])
+def test_oracle_verify_passes_at_five_alternatives(tmp_path, capsys, rule):
+    # 4,598,126 grid points at resolution 0.01, under the 1e7 guard
+    prefs = np.random.default_rng(8).dirichlet(np.ones(5), 8).tolist()
+    prof = write_doc(tmp_path / "m5.json", {"n": 8, "m": 5, "prefs": prefs})
+    assert main(["oracle-verify", "--profile", prof, "--rule", rule, "--resolution", "0.01"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_save_profile_includes_labels(tmp_path):
@@ -796,6 +820,8 @@ REFUSALS = {
     "gen-group-size-not-an-integer": (["gen", "--kind", "groups:x:1,0"], "group size must be an integer in 'x:1,0'"),
     "gen-group-weights-not-numbers": (["gen", "--kind", "groups:2:a,b"], "group weights must be numbers in '2:a,b'"),
     "gen-group-weights": (["gen", "--kind", "groups:2:0.5,0.4"], "group weights must sum to 1 in '2:0.5,0.4'"),
+    "gen-group-weights-infinite": (["gen", "--kind", "groups:2:inf,-inf"], "group weights must be finite in '2:inf,-inf'"),
+    "gen-group-weights-nan": (["gen", "--kind", "groups:2:1,nan"], "group weights must be finite in '2:1,nan'"),
     "gen-ragged-groups": (["gen", "--kind", "groups:2:1,0;3:1,0,0"], "group '3:1,0,0' has 3 weights, the first group has 2"),
     "gen-groups-n": (["gen", "--kind", "groups:2:1,0", "--n", "3"], "--n 3 does not match the groups spec total 2"),
     "gen-groups-m": (["gen", "--kind", "groups:2:1,0", "--m", "3"], "--m 3 does not match the groups spec width 2"),

@@ -115,6 +115,31 @@ def test_core_and_efficiency_match_per_coalition_reference(case, profile, x, res
         assert (after >= pi - 1e-9).all() and (after > pi + resolution).any()
 
 
+def wide_corpus():
+    """Past the old n <= 12 and m <= 4 caps of the core search: 13 agents
+    on m = 2, and m = 5 and 6, each at the Nash optimum and at a random
+    allocation."""
+    rng = np.random.default_rng(2025)
+    for n, m, resolution in [(13, 2, 0.1), (4, 5, 0.2), (3, 6, 0.25), (5, 5, 0.25)]:
+        profile = ct.Profile(rng.dirichlet(np.full(m, 0.7), n))
+        yield profile, ct.solve_ctr(profile, NASH).allocation, resolution
+        yield profile, ct.Allocation(rng.dirichlet(np.ones(m))), resolution
+
+
+WIDE = list(wide_corpus())
+
+
+def test_wide_corpus_has_violations_and_stable_cases():
+    verdicts = [ct.check_core(p, x, resolution=res).holds for p, x, res in WIDE]
+    assert 2 <= sum(verdicts) <= len(verdicts) - 2
+
+
+@pytest.mark.parametrize("profile,x,resolution", WIDE, ids=[f"{p.n}x{p.m}-{k % 2}" for k, (p, _, _) in enumerate(WIDE)])
+def test_core_past_the_old_caps_matches_per_coalition_reference(profile, x, resolution):
+    report = ct.check_core(profile, x, resolution=resolution)
+    assert (report.holds, report.witness) == reference_core(profile, x, resolution)
+
+
 def test_core_walks_one_grid_per_coalition_size(monkeypatch):
     walks = []
     chunks = ct.axioms._composition_chunks

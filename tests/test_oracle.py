@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,16 +48,21 @@ def test_grid_spec_validation():
         ct.GridSpec(6, 0.005)  # C(1205, 5) blows the point guard
 
 
-def test_grid_guard_env_override(monkeypatch):
-    monkeypatch.setenv("CTR_MAX_GRID", "10")
-    with pytest.raises(ct.GuardError):
+def test_grid_guard_reads_its_constant_at_construction(monkeypatch):
+    monkeypatch.setattr(ct.oracle, "_MAX_GRID_POINTS", 20)
+    with pytest.raises(ct.GuardError, match="^grid has 21 points, exceeding the guard of 20$"):
         ct.GridSpec(2, 0.05)
-    monkeypatch.setenv("CTR_MAX_GRID", "1000")
+    monkeypatch.setattr(ct.oracle, "_MAX_GRID_POINTS", 21)
     assert ct.GridSpec(2, 0.05).num_points() == 21
-    for raw in ("1e6", "ten", ""):
-        monkeypatch.setenv("CTR_MAX_GRID", raw)
-        with pytest.raises(ValueError, match="CTR_MAX_GRID must be an integer"):
-            ct.GridSpec(2, 0.05)
+
+
+def test_no_module_reads_the_environment():
+    # every size guard and tolerance is a module constant; a setting that
+    # only an environment variable reaches would not show in any call
+    sources = sorted(Path(ct.__file__).parent.glob("*.py"))
+    assert sources
+    reads = [path.name for path in sources for word in ("environ", "getenv") if word in path.read_text(encoding="utf-8")]
+    assert reads == []
 
 
 def test_brute_force_sp_example():
@@ -106,7 +112,7 @@ def test_bad_objective_is_refused_before_any_block(monkeypatch):
 
 
 def test_guard_prints_huge_point_counts_to_three_digits(monkeypatch):
-    monkeypatch.setenv("CTR_MAX_GRID", "10")
+    monkeypatch.setattr(ct.oracle, "_MAX_GRID_POINTS", 10)
     for spec, count in [
         ((2, 0.05), "21"),
         ((2, 1e-14), "100000000000001"),  # 1e14 + 1, below 1e15: whole
