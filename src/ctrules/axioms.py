@@ -20,10 +20,16 @@ from typing import Any
 import numpy as np
 
 from .core import EQUALITY_TOL, Allocation, GuardError, Profile, UtilityFunction, _is_real, check_allocation, overlap
-from .oracle import GridSpec, _BlockOverlap, _composition_chunks, enumerate_grid
+from .oracle import GridSpec, _BlockOverlap, _composition_chunks, _count_text, enumerate_grid
 from .solver import _LP, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
+# The most misreports the strategyproofness probe re-solves: 100,000 is
+# about 48 s of re-solves at 3x5, where one took 0.48 ms (1,001 misreports
+# at resolution 0.1 in 0.48 s on a shared 2-core host); larger profiles
+# cost more per re-solve.  Resolution 0.01 at m = 5 (4,598,126 misreports,
+# under the grid guard) would run for about 36 minutes.
+_MAX_PROBE_SOLVES = 100_000
 
 
 @dataclass(frozen=True)
@@ -303,9 +309,16 @@ def probe_strategyproofness(profile: Profile, f: UtilityFunction, i: int, resolu
     a finer grid can only find more manipulations.  Raises RuntimeError when
     the honest solve or any misreport re-solve is uncertified (its MRS gap
     is above the solver's 1e-7 certificate), as the participation probe
-    does: a gain read off an uncertified solve is not the rule's.
+    does: a gain read off an uncertified solve is not the rule's.  Raises
+    GuardError before any solve when the grid has more misreports than
+    _MAX_PROBE_SOLVES, each a full re-solve.
     """
     spec = GridSpec.snapped(profile.m, 1.0, resolution)
+    if spec.num_points() > _MAX_PROBE_SOLVES:
+        raise GuardError(
+            f"strategyproofness probe needs {_count_text(spec.num_points())} re-solves, "
+            f"exceeding the guard of {_count_text(_MAX_PROBE_SOLVES)}"
+        )
     honest = solve_ctr(profile, f)
     if not honest.converged:
         raise RuntimeError("solver failed to converge during strategyproofness probe")

@@ -395,8 +395,13 @@ def support_masks(prefs: np.ndarray, shares: np.ndarray):
     exactly on ties ``x^i_j == x_j`` (within EQUALITY_TOL).
 
     The masks are C-ordered even though a profile's prefs are column-major:
-    a matmul against a Fortran-ordered bool mask casts it in a transposing
-    copy that costs ten times the product itself.
+    the rule polish carries its strict mask in that order too, so a product
+    ``weights @ up`` takes the same summation path wherever it is formed,
+    and the polish's marginal contributions equal ``mrs_gap``'s bit for
+    bit.  Callers: ``solver._supporters`` (the strict mask and ties behind
+    ``mrs_gap``, ``marginal_contribution``, the utilitarian certificate and
+    the polish's first point), ``directional_derivative``, the tests and
+    the benchmark's tracer.
     """
     d = np.subtract(prefs, shares, order="C")
     return d > EQUALITY_TOL, d >= -EQUALITY_TOL

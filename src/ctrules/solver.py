@@ -14,8 +14,8 @@ line search whose steps land bit-exactly on kink values (or on zero): it
 gallops over the kinks along the exchange in sorted order (indices 0, 1, 3,
 7, ..., then a bisection inside the last doubling; Bentley and Yao 1976) for
 the sign change of the one-sided derivative, which usually comes within the
-first few kinks.  So it sorts only the smallest few kinks and probes only
-the agents whose satisfaction can change that far, and sorts every kink
+first few kinks.  So it merges only the smallest few kinks and probes only
+the agents whose satisfaction can change that far, and merges every kink
 only when its gallop passes them; its probes and landings are those of a
 search over every kink and agent, bit for bit.  Between kinks the support
 pattern is fixed, and a safeguarded Newton iteration finds the smooth stop.
@@ -35,12 +35,15 @@ x only at the rounding level, is left to the pair search.
 
 The polish works on the profile's column-major prefs over all m columns
 (an alternative no agent supports has no strict marginal contribution, so
-it never gains mass).  It builds the support masks and the elementwise
-minima min(ideal_ij, x_j), whose row sums are the satisfactions, once;
-after each step it recomputes only the columns the step moved.  A step
-that returns the polish to a state it held within the last few steps ends
-it: the step is a function of x and of the count of smooth stops before
-it, so such a polish would cycle without ever certifying.
+it never gains mass).  It sorts each column once and answers every order
+query by binary search in that sorted copy: the line search's kinks, the
+agents tied at a share, the free face and the kinks next to each free
+share.  It carries the strict support mask, the agents tied at each
+positive share and the elementwise minima min(ideal_ij, x_j), whose row
+sums are the satisfactions, and after each step recomputes only the
+columns the step moved.  A step that returns the polish to a state it held within the last
+few steps ends it: the step is a function of x and of the count of smooth
+stops before it, so such a polish would cycle without ever certifying.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -53,11 +56,13 @@ of the point the polish stopped at, which equal ``overlap`` and ``mrs_gap``
 there bit for bit, so no solve computes its certificate twice.  Every
 solver reports converged as gap <= _TOL, one constant no caller can set.
 
-The paper's first-order quantities live here, computed one way: the
-marginal contributions mc_up / mc_down are the agent weights times the
-strict/weak support masks, a product ``_exchange_terms`` (the certificate)
-and ``marginal_contribution`` both take, and ``directional_derivative``
-reads the same masks.  Every LP, the maxmin cut LP below and the
+The paper's first-order quantities live here, computed one way: the strict
+marginal contribution mc_up is the agent weights times the strict support
+mask, and the weak one mc_down adds the weights of the agents tied at the
+share (the weak and strict masks differ exactly there), summed by
+``_marginals``, which the polish, ``mrs_gap``, ``marginal_contribution``
+and the utilitarian certificate all call; ``directional_derivative`` reads
+the support masks themselves.  Every LP, the maxmin cut LP below and the
 efficiency check's Pareto LP, is a HiGHS model built by one class, ``_LP``.
 
 The utilitarian reference is exact in one pass: total satisfaction is
@@ -153,8 +158,8 @@ def marginal_contribution(
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     prefs, shares = profile.prefs, check_allocation(profile, x)
-    up, down = support_masks(prefs, shares)
-    return float((f.deriv(overlap(prefs, shares)) @ (up if direction == "up" else down))[j])
+    mc_up, mc_down = _marginals(f.deriv(overlap(prefs, shares)), *_supporters(prefs, shares))
+    return float((mc_up if direction == "up" else mc_down)[j])
 
 
 def directional_derivative(profile: Profile, x: Allocation, y: Allocation, i: int) -> float:
@@ -178,7 +183,7 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
     shrinkable one.  The solvers count a gap of at most _TOL as certified.
     """
     prefs, shares = profile.prefs, check_allocation(profile, x)
-    return _exchange_terms(shares, f.deriv(overlap(prefs, shares)), *support_masks(prefs, shares))[0]
+    return _exchange_terms(shares, *_marginals(f.deriv(overlap(prefs, shares)), *_supporters(prefs, shares)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,49 +191,105 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _exchange_terms(x: np.ndarray, weights: np.ndarray, up: np.ndarray, down: np.ndarray):
-    """The MRS gap at x with its exchange pair, under the agent weights
-    ``weights`` (f'(pi) for a rule, ones for the utilitarian reference).
+def _supporters(prefs: np.ndarray, shares: np.ndarray):
+    """The strict support mask at shares and the agents tied there, as
+    ``_marginals`` takes them: (up, tied, bins), where agent tied[r] is
+    tied at share bins[r], column by column and in agent order."""
+    up, down = support_masks(prefs, shares)
+    bins, tied = (down & ~up).T.nonzero()
+    return up.astype(float), tied, bins
 
-    (up, down) are the support masks at x, bool or 0/1 floats.  The strict
-    and weak marginal contributions are mc_up = weights @ up and mc_down =
-    weights @ down: mc_up[j] sums the weights of the agents whose
-    satisfaction grows with x_j, mc_down[j] of those whose satisfaction
-    shrinks with it.  Returns (gap, j, k): j is the growable alternative
-    with the largest strict marginal contribution, k the shrinkable one
-    with the smallest weak marginal contribution.
+
+def _marginals(weights: np.ndarray, up: np.ndarray, tied: np.ndarray, bins: np.ndarray):
+    """The strict and weak marginal contributions (mc_up, mc_down) under
+    the agent weights ``weights`` (f'(pi) for a rule, ones for the
+    utilitarian reference).
+
+    up is the strict support mask as C-ordered 0/1 floats, and agent
+    tied[r] is tied at share bins[r] (bins[r] = m marks an unused slot).
+    mc_up = weights @ up sums the weights of the agents whose satisfaction
+    grows with x_j; mc_down adds to it the weights of the agents tied at
+    x_j, whose satisfaction shrinks with x_j but does not grow.  One
+    bincount sums each column's ties in slot order, and every caller lists
+    them in agent order, so the sums agree bit for bit whoever built the
+    list.
     """
-    mc_up = np.where(x < 1.0, weights @ up, -np.inf)
-    mc_down = np.where(x > 0.0, weights @ down, np.inf)
-    j = int(np.argmax(mc_up))
-    k = int(np.argmin(mc_down))
+    m = up.shape[1]
+    mc_up = weights @ up
+    return mc_up, mc_up + np.bincount(bins, weights[tied], minlength=m + 1)[:m]
+
+
+def _exchange_terms(x: np.ndarray, mc_up: np.ndarray, mc_down: np.ndarray):
+    """The MRS gap at x with its exchange pair: (gap, j, k), where j is the
+    growable alternative with the largest strict marginal contribution and
+    k the shrinkable one with the smallest weak marginal contribution.  It
+    masks the caller's fresh mc_up and mc_down in place."""
+    mc_up[x >= 1.0] = -np.inf
+    mc_down[x <= 0.0] = np.inf
+    j, k = int(mc_up.argmax()), int(mc_down.argmin())
     return float(mc_up[j] - mc_down[k]), j, k
 
 
-def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, j: int, k: int):
+def _first_above(column: np.ndarray, x: float, bound: float, strict: bool) -> int:
+    """The position of the first entry v of an ascending column with v - x
+    > bound (strict) or >= bound, v - x computed in float as the support
+    masks compute it.  Rounding keeps that difference monotone in v, so a
+    binary search for x + bound finds the position up to the entries within
+    rounding of it: the entries next to it are checked, and only when one
+    disagrees are those within a few ulps compared one by one.
+    """
+    i = int(column.searchsorted(x + bound, "right" if strict else "left"))
+    after = i == len(column) or (column.item(i) - x > bound if strict else column.item(i) - x >= bound)
+    before = i > 0 and (column.item(i - 1) - x > bound if strict else column.item(i - 1) - x >= bound)
+    if after and not before:
+        return i
+    margin = 4 * math.ulp(abs(x) + abs(bound))
+    lo, hi = column.searchsorted((x + bound - margin, x + bound + margin))
+    d = column[lo:hi] - x
+    return int(lo + np.count_nonzero(~(d > bound if strict else d >= bound)))
+
+
+def _tie_range(column: np.ndarray, share: float):
+    """(lo, hi) for one ascending column of the sorted profile: the entries
+    at positions [lo, hi) are tied at share, and those from hi on strictly
+    support it, by the comparisons of ``support_masks``.  When the entry
+    before hi is not tied, none is."""
+    hi = _first_above(column, share, EQUALITY_TOL, True)
+    if hi == 0 or column.item(hi - 1) - share < -EQUALITY_TOL:
+        return hi, hi
+    return _first_above(column, share, -EQUALITY_TOL, False), hi
+
+
+def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, j: int, k: int):
     """Maximize the objective along x + d (e_j - e_k) for d in [0, dmax].
 
-    Returns (d, landing) where landing records an exact stopping value:
-    ("zero", None) when the donor empties, ("j", v) / ("k", v) when a share
-    lands on a preference kink v, or (None, None) for a smooth interior
-    stop.  Exact landings let the MRS certificate see ties exactly.
+    srt holds the profile's columns sorted, and mins the minima
+    min(prefs, x) whose row sums are pi.  Returns (d, landing) where landing
+    records an exact stopping value: ("zero", None) when the donor empties,
+    ("j", v) / ("k", v) when a share lands on a preference kink v, or (None,
+    None) for a smooth interior stop.  Exact landings let the MRS
+    certificate see ties exactly.
 
-    The kink search sorts only the _KINK_PREFIX smallest kink steps, and
-    probes only the agents whose satisfaction can move up to the last of
-    them; it sorts every kink, and probes every agent, only once its gallop
-    would pass that prefix.  Both give the probes and the landing of a
-    search over every kink and agent bit for bit.  The probe at dmax for a
-    zero landing is made only when no kink qualifies or the qualifying
-    kink's right derivative is exactly 0: by concavity any other qualifying
-    kink has a negative left derivative at dmax.
+    The kinks along the exchange are two runs of the sorted columns, found
+    by binary search: the ideal shares of j above x_j and those of k below
+    x_k, each in the order the exchange reaches them.  The search merges
+    only the first _KINK_PREFIX of them, and probes only the agents whose
+    satisfaction can move up to the last of those; it merges every kink,
+    and probes every agent, only once its gallop would pass that prefix.
+    Both give the probes and the landing of a search over every kink and
+    agent bit for bit (among kinks at one step on one side, the first the
+    exchange reaches lands).  The probe at dmax for a zero landing is made
+    only when no kink qualifies or the qualifying kink's right derivative
+    is exactly 0: by concavity any other qualifying kink has a negative
+    left derivative at dmax.
     """
     cj = prefs[:, j]
     ck = prefs[:, k]
     xj = float(x[j])
     xk = float(x[k])
     dmax = xk
-    base_j = np.minimum(cj, xj)
-    base_k = np.minimum(ck, xk)
+    base_j = mins[:, j]
+    base_k = mins[:, k]
 
     def derivative_over(rows):
         """The one-sided derivative along the exchange, summed over rows;
@@ -244,25 +305,30 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
             else:
                 up = cj_r >= xj + d - EQUALITY_TOL
                 dn = ck_r > xk - d + EQUALITY_TOL
-            return float(fp[up].sum() - fp[dn].sum())
+            # np.add.reduce is ndarray.sum without its Python wrapper
+            return float(np.add.reduce(fp[up]) - np.add.reduce(fp[dn]))
 
         return deriv
 
     full_deriv = derivative_over(slice(None))
 
-    # membership-change breakpoints strictly inside (0, dmax), the j side
-    # first; the stable sort keeps j before k on equal steps.  Breakpoints
-    # within EQUALITY_TOL of the last one kept are one kink: keep the first
-    # of each such chain (a Python pass, run only when some gap is that
-    # small).  Merging a prefix of the sorted steps keeps what merging all
-    # of them keeps within it.
-    vj = cj[(cj > xj + EQUALITY_TOL) & (cj - xj < dmax - EQUALITY_TOL)]
-    vk = ck[(ck < xk - EQUALITY_TOL) & (xk - ck < dmax - EQUALITY_TOL)]
+    # membership-change breakpoints strictly inside (0, dmax): the ideal
+    # shares v of j with v > xj + EQUALITY_TOL and v - xj < room, ascending,
+    # then those of k with v < xk - EQUALITY_TOL and xk - v < room (in float,
+    # xk - v < room exactly when v - xk > -room), descending, so both runs of
+    # steps ascend; the stable merge keeps j before k on equal steps.  Breakpoints within EQUALITY_TOL of the last
+    # one kept are one kink: keep the first of each such chain (a Python
+    # pass, run only when some gap is that small).  Merging a prefix of the
+    # sorted steps keeps what merging all of them keeps within it.
+    room = dmax - EQUALITY_TOL
+    sj, sk = srt[:, j], srt[:, k]
+    vj = sj[sj.searchsorted(xj + EQUALITY_TOL, "right") : _first_above(sj, xj, room, False)]
+    vk = sk[_first_above(sk, xk, -room, True) : sk.searchsorted(xk - EQUALITY_TOL)][::-1]
     all_steps = np.concatenate((vj - xj, xk - vk))
 
     def merged_kinks(order):
         steps = all_steps[order]
-        if len(steps) > 1 and np.diff(steps).min() <= EQUALITY_TOL:
+        if len(steps) > 1 and (steps[1:] - steps[:-1]).min() <= EQUALITY_TOL:
             keep = [0]
             for i in range(1, len(steps)):
                 if steps[i] - steps[keep[-1]] > EQUALITY_TOL:
@@ -270,21 +336,22 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
             order, steps = order[keep], steps[keep]
         return order, steps
 
-    # the prefix is every step up to the _KINK_PREFIX-th smallest, ties
-    # included, in index order before the stable sort, so it is exactly the
-    # head of the full stable order.  At any d in [0, reach] only agents
-    # with cj >= xj - EQUALITY_TOL or ck >= xk - reach - EQUALITY_TOL can
-    # pass either comparison of the derivative (float rounding is monotone,
-    # so this holds as evaluated), and the others drop out of both sums.
+    # the prefix is the first _KINK_PREFIX steps of the merge, which lie
+    # within the first _KINK_PREFIX of each run.  At any d in [0, reach]
+    # only agents with cj >= xj - EQUALITY_TOL or ck >= xk - reach -
+    # EQUALITY_TOL can pass either comparison of the derivative (float
+    # rounding is monotone, so this holds as evaluated), and the others drop
+    # out of both sums.
     complete = len(all_steps) <= _KINK_PREFIX
     if complete:
-        order, steps = merged_kinks(np.argsort(all_steps, kind="stable"))
+        order, steps = merged_kinks(all_steps.argsort(kind="stable"))
         deriv = full_deriv
     else:
-        reach = np.partition(all_steps, _KINK_PREFIX - 1)[_KINK_PREFIX - 1]
-        head = np.flatnonzero(all_steps <= reach)
-        order, steps = merged_kinks(head[np.argsort(all_steps[head], kind="stable")])
-        deriv = derivative_over(np.flatnonzero((cj >= xj - EQUALITY_TOL) | (ck >= xk - reach - EQUALITY_TOL)))
+        head = np.concatenate((np.arange(min(len(vj), _KINK_PREFIX)), len(vj) + np.arange(min(len(vk), _KINK_PREFIX))))
+        head = head[all_steps[head].argsort(kind="stable")[:_KINK_PREFIX]]
+        reach = all_steps[head[-1]]
+        order, steps = merged_kinks(head)
+        deriv = derivative_over(((cj >= xj - EQUALITY_TOL) | (ck >= xk - reach - EQUALITY_TOL)).nonzero()[0])
 
     # first breakpoint where the right derivative is no longer positive.  It
     # is usually among the first few, so gallop over indices 0, 1, 3, 7, ...
@@ -302,7 +369,7 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
         else:
             lo_d, lo_i = float(steps[mid]), mid + 1
         if galloping and not complete and 2 * mid + 1 > hi_i:
-            order, steps = merged_kinks(np.argsort(all_steps, kind="stable"))
+            order, steps = merged_kinks(all_steps.argsort(kind="stable"))
             hi_i, complete, deriv = len(steps) - 1, True, full_deriv
         mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
 
@@ -322,7 +389,7 @@ def _line_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
     # xj + xk no longer changes the moved shares.
     centre = 0.5 * (lo_d + hi_d)
     a = (cj > xj + centre).astype(float) - (ck > xk - centre)
-    act = np.flatnonzero(a)
+    act = a.nonzero()[0]
     a, cj, ck, pi, base_j, base_k = a[act], cj[act], ck[act], pi[act], base_j[act], base_k[act]
 
     def sats(d: float) -> np.ndarray:
@@ -347,7 +414,7 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
     for _ in range(80):
         p = sats(t)
         slope = float(f.deriv(p) @ rate)
-        curve = float((f.second(p) * square).sum())
+        curve = float(np.add.reduce(f.second(p) * square))
         if slope > 0.0:
             lo = t
         else:
@@ -402,27 +469,25 @@ def _newton_direction(f: UtilityFunction, pi: np.ndarray, supp: np.ndarray) -> n
     return d / np.abs(d).max()
 
 
-def _ray_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, supp: np.ndarray, d: np.ndarray):
+def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, supp: np.ndarray, d: np.ndarray):
     """Maximize the objective along x + t d for t from 0 to the first kink.
 
-    prefs, x and d hold the face's columns (max |d_j| = 1), supp their
-    strict supporters (0/1 floats), and no agent is tied with any x_j.  Up
-    to the first kink the satisfactions are pi + t (supp @ d).  The first
-    kink is the nearest value, over the columns, that x_j reaches moving
-    along d_j: the smallest ideal share above x_j when it grows, the
-    largest below x_j (or zero) when it shrinks.  Returns (t, c, v): when
-    the objective still rises into the first kink, t is its step and column
-    c lands on v (an ideal share, or zero); otherwise t is the smooth stop
-    before it, and c and v are None.
+    x and d hold the face's shares and direction (max |d_j| = 1), supp
+    their strict supporters (0/1 floats), and no agent is tied with any
+    x_j.  Up to the first kink the satisfactions are pi + t (supp @ d).  The
+    first kink is the nearest value, over the columns, that x_j reaches
+    moving along d_j: above[j], the smallest ideal share above x_j, when it
+    grows, and below[j], the largest below x_j (or zero), when it shrinks.
+    Returns (t, c, v): when the objective still rises into the first kink,
+    t is its step and column c lands on v (an ideal share, or zero);
+    otherwise t is the smooth stop before it, and c and v are None.
     """
     rate = supp @ d
-    above = np.where(supp > 0.0, prefs, np.inf).min(axis=0)
-    below = np.maximum(np.where(supp > 0.0, -np.inf, prefs).max(axis=0), 0.0)
     target = np.where(d > 0.0, above, below)
     steps = np.divide(target - x, d, out=np.full_like(d, np.inf), where=d != 0.0)
-    c = int(np.argmin(steps))
+    c = int(steps.argmin())
     end = float(steps[c])
-    act = np.flatnonzero(rate)
+    act = rate.nonzero()[0]
     rate, pi = rate[act], pi[act]
     if float(f.deriv(pi + end * rate) @ rate) >= 0.0:
         return end, c, float(target[c])
@@ -433,23 +498,28 @@ def _ray_search(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunc
     return _smooth_stop(f, sats, rate, 0.0, end, math.ulp(x.sum())), None, None
 
 
-def _newton_step(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, down: np.ndarray, j: int, k: int):
+def _newton_step(srt: np.ndarray, count: list, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, j: int, k: int):
     """A Newton step on the free face of x: (the point it reaches, whether
     it stopped smoothly), or None when it is not taken.
 
-    The free face is F = {j : x_j > 0, no agent tied at x_j}; near x the
-    satisfactions are affine in x_F.  The step is taken only when the MRS
-    pair (j, k) lies in F: otherwise the gap is held by a column at zero or
-    on a kink, which only a pair step moves (at the optimum of its face the
-    pairs inside F have no gap).  It searches along ``_newton_direction``
-    with ``_ray_search``, and a landing column takes its kink or zero value
-    exactly.  The largest other share of F then takes what keeps sum(x_F)
-    unchanged, so the step changes the sum of x only by rounding, as a pair
-    step does.  A smooth stop no farther than one ulp of sum(x_F), the
-    resolution of its search, and a step that leaves x unchanged are not
-    taken: at the rounding floor such steps would only shuffle last bits.
+    srt holds the profile's columns sorted, up the strict support mask, and
+    count[c] agents are tied at x_c.  The free face is F = {j : x_j > 0, no
+    agent tied at x_j}; near x the satisfactions are affine in x_F.  The
+    step is taken only when the MRS pair (j, k) lies in F: otherwise the gap
+    is held by a column at zero or on a kink, which only a pair step moves
+    (at the optimum of its face the pairs inside F have no gap).  It
+    searches along ``_newton_direction`` with ``_ray_search``, whose kinks
+    are the ideal shares next to each free share: with no agent tied there,
+    a free column's strict supporters are the top entries of its sorted
+    column, so they are the sorted entries on either side of the first
+    strict one.  A landing column takes its kink or zero value exactly.  The largest other share of F then takes what keeps
+    sum(x_F) unchanged, so the step changes the sum of x only by rounding,
+    as a pair step does.  A smooth stop no farther than one ulp of sum(x_F),
+    the resolution of its search, and a step that leaves x unchanged are
+    not taken: at the rounding floor such steps would only shuffle last
+    bits.
     """
-    free = (x > 0.0) & (up.sum(axis=0) == down.sum(axis=0))
+    free = (x > 0.0) & (np.asarray(count) == 0)
     if not (free[j] and free[k]):
         return None
     free = np.flatnonzero(free)
@@ -458,7 +528,11 @@ def _newton_step(prefs: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFun
     if d is None:
         return None
     old = x[free]
-    t, c, v = _ray_search(prefs[:, free], old, pi, f, supp, d)
+    n = len(srt)
+    first = n - supp.sum(axis=0).astype(int)
+    above = np.where(first < n, srt[np.minimum(first, n - 1), free], np.inf)
+    below = np.where(first > 0, srt[np.maximum(first - 1, 0), free], 0.0)
+    t, c, v = _ray_search(above, below, old, pi, f, supp, d)
     # a smooth stop within the search's resolution of 0 is rounding noise
     if not (t > 0.0 if c is not None else t > math.ulp(old.sum())):
         return None
@@ -496,32 +570,81 @@ def _apply_move(x: np.ndarray, j: int, k: int, d: float, landing) -> np.ndarray:
     return out
 
 
-def _ascend(prefs: np.ndarray, f: UtilityFunction, x: np.ndarray):
-    """Exchange polish of a profile's prefs from x, any point of the
-    simplex, until the MRS certificate passes.
+def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarray):
+    """Exchange polish of a profile's prefs, whose columns sorted are srt,
+    from x, any point of the simplex, until the MRS certificate passes.
 
     Each step is a pair step along the MRS pair (j, k), or a Newton step
     (``_newton_step``) when the last two steps stopped smoothly; a Newton
-    step that is not taken leaves the step to the pair search.  The support
-    masks are built once, as 0/1 floats (a bool mask would be cast on every
-    product with f'), and so are the minima min(prefs, x), in the profile's
-    column-major layout; after each step only the columns it moved (j and
-    k, or the free columns a Newton step moved) are recomputed, with the
-    comparisons of ``support_masks``.  The satisfactions are the row sums
-    of the minima, which equal ``overlap`` bit for bit at a fraction of its
-    cost (a running update of them would drift by rounding), so the gap
-    equals ``mrs_gap`` at the same point.  The polish also ends,
-    uncertified, when a step returns it to a state (x, smooth-stop count)
-    it held within the last _CYCLE steps (the step is a function of that
-    state, so the polish would repeat forever), when its gap stalls, when
-    the line search makes no move, and after _MAX_ITERS steps.  A step
-    changes the sum of x only by rounding.
+    step that is not taken leaves the step to the pair search.  The polish
+    answers its order queries by binary search in the sorted columns.  It
+    carries the strict support mask as 0/1 floats (a bool mask would be
+    cast on every product with f'), the minima min(prefs, x) in the
+    profile's column-major layout, and the agents tied at each positive
+    share, one row of ``tied`` per column in index order, which
+    ``_marginals`` adds to the strict contributions.  ``_supporters`` builds them at the first
+    point, as ``mrs_gap`` does; after each step only the columns it moved
+    (j and k, or the free columns a Newton step moved) are recomputed: the
+    minima and the strict mask with the comparisons of ``support_masks``,
+    the ties by ``_tie_range`` in the sorted column, whose agent order is
+    argsorted the first time agents tie at a moved share.  The
+    satisfactions are the row sums of the minima, which equal ``overlap``
+    bit for bit at a fraction of its cost (a running update of them would
+    drift by rounding), so the gap equals ``mrs_gap`` at the same point.
+    The polish also ends, uncertified, when a step returns it to a state
+    (x, smooth-stop count) it held within the last _CYCLE steps (the step is
+    a function of that state, so the polish would repeat forever), when its
+    gap stalls, when the line search makes no move, and after _MAX_ITERS
+    steps.  A step changes the sum of x only by rounding.
 
     Returns (x, pi, gap, iterations): the point the polish stopped at, its
     satisfactions and MRS gap, and the number of polish steps.
     """
-    up, down = (mask.astype(float) for mask in support_masks(prefs, x))
+    m = prefs.shape[1]
+    order = None
     mins = np.minimum(prefs, x)
+    up, agents, cols = _supporters(prefs, x)
+    # row c of tied holds the agents tied at x_c in its first count[c]
+    # slots; bins marks each used slot with its column and the rest with m.
+    # A share at zero keeps no ties: the gap never reads its weak
+    # contribution, and a column nobody supports would tie every agent
+    positive = x[cols] > 0.0
+    agents, cols = agents[positive], cols[positive]
+    count = np.bincount(cols, minlength=m).tolist()
+    layout = np.zeros((2, m, max(max(count), 1)), dtype=np.intp)
+    tied, bins = layout
+    bins.fill(m)
+    if len(cols):
+        slots = np.arange(len(cols)) - cols.searchsorted(cols)
+        tied[cols, slots] = agents
+        bins[cols, slots] = cols
+
+    def place(c: int) -> None:
+        """Recompute column c's minima, strict mask and ties at x_c."""
+        nonlocal order, layout, tied, bins
+        share, col = x.item(c), prefs[:, c]
+        np.minimum(col, share, out=mins[:, c])
+        up[:, c] = col - share > EQUALITY_TOL
+        lo, hi = _tie_range(srt[:, c], share) if share > 0.0 else (0, 0)
+        ties, held = hi - lo, count[c]
+        if not (ties or held):
+            return
+        count[c] = ties
+        if ties > layout.shape[2]:
+            grown = np.zeros((2, m, max(ties, 2 * layout.shape[2])), dtype=np.intp)
+            grown[1] = m
+            grown[:, :, : layout.shape[2]] = layout
+            layout = grown
+            tied, bins = layout
+        if ties:
+            if order is None:
+                order = np.argsort(prefs, axis=0)
+            tied[c, :ties] = np.sort(order[lo:hi, c]) if ties > 1 else order[lo, c]
+        if ties > held:
+            bins[c, held:ties] = c
+        elif held > ties:
+            bins[c, ties:held] = m
+
     smooth = 0
     recent = collections.deque([(x.tobytes(), smooth)], maxlen=_CYCLE)
     iters = 0
@@ -530,7 +653,7 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, x: np.ndarray):
     best_gap = np.inf
     while True:
         pi = mins.sum(axis=1)
-        gap, j, k = _exchange_terms(x, f.deriv(pi), up, down)
+        gap, j, k = _exchange_terms(x, *_marginals(f.deriv(pi), up, tied.ravel(), bins.ravel()))
         if gap <= _TOL or repeated or iters >= _MAX_ITERS:
             return x, pi, gap, iters
         if gap < best_gap - 1e-14:
@@ -540,9 +663,9 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, x: np.ndarray):
             stall += 1
             if stall > _STALL_WINDOW:
                 return x, pi, gap, iters
-        step = _newton_step(prefs, x, pi, f, up, down, j, k) if smooth == 2 else None
+        step = _newton_step(srt, count, x, pi, f, up, j, k) if smooth == 2 else None
         if step is None:
-            d, landing = _line_search(prefs, x, pi, f, j, k)
+            d, landing = _line_search(prefs, srt, mins, x, pi, f, j, k)
             if d <= 0.0:
                 return x, pi, gap, iters
             step = _apply_move(x, j, k, d, landing), landing[0] is None
@@ -553,11 +676,8 @@ def _ascend(prefs: np.ndarray, f: UtilityFunction, x: np.ndarray):
         repeated = state in recent
         recent.append(state)
         before, x, smooth = x, moved, after
-        for c in np.flatnonzero(x != before).tolist():
-            mins[:, c] = np.minimum(prefs[:, c], x[c])
-            col = prefs[:, c] - x[c]
-            up[:, c] = col > EQUALITY_TOL
-            down[:, c] = col >= -EQUALITY_TOL
+        for c in (x != before).nonzero()[0].tolist():
+            place(c)
 
 
 def _on_simplex(x: np.ndarray) -> np.ndarray:
@@ -606,13 +726,15 @@ def solve_ctr(profile: Profile, f: UtilityFunction, *, start: Allocation | None 
     if not f.strictly_concave:
         raise ValueError("solve_ctr needs a strictly concave utility; use solve_utilitarian")
     prefs = profile.prefs
+    srt = np.sort(prefs, axis=0)
 
-    # polish from the start's mass on the supported columns, or from the mean
-    # ideal; the certificate does not depend on where the polish began
-    x0 = np.where(prefs.max(axis=0) > 0.0, np.maximum(start.shares, 0.0), 0.0) if start is not None else None
+    # polish from the start's mass on the supported columns (those whose
+    # largest ideal share is positive), or from the mean ideal; the
+    # certificate does not depend on where the polish began
+    x0 = np.where(srt[-1] > 0.0, np.maximum(start.shares, 0.0), 0.0) if start is not None else None
     if x0 is None or not x0.sum() > 0.0:
         x0 = np.maximum(prefs.mean(axis=0), 0.0)
-    x, pi, gap, iters = _ascend(prefs, f, _on_simplex(x0))
+    x, pi, gap, iters = _ascend(prefs, srt, f, _on_simplex(x0))
     return _report(x, pi, f.value(pi).sum(), gap, iters)
 
 
@@ -645,7 +767,7 @@ def solve_utilitarian(profile: Profile) -> SolveReport:
     partial = last % m
     x[partial] = max(1.0 - np.delete(x, partial).sum(), 0.0)
     pi = overlap(prefs, x)
-    gap = _exchange_terms(x, np.ones(n), *support_masks(prefs, x))[0]
+    gap = _exchange_terms(x, *_marginals(np.ones(n), *_supporters(prefs, x)))[0]
     return _report(x, pi, pi.sum(), gap, 0)
 
 

@@ -379,6 +379,21 @@ def test_sp_grid_guard_fires_before_solving(monkeypatch):
         ct.probe_strategyproofness(dirichlet_profile(0, 3, 3), NASH, 0, resolution=1e-6)
 
 
+def test_sp_probe_guard_refuses_before_solving(monkeypatch):
+    """Resolution 0.01 at m = 5 is 4,598,126 misreports, under the grid
+    guard but each a full re-solve: the probe refuses before its honest
+    solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_ctr ran before the probe guard")
+
+    monkeypatch.setattr(ct.axioms, "solve_ctr", no_solve)
+    with pytest.raises(ct.GuardError, match="needs 4598126 re-solves, exceeding the guard of 100000"):
+        ct.probe_strategyproofness(dirichlet_profile(0, 3, 5), NASH, 0, resolution=0.01)
+    monkeypatch.setattr(ct.axioms, "_MAX_PROBE_SOLVES", 14)
+    with pytest.raises(ct.GuardError, match="needs 15 re-solves, exceeding the guard of 14"):
+        ct.probe_strategyproofness(dirichlet_profile(0, 3, 5), NASH, 0, resolution=0.5)
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_sp_refuses_uncertified_misreport_solves(seed):
     # steep negexppower leaves several of these misreport re-solves

@@ -4,8 +4,9 @@ solver's gap compares, near-ties, floored satisfactions and steep
 utilities keep them well defined, the exchange line search (its galloping
 kink search and its Newton stops) agrees with the tuple-list bisection it
 replaced, the Newton step's search along a general direction agrees with a
-bisection oracle, and the support masks the polish carries from step to
-step equal fresh ones."""
+bisection oracle, the binary searches in the sorted columns agree with the
+mask comparisons they replaced, and the strict mask and tie lists the polish
+carries from step to step equal fresh ones."""
 
 from contextlib import contextmanager
 
@@ -122,6 +123,66 @@ def test_near_tie_is_weak_support_only(seed, n, m, shift):
     for a in (j, k):
         weak = mc(profile, x, f, a, "down")
         assert weak - mc(profile, x, f, a, "up") >= float(f.deriv(pi_i)) - 1e-12 * weak
+
+
+def test_binary_search_matches_the_float_comparison_it_replaces():
+    """_first_above counts the entries of a sorted column whose computed
+    v - x fails the comparison, exactly as the vectorized comparison does,
+    on columns crowded with duplicates and with values a few ulps either
+    side of x + bound, where the binary search's guess can be off."""
+    rng = np.random.default_rng(2612)
+    cases = 0
+    for _ in range(400):
+        x = float(rng.choice([0.0, rng.random(), 0.1, 0.3, 1.0 / 3.0]))
+        bound = float(rng.choice([EQUALITY_TOL, -EQUALITY_TOL, rng.random() - 0.5, 1e-300]))
+        near = [x + bound]
+        for _ in range(6):
+            near.append(np.nextafter(near[-1], np.inf))
+            near.insert(0, np.nextafter(near[0], -np.inf))
+        column = np.sort(np.concatenate((rng.choice(near, size=int(rng.integers(0, 30))), rng.random(int(rng.integers(0, 8))))))
+        for strict in (False, True):
+            d = column - x
+            holds = d > bound if strict else d >= bound
+            assert solver_module._first_above(column, x, bound, strict) == np.count_nonzero(~holds)
+            cases += 1
+    assert cases == 800
+
+
+def tie_heavy_cases():
+    """Seeded (profile, x) pairs with many agents tied at some share:
+    single-minded rows and rows on the 0.1 grid, at 0.1-grid allocations
+    with zero shares and at an agent's own ideal."""
+    rng = np.random.default_rng(2611)
+    for case in range(40):
+        n, m = int(rng.integers(2, 40)), int(rng.integers(2, 6))
+        if case % 2:
+            profile = single_minded_profile(case, n, m)
+        else:
+            profile = ct.Profile(rng.multinomial(10, np.full(m, 1.0 / m), size=n) / 10.0)
+        yield profile, ct.Allocation(rng.multinomial(10, np.full(m, 1.0 / m)) / 10.0)
+        yield profile, ct.Allocation(profile.prefs[int(rng.integers(0, n))])
+
+
+@pytest.mark.parametrize("f", UTILITIES, ids=lambda f: f.kind)
+def test_tie_sums_equal_the_dense_weak_mask_product(f):
+    """The weak marginal contribution is the strict one plus f' summed over
+    the agents tied at the share; on tie-heavy profiles it equals f'(pi)
+    @ down, the product with the dense weak mask it replaced, within n eps
+    relative, and the strict one equals f'(pi) @ up."""
+    eps = np.finfo(float).eps
+    tied = 0
+    for profile, x in tie_heavy_cases():
+        prefs, shares = profile.prefs, x.shares
+        fp = f.deriv(overlap(prefs, shares))
+        up, down = support_masks(prefs, shares)
+        mc_up, mc_down = solver_module._marginals(fp, *solver_module._supporters(prefs, shares))
+        dense = fp @ down.astype(float)
+        assert np.array_equal(mc_up, fp @ up.astype(float))
+        assert np.all(np.abs(mc_down - dense) <= profile.n * eps * (np.abs(fp) @ down))
+        for j in range(profile.m):
+            assert mc(profile, x, f, j, "down") == mc_down[j]
+        tied += int((down & ~up).sum())
+    assert tied > 1000
 
 
 FLOOR_KINDS = [("log", None), ("power", 0.3), ("negpower", 8.0), ("negexppower", 8.0), ("quadratic", None)]
@@ -247,24 +308,31 @@ def bisection_line_search(prefs, x, pi, f, j, k):
     return 0.5 * (lo + hi), (None, None)
 
 
+def line_search(prefs, x, pi, f, j, k):
+    """The solver's line search from x, with the sorted columns and the
+    minima min(prefs, x) it is given inside the polish."""
+    return solver_module._line_search(prefs, np.sort(prefs, axis=0), np.minimum(prefs, x), x, pi, f, j, k)
+
+
 @contextmanager
 def recorded_line_searches():
     """Record every line search the solver makes inside the block, as
-    (arguments, result, number of f' evaluations) triples."""
+    (arguments, result, number of f' evaluations) triples; the arguments
+    are those of ``line_search`` below and of the bisection oracle."""
     records = []
     inside = [False]
     evals = [0]
-    line_search = solver_module._line_search
+    solver_line_search = solver_module._line_search
     deriv = ct.UtilityFunction.deriv
 
     def counting_deriv(self, t):
         evals[0] += inside[0]
         return deriv(self, t)
 
-    def recording_line_search(prefs, x, pi, f, j, k):
+    def recording_line_search(prefs, srt, mins, x, pi, f, j, k):
         evals[0], inside[0] = 0, True
         try:
-            out = line_search(prefs, x, pi, f, j, k)
+            out = solver_line_search(prefs, srt, mins, x, pi, f, j, k)
         finally:
             inside[0] = False
         records.append(((prefs, x.copy(), pi.copy(), f, j, k), out, evals[0]))
@@ -367,38 +435,54 @@ def ray_search_oracle(prefs, x, pi, f, d):
     return 0.5 * (lo + hi), None, None
 
 
+def free_face(prefs, x):
+    """The free face {j : x_j > 0, no agent tied at x_j} by the masks."""
+    up, down = support_masks(prefs, x)
+    return np.flatnonzero((x > 0.0) & (up.sum(axis=0) == down.sum(axis=0)))
+
+
 def seeded_faces():
-    """The (prefs, x, pi, f, supp, d) of every Newton search in cold solves
-    of seeded Dirichlet profiles, each followed by a search on the same
-    face along a random ascent direction with sum 0 and max |d_j| = 1."""
+    """Every Newton search in cold solves of seeded Dirichlet profiles, as
+    (kind, prefs, x, args): the profile's prefs, the polish's point and the
+    arguments (above, below, x_F, pi, f, supp, d) of ``_ray_search``, each
+    search followed by one on the same face along a random ascent direction
+    with sum 0 and max |d_j| = 1."""
     searches = []
-    ray_search = solver_module._ray_search
+    at = {}
+    ray_search, newton_step = solver_module._ray_search, solver_module._newton_step
+
+    def remembering_newton_step(srt, count, x, *rest):
+        at["x"] = x.copy()
+        return newton_step(srt, count, x, *rest)
 
     def recording_ray_search(*args):
-        searches.append(args)
+        searches.append((at["prefs"], at["x"], args))
         return ray_search(*args)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_newton_step", remembering_newton_step)
         mp.setattr(solver_module, "_ray_search", recording_ray_search)
         for seed in range(30):
             profile = dirichlet_profile(seed, 3 + seed % 10, 3 + seed % 4, conc=0.7)
+            at["prefs"] = profile.prefs
             for f in UTILITIES[:5]:
                 ct.solve_ctr(profile, f)
     rng = np.random.default_rng(1982)
-    for prefs, x, pi, f, supp, d in searches:
-        yield "newton", (prefs, x, pi, f, supp, d)
-        d = rng.normal(size=len(x))
+    for prefs, x, (above, below, xf, pi, f, supp, d) in searches:
+        yield "newton", prefs, x, (above, below, xf, pi, f, supp, d)
+        d = rng.normal(size=len(xf))
         d -= d.mean()
         d /= np.abs(d).max()
-        yield "random", (prefs, x, pi, f, supp, d if f.deriv(pi) @ (supp @ d) > 0.0 else -d)
+        yield "random", prefs, x, (above, below, xf, pi, f, supp, d if f.deriv(pi) @ (supp @ d) > 0.0 else -d)
 
 
 def test_smooth_stop_along_a_general_direction_agrees_with_bisection():
     kinds = {"kink": 0, "smooth": 0, "newton": 0, "random": 0}
-    for direction, (prefs, x, pi, f, supp, d) in seeded_faces():
+    for direction, prefs, x, args in seeded_faces():
         kinds[direction] += 1
-        t, c, v = solver_module._ray_search(prefs, x, pi, f, supp, d)
-        ref_t, ref_c, ref_v = ray_search_oracle(prefs, x, pi, f, d)
+        _, _, xf, pi, f, _, d = args
+        t, c, v = solver_module._ray_search(*args)
+        ref_t, ref_c, ref_v = ray_search_oracle(prefs[:, free_face(prefs, x)], xf, pi, f, d)
         assert (c, v) == (ref_c, ref_v)
         if c is None:
             assert abs(t - ref_t) <= 1e-12, (t, ref_t)
@@ -407,6 +491,37 @@ def test_smooth_stop_along_a_general_direction_agrees_with_bisection():
             assert t == ref_t
             kinds["kink"] += 1
     assert kinds["kink"] >= 20 and kinds["smooth"] >= 20 and kinds["newton"] >= 20, kinds
+
+
+def first_kink(above, below, x, d):
+    """The column, step and value of the first kink along d, as
+    ``_ray_search`` reads them off the kinks next to each share."""
+    target = np.where(d > 0.0, above, below)
+    steps = np.divide(target - x, d, out=np.full_like(d, np.inf), where=d != 0.0)
+    c = int(np.argmin(steps))
+    return c, steps[c], target[c]
+
+
+def test_sorted_copy_gives_the_free_face_and_first_kinks_of_the_masks():
+    """The Newton step reads its free face and the ideal shares next to
+    each free share from the sorted columns.  On every seeded face they
+    equal the mask expressions: the face's columns and strict supporters,
+    the smallest strictly supporting ideal share above each free share, the
+    largest other one below it (or zero), and so the first kink's column,
+    step and value along both directions."""
+    faces = 0
+    for _, prefs, x, (above, below, xf, _, _, supp, d) in seeded_faces():
+        free = free_face(prefs, x)
+        face = prefs[:, free]
+        assert np.array_equal(xf, x[free])
+        assert np.array_equal(supp, support_masks(prefs, x)[0][:, free])
+        mask_above = np.where(supp > 0.0, face, np.inf).min(axis=0)
+        mask_below = np.maximum(np.where(supp > 0.0, -np.inf, face).max(axis=0), 0.0)
+        assert np.array_equal(above, mask_above)
+        assert np.array_equal(below, mask_below)
+        assert first_kink(above, below, xf, d) == first_kink(mask_above, mask_below, xf, d)
+        faces += 1
+    assert faces >= 40
 
 
 def duplicate_row_profile(seed: int, n: int, m: int) -> ct.Profile:
@@ -444,7 +559,7 @@ def test_kink_search_keeps_the_first_breakpoint_of_each_near_tie_chain():
     x = np.array([0.25, 0.5, 0.25])
     pi = np.minimum(prefs, x).sum(axis=1)
     f = ct.make_utility("log")
-    out = solver_module._line_search(prefs, x, pi, f, 0, 1)
+    out = line_search(prefs, x, pi, f, 0, 1)
     assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
     assert out == (0.125 + 3 * delta, ("j", 0.375 + 3 * delta))
 
@@ -473,7 +588,7 @@ def test_kink_search_gallops_past_several_doublings():
         rows = [[0.25 + i / 64, 0.0, 0.75 - i / 64] for i in range(1, 21)] + [[0.0, 1.0, 0.0]] * fans
         prefs = np.array(rows)
         pi = np.minimum(prefs, x).sum(axis=1)
-        out = solver_module._line_search(prefs, x, pi, f, 0, 1)
+        out = line_search(prefs, x, pi, f, 0, 1)
         assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
         kink = 19 - fans
         assert out == ((kink + 1) / 64, ("j", 0.25 + (kink + 1) / 64))
@@ -492,7 +607,7 @@ def test_kink_search_without_a_qualifying_kink_brackets_up_to_dmax():
     x = np.array([0.25, 0.5, 0.25])
     pi = np.minimum(prefs, x).sum(axis=1)
     f = ct.make_utility("quadratic")
-    assert solver_module._line_search(prefs, x, pi, f, 0, 1) == (0.125, (None, None))
+    assert line_search(prefs, x, pi, f, 0, 1) == (0.125, (None, None))
     ref_d, ref_landing = bisection_line_search(prefs, x, pi, f, 0, 1)
     assert ref_landing == (None, None) and abs(ref_d - 0.125) <= 1e-12
 
@@ -511,7 +626,7 @@ def test_kink_search_sorts_every_kink_once_the_gallop_passes_the_prefix():
     rows = [[0.25 + i / 128, 0.0, 0.75 - i / 128] for i in range(1, kinks + 1)] + [[0.0, 1.0, 0.0]] * 3
     prefs = np.array(rows)
     pi = np.minimum(prefs, x).sum(axis=1)
-    out = solver_module._line_search(prefs, x, pi, f, 0, 1)
+    out = line_search(prefs, x, pi, f, 0, 1)
     assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
     assert out == (37 / 128, ("j", 0.25 + 37 / 128))
 
@@ -528,7 +643,7 @@ def test_flat_derivative_from_the_qualifying_kink_lands_on_zero():
     x = np.array([0.25, 0.5, 0.25])
     pi = np.minimum(prefs, x).sum(axis=1)
     f = ct.make_utility("identity")
-    out = solver_module._line_search(prefs, x, pi, f, 0, 1)
+    out = line_search(prefs, x, pi, f, 0, 1)
     assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
     assert out == (0.5, ("zero", None))
 
@@ -547,15 +662,21 @@ def test_line_search_makes_few_derivative_evaluations_at_size(f):
 
 
 def test_carried_support_masks_equal_fresh_masks_after_every_step():
-    """The polish carries its support masks as 0/1 floats, and the
-    elementwise minima whose row sums are the satisfactions, and recomputes
-    only the columns each step moves; at every iterate the masks equal
-    support_masks and the satisfactions equal overlap bit for bit, through
-    kink, zero and smooth landings of pair steps and of Newton steps."""
+    """The polish carries its strict support mask as 0/1 floats, the agents
+    tied at each share, and the elementwise minima whose row sums are the
+    satisfactions, and recomputes only the columns each step moves (the
+    ties by binary search in the sorted columns); at every iterate the
+    strict mask equals support_masks', each column's tie list holds, in
+    index order, exactly the agents on which the weak and strict masks
+    differ (none at a share at zero, where the gap reads no weak
+    contribution), and the satisfactions equal overlap bit for bit, through kink,
+    zero and smooth landings of pair steps and of Newton steps."""
+    marginals = solver_module._marginals
     exchange_terms = solver_module._exchange_terms
     newton_step = solver_module._newton_step
     solving = {}
     checked = [0]
+    tied_steps = [0]
     newton = {True: 0, False: 0}
 
     def remembering_deriv(self, t):
@@ -563,14 +684,23 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
         solving["pi"] = t
         return deriv(self, t)
 
-    def checking_exchange_terms(x, weights, up, down):
-        if up.dtype == np.float64:  # the polish's carried masks, not mrs_gap's fresh ones
-            fresh_up, fresh_down = support_masks(solving["prefs"], x)
-            assert np.array_equal(up, fresh_up.astype(float))
-            assert np.array_equal(down, fresh_down.astype(float))
-            assert np.array_equal(solving["pi"], overlap(solving["prefs"], x))
-            checked[0] += 1
-        return exchange_terms(x, weights, up, down)
+    def remembering_marginals(weights, up, tied, bins):
+        solving["carried"] = up.copy(), tied.copy(), bins.copy()
+        return marginals(weights, up, tied, bins)
+
+    def checking_exchange_terms(x, mc_up, mc_down):
+        prefs = solving["prefs"]
+        up, tied, bins = solving["carried"]
+        fresh_up, fresh_down = support_masks(prefs, x)
+        assert np.array_equal(up, fresh_up.astype(float))
+        for c in range(prefs.shape[1]):
+            # a share at zero carries no ties: the gap never reads its weak contribution
+            fresh_ties = np.flatnonzero(fresh_down[:, c] & ~fresh_up[:, c]) if x[c] > 0.0 else []
+            assert np.array_equal(tied[bins == c], fresh_ties)
+        assert np.array_equal(solving["pi"], overlap(prefs, x))
+        checked[0] += 1
+        tied_steps[0] += bool((bins < prefs.shape[1]).any())
+        return exchange_terms(x, mc_up, mc_down)
 
     def counting_newton_step(*args):
         step = newton_step(*args)
@@ -580,6 +710,7 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
 
     with recorded_line_searches() as records, pytest.MonkeyPatch.context() as mp:
         deriv = ct.UtilityFunction.deriv  # the line-search recorder's counting f'
+        mp.setattr(solver_module, "_marginals", remembering_marginals)
         mp.setattr(solver_module, "_exchange_terms", checking_exchange_terms)
         mp.setattr(ct.UtilityFunction, "deriv", remembering_deriv)
         mp.setattr(solver_module, "_newton_step", counting_newton_step)
@@ -600,3 +731,4 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
     assert landings.count(None) > 20
     assert newton[True] > 20 and newton[False] > 0, newton
     assert checked[0] > len(records) + sum(newton.values())
+    assert tied_steps[0] > checked[0] // 3
