@@ -400,8 +400,9 @@ def support_masks(prefs: np.ndarray, shares: np.ndarray):
     and the polish's marginal contributions equal ``mrs_gap``'s bit for
     bit.  Callers: ``solver._supporters`` (the strict mask and ties behind
     ``mrs_gap``, ``marginal_contribution``, the utilitarian certificate and
-    the polish's first point), ``directional_derivative``, the tests and
-    the benchmark's tracer.
+    the polish's first point), the polish's update of each column a step
+    moves, ``directional_derivative``, the tests and the benchmark's
+    tracer.
     """
     d = np.subtract(prefs, shares, order="C")
     return d > EQUALITY_TOL, d >= -EQUALITY_TOL

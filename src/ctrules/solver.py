@@ -35,15 +35,16 @@ x only at the rounding level, is left to the pair search.
 
 The polish works on the profile's column-major prefs over all m columns
 (an alternative no agent supports has no strict marginal contribution, so
-it never gains mass).  It sorts each column once and answers every order
-query by binary search in that sorted copy: the line search's kinks, the
-agents tied at a share, the free face and the kinks next to each free
-share.  It carries the strict support mask, the agents tied at each
-positive share and the elementwise minima min(ideal_ij, x_j), whose row
-sums are the satisfactions, and after each step recomputes only the
-columns the step moved.  A step that returns the polish to a state it held within the last
-few steps ends it: the step is a function of x and of the count of smooth
-stops before it, so such a polish would cycle without ever certifying.
+it never gains mass).  It sorts each column once and finds the line
+search's kinks and the ideal shares next to each free share by binary
+search in that sorted copy.  It carries the strict support mask, the
+agents tied at each positive share and the elementwise minima
+min(ideal_ij, x_j), whose row sums are the satisfactions.  After each step
+it recomputes only the columns the step moved, the mask and the ties with
+the comparison ``mrs_gap`` makes for every column.  A step that returns
+the polish to a state it held within the last few steps ends it: the step
+is a function of x and of the count of smooth stops before it, so such a
+polish would cycle without ever certifying.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -153,6 +154,10 @@ def marginal_contribution(
     direction of alternative j (up: increase x_j, down: decrease it), read
     from the terms the MRS certificate compares.
     """
+    # refused as check_agent refuses agents: True passes the range check, and
+    # numpy would read it as a mask
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise IndexError(f"alternative index must be an integer, got {j!r}")
     if not 0 <= j < profile.m:
         raise IndexError(f"alternative index {j} out of range for m={profile.m}")
     if direction not in ("up", "down"):
@@ -206,17 +211,15 @@ def _marginals(weights: np.ndarray, up: np.ndarray, tied: np.ndarray, bins: np.n
     utilitarian reference).
 
     up is the strict support mask as C-ordered 0/1 floats, and agent
-    tied[r] is tied at share bins[r] (bins[r] = m marks an unused slot).
-    mc_up = weights @ up sums the weights of the agents whose satisfaction
-    grows with x_j; mc_down adds to it the weights of the agents tied at
-    x_j, whose satisfaction shrinks with x_j but does not grow.  One
-    bincount sums each column's ties in slot order, and every caller lists
-    them in agent order, so the sums agree bit for bit whoever built the
-    list.
+    tied[r] is tied at share bins[r].  mc_up = weights @ up sums the
+    weights of the agents whose satisfaction grows with x_j; mc_down adds
+    to it the weights of the agents tied at x_j, whose satisfaction shrinks
+    with x_j but does not grow.  One bincount sums each column's ties in
+    list order, and every caller lists a column's ties together and in
+    agent order, so the sums agree bit for bit whoever built the list.
     """
-    m = up.shape[1]
     mc_up = weights @ up
-    return mc_up, mc_up + np.bincount(bins, weights[tied], minlength=m + 1)[:m]
+    return mc_up, mc_up + np.bincount(bins, weights[tied], minlength=up.shape[1])
 
 
 def _exchange_terms(x: np.ndarray, mc_up: np.ndarray, mc_down: np.ndarray):
@@ -247,17 +250,6 @@ def _first_above(column: np.ndarray, x: float, bound: float, strict: bool) -> in
     lo, hi = column.searchsorted((x + bound - margin, x + bound + margin))
     d = column[lo:hi] - x
     return int(lo + np.count_nonzero(~(d > bound if strict else d >= bound)))
-
-
-def _tie_range(column: np.ndarray, share: float):
-    """(lo, hi) for one ascending column of the sorted profile: the entries
-    at positions [lo, hi) are tied at share, and those from hi on strictly
-    support it, by the comparisons of ``support_masks``.  When the entry
-    before hi is not tied, none is."""
-    hi = _first_above(column, share, EQUALITY_TOL, True)
-    if hi == 0 or column.item(hi - 1) - share < -EQUALITY_TOL:
-        return hi, hi
-    return _first_above(column, share, -EQUALITY_TOL, False), hi
 
 
 def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, j: int, k: int):
@@ -498,28 +490,29 @@ def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndar
     return _smooth_stop(f, sats, rate, 0.0, end, math.ulp(x.sum())), None, None
 
 
-def _newton_step(srt: np.ndarray, count: list, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, j: int, k: int):
+def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, j: int, k: int):
     """A Newton step on the free face of x: (the point it reaches, whether
     it stopped smoothly), or None when it is not taken.
 
     srt holds the profile's columns sorted, up the strict support mask, and
-    count[c] agents are tied at x_c.  The free face is F = {j : x_j > 0, no
-    agent tied at x_j}; near x the satisfactions are affine in x_F.  The
-    step is taken only when the MRS pair (j, k) lies in F: otherwise the gap
-    is held by a column at zero or on a kink, which only a pair step moves
-    (at the optimum of its face the pairs inside F have no gap).  It
-    searches along ``_newton_direction`` with ``_ray_search``, whose kinks
-    are the ideal shares next to each free share: with no agent tied there,
-    a free column's strict supporters are the top entries of its sorted
-    column, so they are the sorted entries on either side of the first
-    strict one.  A landing column takes its kink or zero value exactly.  The largest other share of F then takes what keeps
-    sum(x_F) unchanged, so the step changes the sum of x only by rounding,
-    as a pair step does.  A smooth stop no farther than one ulp of sum(x_F),
+    bins the share each tied agent is tied at, as ``_marginals`` takes it.
+    The free face is F = {j : x_j > 0, no agent tied at x_j}; near x the
+    satisfactions are affine in x_F.  The step is taken only when the MRS
+    pair (j, k) lies in F: otherwise the gap is held by a column at zero or
+    on a kink, which only a pair step moves (at the optimum of its face the
+    pairs inside F have no gap).  It searches along ``_newton_direction``
+    with ``_ray_search``, whose kinks are the ideal shares next to each
+    free share: with no agent tied there, a free column's strict supporters
+    are the top entries of its sorted column, so they are the sorted
+    entries on either side of the first strict one.  A landing column
+    takes its kink or zero value exactly.  The largest other share of F
+    then takes what keeps sum(x_F) unchanged, so the step changes the sum
+    of x only by rounding, as a pair step does.  A smooth stop no farther than one ulp of sum(x_F),
     the resolution of its search, and a step that leaves x unchanged are
     not taken: at the rounding floor such steps would only shuffle last
     bits.
     """
-    free = (x > 0.0) & (np.asarray(count) == 0)
+    free = (x > 0.0) & (np.bincount(bins, minlength=len(x)) == 0)
     if not (free[j] and free[k]):
         return None
     free = np.flatnonzero(free)
@@ -576,74 +569,50 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
 
     Each step is a pair step along the MRS pair (j, k), or a Newton step
     (``_newton_step``) when the last two steps stopped smoothly; a Newton
-    step that is not taken leaves the step to the pair search.  The polish
-    answers its order queries by binary search in the sorted columns.  It
-    carries the strict support mask as 0/1 floats (a bool mask would be
-    cast on every product with f'), the minima min(prefs, x) in the
-    profile's column-major layout, and the agents tied at each positive
-    share, one row of ``tied`` per column in index order, which
-    ``_marginals`` adds to the strict contributions.  ``_supporters`` builds them at the first
-    point, as ``mrs_gap`` does; after each step only the columns it moved
-    (j and k, or the free columns a Newton step moved) are recomputed: the
-    minima and the strict mask with the comparisons of ``support_masks``,
-    the ties by ``_tie_range`` in the sorted column, whose agent order is
-    argsorted the first time agents tie at a moved share.  The
-    satisfactions are the row sums of the minima, which equal ``overlap``
-    bit for bit at a fraction of its cost (a running update of them would
-    drift by rounding), so the gap equals ``mrs_gap`` at the same point.
-    The polish also ends, uncertified, when a step returns it to a state
-    (x, smooth-stop count) it held within the last _CYCLE steps (the step is
-    a function of that state, so the polish would repeat forever), when its
-    gap stalls, when the line search makes no move, and after _MAX_ITERS
-    steps.  A step changes the sum of x only by rounding.
+    step that is not taken leaves the step to the pair search; both read
+    their kinks from the sorted columns.  The polish carries the strict
+    support mask as 0/1 floats (a bool mask would be cast on every product
+    with f'), the minima min(prefs, x) in the profile's column-major
+    layout, and the agents tied at each positive share as the flat pair
+    (tied, bins) that ``_marginals`` adds to the strict contributions, each
+    column's ties together and in agent order.  ``_supporters`` builds them
+    at the first point, as ``mrs_gap`` does; after each step only the
+    columns it moved (j and k, or the free columns a Newton step moved) are
+    recomputed, the mask and the ties by ``support_masks`` on that one
+    column, as ``_supporters`` finds them in every column; the column's new
+    ties replace its old ones at the end of the list.  The satisfactions
+    are the row sums of the minima, which equal ``overlap`` bit for bit at
+    a fraction of its cost (a running update of them would drift by
+    rounding), so the gap equals ``mrs_gap`` at the same point.  The polish also ends, uncertified, when a step returns it
+    to a state (x, smooth-stop count) it held within the last _CYCLE steps
+    (the step is a function of that state, so the polish would repeat
+    forever), when more than _STALL_WINDOW steps in a row set no new best
+    gap, when the line search makes no move, and after _MAX_ITERS steps.
+    A step changes the sum of x only by rounding.
 
     Returns (x, pi, gap, iterations): the point the polish stopped at, its
     satisfactions and MRS gap, and the number of polish steps.
     """
-    m = prefs.shape[1]
-    order = None
     mins = np.minimum(prefs, x)
-    up, agents, cols = _supporters(prefs, x)
-    # row c of tied holds the agents tied at x_c in its first count[c]
-    # slots; bins marks each used slot with its column and the rest with m.
-    # A share at zero keeps no ties: the gap never reads its weak
+    up, tied, bins = _supporters(prefs, x)
+    # a share at zero keeps no ties: the gap never reads its weak
     # contribution, and a column nobody supports would tie every agent
-    positive = x[cols] > 0.0
-    agents, cols = agents[positive], cols[positive]
-    count = np.bincount(cols, minlength=m).tolist()
-    layout = np.zeros((2, m, max(max(count), 1)), dtype=np.intp)
-    tied, bins = layout
-    bins.fill(m)
-    if len(cols):
-        slots = np.arange(len(cols)) - cols.searchsorted(cols)
-        tied[cols, slots] = agents
-        bins[cols, slots] = cols
+    positive = x[bins] > 0.0
+    tied, bins = tied[positive], bins[positive]
 
     def place(c: int) -> None:
-        """Recompute column c's minima, strict mask and ties at x_c."""
-        nonlocal order, layout, tied, bins
+        """Recompute column c's minima, strict mask and ties at x_c; its
+        ties move to the end of the flat list, in agent order."""
+        nonlocal tied, bins
         share, col = x.item(c), prefs[:, c]
         np.minimum(col, share, out=mins[:, c])
-        up[:, c] = col - share > EQUALITY_TOL
-        lo, hi = _tie_range(srt[:, c], share) if share > 0.0 else (0, 0)
-        ties, held = hi - lo, count[c]
-        if not (ties or held):
-            return
-        count[c] = ties
-        if ties > layout.shape[2]:
-            grown = np.zeros((2, m, max(ties, 2 * layout.shape[2])), dtype=np.intp)
-            grown[1] = m
-            grown[:, :, : layout.shape[2]] = layout
-            layout = grown
-            tied, bins = layout
-        if ties:
-            if order is None:
-                order = np.argsort(prefs, axis=0)
-            tied[c, :ties] = np.sort(order[lo:hi, c]) if ties > 1 else order[lo, c]
-        if ties > held:
-            bins[c, held:ties] = c
-        elif held > ties:
-            bins[c, ties:held] = m
+        strict, weak = support_masks(col, share)
+        up[:, c] = strict
+        ties = (weak & ~strict).nonzero()[0] if share > 0.0 else bins[:0]
+        held = bins == c
+        if len(ties) or held.any():
+            tied = np.concatenate((tied[~held], ties))
+            bins = np.concatenate((bins[~held], np.full(len(ties), c)))
 
     smooth = 0
     recent = collections.deque([(x.tobytes(), smooth)], maxlen=_CYCLE)
@@ -653,7 +622,7 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
     best_gap = np.inf
     while True:
         pi = mins.sum(axis=1)
-        gap, j, k = _exchange_terms(x, *_marginals(f.deriv(pi), up, tied.ravel(), bins.ravel()))
+        gap, j, k = _exchange_terms(x, *_marginals(f.deriv(pi), up, tied, bins))
         if gap <= _TOL or repeated or iters >= _MAX_ITERS:
             return x, pi, gap, iters
         if gap < best_gap - 1e-14:
@@ -663,7 +632,7 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
             stall += 1
             if stall > _STALL_WINDOW:
                 return x, pi, gap, iters
-        step = _newton_step(srt, count, x, pi, f, up, j, k) if smooth == 2 else None
+        step = _newton_step(srt, bins, x, pi, f, up, j, k) if smooth == 2 else None
         if step is None:
             d, landing = _line_search(prefs, srt, mins, x, pi, f, j, k)
             if d <= 0.0:

@@ -252,10 +252,11 @@ def test_marginal_contribution_refuses_unknown_direction(direction):
         ct.marginal_contribution(sp_example_profile(), ct.Allocation([0.5, 0.5]), f, 1, direction)
 
 
-@pytest.mark.parametrize("j", [-1, 2])
+@pytest.mark.parametrize("j", [-1, 2, True, 1.0])
 def test_marginal_contribution_refuses_alternatives_out_of_range(j):
     f = ct.make_utility("log")
-    with pytest.raises(IndexError, match=f"alternative index {j} out of range for m=2"):
+    message = f"alternative index {j} out of range for m=2" if type(j) is int else f"alternative index must be an integer, got {j!r}"
+    with pytest.raises(IndexError, match=message):
         ct.marginal_contribution(sp_example_profile(), ct.Allocation([0.5, 0.5]), f, j, "up")
 
 

@@ -451,9 +451,9 @@ def seeded_faces():
     at = {}
     ray_search, newton_step = solver_module._ray_search, solver_module._newton_step
 
-    def remembering_newton_step(srt, count, x, *rest):
+    def remembering_newton_step(srt, bins, x, *rest):
         at["x"] = x.copy()
-        return newton_step(srt, count, x, *rest)
+        return newton_step(srt, bins, x, *rest)
 
     def recording_ray_search(*args):
         searches.append((at["prefs"], at["x"], args))
@@ -503,9 +503,9 @@ def first_kink(above, below, x, d):
 
 
 def test_sorted_copy_gives_the_free_face_and_first_kinks_of_the_masks():
-    """The Newton step reads its free face and the ideal shares next to
-    each free share from the sorted columns.  On every seeded face they
-    equal the mask expressions: the face's columns and strict supporters,
+    """The Newton step reads its free face from the carried tie list and
+    the ideal shares next to each free share from the sorted columns.  On
+    every seeded face they equal the mask expressions: the face's columns and strict supporters,
     the smallest strictly supporting ideal share above each free share, the
     largest other one below it (or zero), and so the first kink's column,
     step and value along both directions."""
@@ -663,20 +663,26 @@ def test_line_search_makes_few_derivative_evaluations_at_size(f):
 
 def test_carried_support_masks_equal_fresh_masks_after_every_step():
     """The polish carries its strict support mask as 0/1 floats, the agents
-    tied at each share, and the elementwise minima whose row sums are the
-    satisfactions, and recomputes only the columns each step moves (the
-    ties by binary search in the sorted columns); at every iterate the
-    strict mask equals support_masks', each column's tie list holds, in
-    index order, exactly the agents on which the weak and strict masks
-    differ (none at a share at zero, where the gap reads no weak
-    contribution), and the satisfactions equal overlap bit for bit, through kink,
-    zero and smooth landings of pair steps and of Newton steps."""
+    tied at each share as one flat list, and the elementwise minima whose
+    row sums are the satisfactions, and recomputes only the columns each
+    step moves; at every iterate the strict mask equals support_masks',
+    each column's entries in the tie list are, in index order, exactly the
+    agents on which the weak and strict masks differ (none at a share at
+    zero, where the gap reads no weak contribution), the list holds no
+    other entry, and the satisfactions equal overlap bit for bit, through
+    kink, zero and smooth landings of pair steps and of Newton steps.  A
+    300-agent profile of 0.1-grid rows, polished also from a vertex, ties
+    dozens of agents at a share, and its moved columns drop their ties,
+    regain ties later, replace one nonempty tie list by another and move to
+    zero where agents have a zero ideal share."""
     marginals = solver_module._marginals
     exchange_terms = solver_module._exchange_terms
     newton_step = solver_module._newton_step
     solving = {}
     checked = [0]
     tied_steps = [0]
+    most_ties = [0]
+    changes = {"dropped": 0, "regained": 0, "replaced": 0, "zeroed": 0}
     newton = {True: 0, False: 0}
 
     def remembering_deriv(self, t):
@@ -693,13 +699,29 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
         up, tied, bins = solving["carried"]
         fresh_up, fresh_down = support_masks(prefs, x)
         assert np.array_equal(up, fresh_up.astype(float))
+        held = []
         for c in range(prefs.shape[1]):
+            fresh_ties = np.flatnonzero(fresh_down[:, c] & ~fresh_up[:, c])
             # a share at zero carries no ties: the gap never reads its weak contribution
-            fresh_ties = np.flatnonzero(fresh_down[:, c] & ~fresh_up[:, c]) if x[c] > 0.0 else []
+            if x[c] == 0.0:
+                changes["zeroed"] += bool(len(fresh_ties) and solving["x"][c] > 0.0)
+                fresh_ties = fresh_ties[:0]
             assert np.array_equal(tied[bins == c], fresh_ties)
+            held.append(fresh_ties)
+        assert len(tied) == len(bins) == sum(map(len, held))
         assert np.array_equal(solving["pi"], overlap(prefs, x))
+        for c, (before, after) in enumerate(zip(solving["held"], held)):
+            if len(before) and not len(after):
+                changes["dropped"] += 1
+                solving["lost"].add(c)
+            elif len(after) and not len(before):
+                changes["regained"] += c in solving["lost"]
+            elif len(after) and not np.array_equal(before, after):
+                changes["replaced"] += 1
+        solving["held"], solving["x"] = held, x.copy()
         checked[0] += 1
-        tied_steps[0] += bool((bins < prefs.shape[1]).any())
+        tied_steps[0] += bool(len(bins))
+        most_ties[0] = max(most_ties[0], max(map(len, held)))
         return exchange_terms(x, mc_up, mc_down)
 
     def counting_newton_step(*args):
@@ -714,21 +736,26 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
         mp.setattr(solver_module, "_exchange_terms", checking_exchange_terms)
         mp.setattr(ct.UtilityFunction, "deriv", remembering_deriv)
         mp.setattr(solver_module, "_newton_step", counting_newton_step)
+        grid = ct.Profile(np.random.default_rng(1).multinomial(10, [0.3, 0.3, 0.2, 0.15, 0.05], size=300) / 10.0)
+        runs = [(grid, (None, ct.Allocation.uniform(5), ct.Allocation(np.eye(5)[0])))]
         for seed in range(8):
             n, m = 4 + seed % 9, 2 + seed % 4
-            profiles = (
-                dirichlet_profile(seed, n, m, conc=0.5),
-                single_minded_profile(seed, n, m),
-                duplicate_row_profile(seed, n, m),
-            )
-            for profile in profiles:
-                solving["prefs"] = profile.prefs
-                for f in UTILITIES[:4]:
-                    ct.solve_ctr(profile, f)
-                    ct.solve_ctr(profile, f, start=ct.Allocation.uniform(m))
+            starts = (None, ct.Allocation.uniform(m))
+            runs += [
+                (dirichlet_profile(seed, n, m, conc=0.5), starts),
+                (single_minded_profile(seed, n, m), starts),
+                (duplicate_row_profile(seed, n, m), starts),
+            ]
+        for profile, starts in runs:
+            solving["prefs"] = profile.prefs
+            for f in UTILITIES[:4]:
+                for start in starts:
+                    solving["held"], solving["lost"], solving["x"] = [], set(), np.zeros(profile.m)
+                    ct.solve_ctr(profile, f, start=start)
     landings = [landing[0] for _, (_, landing), _ in records]
     assert landings.count("j") + landings.count("k") > 20 and landings.count("zero") > 5
     assert landings.count(None) > 20
     assert newton[True] > 20 and newton[False] > 0, newton
     assert checked[0] > len(records) + sum(newton.values())
     assert tied_steps[0] > checked[0] // 3
+    assert most_ties[0] >= 24 and min(changes.values()) > 0, (most_ties, changes)
