@@ -229,14 +229,17 @@ def check_core(profile: Profile, x: Allocation, resolution: float) -> AxiomRepor
 
 def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> AxiomReport:
     """Pareto efficiency by one exact LP: x fails iff some allocation y
-    leaves every agent at least pi_i - 1e-9 and one above pi_i + resolution.
+    leaves every agent at least pi_i - 1e-9 and lifts one above pi_i +
+    resolution.  A gain counts as in ``check_core``: only when it exceeds
+    the resolution by more than EQUALITY_TOL, so an exact gain of the
+    resolution that sums a few ulps above it is no witness.
 
     The paper's rules maximize increasing concave sums, so their outcomes
     pass.  The LP maximizes total satisfaction over y on the simplex and
     v_ij <= min(y_j, ideal_ij), holding every agent at sum_j v_ij >= pi_i
-    exactly (x itself is feasible).  A total gain of at most the resolution
-    holds, which settles a rule optimum in one solve.  Otherwise the optimal
-    y is the witness if it lifts one agent above the resolution, and if not
+    exactly (x itself is feasible).  A total gain that does not count
+    holds, which settles a rule optimum in one solve.  Otherwise the
+    optimal y is the witness if one agent's gain counts, and if not
     the same model is re-solved for each agent's own satisfaction, in index
     order, until one such y turns up.  A witness is re-checked with
     ``overlap``; a failed LP, non-finite values, or a witness that leaves
@@ -264,12 +267,12 @@ def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> Axio
         value, cols = lp.solve()[1:]
         if value is None or not (math.isfinite(value) and np.isfinite(cols).all()):
             raise RuntimeError("the efficiency LP failed")
-        if agent is None and -value - pi.sum() <= resolution:
+        if agent is None and -value - pi.sum() <= resolution + EQUALITY_TOL:
             break
         y = np.maximum(cols[:m], 0.0)
         y /= y.sum()
         after = overlap(prefs, y)
-        if (after > pi + resolution).any():
+        if (after - pi > resolution + EQUALITY_TOL).any():
             if not (after >= pi - 1e-9).all():
                 raise RuntimeError("the efficiency LP's witness leaves an agent worse off")
             return AxiomReport(

@@ -59,10 +59,8 @@ def load_profile(path: str | Path) -> tuple[Profile, dict]:
     return Profile(prefs), doc
 
 
-def save_profile(path: str | Path, profile: Profile, labels: list[str] | None = None, seed: int | None = None) -> None:
+def save_profile(path: str | Path, profile: Profile, seed: int | None = None) -> None:
     doc: dict = {"n": profile.n, "m": profile.m, "prefs": [[float(v) for v in row] for row in profile.prefs]}
-    if labels is not None:
-        doc["labels"] = labels
     if seed is not None:
         doc["seed"] = seed
     _write(path, json.dumps(doc, indent=1) + "\n")

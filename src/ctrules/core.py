@@ -394,15 +394,23 @@ def support_masks(prefs: np.ndarray, shares: np.ndarray):
     lowering x_j hurts agent i.  ``up`` is a subset of ``down``; they differ
     exactly on ties ``x^i_j == x_j`` (within EQUALITY_TOL).
 
-    The masks are C-ordered even though a profile's prefs are column-major:
-    the rule polish carries its strict mask in that order too, so a product
-    ``weights @ up`` takes the same summation path wherever it is formed,
-    and the polish's marginal contributions equal ``mrs_gap``'s bit for
-    bit.  Callers: ``solver._supporters`` (the strict mask and ties behind
-    ``mrs_gap``, ``marginal_contribution``, the utilitarian certificate and
-    the polish's first point), the polish's update of each column a step
-    moves, ``directional_derivative``, the tests and the benchmark's
-    tracer.
+    Both compare each ideal share with a threshold: ``x^i_j > x_j +
+    EQUALITY_TOL`` (up) and ``x^i_j >= x_j - EQUALITY_TOL`` (down).  This
+    is the one float form of the support test in the first-order engine:
+    the line search's derivative probes compare with the same thresholds,
+    and its binary searches for them in a sorted column find exactly the
+    agents these masks select.
+
+    The masks are C-ordered even though a profile's prefs are column-major
+    (comparing a C-ordered copy costs less than writing C-ordered results
+    from column-major input): the rule polish carries its strict mask in
+    that order too, so a product ``weights @ up`` takes the same summation
+    path wherever it is formed, and the polish's marginal contributions
+    equal ``mrs_gap``'s bit for bit.  Callers: ``solver._supporters`` (the
+    strict mask and ties behind ``mrs_gap``, ``marginal_contribution``, the
+    utilitarian certificate and the polish's first point), the polish's
+    update of each column a step moves, ``directional_derivative``, the
+    tests and the benchmark's tracer.
     """
-    d = np.subtract(prefs, shares, order="C")
-    return d > EQUALITY_TOL, d >= -EQUALITY_TOL
+    prefs = np.ascontiguousarray(prefs)
+    return prefs > shares + EQUALITY_TOL, prefs >= shares - EQUALITY_TOL

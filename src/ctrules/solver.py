@@ -233,25 +233,6 @@ def _exchange_terms(x: np.ndarray, mc_up: np.ndarray, mc_down: np.ndarray):
     return float(mc_up[j] - mc_down[k]), j, k
 
 
-def _first_above(column: np.ndarray, x: float, bound: float, strict: bool) -> int:
-    """The position of the first entry v of an ascending column with v - x
-    > bound (strict) or >= bound, v - x computed in float as the support
-    masks compute it.  Rounding keeps that difference monotone in v, so a
-    binary search for x + bound finds the position up to the entries within
-    rounding of it: the entries next to it are checked, and only when one
-    disagrees are those within a few ulps compared one by one.
-    """
-    i = int(column.searchsorted(x + bound, "right" if strict else "left"))
-    after = i == len(column) or (column.item(i) - x > bound if strict else column.item(i) - x >= bound)
-    before = i > 0 and (column.item(i - 1) - x > bound if strict else column.item(i - 1) - x >= bound)
-    if after and not before:
-        return i
-    margin = 4 * math.ulp(abs(x) + abs(bound))
-    lo, hi = column.searchsorted((x + bound - margin, x + bound + margin))
-    d = column[lo:hi] - x
-    return int(lo + np.count_nonzero(~(d > bound if strict else d >= bound)))
-
-
 def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, j: int, k: int):
     """Maximize the objective along x + d (e_j - e_k) for d in [0, dmax].
 
@@ -262,18 +243,24 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     None) for a smooth interior stop.  Exact landings let the MRS
     certificate see ties exactly.
 
-    The kinks along the exchange are two runs of the sorted columns, found
-    by binary search: the ideal shares of j above x_j and those of k below
-    x_k, each in the order the exchange reaches them.  The search merges
-    only the first _KINK_PREFIX of them, and probes only the agents whose
-    satisfaction can move up to the last of those; it merges every kink,
-    and probes every agent, only once its gallop would pass that prefix.
-    Both give the probes and the landing of a search over every kink and
-    agent bit for bit (among kinks at one step on one side, the first the
-    exchange reaches lands).  The probe at dmax for a zero landing is made
-    only when no kink qualifies or the qualifying kink's right derivative
-    is exactly 0: by concavity any other qualifying kink has a negative
-    left derivative at dmax.
+    The kinks along the exchange are two runs of the sorted columns, each
+    in the order the exchange reaches them: the ideal shares v of j with
+    x_j + EQUALITY_TOL < v < x_j + dmax - EQUALITY_TOL and those of k with
+    x_k - dmax + EQUALITY_TOL < v < x_k - EQUALITY_TOL.  Each end is one
+    binary search for a threshold that another comparison makes in the
+    same float form: the inner ends are ``support_masks``' thresholds at
+    x_j and x_k, the outer ends the left derivative probe's at dmax.  The
+    search merges only the first _KINK_PREFIX kinks, and probes only the
+    agents whose satisfaction can move up to the last of those; it merges
+    every kink, and probes every agent, only once its gallop would pass
+    that prefix.  Both give the probes and the landing of a search over
+    every kink and agent bit for bit (among kinks at one step on one side,
+    the first the exchange reaches lands).  The probe at dmax for a zero
+    landing is made when no kink qualifies, when the qualifying kink's
+    right derivative is exactly 0, or when the right probe's thresholds at
+    the kink pass the left probe's at dmax (a kink within about 2
+    EQUALITY_TOL of dmax); otherwise every agent counted at dmax is counted
+    at the kink, and by concavity the left derivative at dmax is negative.
     """
     cj = prefs[:, j]
     ck = prefs[:, k]
@@ -304,18 +291,16 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
 
     full_deriv = derivative_over(slice(None))
 
-    # membership-change breakpoints strictly inside (0, dmax): the ideal
-    # shares v of j with v > xj + EQUALITY_TOL and v - xj < room, ascending,
-    # then those of k with v < xk - EQUALITY_TOL and xk - v < room (in float,
-    # xk - v < room exactly when v - xk > -room), descending, so both runs of
-    # steps ascend; the stable merge keeps j before k on equal steps.  Breakpoints within EQUALITY_TOL of the last
-    # one kept are one kink: keep the first of each such chain (a Python
-    # pass, run only when some gap is that small).  Merging a prefix of the
-    # sorted steps keeps what merging all of them keeps within it.
-    room = dmax - EQUALITY_TOL
+    # membership-change breakpoints inside (0, dmax): the j run ascending,
+    # then the k run descending, so both runs of steps ascend; the stable
+    # merge keeps j before k on equal steps.  Breakpoints within
+    # EQUALITY_TOL of the last one kept are one kink: keep the first of each
+    # such chain (a Python pass, run only when some gap is that small).
+    # Merging a prefix of the sorted steps keeps what merging all of them
+    # keeps within it.
     sj, sk = srt[:, j], srt[:, k]
-    vj = sj[sj.searchsorted(xj + EQUALITY_TOL, "right") : _first_above(sj, xj, room, False)]
-    vk = sk[_first_above(sk, xk, -room, True) : sk.searchsorted(xk - EQUALITY_TOL)][::-1]
+    vj = sj[sj.searchsorted(xj + EQUALITY_TOL, "right") : sj.searchsorted(xj + dmax - EQUALITY_TOL)]
+    vk = sk[sk.searchsorted(xk - dmax + EQUALITY_TOL, "right") : sk.searchsorted(xk - EQUALITY_TOL)][::-1]
     all_steps = np.concatenate((vj - xj, xk - vk))
 
     def merged_kinks(order):
@@ -365,15 +350,14 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
             hi_i, complete, deriv = len(steps) - 1, True, full_deriv
         mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
 
-    if (hit is None or hit_slope == 0.0) and full_deriv(dmax, right=False) >= 0.0:
+    b = dmax if hit is None else float(steps[hit])
+    near_end = xj + b + EQUALITY_TOL >= xj + dmax - EQUALITY_TOL or xk - b - EQUALITY_TOL <= xk - dmax + EQUALITY_TOL
+    if (near_end or hit_slope == 0.0) and full_deriv(dmax, right=False) >= 0.0:
         return dmax, ("zero", None)
-    if hit is not None:
-        b, o = float(steps[hit]), int(order[hit])
-        if deriv(b, right=False) >= 0.0:
-            return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
-        hi_d = b
-    else:
-        hi_d = dmax
+    if hit is not None and deriv(b, right=False) >= 0.0:
+        o = int(order[hit])
+        return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
+    hi_d = b
 
     # smooth sign change inside (lo_d, hi_d).  No breakpoint lies inside, so
     # the support pattern a_i = [cj_i > xj + d] - [ck_i > xk - d] is fixed

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ctrules as ct
-from ctrules.cli import AXIOMS, BOUNDS, RULES, build_parser, ladder_rule, load_profile, main, save_profile
+from ctrules.cli import AXIOMS, BOUNDS, RULES, build_parser, ladder_rule, load_profile, main
 from helpers import FailingHighs
 
 SP_DOC = {"n": 2, "m": 2, "prefs": [[0.5, 0.5], [0.0, 1.0]]}
@@ -651,12 +651,10 @@ def test_oracle_verify_passes_at_five_alternatives(tmp_path, capsys, rule):
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
-def test_save_profile_includes_labels(tmp_path):
-    p = ct.Profile([[0.5, 0.5]])
-    path = tmp_path / "labeled.json"
-    save_profile(path, p, labels=["roads", "parks"], seed=3)
+def test_load_profile_keeps_labels_as_metadata(tmp_path):
+    path = write_doc(tmp_path / "labeled.json", {"n": 1, "m": 2, "prefs": [[0.5, 0.5]], "labels": ["roads", "parks"], "seed": 3})
     profile, meta = load_profile(path)
-    assert meta["labels"] == ["roads", "parks"]
+    assert meta["labels"] == ["roads", "parks"] and meta["seed"] == 3
     assert profile.n == 1
 
 

@@ -39,14 +39,20 @@ def corpus_allocations(s, p):
 CORPUS = [(s, p, *corpus_allocations(s, p)) for s, p in corpus_profiles()]
 
 
+def counted_gain(after, pi, resolution):
+    """Where a satisfaction gain counts: above the resolution by more than
+    EQUALITY_TOL, the comparison of the core and efficiency checks."""
+    return after - pi > resolution + ct.EQUALITY_TOL
+
+
 def walk_witness(p, x, resolution):
     """The first point in lex order of the full-budget grid, its step
     snapped to the resolution, that leaves every agent at least pi - 1e-9
-    and one above pi + resolution, or None."""
+    and gives one a gain that counts, or None."""
     points = np.array(list(ct.enumerate_grid(ct.GridSpec.snapped(p.m, 1.0, resolution))))
     pi = ct.satisfaction_vector(p, x).values
     after = np.minimum(p.prefs[None], points[:, None, :]).sum(axis=2)
-    hit = (after >= pi - 1e-9).all(axis=1) & (after > pi + resolution).any(axis=1)
+    hit = (after >= pi - 1e-9).all(axis=1) & counted_gain(after, pi, resolution).any(axis=1)
     return points[np.argmax(hit)] if hit.any() else None
 
 
@@ -58,7 +64,7 @@ def assert_rechecks(p, x, report):
     after = np.minimum(p.prefs, y).sum(axis=1)
     assert y.min() >= 0.0 and abs(y.sum() - 1.0) <= 1e-9
     assert w["satisfactions_before"] == pi.tolist() and w["satisfactions_after"] == after.tolist()
-    assert (after >= pi - 1e-9).all() and (after > pi + w["resolution"]).any()
+    assert (after >= pi - 1e-9).all() and counted_gain(after, pi, w["resolution"]).any()
 
 
 def lp_solves(monkeypatch):
@@ -136,9 +142,7 @@ def test_the_per_agent_solves_decide_a_spread_gain(monkeypatch):
 
     # seeded 0.1-grid profiles halfway between a random allocation and the
     # Nash optimum: checks the first solve leaves to the per-agent ones end
-    # both ways.  They agree with the walk, except where the best gain is
-    # the resolution itself: the walk's float sums then find gains a few
-    # ulps above it, so it is held to a gain 1e-12 above
+    # both ways, and agree with the walk
     outcomes = set()
     rng = np.random.default_rng(2024)
     for _ in range(120):
@@ -152,9 +156,26 @@ def test_the_per_agent_solves_decide_a_spread_gain(monkeypatch):
             outcomes.add(report.holds)
         if not report.holds:
             assert_rechecks(p, x, report)
-        elif walk_witness(p, x, res + 1e-12) is not None:
+        elif walk_witness(p, x, res) is not None:
             raise AssertionError((p.prefs, x.shares, res))
     assert outcomes == {True, False}
+
+
+def test_an_exact_gain_of_the_resolution_is_no_witness():
+    """y = (0.35, 0.4, 0.25) lifts agent 1 from 0.85 to 0.9, a gain of the
+    resolution 0.05 that the float sums put 1.5e-16 above it.  As in the
+    core check, such a gain does not count, so x is efficient at 0.05, as
+    it is core-stable there; at 0.049 the same gain counts."""
+    p = ct.Profile([[0.35, 0.45, 0.2], [0.3, 0.35, 0.35]])
+    x = ct.Allocation([0.4, 0.4, 0.2])
+    pi = ct.satisfaction_vector(p, x).values
+    after = np.minimum(p.prefs, [0.35, 0.4, 0.25]).sum(axis=1)
+    assert (after >= pi).all() and 0.05 < after[1] - pi[1] <= 0.05 + ct.EQUALITY_TOL
+    assert ct.check_core(p, x, 0.05).holds
+    assert ct.check_efficiency(p, x, 0.05) == axioms.AxiomReport("efficiency", True, {"resolution": 0.05})
+    report = ct.check_efficiency(p, x, 0.049)
+    assert not report.holds
+    assert_rechecks(p, x, report)
 
 
 @pytest.mark.parametrize("mode", ["status", "error", "nonfinite"])

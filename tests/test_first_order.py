@@ -5,8 +5,9 @@ utilities keep them well defined, the exchange line search (its galloping
 kink search and its Newton stops) agrees with the tuple-list bisection it
 replaced, the Newton step's search along a general direction agrees with a
 bisection oracle, the binary searches in the sorted columns agree with the
-mask comparisons they replaced, and the strict mask and tie lists the polish
-carries from step to step equal fresh ones."""
+mask comparisons, also on columns crowded within ulps of their thresholds,
+and the strict mask and tie lists the polish carries from step to step
+equal fresh ones."""
 
 from contextlib import contextmanager
 
@@ -125,29 +126,6 @@ def test_near_tie_is_weak_support_only(seed, n, m, shift):
         assert weak - mc(profile, x, f, a, "up") >= float(f.deriv(pi_i)) - 1e-12 * weak
 
 
-def test_binary_search_matches_the_float_comparison_it_replaces():
-    """_first_above counts the entries of a sorted column whose computed
-    v - x fails the comparison, exactly as the vectorized comparison does,
-    on columns crowded with duplicates and with values a few ulps either
-    side of x + bound, where the binary search's guess can be off."""
-    rng = np.random.default_rng(2612)
-    cases = 0
-    for _ in range(400):
-        x = float(rng.choice([0.0, rng.random(), 0.1, 0.3, 1.0 / 3.0]))
-        bound = float(rng.choice([EQUALITY_TOL, -EQUALITY_TOL, rng.random() - 0.5, 1e-300]))
-        near = [x + bound]
-        for _ in range(6):
-            near.append(np.nextafter(near[-1], np.inf))
-            near.insert(0, np.nextafter(near[0], -np.inf))
-        column = np.sort(np.concatenate((rng.choice(near, size=int(rng.integers(0, 30))), rng.random(int(rng.integers(0, 8))))))
-        for strict in (False, True):
-            d = column - x
-            holds = d > bound if strict else d >= bound
-            assert solver_module._first_above(column, x, bound, strict) == np.count_nonzero(~holds)
-            cases += 1
-    assert cases == 800
-
-
 def tie_heavy_cases():
     """Seeded (profile, x) pairs with many agents tied at some share:
     single-minded rows and rows on the 0.1 grid, at 0.1-grid allocations
@@ -246,9 +224,10 @@ def test_stiff_profile_on_a_segment_of_optima_certifies_in_few_steps(monkeypatch
 
 
 def bisection_line_search(prefs, x, pi, f, j, k):
-    """Reference line search: kink and zero landings as in the solver, and
-    an 80-step bisection on the sign of the right derivative for a smooth
-    interior stop."""
+    """Reference line search: kink and zero landings as in the solver
+    (among kinks at one step, j's before k's, and on one side the first the
+    exchange reaches), and an 80-step bisection on the sign of the right
+    derivative for a smooth interior stop."""
     cj = prefs[:, j]
     ck = prefs[:, k]
     xj = float(x[j])
@@ -270,12 +249,14 @@ def bisection_line_search(prefs, x, pi, f, j, k):
 
     if deriv(dmax, right=False) >= 0.0:
         return dmax, ("zero", None)
+    # the kinks: j's strict supporters and the agents outside k's weak
+    # mask, up to the agents the left derivative at dmax counts
     cands = []
-    for v in cj[(cj > xj + EQUALITY_TOL) & (cj - xj < dmax - EQUALITY_TOL)]:
+    for v in cj[support_masks(cj, xj)[0] & (cj < xj + dmax - EQUALITY_TOL)]:
         cands.append((float(v - xj), "j", float(v)))
-    for v in ck[(ck < xk - EQUALITY_TOL) & (xk - ck < dmax - EQUALITY_TOL)]:
+    for v in ck[~support_masks(ck, xk)[1] & (ck > xk - dmax + EQUALITY_TOL)]:
         cands.append((float(xk - v), "k", float(v)))
-    cands.sort(key=lambda c: c[0])
+    cands.sort(key=lambda c: (c[0], c[1], c[2] if c[1] == "j" else -c[2]))
     merged = []
     for c in cands:
         if merged and c[0] - merged[-1][0] <= EQUALITY_TOL:
@@ -646,6 +627,55 @@ def test_flat_derivative_from_the_qualifying_kink_lands_on_zero():
     out = line_search(prefs, x, pi, f, 0, 1)
     assert out == bisection_line_search(prefs, x, pi, f, 0, 1)
     assert out == (0.5, ("zero", None))
+
+
+def crowded_line_searches():
+    """Seeded line searches along e_0 - e_1 whose columns crowd the
+    thresholds the kink runs and the probes compare with: values within 6
+    ulps of x_0 -+ EQUALITY_TOL, x_0 + room and x_0 + dmax - EQUALITY_TOL
+    in column 0, and of x_1 +- EQUALITY_TOL, x_1 - room and x_1 - dmax +
+    EQUALITY_TOL in column 1 (dmax = x_1, room = dmax - EQUALITY_TOL), each
+    crowd present or not at random.  Agents who gain from x_0 all the way,
+    agents tied at x_1 who lose from the start and one agent on
+    alternative 2 alone fill the profile; the utility is one of five kinds.
+    Yields the arguments of ``line_search``."""
+    rng = np.random.default_rng(2612)
+    for _ in range(400):
+        xj, xk = (float(rng.choice([0.1, 0.25, 0.3, 1.0 / 3.0, rng.random() / 2])) for _ in range(2))
+        dmax = xk
+        room = dmax - EQUALITY_TOL
+
+        def crowd(*edges):
+            sizes = [int(rng.integers(1, 24)) if rng.random() < 0.5 else 0 for _ in edges]
+            return np.concatenate([e + np.spacing(e) * rng.integers(-6, 7, size=s) for e, s in zip(edges, sizes)])
+
+        top = min(1.0, xj + xk + 0.1)
+        rows = [[v, 0.0, 1.0 - v] for v in crowd(xj - EQUALITY_TOL, xj + EQUALITY_TOL, xj + room, xj + dmax - EQUALITY_TOL)]
+        rows += [[0.0, v, 1.0 - v] for v in crowd(xk + EQUALITY_TOL, xk - EQUALITY_TOL, xk - room, xk - dmax + EQUALITY_TOL)]
+        rows += [[top, 0.0, 1.0 - top]] * int(rng.integers(1, 9)) + [[0.0, xk, 1.0 - xk]] * int(rng.integers(0, 4))
+        prefs = np.asfortranarray(rows + [[0.0, 0.0, 1.0]])
+        x = np.array([xj, xk, 1.0 - xj - xk])
+        yield prefs, x, np.minimum(prefs, x).sum(axis=1), UTILITIES[int(rng.integers(0, 5))], 0, 1
+
+
+def test_kink_runs_at_the_ulp_edges_agree_with_bisection():
+    """Each end of the line search's two kink runs is one binary search
+    for its threshold in the sorted column, and the bisection oracle takes
+    its kinks from the masks.  On columns crowded within a few ulps of
+    every threshold, with equal values and values on both sides of each,
+    the landings agree, among them landings on the first and the last kink
+    of both runs and zero landings past a kink within 2 EQUALITY_TOL of
+    dmax, where the probes at the kink and at dmax do not nest."""
+    records = [(args, line_search(*args), 0) for args in crowded_line_searches()]
+    kinds = assert_agrees_with_bisection(records)
+    edges = {"j first": 0, "j last": 0, "k first": 0, "k last": 0}
+    for (_, x, *_), (_, (side, v)), _ in records:
+        if side in ("j", "k"):
+            xj, xk = x[0], x[1]
+            first, last = (xj + EQUALITY_TOL, xj + xk) if side == "j" else (xk - EQUALITY_TOL, 0.0)
+            edges[f"{side} {'first' if abs(v - first) < abs(v - last) else 'last'}"] += 1
+    assert kinds["zero"] >= 10 and kinds[None] >= 100, kinds
+    assert min(edges.values()) >= 3, edges
 
 
 @pytest.mark.parametrize("f", [ct.make_utility("log"), ct.make_utility("negpower", p=3.0)], ids=lambda f: f.kind)

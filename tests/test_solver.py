@@ -735,6 +735,79 @@ def test_solve_capped_at_the_steps_it_needs_is_certified(monkeypatch):
     assert short.iterations == 9 and not short.converged
 
 
+def test_a_line_search_with_no_move_ends_the_polish_uncertified(monkeypatch):
+    """No profile gives a pair line search with no move (a kink or smooth
+    stop lies past 0, and the donor's share is positive), so the search is
+    replaced by one that returns d = 0: the polish ends at its start, the
+    mean ideal, uncertified, with the gap ``mrs_gap`` gives there."""
+    p = dirichlet_profile(123, 10, 6)
+    f = ct.make_utility("log")
+    monkeypatch.setattr(solver_module, "_line_search", lambda *args: (0.0, (None, None)))
+    report = ct.solve_ctr(p, f)
+    assert report.iterations == 0 and not report.converged
+    assert np.array_equal(report.allocation.shares, p.prefs.mean(axis=0))
+    assert report.mrs_gap == ct.mrs_gap(p, report.allocation, f) > solver_module._TOL
+
+
+def test_a_pair_step_past_the_donor_share_empties_it(monkeypatch):
+    """A smooth stop lies inside (0, dmax], so no search moves more than the
+    donor holds; a search that overshoots on its first call by half the
+    donor's share has the exchange clamped: the donor's share is 0, the
+    receiver gets what the donor held, and the polish goes on to certify."""
+    p = dirichlet_profile(123, 10, 6)
+    f = ct.make_utility("log")
+    search, apply_move = solver_module._line_search, solver_module._apply_move
+    moves = []
+
+    def overshooting_search(prefs, srt, mins, x, pi, f, j, k):
+        d, landing = search(prefs, srt, mins, x, pi, f, j, k)
+        return (1.5 * x[k], (None, None)) if not moves else (d, landing)
+
+    def recording_move(x, j, k, d, landing):
+        moves.append((x, j, k, apply_move(x, j, k, d, landing)))
+        return moves[-1][-1]
+
+    monkeypatch.setattr(solver_module, "_line_search", overshooting_search)
+    monkeypatch.setattr(solver_module, "_apply_move", recording_move)
+    report = ct.solve_ctr(p, f)
+    x, j, k, moved = moves[0]
+    assert moved[k] == 0.0 and moved.min() >= 0.0
+    assert moved[j] == pytest.approx(x[j] + x[k], abs=1e-15)
+    assert np.array_equal(np.delete(moved, [j, k]), np.delete(x, [j, k]))
+    assert report.converged and report.mrs_gap == ct.mrs_gap(p, report.allocation, f)
+
+
+def test_a_face_whose_columns_share_their_supporters_has_no_newton_direction():
+    """Columns with the same strict supporters move every satisfaction
+    alike, so the reduced Newton system is zero and the face has no
+    direction to offer."""
+    pi = np.array([0.5, 0.7, 0.9])
+    supp = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    for f in RULES:
+        assert solver_module._newton_direction(f, pi, supp) is None
+
+
+def test_a_newton_step_that_leaves_x_unchanged_is_not_taken(monkeypatch):
+    """At x = (0.25, 0.5, 0.25) every column is on the free face of this
+    profile, and the Newton step is taken.  A search along its direction
+    that lands column 0 on its own share after a step of the least
+    subnormal changes no share (the shares and their sum are exact), so
+    the step is not taken: ``_newton_step`` returns None, which leaves the
+    step to the pair search."""
+    prefs = np.asfortranarray([[0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+    x = np.array([0.25, 0.5, 0.25])
+    f = ct.make_utility("log")
+    up, tied, bins = solver_module._supporters(prefs, x)
+    assert len(bins) == 0
+    pi = overlap(prefs, x)
+    gap, j, k = solver_module._exchange_terms(x, *solver_module._marginals(f.deriv(pi), up, tied, bins))
+    args = (np.sort(prefs, axis=0), bins, x, pi, f, up, j, k)
+    moved, _ = solver_module._newton_step(*args)
+    assert gap > solver_module._TOL and not np.array_equal(moved, x)
+    monkeypatch.setattr(solver_module, "_ray_search", lambda above, below, xf, *rest: (5e-324, 0, float(xf[0])))
+    assert solver_module._newton_step(*args) is None
+
+
 def cycling_profile(case: int) -> ct.Profile:
     """Case `case` of the certificate scan's Dirichlet-0.3 rows."""
     rng = np.random.default_rng(10000 + case)
