@@ -16,9 +16,15 @@ gallops over the kinks along the exchange in sorted order (indices 0, 1, 3,
 the sign change of the one-sided derivative, which usually comes within the
 first few kinks.  So it merges only the smallest few kinks and probes only
 the agents whose satisfaction can change that far, and merges every kink
-only when its gallop passes them; its probes and landings are those of a
-search over every kink and agent, bit for bit.  Between kinks the support
-pattern is fixed, and a safeguarded Newton iteration finds the smooth stop.
+only when its gallop passes them.  A probe evaluates f' once at its step,
+and each one-sided derivative there is a product of f' with the support
+masks, so the left derivative at the landing kink reuses the right
+probe's f'.  Its derivatives differ from those of a probe over every
+agent only by rounding, so the search lands where a search over every kink
+and agent lands unless a probed derivative lies within that rounding of
+zero.
+Between kinks the support pattern is fixed, and a safeguarded Newton
+iteration finds the smooth stop.
 
 Pair steps are first order, so on a smooth face they zigzag between pairs.
 After two smooth stops in a row, when the pair lies on the free face F =
@@ -253,9 +259,15 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     search merges only the first _KINK_PREFIX kinks, and probes only the
     agents whose satisfaction can move up to the last of those; it merges
     every kink, and probes every agent, only once its gallop would pass
-    that prefix.  Both give the probes and the landing of a search over
-    every kink and agent bit for bit (among kinks at one step on one side,
-    the first the exchange reaches lands).  The probe at dmax for a zero
+    that prefix.  A probe at step d evaluates f' once and takes either
+    one-sided derivative from it as f' times the gaining agents' mask minus
+    f' times the losing agents' mask; the qualifying kink's left derivative
+    reuses its right probe.  A probe of the prefix counts the agents that
+    a probe of every agent counts at d, so its derivative differs from
+    that one only by the rounding of the products, and the landing is
+    that of a search over every kink and agent unless a probed derivative
+    lies within that rounding of zero (among kinks at one step on one
+    side, the first the exchange reaches lands).  The probe at dmax for a zero
     landing is made when no kink qualifies, when the qualifying kink's
     right derivative is exactly 0, or when the right probe's thresholds at
     the kink pass the left probe's at dmax (a kink within about 2
@@ -270,26 +282,32 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     base_j = mins[:, j]
     base_k = mins[:, k]
 
-    def derivative_over(rows):
-        """The one-sided derivative along the exchange, summed over rows;
-        exact for every d at which no other agent is in either sum."""
+    def derivatives_over(rows):
+        """The probe over rows: probe(d) evaluates f' at step d and returns
+        slope(right), the right (True) or left (False) derivative along the
+        exchange, f' times the mask of the agents gaining at d minus f'
+        times the mask of those losing.  It counts the agents a probe over
+        every row counts at each d at which no other agent is in either
+        mask."""
         cj_r, ck_r, pi_r, base_j_r, base_k_r = cj[rows], ck[rows], pi[rows], base_j[rows], base_k[rows]
 
-        def deriv(d: float, right: bool) -> float:
-            p = pi_r + (np.minimum(cj_r, xj + d) - base_j_r) + (np.minimum(ck_r, xk - d) - base_k_r)
-            fp = f.deriv(p)
-            if right:
-                up = cj_r > xj + d + EQUALITY_TOL
-                dn = ck_r >= xk - d - EQUALITY_TOL
-            else:
-                up = cj_r >= xj + d - EQUALITY_TOL
-                dn = ck_r > xk - d + EQUALITY_TOL
-            # np.add.reduce is ndarray.sum without its Python wrapper
-            return float(np.add.reduce(fp[up]) - np.add.reduce(fp[dn]))
+        def probe(d: float):
+            fp = f.deriv(pi_r + (np.minimum(cj_r, xj + d) - base_j_r) + (np.minimum(ck_r, xk - d) - base_k_r))
 
-        return deriv
+            def slope(right: bool) -> float:
+                if right:
+                    up = cj_r > xj + d + EQUALITY_TOL
+                    dn = ck_r >= xk - d - EQUALITY_TOL
+                else:
+                    up = cj_r >= xj + d - EQUALITY_TOL
+                    dn = ck_r > xk - d + EQUALITY_TOL
+                return float(fp @ up - fp @ dn)
 
-    full_deriv = derivative_over(slice(None))
+            return slope
+
+        return probe
+
+    full_probe = derivatives_over(slice(None))
 
     # membership-change breakpoints inside (0, dmax): the j run ascending,
     # then the k run descending, so both runs of steps ascend; the stable
@@ -322,39 +340,41 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     complete = len(all_steps) <= _KINK_PREFIX
     if complete:
         order, steps = merged_kinks(all_steps.argsort(kind="stable"))
-        deriv = full_deriv
+        probe = full_probe
     else:
         head = np.concatenate((np.arange(min(len(vj), _KINK_PREFIX)), len(vj) + np.arange(min(len(vk), _KINK_PREFIX))))
         head = head[all_steps[head].argsort(kind="stable")[:_KINK_PREFIX]]
         reach = all_steps[head[-1]]
         order, steps = merged_kinks(head)
-        deriv = derivative_over(((cj >= xj - EQUALITY_TOL) | (ck >= xk - reach - EQUALITY_TOL)).nonzero()[0])
+        probe = derivatives_over(((cj >= xj - EQUALITY_TOL) | (ck >= xk - reach - EQUALITY_TOL)).nonzero()[0])
 
     # first breakpoint where the right derivative is no longer positive.  It
     # is usually among the first few, so gallop over indices 0, 1, 3, 7, ...
     # (capped at the last) until one qualifies, then bisect inside the last
     # doubling; both phases keep lo_d at the last breakpoint found positive.
-    # A gallop that would pass the prefix goes on over every kink and agent
-    lo_d, hit, hit_slope = 0.0, None, 0.0
+    # A gallop that would pass the prefix goes on over every kink and agent.
+    # The qualifying kink's left derivative reuses its right probe's f'
+    lo_d, hit, hit_slope, hit_probe = 0.0, None, 0.0, None
     lo_i, hi_i = 0, len(steps) - 1
     mid, galloping = 0, True
     while lo_i <= hi_i:
-        slope = deriv(float(steps[mid]), right=True)
+        at = probe(float(steps[mid]))
+        slope = at(right=True)
         if slope <= 0.0:
-            hit, hit_slope, hi_i = mid, slope, mid - 1
+            hit, hit_slope, hit_probe, hi_i = mid, slope, at, mid - 1
             galloping = False
         else:
             lo_d, lo_i = float(steps[mid]), mid + 1
         if galloping and not complete and 2 * mid + 1 > hi_i:
             order, steps = merged_kinks(all_steps.argsort(kind="stable"))
-            hi_i, complete, deriv = len(steps) - 1, True, full_deriv
+            hi_i, complete, probe = len(steps) - 1, True, full_probe
         mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
 
     b = dmax if hit is None else float(steps[hit])
     near_end = xj + b + EQUALITY_TOL >= xj + dmax - EQUALITY_TOL or xk - b - EQUALITY_TOL <= xk - dmax + EQUALITY_TOL
-    if (near_end or hit_slope == 0.0) and full_deriv(dmax, right=False) >= 0.0:
+    if (near_end or hit_slope == 0.0) and full_probe(dmax)(right=False) >= 0.0:
         return dmax, ("zero", None)
-    if hit is not None and deriv(b, right=False) >= 0.0:
+    if hit is not None and hit_probe(right=False) >= 0.0:
         o = int(order[hit])
         return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
     hi_d = b
@@ -465,7 +485,14 @@ def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndar
     end = float(steps[c])
     act = rate.nonzero()[0]
     rate, pi = rate[act], pi[act]
-    if float(f.deriv(pi + end * rate) @ rate) >= 0.0:
+    fp = f.deriv(pi + end * rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = float(fp @ rate)
+    if not math.isfinite(slope):
+        # f' clipped near the float range on a few agents overflows the
+        # sum; scaled by the largest f', it keeps its sign and stays finite
+        slope = float((fp / fp.max()) @ rate)
+    if slope >= 0.0:
         return end, c, float(target[c])
 
     def sats(t: float) -> np.ndarray:

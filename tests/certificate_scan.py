@@ -11,10 +11,14 @@ Dirichlet(0.3), single-minded, or the 0.1 grid (``multinomial(10, 1/m) /
 10``).  Nine rules solve each profile cold: log, power 0.25 and 0.75,
 negpower 1, 3 and 9, negexppower 1 and 3, and quadratic, so 3,060 solves per
 seed.  One line per seed gives the certified and uncertified counts, the
-polish steps summed over the scan and the most steps one solve took.  The
-file is not named ``test_*.py``, so pytest does not collect it.
+polish steps summed over the scan, the most steps one solve took and a
+digest of every report, so two versions of the solver can be compared by
+diffing their scan output.  The file is not named ``test_*.py``, so pytest
+does not collect it.
 """
 
+import hashlib
+import struct
 import sys
 
 import numpy as np
@@ -61,12 +65,22 @@ def scan(seed: int) -> list[ct.SolveReport]:
     return reports
 
 
+def digest(reports: list[ct.SolveReport]) -> str:
+    """The first 12 hex digits of a SHA-256 over each report's allocation
+    bytes, MRS gap and polish steps, in scan order."""
+    sha = hashlib.sha256()
+    for r in reports:
+        sha.update(r.allocation.shares.tobytes())
+        sha.update(struct.pack("<dq", r.mrs_gap, r.iterations))
+    return sha.hexdigest()[:12]
+
+
 def main(argv: list[str]) -> int:
     for seed in [int(arg) for arg in argv] or [1]:
         reports = scan(seed)
         certified = sum(r.converged for r in reports)
         steps = [r.iterations for r in reports]
-        print(f"seed {seed}: certified {certified}, uncertified {len(reports) - certified}, steps {sum(steps)}, max steps {max(steps)}")
+        print(f"seed {seed}: certified {certified}, uncertified {len(reports) - certified}, steps {sum(steps)}, max steps {max(steps)}, digest {digest(reports)}")
     return 0
 
 

@@ -218,6 +218,26 @@ def test_stiff_profile_on_a_segment_of_optima_certifies_in_few_steps(monkeypatch
     assert report.mrs_gap <= solver_module._TOL
 
 
+def test_newton_slope_at_clipped_marginals_keeps_its_sign_without_overflow():
+    """500 single-minded agents over 50 alternatives (the rows that
+    default_rng([3, 0]) draws) under negexppower p = 1, solved cold.  A
+    Newton step's ray ends where shrinking shares leave 120 agents with f'
+    clipped near 1.6e306, so the end-of-ray slope overflowed in the product
+    (a RuntimeWarning, which fails the suite).  The slope's sign is read
+    from the sum scaled by its largest f' when the plain sum is not
+    finite.  The solve stops at the
+    rounding floor of marginal contributions near 1e25, uncertified, and its
+    report is the polish's own: mrs_gap and overlap at its allocation."""
+    rows = np.zeros((500, 50))
+    rows[np.arange(500), np.random.default_rng([3, 0]).integers(0, 50, size=500)] = 1.0
+    profile = ct.Profile(rows)
+    f = ct.make_utility("negexppower", p=1.0)
+    report = ct.solve_ctr(profile, f)
+    assert np.isfinite(report.mrs_gap) and report.iterations > 0
+    assert report.mrs_gap == ct.mrs_gap(profile, report.allocation, f)
+    assert np.array_equal(report.satisfactions.values, overlap(profile.prefs, report.allocation.shares))
+
+
 # ---------------------------------------------------------------------------
 # Line search: safeguarded Newton against the bisection it replaced
 # ---------------------------------------------------------------------------
@@ -678,17 +698,22 @@ def test_kink_runs_at_the_ulp_edges_agree_with_bisection():
     assert min(edges.values()) >= 3, edges
 
 
-@pytest.mark.parametrize("f", [ct.make_utility("log"), ct.make_utility("negpower", p=3.0)], ids=lambda f: f.kind)
-def test_line_search_makes_few_derivative_evaluations_at_size(f):
+@pytest.mark.parametrize(
+    "f, bound", [(ct.make_utility("log"), 5.0), (ct.make_utility("negpower", p=3.0), 5.5)], ids=["log", "negpower"]
+)
+def test_line_search_makes_few_derivative_evaluations_at_size(f, bound):
     """At 2000 x 50 an exchange has about 1,700 kinks, and the landing is
     usually among the first few, which the gallop reaches in a few probes;
-    bisecting all of them takes 13-14 f' evaluations per line search."""
+    bisecting all of them takes 13-14 f' evaluations per line search.  The
+    left derivative at the qualifying kink reuses the f' of the right probe
+    there: the means are 4.4 (log) and 5.01 (negpower) evaluations per
+    search, and one more each when that derivative evaluates f' again."""
     profile = dirichlet_profile(11, 2000, 50, conc=0.5)
     with recorded_line_searches() as records:
         assert ct.solve_ctr(profile, f).converged
     evals = [count for _, _, count in records]
     assert len(evals) > 50
-    assert np.mean(evals) <= 8.0
+    assert np.mean(evals) <= bound
 
 
 def test_carried_support_masks_equal_fresh_masks_after_every_step():
