@@ -83,9 +83,14 @@ linear program over the allocation and the level t alone, with one cut
 t <= piece per collected piece, relaxes the maxmin problem.  The LP starts
 from the pieces of the 2(m + 1) worst-off agents at two points (at most
 m + 1 rows are tight at an LP vertex), and each round adds the piece active
-at the LP's allocation for every agent below the LP value.  The cut LP is
-one HiGHS model for the whole solve, so each round's dual simplex restarts
-from the previous optimal basis.  The LP value minus the achieved minimum
+at the LP's allocation for every agent below the LP value.  The loop
+solves the cut LP as its dual, column generation (Dantzig and Wolfe 1960):
+the dual has one row per alternative and one for t, so its basis stays
+(m + 1) x (m + 1) however many cuts it collects, and each cut is one
+column.  It is one HiGHS model for the whole solve; columns added to it
+keep the previous optimal basis primal feasible, so each round's primal
+simplex restarts from there.  The dual's value is the LP bound t and its
+row duals are the allocation.  The LP value minus the achieved minimum
 satisfaction is a true optimality gap, reported as ``mrs_gap``;
 ``iterations`` sums the HiGHS simplex iterations over the rounds.
 """
@@ -401,7 +406,8 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
 
     phi''(t) = f''(sats(t)) @ rate^2.  Newton steps from lo keep the sign
     bracket [lo, hi] and fall back to bisection when a step leaves it or
-    phi'' is not negative; a step of at most ulps ends the search.  Both
+    phi'' is not negative; a step of at most ulps ends the search.  After 80
+    steps without that end, bisection shrinks the bracket to ulps.  Both
     line searches stop this way: a pair exchange, whose rates are +-1 (so
     rate^2 is exactly 1), and a Newton direction.
     """
@@ -423,7 +429,18 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
             if hi - lo <= ulps:
                 return nxt
         t = nxt
-    return t
+    # where f' spans many orders of magnitude across the bracket, Newton
+    # steps from its steep end creep and run out inside it; bisection
+    # finishes the bracket
+    while hi - lo > ulps:
+        t = 0.5 * (lo + hi)
+        if not lo < t < hi:
+            break
+        if float(f.deriv(sats(t)) @ rate) > 0.0:
+            lo = t
+        else:
+            hi = t
+    return 0.5 * (lo + hi)
 
 
 def _newton_direction(f: UtilityFunction, pi: np.ndarray, supp: np.ndarray) -> np.ndarray | None:
@@ -761,9 +778,16 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
     smallest overlaps at the uniform allocation and at the mean ideal (at
     most m + 1 rows are tight at an LP vertex).  Each round solves the cut
     LP, recomputes the overlaps at its allocation, and adds the piece active
-    there for every agent below the LP value.  The cut LP is one HiGHS
-    model for the whole solve: a round adds only its fresh cuts, and the
-    dual simplex restarts from the previous round's optimal basis.
+    there for every agent below the LP value.
+
+    The loop solves the cut LP's dual, in which each cut is a column and
+    which has one row for t and one per alternative, so its basis stays
+    (m + 1) x (m + 1) as the cuts accumulate.  The dual's value is the LP
+    bound t, and its row duals for the alternatives, clipped at 0 and
+    normalised, are the LP's allocation.  It is one HiGHS model for the
+    whole solve: a round adds only its fresh cuts as columns, and the
+    primal simplex restarts from the previous round's optimal basis, which
+    new columns leave feasible.
 
     The cut LP relaxes the maxmin problem, so its value minus the minimum
     satisfaction of the best allocation found is a true optimality gap,
@@ -786,23 +810,29 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
         seeds.append(_overlap_cuts(prefs[worst], y))
     cuts, rhs = (np.concatenate(parts) for parts in zip(*seeds))
     keys, first = np.unique(_cut_keys(cuts, rhs), return_index=True)
-    # minimize -t over the columns x_0..x_{m-1}, t with 0 <= x_j <= col_max_j
-    # (no agent gains from x_j above its column's largest ideal share) and
-    # 0 <= t <= 1, subject to sum_j x_j = 1 and the cuts t - x[S] <= rhs
-    lp = _LP(np.append(np.zeros(m), -1.0), np.zeros(m + 1), np.append(prefs.max(axis=0), 1.0))
-    lp.add_rows(np.ones(1), np.ones(1), np.zeros(1), np.arange(m), np.ones(m))
-    lp.add_rows(np.full(len(first), -highs.kHighsInf), rhs[first], *_cut_rows(cuts[first]))
+    # the dual of max t over 0 <= x_j <= u_j (u_j the column's largest ideal
+    # share: no agent gains from x_j above it), 0 <= t <= 1, sum_j x_j = 1
+    # and the cuts t - x[S] <= rhs: minimize w + u . z + s + rhs . y over w
+    # free and z, s, y >= 0 subject to row 0, sum_c y_c + s >= 1 (for t),
+    # and rows 1 + j, w + z_j - sum_{c: j in S_c} y_c >= 0 (for x_j).  Its
+    # columns are w, z_0..z_{m-1}, s and then one y_c per cut
+    lp = _LP(np.concatenate([[1.0], prefs.max(axis=0), [1.0]]), np.append(-np.inf, np.zeros(m + 1)), np.full(m + 2, np.inf))
+    # row 0 holds s, row 1 + j holds w and z_j
+    j = np.arange(1, m + 1)
+    index = np.append(m + 1, np.column_stack([np.zeros(m, dtype=int), j]).ravel())
+    lp.add_rows(np.append(1.0, np.zeros(m)), np.full(m + 1, np.inf), np.append(0, 2 * j - 1), index, np.ones(2 * m + 1))
+    lp.add_cols(rhs[first], *_cut_cols(cuts[first]))
 
     upper = 1.0  # no overlap exceeds 1
     iterations = 0
     for _ in range(_MAX_ITERS):
-        nit, value, cols = lp.solve()
+        nit, t, _ = lp.solve()
         iterations += nit
-        if value is None:
+        if t is None:
             break
-        t = -value
         upper = min(upper, t)
-        x = np.maximum(cols[:m], 0.0)
+        # the duals of rows 1..m are the cut LP's allocation
+        x = np.maximum(lp.row_duals()[1:], 0.0)
         x /= x.sum()
         pi = overlap(prefs, x)
         if pi.min() > best_pi.min():
@@ -816,7 +846,7 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
             break
         keys = np.concatenate([keys, new_keys[fresh]])
         first = first[fresh]
-        lp.add_rows(np.full(len(first), -highs.kHighsInf), new_rhs[first], *_cut_rows(new_cuts[first]))
+        lp.add_cols(new_rhs[first], *_cut_cols(new_cuts[first]))
 
     worst = float(best_pi.min())
     return _report(best_x, best_pi, worst, upper - worst, iterations)
@@ -824,12 +854,14 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
 
 class _LP:
     """One HiGHS model: minimize cost . v over lower <= v <= upper and the
-    rows added so far.
+    rows and columns added so far.
 
-    Rows come in compressed form, as HiGHS takes them.  Presolve is off: on
-    these small LPs it costs more than it saves.  Rows added to a solved
-    model, and new costs, keep its basis, so the next solve restarts the
-    simplex from the previous optimum.
+    Rows and columns come in compressed form, as HiGHS takes them.  Presolve
+    is off: on these small LPs it costs more than it saves.  Rows or columns
+    added to a solved model, and new costs, keep its basis, so the next
+    solve restarts the simplex from the previous optimum.  ``solve`` gives
+    the objective and the column values, ``row_duals`` the row duals of the
+    same solve.
     """
 
     def __init__(self, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray):
@@ -844,6 +876,16 @@ class _LP:
         row r's entries k run from starts[r] to the next row's start."""
         self.model.addRows(len(lower), lower, upper, len(index), starts.astype(np.int32), index.astype(np.int32), value)
 
+    def add_cols(self, cost: np.ndarray, starts: np.ndarray, index: np.ndarray, value: np.ndarray) -> None:
+        """Add the columns v_c >= 0 of cost cost_c, where column c's entries
+        k, value_k in row index_k, run from starts[c] to the next column's
+        start.  The new columns are nonbasic at 0, so the last optimal basis
+        stays primal feasible, and the model solves by primal simplex from
+        then on."""
+        self.model.setOptionValue("simplex_strategy", 4)
+        k = len(cost)
+        self.model.addCols(k, cost, np.zeros(k), np.full(k, np.inf), len(index), starts.astype(np.int32), index.astype(np.int32), value)
+
     def set_cost(self, cost: np.ndarray) -> None:
         self.model.changeColsCost(len(cost), np.arange(len(cost), dtype=np.int32), cost)
 
@@ -855,6 +897,10 @@ class _LP:
         if status == highs.HighsStatus.kError or self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
             return nit, None, None
         return nit, self.model.getObjectiveValue(), np.array(self.model.getSolution().col_value)
+
+    def row_duals(self) -> np.ndarray:
+        """The row duals of the last optimal solve."""
+        return np.array(self.model.getSolution().row_dual)
 
 
 def _overlap_cuts(prefs: np.ndarray, points: np.ndarray):
@@ -870,15 +916,16 @@ def _overlap_cuts(prefs: np.ndarray, points: np.ndarray):
     return cuts.reshape(-1, prefs.shape[1]), rhs.ravel()
 
 
-def _cut_rows(cuts: np.ndarray):
-    """The cuts t - x[S] as compressed rows (starts, index, value): each
-    row's mask columns with -1, then the level t (column m) with +1."""
-    k, m = cuts.shape
-    rows, cols = np.nonzero(np.hstack([cuts, np.ones((k, 1), dtype=bool)]))
-    return np.searchsorted(rows, np.arange(k)), cols, np.where(cols == m, 1.0, -1.0)
+def _cut_cols(cuts: np.ndarray):
+    """The cuts' dual columns as compressed columns (starts, index, value):
+    each column's row 0 (the level t) with +1, then row 1 + j with -1 for
+    every j in its mask."""
+    k = len(cuts)
+    cols, rows = np.nonzero(np.hstack([np.ones((k, 1), dtype=bool), cuts]))
+    return np.searchsorted(cols, np.arange(k)), rows, np.where(rows == 0, 1.0, -1.0)
 
 
 def _cut_keys(cuts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per cut row, so equal cuts compare equal."""
+    """One opaque byte-string key per cut, so equal cuts compare equal."""
     raw = np.hstack([np.packbits(cuts, axis=1), np.ascontiguousarray(rhs)[:, None].view(np.uint8)])
     return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()

@@ -4,11 +4,12 @@ solver's gap compares, near-ties, floored satisfactions and steep
 utilities keep them well defined, the exchange line search (its galloping
 kink search and its Newton stops) agrees with the tuple-list bisection it
 replaced, the Newton step's search along a general direction agrees with a
-bisection oracle, the binary searches in the sorted columns agree with the
-mask comparisons, also on columns crowded within ulps of their thresholds,
-and the strict mask and tie lists the polish carries from step to step
-equal fresh ones."""
+bisection oracle, the smooth stop reaches its root when Newton steps creep,
+the binary searches in the sorted columns agree with the mask comparisons,
+also on columns crowded within ulps of their thresholds, and the strict
+mask and tie lists the polish carries from step to step equal fresh ones."""
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -492,6 +493,27 @@ def test_smooth_stop_along_a_general_direction_agrees_with_bisection():
             assert t == ref_t
             kinds["kink"] += 1
     assert kinds["kink"] >= 20 and kinds["smooth"] >= 20 and kinds["newton"] >= 20, kinds
+
+
+def test_smooth_stop_reaches_the_root_when_newton_steps_creep():
+    # negexppower p=1: f' at the 200 agents at 0.01 is about 3e47 and falls
+    # by orders of magnitude across the bracket, so Newton steps from the
+    # left end advance 1e-4 to 1.5e-3 each, and 80 of them stop at 0.031,
+    # where the slope is still about +4e15, far short of the root near 0.117
+    f = ct.make_utility("negexppower", p=1.0)
+    pi = np.concatenate([np.full(200, 0.01), np.full(300, 0.25)])
+    rate = np.concatenate([np.ones(200), -np.ones(300)])
+
+    def slope(t):
+        return float(f.deriv(pi + t * rate) @ rate)
+
+    t = solver_module._smooth_stop(f, lambda t: pi + t * rate, rate, 0.0, 0.24, math.ulp(1.0))
+    lo, hi = 0.0, 0.24
+    while hi - lo > math.ulp(1.0):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+    assert abs(t - lo) <= 2.0 * math.ulp(1.0), (t, lo)
+    assert abs(slope(t)) < 1.0
 
 
 def first_kink(above, below, x, d):

@@ -262,6 +262,8 @@ def egal_reference_profiles():
     out.append(dirichlet_profile(18, 120, 4, conc=0.3).prefs)
     out.append(np.vstack([single_minded_profile(19, 30, 3).prefs, dirichlet_profile(20, 30, 3).prefs]))
     out.append(np.repeat(dirichlet_profile(21, 30, 5).prefs, 5, axis=0))
+    # solve_large's Dirichlet(0.5) rows, at a size the full LP solves quickly
+    out.append(dirichlet_profile(22, 200, 20, conc=0.5).prefs)
     return [ct.Profile(p) for p in out]
 
 
@@ -380,9 +382,10 @@ def test_egalitarian_scales_to_2000_agents():
     assert time.perf_counter() - start < 5.0
     assert report.converged
     assert report.mrs_gap <= solver_module._TOL
-    # each round adds only its fresh cuts to one HiGHS model, so the dual
-    # simplex restarts from the last basis: about 500 simplex iterations
-    # here, against about 2,500 when every round solves from scratch
+    # each round adds only its fresh cuts, as columns of one HiGHS model of
+    # the dual, so the primal simplex restarts from the last basis: about
+    # 650 simplex iterations here, against about 4,500 when every round
+    # solves from scratch
     assert report.iterations <= 1000
 
 
