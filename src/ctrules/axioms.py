@@ -7,8 +7,8 @@ resolution-complete for satisfaction; efficiency is decided over the whole
 simplex by one exact LP, and a failed LP raises instead of answering.  Both
 reports carry the resolution, the least gain a witness must show.
 Rule-level probes (participation, strategyproofness) re-solve perturbed
-instances and search for profitable deviations; an uncertified solve makes
-them raise.
+instances cold, as ``ctr solve`` does, and search for profitable
+deviations; an uncertified solve makes them raise.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import EQUALITY_TOL, Allocation, GuardError, Profile, UtilityFunction, _is_real, check_allocation, overlap
+from .core import EQUALITY_TOL, Allocation, GuardError, Profile, UtilityFunction, _is_real, check_agent, check_allocation, overlap
 from .oracle import GridSpec, _BlockOverlap, _composition_chunks, _count_text, enumerate_grid
 from .solver import _LP, solve_ctr
 
@@ -30,6 +30,7 @@ MAX_SUBSET_AGENTS = 20
 # cost more per re-solve.  Resolution 0.01 at m = 5 (4,598,126 misreports,
 # under the grid guard) would run for about 36 minutes.
 _MAX_PROBE_SOLVES = 100_000
+_PROBE_GAIN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -288,18 +289,21 @@ def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> Axio
     return AxiomReport("efficiency", True, witness={"resolution": resolution})
 
 
+def _satisfaction(profile: Profile, reported: Profile, f: UtilityFunction, i: int, probe: str) -> float:
+    """Agent i's true satisfaction under a cold solve of reported; RuntimeError when uncertified."""
+    outcome = solve_ctr(reported, f)
+    if not outcome.converged:
+        raise RuntimeError(f"solver failed to converge during {probe} probe")
+    return float(overlap(profile.prefs, outcome.allocation.shares)[i])
+
+
 def probe_participation(profile: Profile, f: UtilityFunction, i: int) -> AxiomReport:
-    """Compare agent i's satisfaction when voting versus abstaining; raises
-    RuntimeError when either solve is uncertified."""
-    if profile.n < 2:
-        raise ValueError("participation needs at least two agents")
-    full = solve_ctr(profile, f)
-    reduced = solve_ctr(profile.without(i), f, start=full.allocation)
-    if not (full.converged and reduced.converged):
-        raise RuntimeError("solver failed to converge during participation probe")
-    with_vote = float(full.satisfactions.values[i])
-    without_vote = float(overlap(profile.prefs, reduced.allocation.shares)[i])
-    holds = with_vote >= without_vote - 1e-6
+    """Compare agent i's satisfaction when voting versus abstaining, each
+    profile solved cold; raises RuntimeError when either solve is uncertified."""
+    # without(i) refuses a bad index, and a profile of one agent, before any solve
+    without_vote = _satisfaction(profile, profile.without(i), f, i, "participation")
+    with_vote = _satisfaction(profile, profile, f, i, "participation")
+    holds = with_vote >= without_vote - _PROBE_GAIN_TOL
     witness = None if holds else {"agent": i, "voting": with_vote, "abstaining": without_vote}
     return AxiomReport("participation", holds, witness=witness)
 
@@ -308,31 +312,25 @@ def probe_strategyproofness(profile: Profile, f: UtilityFunction, i: int, resolu
     """Search a misreport grid for a profitable manipulation by agent i.
 
     The witness records the best manipulation found and its gain; the probe
-    holds iff no misreport gains more than 1e-6.  Soundness is one-sided:
-    a finer grid can only find more manipulations.  Raises RuntimeError when
-    the honest solve or any misreport re-solve is uncertified (its MRS gap
-    is above the solver's 1e-7 certificate), as the participation probe
-    does: a gain read off an uncertified solve is not the rule's.  Raises
-    GuardError before any solve when the grid has more misreports than
-    _MAX_PROBE_SOLVES, each a full re-solve.
+    holds iff no misreport gains more than _PROBE_GAIN_TOL.  Soundness is
+    one-sided: a finer grid can only find more manipulations.  The honest
+    profile and every misreport are solved cold, as ``ctr solve`` does, so
+    the report is deterministic given (profile, f, i, resolution).  Raises
+    RuntimeError when a solve is uncertified, and GuardError before any
+    solve when the grid has more misreports than _MAX_PROBE_SOLVES.
     """
+    i = check_agent(profile, i)
     spec = GridSpec.snapped(profile.m, 1.0, resolution)
     if spec.num_points() > _MAX_PROBE_SOLVES:
         raise GuardError(
             f"strategyproofness probe needs {_count_text(spec.num_points())} re-solves, "
             f"exceeding the guard of {_count_text(_MAX_PROBE_SOLVES)}"
         )
-    honest = solve_ctr(profile, f)
-    if not honest.converged:
-        raise RuntimeError("solver failed to converge during strategyproofness probe")
-    honest_sat = float(honest.satisfactions.values[i])
+    honest_sat = _satisfaction(profile, profile, f, i, "strategyproofness")
     best_gain = 0.0
     best: dict[str, Any] | None = None
     for y in enumerate_grid(spec):
-        manipulated = solve_ctr(profile.replace_row(i, y), f, start=honest.allocation)
-        if not manipulated.converged:
-            raise RuntimeError("solver failed to converge during strategyproofness probe")
-        sat = float(overlap(profile.prefs, manipulated.allocation.shares)[i])
+        sat = _satisfaction(profile, profile.replace_row(i, y), f, i, "strategyproofness")
         gain = sat - honest_sat
         if gain > best_gain + 1e-12:
             best_gain = gain
@@ -343,4 +341,4 @@ def probe_strategyproofness(profile: Profile, f: UtilityFunction, i: int, resolu
                 "honest_satisfaction": honest_sat,
                 "manipulated_satisfaction": sat,
             }
-    return AxiomReport("strategyproofness", best_gain <= 1e-6, witness=best)
+    return AxiomReport("strategyproofness", best_gain <= _PROBE_GAIN_TOL, witness=best)

@@ -270,6 +270,8 @@ def cmd_gen(args) -> int:
         rows[np.arange(args.n), rng.integers(0, args.m, size=args.n)] = 1.0
     elif kind == "dirichlet":
         conc = _spec_number(float, param, f"dirichlet concentration must be a number, got {param!r}") if param else 1.0
+        if not np.isfinite(conc):
+            raise ValueError(f"dirichlet concentration must be finite, got {param!r}")
         if conc <= 0:
             raise ValueError("dirichlet concentration must be positive")
         rows = rng.dirichlet(np.full(args.m, conc), size=args.n)

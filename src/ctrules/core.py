@@ -353,14 +353,18 @@ def iav_bound_of(f: UtilityFunction) -> IavBound:
             raise ValueError("the identity baseline has no inequality-aversion bound")
 
 
-def check_agent(profile: Profile, i: int) -> int:
-    """Return agent index i after checking it is an integer in [0, n); a
-    float or bool index would otherwise be truncated to some agent."""
+def _check_index(i: int, size: int, what: str, size_name: str) -> int:
+    """i after checking it is an integer in [0, size); a float or bool would index wrongly."""
     if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise IndexError(f"agent index must be an integer, got {i!r}")
-    if not 0 <= i < profile.n:
-        raise IndexError(f"agent index {i} out of range for n={profile.n}")
+        raise IndexError(f"{what} index must be an integer, got {i!r}")
+    if not 0 <= i < size:
+        raise IndexError(f"{what} index {i} out of range for {size_name}={size}")
     return int(i)
+
+
+def check_agent(profile: Profile, i: int) -> int:
+    """Return agent index i after checking it is an integer in [0, n)."""
+    return _check_index(i, profile.n, "agent", "n")
 
 
 def check_allocation(profile: Profile, x: Allocation) -> np.ndarray:

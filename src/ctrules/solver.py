@@ -113,6 +113,7 @@ from .core import (
     Profile,
     SatisfactionVector,
     UtilityFunction,
+    _check_index,
     check_agent,
     check_allocation,
     overlap,
@@ -165,12 +166,7 @@ def marginal_contribution(
     direction of alternative j (up: increase x_j, down: decrease it), read
     from the terms the MRS certificate compares.
     """
-    # refused as check_agent refuses agents: True passes the range check, and
-    # numpy would read it as a mask
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-        raise IndexError(f"alternative index must be an integer, got {j!r}")
-    if not 0 <= j < profile.m:
-        raise IndexError(f"alternative index {j} out of range for m={profile.m}")
+    _check_index(j, profile.m, "alternative", "m")
     if direction not in ("up", "down"):
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     prefs, shares = profile.prefs, check_allocation(profile, x)

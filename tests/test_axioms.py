@@ -306,6 +306,42 @@ def test_participation_refuses_an_uncertified_solve(monkeypatch):
         ct.probe_participation(p, NASH, 0)
 
 
+def cold_satisfaction(profile, reported, f, i):
+    """Agent i's true satisfaction under a cold, certified solve of the
+    reported profile, as ``ctr solve`` reads the rule's outcome."""
+    report = ct.solve_ctr(reported, f)
+    assert report.converged
+    return ct.satisfaction_vector(profile, report.allocation).values[i]
+
+
+def test_probes_solve_every_profile_cold(monkeypatch):
+    # the honest, abstaining and misreported profiles all go through
+    # solve_ctr(profile, f) with no start, the call ``ctr solve`` makes
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return ct.solve_ctr(*args, **kwargs)
+
+    monkeypatch.setattr(ct.axioms, "solve_ctr", spy)
+    p = dirichlet_profile(3, 4, 3)
+    ct.probe_participation(p, NASH, 1)
+    ct.probe_strategyproofness(p, NASH, 1, resolution=0.5)
+    assert len(calls) == 2 + 1 + 6
+    assert all(len(args) == 2 and args[1] is NASH and not kwargs for args, kwargs in calls)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_participation_report_recomputes_from_cold_solves(seed):
+    for f in (NASH, ct.make_utility("negpower", p=1.0)):
+        p = dirichlet_profile(seed + 300, 5, 3, conc=0.5)
+        i = seed % p.n
+        voting, abstaining = cold_satisfaction(p, p, f, i), cold_satisfaction(p, p.without(i), f, i)
+        expected = None if voting >= abstaining - 1e-6 else {"agent": i, "voting": voting, "abstaining": abstaining}
+        report = ct.probe_participation(p, f, i)
+        assert (report.holds, report.witness) == (expected is None, expected)
+
+
 def test_participation_needs_two_agents():
     with pytest.raises(ValueError):
         ct.probe_participation(ct.Profile([[0.5, 0.5]]), NASH, 0)
@@ -360,14 +396,44 @@ def test_sp_guard():
 
 
 def test_sp_probe_runs_at_five_alternatives():
-    # 15 misreports at resolution 0.5; the best one re-solves, from the
-    # honest optimum as the probe starts it, to its gain
+    # 15 misreports at resolution 0.5; the best one re-solves cold, as the
+    # probe solves it, to its gain
     p = dirichlet_profile(0, 3, 5)
     report = ct.probe_strategyproofness(p, NASH, 0, resolution=0.5)
     w = report.witness
     assert not report.holds and w["misreport"] == [0.0, 1.0, 0.0, 0.0, 0.0] and w["gain"] > 0.1
-    x = ct.solve_ctr(p.replace_row(0, w["misreport"]), NASH, start=ct.solve_ctr(p, NASH).allocation).allocation
-    assert ct.satisfaction_vector(p, x).values[0] == w["manipulated_satisfaction"]
+    assert cold_satisfaction(p, p.replace_row(0, w["misreport"]), NASH, 0) == w["manipulated_satisfaction"]
+
+
+def test_sp_witness_recomputes_from_a_cold_solve_of_the_seed_48_audit_profile():
+    """The benchmark's audit profile at seed 48 has several optima for
+    agent 0's best misreports.  Re-solved from the honest optimum, the
+    witness read 0.7731 for a misreport whose cold solve gives agent 0
+    0.7333, so the benchmark's cold re-check found no gain; every solve is
+    now cold, and the witness is the cold solve's reading bit for bit."""
+    p = ct.Profile(np.random.default_rng([48, 5]).dirichlet(np.ones(3), size=6))
+    report = ct.probe_strategyproofness(p, NASH, 0, resolution=0.1)
+    w = report.witness
+    assert not report.holds and w["gain"] > 0.01
+    assert w["honest_satisfaction"] == cold_satisfaction(p, p, NASH, 0)
+    assert w["manipulated_satisfaction"] == cold_satisfaction(p, p.replace_row(0, w["misreport"]), NASH, 0)
+    assert w["gain"] == w["manipulated_satisfaction"] - w["honest_satisfaction"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sp_witness_recomputes_from_cold_solves(seed):
+    # from the honest optimum, three of these witnesses read another optimum
+    # than the cold solve of their misreport
+    p = dirichlet_profile(seed + 400, 6, 3)
+    i = seed % p.n
+    report = ct.probe_strategyproofness(p, NASH, i, resolution=0.25)
+    w = report.witness
+    if w is None:
+        assert report.holds
+        return
+    assert report.holds == (w["gain"] <= 1e-6)
+    assert w["honest_satisfaction"] == cold_satisfaction(p, p, NASH, i)
+    assert w["manipulated_satisfaction"] == cold_satisfaction(p, p.replace_row(i, w["misreport"]), NASH, i)
 
 
 def test_sp_grid_guard_fires_before_solving(monkeypatch):

@@ -809,6 +809,14 @@ REFUSALS = {
     "gen-dirichlet-without-n-m": (["gen", "--kind", "dirichlet"], "dirichlet generation needs --n and --m"),
     "gen-single-minded-without-m": (["gen", "--kind", "single-minded", "--n", "3"], "single-minded generation needs --n and --m"),
     "gen-concentration": (["gen", "--kind", "dirichlet:0", "--n", "3", "--m", "2"], "dirichlet concentration must be positive"),
+    "gen-concentration-nan": (
+        ["gen", "--kind", "dirichlet:nan", "--n", "3", "--m", "2"],
+        "dirichlet concentration must be finite, got 'nan'",
+    ),
+    "gen-concentration-infinite": (
+        ["gen", "--kind", "dirichlet:inf", "--n", "3", "--m", "2"],
+        "dirichlet concentration must be finite, got 'inf'",
+    ),
     "gen-concentration-not-a-number": (
         ["gen", "--kind", "dirichlet:abc", "--n", "3", "--m", "2"],
         "dirichlet concentration must be a number, got 'abc'",

@@ -15,6 +15,7 @@ import ctrules as ct
 import ctrules.solver as solver_module
 from ctrules.cli import ladder_rule
 from ctrules.core import overlap
+from certificate_scan import scan_profile
 from helpers import (
     FailingHighs,
     core_example_profile,
@@ -896,4 +897,16 @@ def test_polish_that_returns_to_an_earlier_state_stops():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_module, "_CYCLE", 2)
         assert ct.solve_ctr(three, f).iterations > 300
+
+
+def test_stall_window_ends_a_polish_that_cannot_certify():
+    """Case (3, 221) of the certificate scan, 23 x 6 under negexppower:3,
+    neither certifies nor revisits a recent state: the stall window ends
+    it after 313 steps.  Without the window it runs to solver._MAX_ITERS,
+    200,000 steps and about 50 s, so this guards the exit until a rounding
+    floor in the certificate lets the polish stop on its own."""
+    profile = scan_profile(3, 221)
+    assert (profile.n, profile.m) == (23, 6)
+    report = ct.solve_ctr(profile, ct.make_utility("negexppower", p=3.0))
+    assert not report.converged and report.iterations <= 400
 
