@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .core import EQUALITY_TOL, Allocation, GuardError, Profile, UtilityFunction, _is_real, check_agent, check_allocation, overlap
-from .oracle import GridSpec, _BlockOverlap, _composition_chunks, _count_text, enumerate_grid
+from .oracle import GridSpec, _BlockOverlap, _check_resolution, _composition_chunks, _count_text, enumerate_grid
 from .solver import _LP, solve_ctr
 
 MAX_SUBSET_AGENTS = 20
@@ -135,6 +135,12 @@ def cohesive_groups(profile: Profile, sats: np.ndarray) -> tuple[np.ndarray, np.
     return np.minimum(alpha[1:], count[1:] / n, out=alpha[1:]), mean
 
 
+def _check_afs_lambda(lam: float) -> None:
+    """Refuse an AFS exponent that is not a real number in (0, 1]."""
+    if not (_is_real(lam) and 0.0 < lam <= 1.0):
+        raise ValueError("lambda must lie in (0, 1]")
+
+
 def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     """Average fair share, exactly at lam=1 and approximately below.
 
@@ -142,8 +148,7 @@ def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     least alpha^(1/lam) - 1e-9.  Checks all 2^n - 1 subsets; the witness is
     the violating subset with the lowest bitmask.
     """
-    if not (_is_real(lam) and 0.0 < lam <= 1.0):
-        raise ValueError("lambda must lie in (0, 1]")
+    _check_afs_lambda(lam)
     alpha, mean = cohesive_groups(profile, overlap(profile.prefs, check_allocation(profile, x)))
     bound = alpha ** (1.0 / lam)
     bad = (alpha > 0.0) & (mean < bound - 1e-9)
@@ -248,8 +253,7 @@ def check_efficiency(profile: Profile, x: Allocation, resolution: float) -> Axio
     resolution below EQUALITY_TOL, where the float rounding of the
     satisfactions would count as a gain, is a ValueError.
     """
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    _check_resolution(resolution)
     if resolution < EQUALITY_TOL:
         raise ValueError(f"resolution {resolution!r} is below the rounding floor {EQUALITY_TOL!r} of the satisfactions")
     prefs = profile.prefs

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .axioms import MAX_SUBSET_AGENTS, cohesive_groups
+from .axioms import MAX_SUBSET_AGENTS, _check_afs_lambda, cohesive_groups
 from .core import Allocation, Profile, UtilityFunction, _is_real, check_allocation, iav_bound_of, overlap
 from .solver import SolveReport
 
@@ -125,8 +125,7 @@ def afs_bound(alpha: float | np.ndarray, lambda_lower: float) -> float | np.ndar
     number or an array of them."""
     if not np.all((0.0 < alpha) & (alpha <= 1.0)):
         raise ValueError("alpha must lie in (0, 1]")
-    if not (_is_real(lambda_lower) and 0.0 < lambda_lower <= 1.0):
-        raise ValueError("lambda must lie in (0, 1]")
+    _check_afs_lambda(lambda_lower)
     return alpha ** (1.0 / lambda_lower)
 
 
@@ -159,76 +158,59 @@ def verify_bounds(
     profile: Profile,
     f: UtilityFunction,
     ctr_report: SolveReport,
-    util_reference: SolveReport | None = None,
-    egal_reference: SolveReport | None = None,
+    util_reference: SolveReport,
+    egal_reference: SolveReport,
 ) -> list[BoundCheck]:
     """Pair every applicable guarantee with the measured loss or share.
 
     Which guarantees apply depends on which side of the IAV is certified
     for f: welfare-loss caps need an upper bound, share floors and the
     egalitarian cap need a lower bound, and the group-share guarantee
-    additionally needs the IAV to sit at or below 1.  Raises when no side
-    is certified at all (the quadratic kind).
+    additionally needs the IAV to sit at or below 1.  A cap holds when the
+    measurement is at most the bound plus _SLACK, a floor when it is at
+    least the bound minus _SLACK.  Raises when no side is certified at all
+    (the quadratic kind).
     """
     bound = iav_bound_of(f)
     if bound.lower is None and bound.upper is None:
         raise ValueError(f"utility kind {f.kind!r} has no certified IAV bound")
 
     n, m = profile.n, profile.m
-    x = ctr_report.allocation
     min_sat = ctr_report.satisfactions.min()
     single_minded = profile.is_single_minded()
     checks: list[BoundCheck] = []
 
-    if bound.upper is not None and util_reference is not None:
-        wl = welfare_loss(profile, x, util_reference)
-        b = wl_bound(bound.upper, m)
-        checks.append(BoundCheck("WL", b, wl, wl <= b + _SLACK, {"lambda": bound.upper, "m": m}))
+    def cap(kind: str, b: float, measured: float, params: dict) -> None:
+        checks.append(BoundCheck(kind, b, measured, measured <= b + _SLACK, dict(params)))
+
+    def floor(kind: str, b: float, measured: float, params: dict) -> None:
+        checks.append(BoundCheck(kind, b, measured, measured >= b - _SLACK, dict(params)))
+
+    if bound.upper is not None:
+        lam = bound.upper
+        wl = welfare_loss(profile, ctr_report.allocation, util_reference)
+        cap("WL", wl_bound(lam, m), wl, {"lambda": lam, "m": m})
         if single_minded:
-            b = wl_bound_single_minded(bound.upper, m)
-            checks.append(
-                BoundCheck("WL-single-minded", b, wl, wl <= b + _SLACK, {"lambda": bound.upper, "m": m})
-            )
+            cap("WL-single-minded", wl_bound_single_minded(lam, m), wl, {"lambda": lam, "m": m})
 
     if bound.lower is not None:
         lam = bound.lower
+        params = {"lambda": lam, "m": m, "n": n}
         if n >= 2:
-            b = ifs_share_bound(lam, m, n)
-            checks.append(
-                BoundCheck("IFS-share", b, min_sat, min_sat >= b - _SLACK, {"lambda": lam, "m": m, "n": n})
-            )
-        b = min_agent_bound(lam, m, n)
-        checks.append(
-            BoundCheck("minAgent", b, min_sat, min_sat >= b - _SLACK, {"lambda": lam, "m": m, "n": n})
-        )
-        if egal_reference is not None and n >= 2:
-            el = egalitarian_loss(profile, x, egal_reference)
-            b, _ = gamma(m, n, lam)
-            checks.append(
-                BoundCheck("EL-gamma", b, el, el <= b + _SLACK, {"lambda": lam, "m": m, "n": n})
-            )
+            floor("IFS-share", ifs_share_bound(lam, m, n), min_sat, params)
+        floor("minAgent", min_agent_bound(lam, m, n), min_sat, params)
+        if n >= 2:
+            el = egalitarian_loss(profile, ctr_report.allocation, egal_reference)
+            cap("EL-gamma", gamma(m, n, lam)[0], el, params)
             if single_minded:
-                b = el_bound_single_minded(lam, m, n)
-                checks.append(
-                    BoundCheck(
-                        "EL-single-minded", b, el, el <= b + _SLACK, {"lambda": lam, "m": m, "n": n}
-                    )
-                )
+                cap("EL-single-minded", el_bound_single_minded(lam, m, n), el, params)
         if lam <= 1.0 and n <= MAX_SUBSET_AGENTS:
             alpha, mean = cohesive_groups(profile, ctr_report.satisfactions.values)
             cohesive = alpha > 0.0
             alpha, mean = alpha[cohesive], mean[cohesive]
+            # b[k] comes from the vectorised power: a scalar afs_bound(alpha[k], lam) may differ by an ulp
             b = afs_bound(alpha, lam)
-            margin = mean - b
-            k = int(np.argmin(margin))
-            checks.append(
-                BoundCheck(
-                    "AFS-exponent",
-                    float(b[k]),
-                    float(mean[k]),
-                    bool(margin[k] >= -_SLACK),
-                    {"lambda": lam, "alpha": float(alpha[k]), "n": n},
-                )
-            )
+            k = int(np.argmin(mean - b))
+            floor("AFS-exponent", float(b[k]), float(mean[k]), {"lambda": lam, "alpha": float(alpha[k]), "n": n})
 
     return checks

@@ -143,15 +143,21 @@ def parse_rule(spec: str) -> str | UtilityFunction:
 
 
 def ladder_rule(lam: float) -> UtilityFunction:
-    """Constant-IAV rule with inequality aversion exactly lam."""
+    """Constant-IAV rule with inequality aversion exactly lam: power(1 - lam)
+    below 1, log at 1 and negpower(lam - 1) above.  A lam whose rule the
+    utility family refuses is refused by name: below about 1.1e-16, 1 - lam
+    rounds to 1, and above about 32.9, negpower's f'' overflows at the
+    utility floor."""
     bd.check_lambda(lam)
     if abs(lam - 1.0) <= 1e-12:
         return make_utility("log")
-    if lam < 1.0:
-        if 1.0 - lam == 1.0:
-            raise ValueError(f"lambda {lam!r} is too small for a ladder rule: 1 - lambda rounds to 1")
-        return make_utility("power", p=1.0 - lam)
-    return make_utility("negpower", p=lam - 1.0)
+    small = lam < 1.0
+    kind, p = ("power", 1.0 - lam) if small else ("negpower", lam - 1.0)
+    try:
+        return make_utility(kind, p=p)
+    except ValueError:
+        why = "1 - lambda rounds to 1" if small else f"negpower:{p:g} overflows f'' at the utility floor"
+        raise ValueError(f"lambda {lam!r} is too {'small' if small else 'large'} for a ladder rule: {why}") from None
 
 
 def rule_label(f: UtilityFunction) -> str:
@@ -348,6 +354,8 @@ def cmd_sweep(args) -> int:
     if not directory.is_dir():
         raise OSError(f"{directory} is not a directory")
     lambdas = _lambda_grid(args.lambda_grid)
+    # every rung's rule is built, and refused, before any profile is read
+    rules = [ladder_rule(lam) for lam in lambdas]
     files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
     lines = [SWEEP_HEADER]
     unconverged: list[str] = []
@@ -356,21 +364,19 @@ def cmd_sweep(args) -> int:
         seed = meta.get("seed", -1)
         util_ref = solve_utilitarian(profile)
         egal_ref = solve_egalitarian(profile)
-        rungs = []
-        report = None
-        for lam in lambdas:
-            f = ladder_rule(lam)
+        reports = []
+        for lam, f in zip(lambdas, rules):
             # each rung starts from the previous rung's optimum
-            report = solve_ctr(profile, f, start=report.allocation if report else None)
+            report = solve_ctr(profile, f, start=reports[-1].allocation if reports else None)
             if not (report.converged and util_ref.converged and egal_ref.converged):
                 unconverged.append(f"{path.name}@lambda={lam:g}")
-            rungs.append((lam, f, report))
+            reports.append(report)
         afs_worst = (
-            _afs_worst_ratios(profile, np.array([r.satisfactions.values for _, _, r in rungs]), lambdas)
+            _afs_worst_ratios(profile, np.array([r.satisfactions.values for r in reports]), lambdas)
             if profile.n <= ax.MAX_SUBSET_AGENTS
-            else [np.nan] * len(rungs)
+            else [np.nan] * len(reports)
         )
-        for (lam, f, report), afs in zip(rungs, afs_worst):
+        for lam, f, report, afs in zip(lambdas, rules, reports, afs_worst):
             sats = report.satisfactions.values
             # an uncertified reference leaves its loss nan, and the two-agent
             # bounds leave a one-agent row nan, as afs_worst does past the subset guard

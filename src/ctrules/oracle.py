@@ -34,10 +34,15 @@ _MAX_GRID_POINTS = 10_000_000
 Objective = Literal["ctr", "welfare", "maxmin"]
 
 
-def _step_count(budget: float, resolution: float) -> int:
-    """Nearest whole number of steps; an overflowing count exceeds any guard."""
+def _check_resolution(resolution: float) -> None:
+    """Refuse a grid or check resolution that is not finite and positive."""
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+
+
+def _step_count(budget: float, resolution: float) -> int:
+    """Nearest whole number of steps; an overflowing count exceeds any guard."""
+    _check_resolution(resolution)
     ratio = budget / resolution
     if not math.isfinite(ratio):
         raise GuardError(f"a budget of {budget!r} in steps of {resolution!r} overflows the grid")

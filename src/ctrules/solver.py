@@ -899,17 +899,16 @@ class _LP:
         return np.array(self.model.getSolution().row_dual)
 
 
-def _overlap_cuts(prefs: np.ndarray, points: np.ndarray):
-    """The overlap piece active at each point, for every agent.
+def _overlap_cuts(prefs: np.ndarray, y: np.ndarray):
+    """The overlap piece active at the point y, for every agent.
 
-    For points of shape (k, m) returns (cuts, rhs) with k * n rows: the cut
-    of agent i at point y is the set S = {j : y_j <= ideal_ij} as a boolean
-    row, and rhs = sum_{j not in S} ideal_ij, so overlap_i(x) <= x[S].sum()
-    + rhs for every allocation x, with equality at x = y.
+    Returns (cuts, rhs) with one row per agent: the cut of agent i is the
+    set S = {j : y_j <= ideal_ij} as a boolean row, and rhs = sum_{j not in
+    S} ideal_ij, so overlap_i(x) <= x[S].sum() + rhs for every allocation
+    x, with equality at x = y.
     """
-    cuts = prefs[None, :, :] >= np.atleast_2d(points)[:, None, :]
-    rhs = np.where(cuts, 0.0, prefs).sum(axis=2)
-    return cuts.reshape(-1, prefs.shape[1]), rhs.ravel()
+    cuts = prefs >= y
+    return cuts, np.where(cuts, 0.0, prefs).sum(axis=1)
 
 
 def _cut_cols(cuts: np.ndarray):

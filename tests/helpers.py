@@ -1,5 +1,5 @@
 """Shared test fixtures: seeded instance generators, a perturbed-start
-solver run and a failing HiGHS model."""
+solver run, a failing HiGHS model and the printed gamma table."""
 
 import types
 
@@ -7,6 +7,18 @@ import numpy as np
 
 import ctrules as ct
 from ctrules import solver
+
+# gamma values for n=100 at 3 decimals.  (3, 10), (8, 10) and (20, 100) were
+# corrected from 0.474, 0.519 and 0.094: those came from a w-grid of step
+# 1e-3, whose best point lies below the crossing.  The exact maximin agrees
+# with brentq on the crossing, the lambda = 1 closed form and the equalizer
+# identity (see test_bounds.py and the bounds module for the bisection).
+GAMMA_TABLE_N100 = {
+    (3, 0.1): 1.000, (3, 1.0): 0.997, (3, 10.0): 0.475, (3, 100.0): 0.079,
+    (8, 0.1): 1.000, (8, 1.0): 0.999, (8, 10.0): 0.520, (8, 100.0): 0.087,
+    (12, 0.1): 1.000, (12, 1.0): 0.999, (12, 10.0): 0.537, (12, 100.0): 0.090,
+    (20, 0.1): 1.000, (20, 1.0): 0.999, (20, 10.0): 0.558, (20, 100.0): 0.095,
+}
 
 
 def perturbed_start_ascent(profile: ct.Profile, f: ct.UtilityFunction, seed: int):

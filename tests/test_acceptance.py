@@ -19,16 +19,9 @@ import pytest
 
 import ctrules as ct
 from ctrules.cli import ladder_rule
-from helpers import core_example_profile, perturbed_start_ascent, sp_example_profile, two_group_profile
+from helpers import GAMMA_TABLE_N100, core_example_profile, perturbed_start_ascent, sp_example_profile, two_group_profile
 
 LADDER = (0.25, 0.5, 1.0, 2.0, 10.0)
-
-GAMMA_TABLE_N100 = {
-    (3, 0.1): 1.000, (3, 1.0): 0.997, (3, 10.0): 0.475, (3, 100.0): 0.079,
-    (8, 0.1): 1.000, (8, 1.0): 0.999, (8, 10.0): 0.520, (8, 100.0): 0.087,
-    (12, 0.1): 1.000, (12, 1.0): 0.999, (12, 10.0): 0.537, (12, 100.0): 0.090,
-    (20, 0.1): 1.000, (20, 1.0): 0.999, (20, 10.0): 0.558, (20, 100.0): 0.095,
-}
 
 
 def _line(num: int, ok: bool, name: str, detail: str = "") -> None:

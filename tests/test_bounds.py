@@ -6,21 +6,9 @@ import numpy as np
 import pytest
 
 import ctrules as ct
-from helpers import core_example_profile, dirichlet_profile, single_minded_profile
+from helpers import GAMMA_TABLE_N100, core_example_profile, dirichlet_profile, single_minded_profile
 
 NASH = ct.make_utility("log")
-
-# gamma values for n=100 at 3 decimals.  (3, 10), (8, 10) and (20, 100) were
-# corrected from 0.474, 0.519 and 0.094: those came from a w-grid of step
-# 1e-3, whose best point lies below the crossing.  The exact maximin agrees
-# with brentq on the crossing, the lambda = 1 closed form and the equalizer
-# identity (see the tests below and the bounds module for the bisection).
-GAMMA_TABLE_N100 = {
-    (3, 0.1): 1.000, (3, 1.0): 0.997, (3, 10.0): 0.475, (3, 100.0): 0.079,
-    (8, 0.1): 1.000, (8, 1.0): 0.999, (8, 10.0): 0.520, (8, 100.0): 0.087,
-    (12, 0.1): 1.000, (12, 1.0): 0.999, (12, 10.0): 0.537, (12, 100.0): 0.090,
-    (20, 0.1): 1.000, (20, 1.0): 0.999, (20, 10.0): 0.558, (20, 100.0): 0.095,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +266,7 @@ def test_verify_bounds_power_rule_welfare_loss():
     for seed in range(5):
         p = dirichlet_profile(seed + 400, 4, 3)
         report = ct.solve_ctr(p, f)
-        util_ref, _ = _references(p)
-        checks = ct.verify_bounds(p, f, report, util_ref)
+        checks = ct.verify_bounds(p, f, report, *_references(p))
         wl = next(c for c in checks if c.kind == "WL")
         assert wl.satisfied
         assert wl.bound == pytest.approx(ct.wl_bound(0.5, 3))
@@ -290,7 +277,7 @@ def test_verify_bounds_negpower_single_minded_shares():
     for seed in range(5):
         p = single_minded_profile(seed + 500, 6, 3)
         report = ct.solve_ctr(p, f)
-        checks = ct.verify_bounds(p, f, report)
+        checks = ct.verify_bounds(p, f, report, *_references(p))
         share = next(c for c in checks if c.kind == "IFS-share")
         assert share.satisfied
         assert share.bound == pytest.approx(ct.ifs_share_bound(2.5, 3, 6))
@@ -335,4 +322,4 @@ def test_verify_bounds_quadratic_has_no_certified_side():
     p = dirichlet_profile(700, 3, 3)
     report = ct.solve_ctr(p, f)
     with pytest.raises(ValueError):
-        ct.verify_bounds(p, f, report)
+        ct.verify_bounds(p, f, report, *_references(p))

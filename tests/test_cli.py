@@ -587,6 +587,15 @@ def test_sweep_refuses_a_lambda_whose_complement_rounds_to_one(sweep_dir, capsys
     assert "lambda 1e-300" in err and "1 - lambda rounds to 1" in err
 
 
+def test_ladder_rule_names_lambda_where_negpower_overflows():
+    # the ladder rule above 1 is negpower with p = lambda - 1, whose f'' at
+    # the utility floor overflows from lambda about 32.9 on
+    assert ladder_rule(32.5) == ct.make_utility("negpower", p=31.5)
+    with pytest.raises(ValueError) as exc:
+        ladder_rule(33.0)
+    assert str(exc.value) == "lambda 33.0 is too large for a ladder rule: negpower:32 overflows f'' at the utility floor"
+
+
 def test_sweep_afs_ratio_skips_targets_that_underflow(sweep_dir, capsys):
     # alpha^(1/lambda) underflows to 0 for every cohesive group of these
     # profiles at lambda 1e-4, and for some of them at 1e-3; a group with no
@@ -833,6 +842,10 @@ REFUSALS = {
     "gen-groups-m": (["gen", "--kind", "groups:2:1,0", "--m", "3"], "--m 3 does not match the groups spec width 2"),
     "gen-unknown-kind": (["gen", "--kind", "zipf", "--n", "2", "--m", "2"], "unknown generator kind 'zipf'"),
     "sweep-malformed-grid": (["sweep", "--profile-dir", "{dir}", "--lambda-grid", "1:2"], "lambda grid must look like lo:hi:count, got '1:2'"),
+    "sweep-lambda-too-large": (
+        ["sweep", "--profile-dir", "{dir}", "--lambda-grid", "1:40:2"],
+        "lambda 40.0 is too large for a ladder rule: negpower:39 overflows f'' at the utility floor",
+    ),
     "profile-not-a-document": (["solve", "--profile", "{listdoc}", "--rule", "nash"], "{listdoc}: not a profile document"),
     "prefs-not-a-matrix": (["solve", "--profile", "{flat}", "--rule", "nash"], "{flat}: prefs must be a matrix"),
     "no-allocation": (["check", "--profile", "{prof}", "--allocation", "{noalloc}", "--axioms", "rr"], "{noalloc}: no allocation found"),

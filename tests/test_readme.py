@@ -1,4 +1,5 @@
-"""README's ``ctr`` example block runs as written, in an empty directory."""
+"""README's ``ctr`` example block and its Python library example run as
+written, in an empty directory."""
 
 import json
 import shlex
@@ -32,3 +33,16 @@ def test_readme_ctr_example_block_runs_verbatim(tmp_path, monkeypatch, capsys):
             assert code == (0 if all(r["holds"] for r in reports) else 2), argv
         else:
             assert code == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_library_example_runs_verbatim(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    text = README.read_text(encoding="utf-8")
+    (example,) = [block.split("```", 1)[0] for block in text.split("```python\n")[1:]]
+    assert "ct.verify_bounds(" in example
+    exec(compile(example, str(README), "exec"), {})
+    shares, certified, *checks = capsys.readouterr().out.splitlines()
+    assert shares == "[0.25 0.75]" and certified == "True"
+    kinds = [line.split()[0] for line in checks]
+    assert kinds == ["WL", "IFS-share", "minAgent", "EL-gamma", "AFS-exponent"]
+    assert all(line.split()[-1] == "True" for line in checks)

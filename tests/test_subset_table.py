@@ -85,11 +85,12 @@ def test_check_afs_witness_is_lowest_violating_mask():
 
 def test_verify_bounds_afs_margin_matches_reference():
     for p, _ in CORPUS:
+        references = ct.solve_utilitarian(p), ct.solve_egalitarian(p)
         for f, lam in ((NASH, 1.0), (SQRT, 0.5)):
             report = ct.solve_ctr(p, f)
             table = reference_groups(p.prefs, report.satisfactions.values)
             margin = min(mean - alpha ** (1.0 / lam) for alpha, mean, _ in table.values() if alpha > 0.0)
-            check = next(c for c in ct.verify_bounds(p, f, report) if c.kind == "AFS-exponent")
+            check = next(c for c in ct.verify_bounds(p, f, report, *references) if c.kind == "AFS-exponent")
             assert check.empirical - check.bound == pytest.approx(margin, abs=1e-12)
             assert check.params["lambda"] == lam
 
