@@ -125,7 +125,8 @@ def cohesive_groups(profile: Profile, sats: np.ndarray) -> tuple[np.ndarray, np.
     # the mean table reuses col as the member counts, and the sums of its
     # rows become their means in place
     sats = np.asarray(sats, dtype=float)
-    total = np.zeros(sats.shape[:-1] + (size,))
+    total = np.empty(sats.shape[:-1] + (size,))
+    total[..., 0] = 0.0
     count = col
     count[0] = 0.0
     for i in range(n):
@@ -141,6 +142,28 @@ def _check_afs_lambda(lam: float) -> None:
         raise ValueError("lambda must lie in (0, 1]")
 
 
+def _afs_floor(alpha, lam: float):
+    """The AFS floor alpha^(1/lam) of a cohesion, or elementwise of a table
+    of them, for lam in (0, 1]: the one formula behind ``check_afs``,
+    ``bounds.afs_bound``, ``bounds.verify_bounds`` and the sweep's AFS
+    ratios."""
+    return alpha ** (1.0 / lam)
+
+
+def _cohesive_entries(alpha: np.ndarray, mean: np.ndarray):
+    """The entries of ``cohesive_groups``' tables (alpha, mean) for the
+    cohesive groups (alpha > 0), in mask order along the last axis, so one
+    selection serves every row of mean.  When every group is cohesive, as
+    on profiles with no zero ideal share, the tables come back uncopied.
+    Their cohesions lie in (0, 1] by construction, so callers need not
+    check them."""
+    cohesive = alpha > 0.0
+    if cohesive.all():
+        return alpha, mean
+    cohesive = np.flatnonzero(cohesive)
+    return alpha[cohesive], mean[..., cohesive]
+
+
 def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     """Average fair share, exactly at lam=1 and approximately below.
 
@@ -150,7 +173,7 @@ def check_afs(profile: Profile, x: Allocation, lam: float = 1.0) -> AxiomReport:
     """
     _check_afs_lambda(lam)
     alpha, mean = cohesive_groups(profile, overlap(profile.prefs, check_allocation(profile, x)))
-    bound = alpha ** (1.0 / lam)
+    bound = _afs_floor(alpha, lam)
     bad = (alpha > 0.0) & (mean < bound - 1e-9)
     if not bad.any():
         return AxiomReport("AFS", True)

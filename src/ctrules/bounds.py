@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .axioms import MAX_SUBSET_AGENTS, _check_afs_lambda, cohesive_groups
+from .axioms import MAX_SUBSET_AGENTS, _afs_floor, _check_afs_lambda, _cohesive_entries, cohesive_groups
 from .core import Allocation, Profile, UtilityFunction, _is_real, check_allocation, iav_bound_of, overlap
 from .solver import SolveReport
 
@@ -61,7 +61,7 @@ def welfare_loss(profile: Profile, x: Allocation, util_reference: SolveReport) -
     if not util_reference.converged:
         raise ValueError("utilitarian reference did not converge")
     w_ref = util_reference.objective
-    return float(np.clip(1.0 - welfare(profile, x) / w_ref, 0.0, 1.0))
+    return min(max(1.0 - welfare(profile, x) / w_ref, 0.0), 1.0)
 
 
 def egalitarian_loss(profile: Profile, x: Allocation, egal_reference: SolveReport) -> float:
@@ -70,7 +70,7 @@ def egalitarian_loss(profile: Profile, x: Allocation, egal_reference: SolveRepor
         raise ValueError("egalitarian reference did not converge")
     maxmin = egal_reference.objective
     min_sat = float(overlap(profile.prefs, check_allocation(profile, x)).min())
-    return float(np.clip(1.0 - min_sat / maxmin, 0.0, 1.0))
+    return min(max(1.0 - min_sat / maxmin, 0.0), 1.0)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -126,7 +126,7 @@ def afs_bound(alpha: float | np.ndarray, lambda_lower: float) -> float | np.ndar
     if not np.all((0.0 < alpha) & (alpha <= 1.0)):
         raise ValueError("alpha must lie in (0, 1]")
     _check_afs_lambda(lambda_lower)
-    return alpha ** (1.0 / lambda_lower)
+    return _afs_floor(alpha, lambda_lower)
 
 
 def gamma(m: int, n: int, lambda_lower: float) -> tuple[float, float]:
@@ -205,11 +205,9 @@ def verify_bounds(
             if single_minded:
                 cap("EL-single-minded", el_bound_single_minded(lam, m, n), el, params)
         if lam <= 1.0 and n <= MAX_SUBSET_AGENTS:
-            alpha, mean = cohesive_groups(profile, ctr_report.satisfactions.values)
-            cohesive = alpha > 0.0
-            alpha, mean = alpha[cohesive], mean[cohesive]
+            alpha, mean = _cohesive_entries(*cohesive_groups(profile, ctr_report.satisfactions.values))
             # b[k] comes from the vectorised power: a scalar afs_bound(alpha[k], lam) may differ by an ulp
-            b = afs_bound(alpha, lam)
+            b = _afs_floor(alpha, lam)
             k = int(np.argmin(mean - b))
             floor("AFS-exponent", float(b[k]), float(mean[k]), {"lambda": lam, "alpha": float(alpha[k]), "n": n})
 

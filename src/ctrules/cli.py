@@ -333,20 +333,19 @@ def _afs_worst_ratios(profile: Profile, sats: np.ndarray, lambdas: list[float]) 
     Targets alpha^(1/lambda) for lambda <= 1 (the certified guarantee) and
     plain alpha above 1, where only the exact fair-share target is a
     meaningful yardstick.  The cohesion table does not depend on the rung,
-    so one ``cohesive_groups`` call serves every rung.
+    so one ``cohesive_groups`` call and one selection of its cohesive
+    groups serve every rung.  Each rung's row of means becomes its row of
+    ratios in place, and one reduction reads every rung's worst.
     """
-    alpha, means = ax.cohesive_groups(profile, sats)
-    cohesive = alpha > 0.0
-    alpha = alpha[cohesive]
-    worst = []
-    for lam, mean in zip(lambdas, means):
-        mean = mean[cohesive]
-        target = bd.afs_bound(alpha, lam) if lam <= 1.0 else alpha
-        # at small lambda alpha^(1/lambda) underflows to 0 for the weaker
-        # groups, whose ratio is then inf
-        ratio = np.divide(mean, target, out=np.full_like(mean, np.inf), where=target > 0.0)
-        worst.append(float(np.min(ratio)))
-    return worst
+    alpha, ratios = ax._cohesive_entries(*ax.cohesive_groups(profile, sats))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lam, ratio in zip(lambdas, ratios):
+            target = ax._afs_floor(alpha, lam) if lam <= 1.0 else alpha
+            np.divide(ratio, target, out=ratio)
+            # at small lambda alpha^(1/lambda) underflows to 0 for the
+            # weaker groups, whose ratio is inf
+            ratio[target == 0.0] = np.inf
+    return ratios.min(axis=1).tolist()
 
 
 def cmd_sweep(args) -> int:

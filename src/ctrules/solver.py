@@ -99,6 +99,7 @@ from __future__ import annotations
 
 import collections
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -395,7 +396,7 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     return _smooth_stop(f, sats, a, lo_d, hi_d, math.ulp(xj + xk)), (None, None)
 
 
-def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: float, ulps: float) -> float:
+def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: float, ulps: float, at_lo=None) -> float:
     """The root of phi'(t) = f'(sats(t)) @ rate inside (lo, hi), where the
     satisfactions sats(t) move at the fixed rates ``rate`` (no kink lies
     inside), phi'(lo) > 0 and phi'(hi) <= 0.
@@ -405,14 +406,20 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
     phi'' is not negative; a step of at most ulps ends the search.  After 80
     steps without that end, bisection shrinks the bracket to ulps.  Both
     line searches stop this way: a pair exchange, whose rates are +-1 (so
-    rate^2 is exactly 1), and a Newton direction.
+    rate^2 is exactly 1), and a Newton direction, whose search passes the
+    f' and f'' at sats(lo) it already has as at_lo.
     """
+
+    def derivatives(t: float):
+        p = sats(t)
+        return f.deriv(p), f.second(p)
+
     square = rate * rate
     t = lo
+    fp, fpp = derivatives(lo) if at_lo is None else at_lo
     for _ in range(80):
-        p = sats(t)
-        slope = float(f.deriv(p) @ rate)
-        curve = float(np.add.reduce(f.second(p) * square))
+        slope = float(fp @ rate)
+        curve = float(np.add.reduce(fpp * square))
         if slope > 0.0:
             lo = t
         else:
@@ -425,6 +432,7 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
             if hi - lo <= ulps:
                 return nxt
         t = nxt
+        fp, fpp = derivatives(t)
     # where f' spans many orders of magnitude across the bracket, Newton
     # steps from its steep end creep and run out inside it; bisection
     # finishes the bracket
@@ -439,14 +447,15 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
     return 0.5 * (lo + hi)
 
 
-def _newton_direction(f: UtilityFunction, pi: np.ndarray, supp: np.ndarray) -> np.ndarray | None:
+def _newton_direction(fp: np.ndarray, second: np.ndarray, supp: np.ndarray) -> np.ndarray | None:
     """The Newton direction d, with sum(d) = 0 and max |d_j| = 1, on a face
     whose satisfactions move at the rates supp @ d; None when its predicted
     gain is not above rounding.
 
-    supp holds the strict supporters (0/1 floats) of the face's columns.
-    On the face the objective has the gradient g = f'(pi) @ supp and the
-    Hessian -Q, Q = supp^T diag(-f''(pi)) supp.  With d = (z, -sum z),
+    supp holds the strict supporters (0/1 floats) of the face's columns,
+    and fp and second hold f'(pi) and f''(pi).  On the face the objective
+    has the gradient g = f'(pi) @ supp and the Hessian -Q, Q = supp^T
+    diag(-f''(pi)) supp.  With d = (z, -sum z),
     eliminating the column r whose supporters carry the least curvature, z
     solves (Z^T Q Z) z = Z^T g, where the columns of supp Z are supp_a -
     supp_r.  The reduced system is solved on its range: scaled to a unit
@@ -456,34 +465,36 @@ def _newton_direction(f: UtilityFunction, pi: np.ndarray, supp: np.ndarray) -> n
     along them; a face with no other direction has none.  The predicted
     gain g @ d must exceed n eps sum_j |g_j d_j|, about the rounding of g.
     """
-    weight = -f.second(pi)
+    weight = -second
     r = int(np.argmin(weight @ supp))
     cols = np.arange(supp.shape[1]) != r
     reduced = supp[:, cols] - supp[:, [r]]
     system = reduced.T @ (reduced * weight[:, None])
-    diag = np.diag(system)
-    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag), where=diag > 0.0)
+    diag = system.diagonal()
+    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros(len(diag)), where=diag > 0.0)
     vals, vecs = np.linalg.eigh(system * scale[:, None] * scale)
     if not vals[-1] > 0.0:
         return None
     kept = vals > _SINGULAR * vals[-1]
     vals, vecs = vals[kept], vecs[:, kept]
-    grad = f.deriv(pi) @ supp
+    grad = fp @ supp
     z = vecs @ (((grad[cols] - grad[r]) * scale) @ vecs / vals) * scale
     d = np.empty(supp.shape[1])
     d[cols] = z
     d[r] = -z.sum()
-    if not grad @ d > len(pi) * np.finfo(float).eps * (np.abs(grad) @ np.abs(d)):
+    if not grad @ d > len(fp) * sys.float_info.epsilon * (np.abs(grad) @ np.abs(d)):
         return None
     return d / np.abs(d).max()
 
 
-def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, supp: np.ndarray, d: np.ndarray):
+def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndarray, fp: np.ndarray, second: np.ndarray, f: UtilityFunction, supp: np.ndarray, d: np.ndarray):
     """Maximize the objective along x + t d for t from 0 to the first kink.
 
     x and d hold the face's shares and direction (max |d_j| = 1), supp
-    their strict supporters (0/1 floats), and no agent is tied with any
-    x_j.  Up to the first kink the satisfactions are pi + t (supp @ d).  The
+    their strict supporters (0/1 floats), fp and second f'(pi) and f''(pi),
+    and no agent is tied with any x_j.  Up to the first kink the
+    satisfactions are pi + t (supp @ d), so the smooth stop starts from
+    fp and second at t = 0.  The
     first kink is the nearest value, over the columns, that x_j reaches
     moving along d_j: above[j], the smallest ideal share above x_j, when it
     grows, and below[j], the largest below x_j (or zero), when it shrinks.
@@ -498,28 +509,29 @@ def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndar
     end = float(steps[c])
     act = rate.nonzero()[0]
     rate, pi = rate[act], pi[act]
-    fp = f.deriv(pi + end * rate)
+    at_end = f.deriv(pi + end * rate)
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = float(fp @ rate)
+        slope = float(at_end @ rate)
     if not math.isfinite(slope):
         # f' clipped near the float range on a few agents overflows the
         # sum; scaled by the largest f', it keeps its sign and stays finite
-        slope = float((fp / fp.max()) @ rate)
+        slope = float((at_end / at_end.max()) @ rate)
     if slope >= 0.0:
         return end, c, float(target[c])
 
     def sats(t: float) -> np.ndarray:
         return pi + t * rate
 
-    return _smooth_stop(f, sats, rate, 0.0, end, math.ulp(x.sum())), None, None
+    return _smooth_stop(f, sats, rate, 0.0, end, math.ulp(x.sum()), (fp[act], second[act])), None, None
 
 
-def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, up: np.ndarray, j: int, k: int):
+def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarray, fp: np.ndarray, f: UtilityFunction, up: np.ndarray, j: int, k: int):
     """A Newton step on the free face of x: (the point it reaches, whether
     it stopped smoothly), or None when it is not taken.
 
-    srt holds the profile's columns sorted, up the strict support mask, and
-    bins the share each tied agent is tied at, as ``_marginals`` takes it.
+    srt holds the profile's columns sorted, fp f'(pi), up the strict
+    support mask, and bins the share each tied agent is tied at, as
+    ``_marginals`` takes it.
     The free face is F = {j : x_j > 0, no agent tied at x_j}; near x the
     satisfactions are affine in x_F.  The step is taken only when the MRS
     pair (j, k) lies in F: otherwise the gap is held by a column at zero or
@@ -541,7 +553,8 @@ def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarra
         return None
     free = np.flatnonzero(free)
     supp = up[:, free]
-    d = _newton_direction(f, pi, supp)
+    second = f.second(pi)
+    d = _newton_direction(fp, second, supp)
     if d is None:
         return None
     old = x[free]
@@ -549,7 +562,7 @@ def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarra
     first = n - supp.sum(axis=0).astype(int)
     above = np.where(first < n, srt[np.minimum(first, n - 1), free], np.inf)
     below = np.where(first > 0, srt[np.maximum(first - 1, 0), free], 0.0)
-    t, c, v = _ray_search(above, below, old, pi, f, supp, d)
+    t, c, v = _ray_search(above, below, old, pi, fp, second, f, supp, d)
     # a smooth stop within the search's resolution of 0 is rounding noise
     if not (t > 0.0 if c is not None else t > math.ulp(old.sum())):
         return None
@@ -559,10 +572,10 @@ def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarra
     b = int(np.argmax(np.where(np.arange(len(free)) == c, -np.inf, new)))
     new[b] = 0.0
     new[b] = max(old.sum() - new.sum(), 0.0)
+    if not (new != old).any():
+        return None
     moved = x.copy()
     moved[free] = new
-    if np.array_equal(moved, x):
-        return None
     return moved, c is None
 
 
@@ -646,7 +659,8 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
     best_gap = np.inf
     while True:
         pi = mins.sum(axis=1)
-        gap, j, k = _exchange_terms(x, *_marginals(f.deriv(pi), up, tied, bins))
+        fp = f.deriv(pi)
+        gap, j, k = _exchange_terms(x, *_marginals(fp, up, tied, bins))
         if gap <= _TOL or repeated or iters >= _MAX_ITERS:
             return x, pi, gap, iters
         if gap < best_gap - 1e-14:
@@ -656,7 +670,7 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
             stall += 1
             if stall > _STALL_WINDOW:
                 return x, pi, gap, iters
-        step = _newton_step(srt, bins, x, pi, f, up, j, k) if smooth == 2 else None
+        step = _newton_step(srt, bins, x, pi, fp, f, up, j, k) if smooth == 2 else None
         if step is None:
             d, landing = _line_search(prefs, srt, mins, x, pi, f, j, k)
             if d <= 0.0:
@@ -805,7 +819,8 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
         worst = np.argsort(pi, kind="stable")[: 2 * (m + 1)]
         seeds.append(_overlap_cuts(prefs[worst], y))
     cuts, rhs = (np.concatenate(parts) for parts in zip(*seeds))
-    keys, first = np.unique(_cut_keys(cuts, rhs), return_index=True)
+    seen: set[bytes] = set()
+    first = _fresh_cuts(cuts, rhs, seen)
     # the dual of max t over 0 <= x_j <= u_j (u_j the column's largest ideal
     # share: no agent gains from x_j above it), 0 <= t <= 1, sum_j x_j = 1
     # and the cuts t - x[S] <= rhs: minimize w + u . z + s + rhs . y over w
@@ -820,6 +835,7 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
     lp.add_cols(rhs[first], *_cut_cols(cuts[first]))
 
     upper = 1.0  # no overlap exceeds 1
+    best = best_pi.min()
     iterations = 0
     for _ in range(_MAX_ITERS):
         nit, t, _ = lp.solve()
@@ -831,20 +847,17 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
         x = np.maximum(lp.row_duals()[1:], 0.0)
         x /= x.sum()
         pi = overlap(prefs, x)
-        if pi.min() > best_pi.min():
-            best_x, best_pi = x, pi
-        if upper - best_pi.min() <= _TOL:
+        if pi.min() > best:
+            best_x, best_pi, best = x, pi, pi.min()
+        if upper - best <= _TOL:
             break
         new_cuts, new_rhs = _overlap_cuts(prefs[pi < t], x)
-        new_keys, first = np.unique(_cut_keys(new_cuts, new_rhs), return_index=True)
-        fresh = ~np.isin(new_keys, keys)
-        if not fresh.any():
+        first = _fresh_cuts(new_cuts, new_rhs, seen)
+        if not first:
             break
-        keys = np.concatenate([keys, new_keys[fresh]])
-        first = first[fresh]
         lp.add_cols(new_rhs[first], *_cut_cols(new_cuts[first]))
 
-    worst = float(best_pi.min())
+    worst = float(best)
     return _report(best_x, best_pi, worst, upper - worst, iterations)
 
 
@@ -892,11 +905,12 @@ class _LP:
         nit = int(self.model.getInfoValue("simplex_iteration_count")[1])
         if status == highs.HighsStatus.kError or self.model.getModelStatus() != highs.HighsModelStatus.kOptimal:
             return nit, None, None
-        return nit, self.model.getObjectiveValue(), np.array(self.model.getSolution().col_value)
+        self.solution = self.model.getSolution()
+        return nit, self.model.getObjectiveValue(), np.array(self.solution.col_value)
 
     def row_duals(self) -> np.ndarray:
         """The row duals of the last optimal solve."""
-        return np.array(self.model.getSolution().row_dual)
+        return np.array(self.solution.row_dual)
 
 
 def _overlap_cuts(prefs: np.ndarray, y: np.ndarray):
@@ -920,7 +934,17 @@ def _cut_cols(cuts: np.ndarray):
     return np.searchsorted(cols, np.arange(k)), rows, np.where(rows == 0, 1.0, -1.0)
 
 
-def _cut_keys(cuts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per cut, so equal cuts compare equal."""
+def _fresh_cuts(cuts: np.ndarray, rhs: np.ndarray, seen: set[bytes]) -> list[int]:
+    """The indices of the cuts whose keys are not in seen, the first of
+    each set of equal cuts, in the order of their keys; their keys join
+    seen.  A cut's key is its packed mask followed by the bytes of its rhs,
+    so equal cuts have equal keys."""
     raw = np.hstack([np.packbits(cuts, axis=1), np.ascontiguousarray(rhs)[:, None].view(np.uint8)])
-    return raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
+    flat, width = raw.tobytes(), raw.shape[1]
+    fresh: dict[bytes, int] = {}
+    for i in range(len(cuts)):
+        key = flat[i * width : (i + 1) * width]
+        if key not in seen:
+            fresh.setdefault(key, i)
+    seen.update(fresh)
+    return [fresh[key] for key in sorted(fresh)]

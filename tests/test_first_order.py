@@ -446,7 +446,8 @@ def free_face(prefs, x):
 def seeded_faces():
     """Every Newton search in cold solves of seeded Dirichlet profiles, as
     (kind, prefs, x, args): the profile's prefs, the polish's point and the
-    arguments (above, below, x_F, pi, f, supp, d) of ``_ray_search``, each
+    arguments (above, below, x_F, pi, fp, second, f, supp, d) of
+    ``_ray_search``, each
     search followed by one on the same face along a random ascent direction
     with sum 0 and max |d_j| = 1."""
     searches = []
@@ -470,19 +471,19 @@ def seeded_faces():
             for f in UTILITIES[:5]:
                 ct.solve_ctr(profile, f)
     rng = np.random.default_rng(1982)
-    for prefs, x, (above, below, xf, pi, f, supp, d) in searches:
-        yield "newton", prefs, x, (above, below, xf, pi, f, supp, d)
+    for prefs, x, (above, below, xf, pi, fp, second, f, supp, d) in searches:
+        yield "newton", prefs, x, (above, below, xf, pi, fp, second, f, supp, d)
         d = rng.normal(size=len(xf))
         d -= d.mean()
         d /= np.abs(d).max()
-        yield "random", prefs, x, (above, below, xf, pi, f, supp, d if f.deriv(pi) @ (supp @ d) > 0.0 else -d)
+        yield "random", prefs, x, (above, below, xf, pi, fp, second, f, supp, d if fp @ (supp @ d) > 0.0 else -d)
 
 
 def test_smooth_stop_along_a_general_direction_agrees_with_bisection():
     kinds = {"kink": 0, "smooth": 0, "newton": 0, "random": 0}
     for direction, prefs, x, args in seeded_faces():
         kinds[direction] += 1
-        _, _, xf, pi, f, _, d = args
+        _, _, xf, pi, _, _, f, _, d = args
         t, c, v = solver_module._ray_search(*args)
         ref_t, ref_c, ref_v = ray_search_oracle(prefs[:, free_face(prefs, x)], xf, pi, f, d)
         assert (c, v) == (ref_c, ref_v)
@@ -533,7 +534,7 @@ def test_sorted_copy_gives_the_free_face_and_first_kinks_of_the_masks():
     largest other one below it (or zero), and so the first kink's column,
     step and value along both directions."""
     faces = 0
-    for _, prefs, x, (above, below, xf, _, _, supp, d) in seeded_faces():
+    for _, prefs, x, (above, below, xf, _, _, _, _, supp, d) in seeded_faces():
         free = free_face(prefs, x)
         face = prefs[:, free]
         assert np.array_equal(xf, x[free])

@@ -788,7 +788,7 @@ def test_a_face_whose_columns_share_their_supporters_has_no_newton_direction():
     pi = np.array([0.5, 0.7, 0.9])
     supp = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     for f in RULES:
-        assert solver_module._newton_direction(f, pi, supp) is None
+        assert solver_module._newton_direction(f.deriv(pi), f.second(pi), supp) is None
 
 
 def test_a_newton_step_that_leaves_x_unchanged_is_not_taken(monkeypatch):
@@ -805,7 +805,7 @@ def test_a_newton_step_that_leaves_x_unchanged_is_not_taken(monkeypatch):
     assert len(bins) == 0
     pi = overlap(prefs, x)
     gap, j, k = solver_module._exchange_terms(x, *solver_module._marginals(f.deriv(pi), up, tied, bins))
-    args = (np.sort(prefs, axis=0), bins, x, pi, f, up, j, k)
+    args = (np.sort(prefs, axis=0), bins, x, pi, f.deriv(pi), f, up, j, k)
     moved, _ = solver_module._newton_step(*args)
     assert gap > solver_module._TOL and not np.array_equal(moved, x)
     monkeypatch.setattr(solver_module, "_ray_search", lambda above, below, xf, *rest: (5e-324, 0, float(xf[0])))
