@@ -338,13 +338,15 @@ def _afs_worst_ratios(profile: Profile, sats: np.ndarray, lambdas: list[float]) 
     ratios in place, and one reduction reads every rung's worst.
     """
     alpha, ratios = ax._cohesive_entries(*ax.cohesive_groups(profile, sats))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lam, ratio in zip(lambdas, ratios):
-            target = ax._afs_floor(alpha, lam) if lam <= 1.0 else alpha
-            np.divide(ratio, target, out=ratio)
-            # at small lambda alpha^(1/lambda) underflows to 0 for the
-            # weaker groups, whose ratio is inf
-            ratio[target == 0.0] = np.inf
+    for lam, ratio in zip(lambdas, ratios):
+        target = ax._afs_floor(alpha, lam) if lam <= 1.0 else alpha
+        # at small lambda alpha^(1/lambda) underflows to 0 for the weaker
+        # groups, whose ratio is then inf, and a subnormal target overflows
+        # the ratio to inf, its value in floats
+        positive = target > 0.0
+        with np.errstate(over="ignore"):
+            np.divide(ratio, target, out=ratio, where=positive)
+        ratio[~positive] = np.inf
     return ratios.min(axis=1).tolist()
 
 

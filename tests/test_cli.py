@@ -563,6 +563,53 @@ def test_sweep_past_the_subset_cap_writes_nan_afs_ratios(tmp_path):
     assert [row["afs_worst"] for row in rows] == ["nan"] * 3
 
 
+# one profile of each kind a sweep treats apart: Dirichlet, single-minded
+# and groups (the last two with groups that are not cohesive), one agent
+# (nan two-agent bounds) and one past the subset cap (nan afs_worst)
+PINNED_SWEEP_PROFILES = [
+    ("a_dirichlet", ["--kind", "dirichlet:0.5", "--n", "5", "--m", "3", "--seed", "3"]),
+    ("b_single_minded", ["--kind", "single-minded", "--n", "6", "--m", "3", "--seed", "4"]),
+    ("c_groups", ["--kind", "groups:2:1,0,0;2:.5,.5,0;1:0,0,1", "--seed", "5"]),
+    ("d_one_agent", ["--kind", "dirichlet:1", "--n", "1", "--m", "3", "--seed", "6"]),
+    ("e_past_the_cap", ["--kind", "dirichlet:1", "--n", str(ct.axioms.MAX_SUBSET_AGENTS + 1), "--m", "3", "--seed", "7"]),
+]
+PINNED_SWEEP = """\
+lambda,rule,m,n,seed,wl_emp,wl_bound,el_emp,el_bound,min_share,min_share_bound,afs_worst
+0.25,power:0.75,3,5,3,0,0.208368997933,0.638581944031,0.999951783917,0.169459717677,0.00194931773879,12.1638048154
+0.5,power:0.5,3,5,3,0.00135683565505,0.366025403784,0.629732952989,0.99315036356,0.173608784108,0.030303030303,3.05056372291
+1,nash,3,5,3,0.034923860964,0.6,0.410816015511,0.923076923122,0.276253358189,0.111111111111,1.38126679094
+2,negpower:1,3,5,3,0.0934724276369,0.857142857143,0.219895420197,0.750000000116,0.365771160762,0.2,1.28221591582
+4,negpower:3,3,5,3,0.134232697201,0.984802431611,0.0869805535737,0.539523667074,0.428091555111,0.261203874964,1.15788378528
+0.25,power:0.75,3,6,4,0.00127795527157,0.208368997933,0.996805111821,0.999980248394,0.00159744408946,0.000799360511591,2.07028753994
+0.5,power:0.5,3,6,4,0.0307692307692,0.366025403784,0.923076923077,0.995594628272,0.0384615384615,0.0196078431373,1.38461538462
+1,nash,3,6,4,0.133333333333,0.6,0.666666666667,0.937500000116,0.166666666667,0.0909090909091,1
+2,negpower:1,3,6,4,0.2472135955,0.857142857143,0.38196601125,0.772991677397,0.309016994375,0.182743997632,0.82917960675
+4,negpower:3,3,6,4,0.320596465721,0.984802431611,0.198508835698,0.560362735647,0.400745582151,0.250582757614,0.719105301419
+0.25,power:0.75,3,5,5,0.0151515151515,0.208368997933,0.909090909091,0.999951783917,0.0454545454545,0.00194931773879,11.6363636364
+0.5,power:0.5,3,5,5,0.0555555555556,0.366025403784,0.666666666667,0.99315036356,0.166666666667,0.030303030303,2.66666666667
+1,nash,3,5,5,0.1,0.6,0.4,0.923076923122,0.3,0.111111111111,1.2
+2,negpower:1,3,5,5,0.130601937482,0.857142857143,0.216388375109,0.750000000116,0.391805812446,0.2,1.10819418755
+4,negpower:3,3,5,5,0.147998429429,0.984802431611,0.112009423428,0.539523667074,0.443995288286,0.261203874964,1.05600471171
+0.25,power:0.75,3,1,6,0,0.208368997933,0,nan,1,nan,1
+0.5,power:0.5,3,1,6,0,0.366025403784,0,nan,1,nan,1
+1,nash,3,1,6,0,0.6,0,nan,1,nan,1
+2,negpower:1,3,1,6,0,0.857142857143,0,nan,1,nan,1
+4,negpower:3,3,1,6,0,0.984802431611,0,nan,1,nan,1
+0.25,power:0.75,3,21,7,0,0.208368997933,0.200576906594,0.999999922817,0.39956242988,3.12499023441e-06,nan
+0.5,power:0.5,3,21,7,0,0.366025403784,0.200576906594,0.999722376349,0.39956242988,0.00124843945069,nan
+1,nash,3,21,7,0.000530321369233,0.6,0.195033786661,0.983606557478,0.402332955885,0.0243902439024,nan
+2,negpower:1,3,21,7,0.00938453290189,0.857142857143,0.133941605826,0.878965210752,0.432867650745,0.100560403924,nan
+4,negpower:3,3,21,7,0.0190237750713,0.984802431611,0.0897744059546,0.674395195558,0.454943012149,0.191223416784,nan
+"""
+
+
+def test_sweep_output_is_pinned(tmp_path, capsys):
+    for name, args in PINNED_SWEEP_PROFILES:
+        assert main(["gen", *args, "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert main(["sweep", "--profile-dir", str(tmp_path), "--lambda-grid", "0.25:4:5"]) == 0
+    assert capsys.readouterr().out == PINNED_SWEEP
+
+
 def test_sweep_empty_directory(tmp_path):
     d = tmp_path / "empty"
     d.mkdir()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ctrules as ct
-from ctrules.cli import _afs_worst_ratios, main
+from ctrules.cli import _afs_worst_ratios, _lambda_grid, ladder_rule, main
 
 NASH = ct.make_utility("log")
 SQRT = ct.make_utility("power", p=0.5)  # inequality aversion exactly 1/2
@@ -108,6 +108,61 @@ def test_sweep_worst_ratio_matches_reference():
                 if alpha > 0.0
             )
             assert got == pytest.approx(ratio, rel=1e-12)
+
+
+def per_rung_worst_ratios(p, sats, lambdas):
+    """Each rung's worst ratio by its own pass over the cohesive groups,
+    with the target from the same vectorised power alpha ** (1 / lambda)
+    and ratio inf where the target underflows to 0.  The sweep computed it
+    this way, one rung at a time, before its one pass over every rung."""
+    alpha, means = ct.cohesive_groups(p, sats)
+    cohesive = alpha > 0.0
+    alpha = alpha[cohesive]
+    worst = []
+    for lam, mean in zip(lambdas, means):
+        mean = mean[cohesive]
+        target = alpha ** (1.0 / lam) if lam <= 1.0 else alpha
+        with np.errstate(over="ignore"):  # a subnormal target overflows the ratio to inf
+            ratio = np.divide(mean, target, out=np.full_like(mean, np.inf), where=target > 0.0)
+        worst.append(float(ratio.min()))
+    return worst
+
+
+def ladder_satisfactions(p, lambdas):
+    """The satisfactions of a sweep's rungs, each solve started from the
+    previous rung's optimum."""
+    reports = []
+    for lam in lambdas:
+        reports.append(ct.solve_ctr(p, ladder_rule(lam), start=reports[-1].allocation if reports else None))
+    return np.array([r.satisfactions.values for r in reports])
+
+
+def test_sweep_worst_ratios_equal_a_pass_per_rung_bit_for_bit():
+    """On single-minded and block (``groups:``) profiles, whose groups are
+    not all cohesive, the sweep's one pass over every rung gives the worst
+    ratio of a pass per rung exactly: over the default ladder, and at
+    lambdas where every target, some targets, or none underflow."""
+    rng = np.random.default_rng(33)
+    profiles = [ct.Profile(np.eye(m)[rng.integers(0, m, n)]) for n, m in ((3, 2), (6, 3), (9, 4), (12, 3))]
+    blocks = [
+        ((2, 3), [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]),
+        ((3, 2, 4), [[0.6, 0.4, 0.0], [0.0, 0.3, 0.7], [0.5, 0.0, 0.5]]),
+        ((4, 4, 5), [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.1, 0.2, 0.3, 0.4]]),
+    ]
+    profiles += [ct.Profile(np.repeat(rows, sizes, axis=0)) for sizes, rows in blocks]
+    ladder = _lambda_grid("0.25:4:5")
+    tiny = [1e-4, 3e-3, 1e-2]
+    underflows = set()
+    for p in profiles:
+        assert not (ct.cohesive_groups(p, np.zeros(p.n))[0] > 0.0).all()
+        sats = ladder_satisfactions(p, ladder)
+        assert _afs_worst_ratios(p, sats, ladder) == per_rung_worst_ratios(p, sats, ladder)
+        assert _afs_worst_ratios(p, sats[:3], tiny) == per_rung_worst_ratios(p, sats[:3], tiny)
+        alpha = ct.cohesive_groups(p, sats[0])[0]
+        for lam in tiny:
+            zero = alpha[alpha > 0.0] ** (1.0 / lam) == 0.0
+            underflows.add("every" if zero.all() else "some" if zero.any() else "no")
+    assert underflows == {"every", "some", "no"}
 
 
 def test_table_of_several_rows_equals_the_table_of_each_row():
