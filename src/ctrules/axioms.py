@@ -143,20 +143,16 @@ def _check_afs_lambda(lam: float) -> None:
 
 
 def _afs_floor(alpha, lam: float):
-    """The AFS floor alpha^(1/lam) of a cohesion, or elementwise of a table
-    of them, for lam in (0, 1]: the one formula behind ``check_afs``,
-    ``bounds.afs_bound``, ``bounds.verify_bounds`` and the sweep's AFS
-    ratios."""
+    """The AFS floor alpha^(1/lam) of a cohesion or, elementwise, of a table
+    of them: the one formula of every AFS check, bound and sweep ratio."""
     return alpha ** (1.0 / lam)
 
 
 def _cohesive_entries(alpha: np.ndarray, mean: np.ndarray):
-    """The entries of ``cohesive_groups``' tables (alpha, mean) for the
-    cohesive groups (alpha > 0), in mask order along the last axis, so one
-    selection serves every row of mean.  When every group is cohesive, as
-    on profiles with no zero ideal share, the tables come back uncopied.
-    Their cohesions lie in (0, 1] by construction, so callers need not
-    check them."""
+    """``cohesive_groups``' tables (alpha, mean) at the cohesive groups
+    (alpha > 0) only, selected once along the last axis for every row of
+    mean, and uncopied when every group is cohesive.  Their cohesions lie
+    in (0, 1] by construction, so callers need not check them."""
     cohesive = alpha > 0.0
     if cohesive.all():
         return alpha, mean

@@ -99,7 +99,6 @@ from __future__ import annotations
 
 import collections
 import math
-import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -482,7 +481,7 @@ def _newton_direction(fp: np.ndarray, second: np.ndarray, supp: np.ndarray) -> n
     d = np.empty(supp.shape[1])
     d[cols] = z
     d[r] = -z.sum()
-    if not grad @ d > len(fp) * sys.float_info.epsilon * (np.abs(grad) @ np.abs(d)):
+    if not grad @ d > len(fp) * math.ulp(1.0) * (np.abs(grad) @ np.abs(d)):
         return None
     return d / np.abs(d).max()
 
@@ -493,11 +492,11 @@ def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndar
     x and d hold the face's shares and direction (max |d_j| = 1), supp
     their strict supporters (0/1 floats), fp and second f'(pi) and f''(pi),
     and no agent is tied with any x_j.  Up to the first kink the
-    satisfactions are pi + t (supp @ d), so the smooth stop starts from
-    fp and second at t = 0.  The
-    first kink is the nearest value, over the columns, that x_j reaches
-    moving along d_j: above[j], the smallest ideal share above x_j, when it
-    grows, and below[j], the largest below x_j (or zero), when it shrinks.
+    satisfactions are pi + t (supp @ d), so the smooth stop starts from fp
+    and second.  The first kink is the nearest value, over the columns,
+    that x_j reaches moving along d_j: above[j], the smallest ideal share
+    above x_j, when it grows, and below[j], the largest below x_j (or
+    zero), when it shrinks.
     Returns (t, c, v): when the objective still rises into the first kink,
     t is its step and column c lands on v (an ideal share, or zero);
     otherwise t is the smooth stop before it, and c and v are None.
@@ -531,8 +530,7 @@ def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarra
 
     srt holds the profile's columns sorted, fp f'(pi), up the strict
     support mask, and bins the share each tied agent is tied at, as
-    ``_marginals`` takes it.
-    The free face is F = {j : x_j > 0, no agent tied at x_j}; near x the
+    ``_marginals`` takes it.  The free face is F = {j : x_j > 0, no agent tied at x_j}; near x the
     satisfactions are affine in x_F.  The step is taken only when the MRS
     pair (j, k) lies in F: otherwise the gap is held by a column at zero or
     on a kink, which only a pair step moves (at the optimum of its face the
