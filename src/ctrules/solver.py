@@ -395,7 +395,7 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     return _smooth_stop(f, sats, a, lo_d, hi_d, math.ulp(xj + xk)), (None, None)
 
 
-def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: float, ulps: float, at_lo=None) -> float:
+def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: float, ulps: float, derivs=None) -> float:
     """The root of phi'(t) = f'(sats(t)) @ rate inside (lo, hi), where the
     satisfactions sats(t) move at the fixed rates ``rate`` (no kink lies
     inside), phi'(lo) > 0 and phi'(hi) <= 0.
@@ -406,19 +406,16 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
     steps without that end, bisection shrinks the bracket to ulps.  Both
     line searches stop this way: a pair exchange, whose rates are +-1 (so
     rate^2 is exactly 1), and a Newton direction, whose search passes the
-    f' and f'' at sats(lo) it already has as at_lo.
+    (f', f'') at sats(lo) it already has as derivs.
     """
-
-    def derivatives(t: float):
-        p = sats(t)
-        return f.deriv(p), f.second(p)
-
     square = rate * rate
     t = lo
-    fp, fpp = derivatives(lo) if at_lo is None else at_lo
-    for _ in range(80):
-        slope = float(fp @ rate)
-        curve = float(np.add.reduce(fpp * square))
+    for step in range(80):
+        if step or derivs is None:
+            p = sats(t)
+            derivs = f.deriv(p), f.second(p)
+        slope = float(derivs[0] @ rate)
+        curve = float(np.add.reduce(derivs[1] * square))
         if slope > 0.0:
             lo = t
         else:
@@ -431,7 +428,6 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
             if hi - lo <= ulps:
                 return nxt
         t = nxt
-        fp, fpp = derivatives(t)
     # where f' spans many orders of magnitude across the bracket, Newton
     # steps from its steep end creep and run out inside it; bisection
     # finishes the bracket
@@ -465,7 +461,7 @@ def _newton_direction(fp: np.ndarray, second: np.ndarray, supp: np.ndarray) -> n
     gain g @ d must exceed n eps sum_j |g_j d_j|, about the rounding of g.
     """
     weight = -second
-    r = int(np.argmin(weight @ supp))
+    r = int((weight @ supp).argmin())
     cols = np.arange(supp.shape[1]) != r
     reduced = supp[:, cols] - supp[:, [r]]
     system = reduced.T @ (reduced * weight[:, None])
@@ -503,7 +499,7 @@ def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndar
     """
     rate = supp @ d
     target = np.where(d > 0.0, above, below)
-    steps = np.divide(target - x, d, out=np.full_like(d, np.inf), where=d != 0.0)
+    steps = np.divide(target - x, d, out=np.full(len(d), np.inf), where=d != 0.0)
     c = int(steps.argmin())
     end = float(steps[c])
     act = rate.nonzero()[0]
@@ -549,7 +545,7 @@ def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarra
     free = (x > 0.0) & (np.bincount(bins, minlength=len(x)) == 0)
     if not (free[j] and free[k]):
         return None
-    free = np.flatnonzero(free)
+    free = free.nonzero()[0]
     supp = up[:, free]
     second = f.second(pi)
     d = _newton_direction(fp, second, supp)
@@ -567,7 +563,7 @@ def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarra
     new = np.maximum(old + t * d, 0.0)
     if c is not None:
         new[c] = v
-    b = int(np.argmax(np.where(np.arange(len(free)) == c, -np.inf, new)))
+    b = int(np.where(np.arange(len(free)) == c, -np.inf, new).argmax())
     new[b] = 0.0
     new[b] = max(old.sum() - new.sum(), 0.0)
     if not (new != old).any():
