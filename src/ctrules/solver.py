@@ -524,23 +524,22 @@ def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarra
     """A Newton step on the free face of x: (the point it reaches, whether
     it stopped smoothly), or None when it is not taken.
 
-    srt holds the profile's columns sorted, fp f'(pi), up the strict
-    support mask, and bins the share each tied agent is tied at, as
-    ``_marginals`` takes it.  The free face is F = {j : x_j > 0, no agent tied at x_j}; near x the
-    satisfactions are affine in x_F.  The step is taken only when the MRS
-    pair (j, k) lies in F: otherwise the gap is held by a column at zero or
-    on a kink, which only a pair step moves (at the optimum of its face the
-    pairs inside F have no gap).  It searches along ``_newton_direction``
-    with ``_ray_search``, whose kinks are the ideal shares next to each
-    free share: with no agent tied there, a free column's strict supporters
-    are the top entries of its sorted column, so they are the sorted
-    entries on either side of the first strict one.  A landing column
-    takes its kink or zero value exactly.  The largest other share of F
-    then takes what keeps sum(x_F) unchanged, so the step changes the sum
-    of x only by rounding, as a pair step does.  A smooth stop no farther than one ulp of sum(x_F),
-    the resolution of its search, and a step that leaves x unchanged are
-    not taken: at the rounding floor such steps would only shuffle last
-    bits.
+    srt holds the profile's columns sorted, fp f'(pi), up the strict support
+    mask, and bins the share each tied agent is tied at, as ``_marginals``
+    takes it.  The free face is F = {j : x_j > 0, no agent tied at x_j}; near
+    x the satisfactions are affine in x_F.  The step is taken only when the
+    MRS pair (j, k) lies in F: otherwise the gap is held by a column at zero
+    or on a kink, which only a pair step moves (at the optimum of its face
+    the pairs inside F have no gap).  It searches along ``_newton_direction``
+    with ``_ray_search``, whose kinks are the ideal shares next to each free
+    share: with no agent tied there, a free column's strict supporters are
+    the top entries of its sorted column, so they are the sorted entries on
+    either side of the first strict one.  A landing column takes its kink or
+    zero value exactly.  The largest other share of F then takes what keeps
+    sum(x_F) unchanged, so the step changes the sum of x only by rounding,
+    as a pair step does.  A smooth stop no farther than one ulp of sum(x_F),
+    the resolution of its search, and a step that leaves x unchanged are not
+    taken: at the rounding floor such steps would only shuffle last bits.
     """
     free = (x > 0.0) & (np.bincount(bins, minlength=len(x)) == 0)
     if not (free[j] and free[k]):
