@@ -809,7 +809,7 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
     best_x, best_pi = uniform, overlap(prefs, uniform)
     seeds = []
     for y, pi in ((uniform, best_pi), (mean, overlap(prefs, mean))):
-        worst = np.argsort(pi, kind="stable")[: 2 * (m + 1)]
+        worst = pi.argsort(kind="stable")[: 2 * (m + 1)]
         seeds.append(_overlap_cuts(prefs[worst], y))
     cuts, rhs = (np.concatenate(parts) for parts in zip(*seeds))
     seen: set[bytes] = set()
@@ -820,11 +820,10 @@ def solve_egalitarian(profile: Profile) -> SolveReport:
     # free and z, s, y >= 0 subject to row 0, sum_c y_c + s >= 1 (for t),
     # and rows 1 + j, w + z_j - sum_{c: j in S_c} y_c >= 0 (for x_j).  Its
     # columns are w, z_0..z_{m-1}, s and then one y_c per cut
-    lp = _LP(np.concatenate([[1.0], prefs.max(axis=0), [1.0]]), np.append(-np.inf, np.zeros(m + 1)), np.full(m + 2, np.inf))
+    lp = _LP(np.array([1.0, *prefs.max(axis=0), 1.0]), np.array([-np.inf] + [0.0] * (m + 1)), np.full(m + 2, np.inf))
     # row 0 holds s, row 1 + j holds w and z_j
-    j = np.arange(1, m + 1)
-    index = np.append(m + 1, np.column_stack([np.zeros(m, dtype=int), j]).ravel())
-    lp.add_rows(np.append(1.0, np.zeros(m)), np.full(m + 1, np.inf), np.append(0, 2 * j - 1), index, np.ones(2 * m + 1))
+    index = [m + 1, *(c for j in range(1, m + 1) for c in (0, j))]
+    lp.add_rows(np.array([1.0] + [0.0] * m), np.full(m + 1, np.inf), np.array([0, *range(1, 2 * m, 2)]), np.array(index), np.ones(2 * m + 1))
     lp.add_cols(rhs[first], *_cut_cols(cuts[first]))
 
     upper = 1.0  # no overlap exceeds 1
@@ -923,7 +922,7 @@ def _cut_cols(cuts: np.ndarray):
     each column's row 0 (the level t) with +1, then row 1 + j with -1 for
     every j in its mask."""
     k = len(cuts)
-    cols, rows = np.nonzero(np.hstack([np.ones((k, 1), dtype=bool), cuts]))
+    cols, rows = np.nonzero(np.concatenate((np.ones((k, 1), dtype=bool), cuts), axis=1))
     return np.searchsorted(cols, np.arange(k)), rows, np.where(rows == 0, 1.0, -1.0)
 
 
@@ -932,7 +931,7 @@ def _fresh_cuts(cuts: np.ndarray, rhs: np.ndarray, seen: set[bytes]) -> list[int
     each set of equal cuts, in the order of their keys; their keys join
     seen.  A cut's key is its packed mask followed by the bytes of its rhs,
     so equal cuts have equal keys."""
-    raw = np.hstack([np.packbits(cuts, axis=1), np.ascontiguousarray(rhs)[:, None].view(np.uint8)])
+    raw = np.concatenate((np.packbits(cuts, axis=1), np.ascontiguousarray(rhs)[:, None].view(np.uint8)), axis=1)
     flat, width = raw.tobytes(), raw.shape[1]
     fresh: dict[bytes, int] = {}
     for i in range(len(cuts)):
