@@ -111,10 +111,10 @@ def test_sweep_worst_ratio_matches_reference():
 
 
 def per_rung_worst_ratios(p, sats, lambdas):
-    """Each rung's worst ratio by its own pass over the cohesive groups,
-    with the target from the same vectorised power alpha ** (1 / lambda)
-    and ratio inf where the target underflows to 0.  The sweep computed it
-    this way, one rung at a time, before its one pass over every rung."""
+    """Each rung's worst ratio by its own pass over a copy of the cohesive
+    groups' entries, with the target from the same vectorised power
+    alpha ** (1 / lambda) and ratio inf where the target underflows to 0:
+    the plain form that the sweep's one pass over every rung reproduces."""
     alpha, means = ct.cohesive_groups(p, sats)
     cohesive = alpha > 0.0
     alpha = alpha[cohesive]
