@@ -109,11 +109,17 @@ def cohesive_groups(profile: Profile, sats: np.ndarray) -> tuple[np.ndarray, np.
     of sats, and the cohesion table, which depends on the profile alone, is
     built once for all of them.  The tables double over agents: masks in
     [2^i, 2^(i+1)) are the masks below 2^i joined by agent i.  Time is
-    O(2^n (m + r)) and memory O(2^n (r + 2)) for r rows of sats.
+    O(2^n (m + r)) and memory O(2^n (r + 2)) for r rows of sats.  Raises
+    ValueError unless sats has n entries per row, each finite.
     """
     n = profile.n
     if n > MAX_SUBSET_AGENTS:
         raise GuardError(f"subset enumeration is limited to n <= {MAX_SUBSET_AGENTS}")
+    sats = np.asarray(sats, dtype=float)
+    if sats.ndim == 0 or sats.shape[-1] != n:
+        raise ValueError(f"sats must hold n={n} satisfactions per row, got shape {sats.shape}")
+    if not np.isfinite(sats).all():
+        raise ValueError("sats must be finite")
     size = 1 << n
     alpha = np.zeros(size)
     col = np.empty(size)
@@ -124,7 +130,6 @@ def cohesive_groups(profile: Profile, sats: np.ndarray) -> tuple[np.ndarray, np.
         alpha += col
     # the mean table reuses col as the member counts, and the sums of its
     # rows become their means in place
-    sats = np.asarray(sats, dtype=float)
     total = np.empty(sats.shape[:-1] + (size,))
     total[..., 0] = 0.0
     count = col

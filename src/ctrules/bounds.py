@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .axioms import MAX_SUBSET_AGENTS, _afs_floor, _check_afs_lambda, _cohesive_entries, cohesive_groups
-from .core import Allocation, Profile, UtilityFunction, _is_real, check_allocation, iav_bound_of, overlap
+from .core import Allocation, Profile, SatisfactionVector, UtilityFunction, _is_real, check_allocation, iav_bound_of, overlap
 from .solver import SolveReport
 
 _SLACK = 1e-6
@@ -56,21 +56,26 @@ def welfare(profile: Profile, x: Allocation) -> float:
     return float(overlap(profile.prefs, check_allocation(profile, x)).sum())
 
 
-def welfare_loss(profile: Profile, x: Allocation, util_reference: SolveReport) -> float:
-    """Relative welfare shortfall 1 - W(x)/W*, clamped to [0, 1]."""
-    if not util_reference.converged:
-        raise ValueError("utilitarian reference did not converge")
-    w_ref = util_reference.objective
-    return min(max(1.0 - welfare(profile, x) / w_ref, 0.0), 1.0)
+def _shortfall(sats: SatisfactionVector, measured: float, reference: SolveReport, name: str) -> float:
+    """1 - measured / reference.objective, clamped to [0, 1], for a measure
+    of sats; refuses an uncertified reference, or one solved for another
+    number of agents."""
+    if not reference.converged:
+        raise ValueError(f"{name} reference did not converge")
+    if len(reference.satisfactions.values) != len(sats.values):
+        raise ValueError(f"{name} reference has {len(reference.satisfactions.values)} satisfactions, expected {len(sats.values)}")
+    return min(max(1.0 - measured / reference.objective, 0.0), 1.0)
 
 
-def egalitarian_loss(profile: Profile, x: Allocation, egal_reference: SolveReport) -> float:
-    """Relative maxmin shortfall 1 - min_i pi_i(x) / maxmin, clamped to [0, 1]."""
-    if not egal_reference.converged:
-        raise ValueError("egalitarian reference did not converge")
-    maxmin = egal_reference.objective
-    min_sat = float(overlap(profile.prefs, check_allocation(profile, x)).min())
-    return min(max(1.0 - min_sat / maxmin, 0.0), 1.0)
+def welfare_loss(sats: SatisfactionVector, util_reference: SolveReport) -> float:
+    """Relative welfare shortfall 1 - W/W* of the satisfactions sats (a
+    report's, or ``satisfaction_vector(profile, x)``), clamped to [0, 1]."""
+    return _shortfall(sats, float(sats.values.sum()), util_reference, "utilitarian")
+
+
+def egalitarian_loss(sats: SatisfactionVector, egal_reference: SolveReport) -> float:
+    """Relative maxmin shortfall 1 - min_i sats_i / maxmin, clamped to [0, 1]."""
+    return _shortfall(sats, sats.min(), egal_reference, "egalitarian")
 
 
 def _power(base: float, exponent: float) -> float:
@@ -188,7 +193,7 @@ def verify_bounds(
 
     if bound.upper is not None:
         lam = bound.upper
-        wl = welfare_loss(profile, ctr_report.allocation, util_reference)
+        wl = welfare_loss(ctr_report.satisfactions, util_reference)
         cap("WL", wl_bound(lam, m), wl, {"lambda": lam, "m": m})
         if single_minded:
             cap("WL-single-minded", wl_bound_single_minded(lam, m), wl, {"lambda": lam, "m": m})
@@ -200,7 +205,7 @@ def verify_bounds(
             floor("IFS-share", ifs_share_bound(lam, m, n), min_sat, params)
         floor("minAgent", min_agent_bound(lam, m, n), min_sat, params)
         if n >= 2:
-            el = egalitarian_loss(profile, ctr_report.allocation, egal_reference)
+            el = egalitarian_loss(ctr_report.satisfactions, egal_reference)
             cap("EL-gamma", gamma(m, n, lam)[0], el, params)
             if single_minded:
                 cap("EL-single-minded", el_bound_single_minded(lam, m, n), el, params)

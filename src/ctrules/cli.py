@@ -381,8 +381,8 @@ def cmd_sweep(args) -> int:
             sats = report.satisfactions.values
             # an uncertified reference leaves its loss nan, and the two-agent
             # bounds leave a one-agent row nan, as afs_worst does past the subset guard
-            wl_emp = bd.welfare_loss(profile, report.allocation, util_ref) if util_ref.converged else np.nan
-            el_emp = bd.egalitarian_loss(profile, report.allocation, egal_ref) if egal_ref.converged else np.nan
+            wl_emp = bd.welfare_loss(report.satisfactions, util_ref) if util_ref.converged else np.nan
+            el_emp = bd.egalitarian_loss(report.satisfactions, egal_ref) if egal_ref.converged else np.nan
             el_bound = bd.gamma(profile.m, profile.n, lam)[0] if profile.n >= 2 else np.nan
             share_bound = bd.ifs_share_bound(lam, profile.m, profile.n) if profile.n >= 2 else np.nan
             numbers = [wl_emp, bd.wl_bound(lam, profile.m), el_emp, el_bound, float(sats.min()), share_bound, afs]

@@ -48,9 +48,9 @@ agents tied at each positive share and the elementwise minima
 min(ideal_ij, x_j), whose row sums are the satisfactions.  After each step
 it recomputes only the columns the step moved, the mask and the ties with
 the comparison ``mrs_gap`` makes for every column.  A step that returns
-the polish to a state it held within the last few steps ends it: the step
-is a function of x and of the count of smooth stops before it, so such a
-polish would cycle without ever certifying.
+the polish to any state it held ends it: the step is a function of x and
+of the count of smooth stops before it, so such a polish would cycle
+without ever certifying.
 
 The polish stops when the marginal-rate-of-substitution gap
 
@@ -97,7 +97,6 @@ satisfaction is a true optimality gap, reported as ``mrs_gap``;
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -136,9 +135,6 @@ _KINK_PREFIX = 32
 # below this fraction of the largest: their directions are the face's flat
 # exchanges, along which no satisfaction moves.
 _SINGULAR = 1e-12
-# The polish stops on a state (x, smooth-stop count) that it reached within
-# this many steps before.
-_CYCLE = 8
 
 
 @dataclass(frozen=True)
@@ -613,12 +609,15 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
     ties replace its old ones at the end of the list.  The satisfactions
     are the row sums of the minima, which equal ``overlap`` bit for bit at
     a fraction of its cost (a running update of them would drift by
-    rounding), so the gap equals ``mrs_gap`` at the same point.  The polish also ends, uncertified, when a step returns it
-    to a state (x, smooth-stop count) it held within the last _CYCLE steps
-    (the step is a function of that state, so the polish would repeat
-    forever), when more than _STALL_WINDOW steps in a row set no new best
-    gap, when the line search makes no move, and after _MAX_ITERS steps.
-    A step changes the sum of x only by rounding.
+    rounding), so the gap equals ``mrs_gap`` at the same point.  The polish
+    also ends, uncertified, when a step returns it to any state (x,
+    smooth-stop count) it held (the step is a function of that state, so
+    the polish would repeat forever), when more than _STALL_WINDOW steps in
+    a row set no new best gap, and after _MAX_ITERS steps.  A pair step
+    that does not move x changes only the smooth-stop count, which takes
+    three values, so such a polish either moves on by a Newton step or
+    returns to a state it held.  A step changes the sum of x only by
+    rounding.
 
     Returns (x, pi, gap, iterations): the point the polish stopped at, its
     satisfactions and MRS gap, and the number of polish steps.
@@ -645,7 +644,7 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
             bins = np.concatenate((bins[~held], np.full(len(ties), c)))
 
     smooth = 0
-    recent = collections.deque([(x.tobytes(), smooth)], maxlen=_CYCLE)
+    visited = {(x.tobytes(), smooth)}
     iters = 0
     repeated = False
     stall = 0
@@ -666,15 +665,13 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
         step = _newton_step(srt, bins, x, pi, fp, f, up, j, k) if smooth == 2 else None
         if step is None:
             d, landing = _line_search(prefs, srt, mins, x, pi, f, j, k)
-            if d <= 0.0:
-                return x, pi, gap, iters
             step = _apply_move(x, j, k, d, landing), landing[0] is None
         moved, smoothly = step
         after = min(smooth + 1, 2) if smoothly else 0
         iters += 1
         state = (moved.tobytes(), after)
-        repeated = state in recent
-        recent.append(state)
+        repeated = state in visited
+        visited.add(state)
         before, x, smooth = x, moved, after
         for c in (x != before).nonzero()[0].tolist():
             place(c)

@@ -120,6 +120,26 @@ def test_cohesive_groups_core_example_joint_group():
     assert alpha[0b111111 - 1] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "sats, match",
+    [
+        (np.ones(5), r"n=3 satisfactions per row, got shape \(5,\)"),
+        (np.ones(2), r"n=3 satisfactions per row, got shape \(2,\)"),
+        (np.ones((4, 2)), r"n=3 satisfactions per row, got shape \(4, 2\)"),
+        (np.float64(1.0), r"n=3 satisfactions per row, got shape \(\)"),
+        (np.array([0.5, np.nan, 0.5]), "sats must be finite"),
+        (np.array([[0.5, 0.5, 0.5], [0.5, np.inf, 0.5]]), "sats must be finite"),
+    ],
+    ids=["longer", "shorter", "shorter-rows", "scalar", "nan", "inf-in-a-row"],
+)
+def test_cohesive_groups_refuses_bad_satisfactions(sats, match):
+    # unchecked, a longer row is cut to its first n entries, a shorter one
+    # ends in an IndexError, and a nan fills the mean table with nan
+    p = ct.Profile([[0.5, 0.5]] * 3)
+    with pytest.raises(ValueError, match=match):
+        ct.cohesive_groups(p, sats)
+
+
 def test_cohesive_groups_guard():
     p = dirichlet_profile(0, 21, 2)
     with pytest.raises(ct.GuardError):

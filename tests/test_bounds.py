@@ -33,7 +33,7 @@ def test_welfare_two_group_split():
 def test_welfare_loss_zero_at_reference():
     p = dirichlet_profile(1, 5, 3)
     ref = ct.solve_utilitarian(p)
-    assert ct.welfare_loss(p, ref.allocation, ref) == pytest.approx(0.0, abs=1e-9)
+    assert ct.welfare_loss(ref.satisfactions, ref) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_welfare_loss_two_group_nash():
@@ -41,7 +41,7 @@ def test_welfare_loss_two_group_nash():
     ref = ct.solve_utilitarian(p)
     assert ref.objective == pytest.approx(3.0, abs=1e-6)
     nash = ct.solve_ctr(p, NASH)
-    assert ct.welfare_loss(p, nash.allocation, ref) == pytest.approx(1.0 / 6.0, abs=1e-6)
+    assert ct.welfare_loss(nash.satisfactions, ref) == pytest.approx(1.0 / 6.0, abs=1e-6)
 
 
 def test_welfare_loss_against_oracle_reference():
@@ -63,7 +63,7 @@ def test_welfare_loss_requires_converged_reference():
         converged=False,
     )
     with pytest.raises(ValueError):
-        ct.welfare_loss(p, ref.allocation, broken)
+        ct.welfare_loss(ref.satisfactions, broken)
 
 
 def test_egalitarian_loss_requires_converged_reference():
@@ -71,13 +71,13 @@ def test_egalitarian_loss_requires_converged_reference():
     ref = ct.solve_egalitarian(p)
     broken = dataclasses.replace(ref, converged=False)
     with pytest.raises(ValueError, match="egalitarian reference did not converge"):
-        ct.egalitarian_loss(p, ref.allocation, broken)
+        ct.egalitarian_loss(ref.satisfactions, broken)
 
 
 def test_egalitarian_loss_zero_at_reference():
     p = dirichlet_profile(3, 4, 3)
     ref = ct.solve_egalitarian(p)
-    assert ct.egalitarian_loss(p, ref.allocation, ref) == pytest.approx(0.0, abs=1e-7)
+    assert ct.egalitarian_loss(ref.satisfactions, ref) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_egalitarian_loss_single_minded_identity():
@@ -85,8 +85,29 @@ def test_egalitarian_loss_single_minded_identity():
     p = ct.Profile([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]])
     ref = ct.solve_egalitarian(p)
     x = ct.Allocation([0.5, 0.3, 0.2])
-    min_sat = ct.satisfaction_vector(p, x).min()
-    assert ct.egalitarian_loss(p, x, ref) == pytest.approx(1.0 - 3 * min_sat, abs=1e-8)
+    sats = ct.satisfaction_vector(p, x)
+    min_sat = sats.min()
+    assert ct.egalitarian_loss(sats, ref) == pytest.approx(1.0 - 3 * min_sat, abs=1e-8)
+
+
+LOSSES = {
+    "welfare_loss": (ct.welfare_loss, ct.solve_utilitarian, "utilitarian"),
+    "egalitarian_loss": (ct.egalitarian_loss, ct.solve_egalitarian, "egalitarian"),
+}
+
+
+@pytest.mark.parametrize("agents", [1, 2, 4])
+@pytest.mark.parametrize("loss", sorted(LOSSES))
+def test_loss_refuses_a_reference_of_another_agent_count(loss, agents):
+    # a reference solved for another profile measures against another
+    # optimum: unchecked, the 1-agent reference reads a welfare loss of 0.0 here
+    measure, solve, name = LOSSES[loss]
+    p = ct.Profile([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
+    q = dirichlet_profile(5, agents, 3)
+    sats = ct.satisfaction_vector(p, ct.Allocation.uniform(3))
+    with pytest.raises(ValueError, match=f"{name} reference has {agents} satisfactions, expected 3"):
+        measure(sats, solve(q))
+    assert 0.0 <= measure(sats, solve(p)) <= 1.0
 
 
 def test_egalitarian_loss_against_oracle_reference():
@@ -180,6 +201,20 @@ def test_lambda_must_be_a_real_number(lam):
     # numpy's numbers are real numbers
     assert ct.wl_bound(np.float64(1.0), 3) == ct.wl_bound(1.0, 3)
     assert ct.afs_bound(0.25, np.float64(0.5)) == ct.afs_bound(0.25, 0.5)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 3.0, 9.0])
+def test_single_minded_share_and_egalitarian_bounds_are_tight_at_two_alternatives(p):
+    """One agent on alternative 0 and n - 1 on alternative 1: the rule with
+    IAV 1 + p (negpower p) gives the lone agent exactly the IFS share floor,
+    and its egalitarian loss is exactly the single-minded cap."""
+    f = ct.make_utility("negpower", p=p)
+    for n in [2, 3, 7, 50, 400]:
+        profile = ct.Profile([[1.0, 0.0]] + [[0.0, 1.0]] * (n - 1))
+        report = ct.solve_ctr(profile, f)
+        assert report.satisfactions.min() == pytest.approx(ct.ifs_share_bound(1.0 + p, 2, n), abs=1e-12)
+        el = ct.egalitarian_loss(report.satisfactions, ct.solve_egalitarian(profile))
+        assert el == pytest.approx(ct.el_bound_single_minded(1.0 + p, 2, n), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,6 @@ ALLOCATION_READERS = {
     "directional_derivative_toward": lambda p, x: ct.directional_derivative(p, ct.Allocation.uniform(p.m), x, 0),
     "satisfaction_vector": lambda p, x: ct.satisfaction_vector(p, x),
     "welfare": lambda p, x: ct.welfare(p, x),
-    "welfare_loss": lambda p, x: ct.welfare_loss(p, x, ct.solve_utilitarian(p)),
-    "egalitarian_loss": lambda p, x: ct.egalitarian_loss(p, x, ct.solve_egalitarian(p)),
     "solve_ctr_start": lambda p, x: ct.solve_ctr(p, NASH, start=x),
 }
 
