@@ -6,8 +6,17 @@ piecewise smooth: its kinks sit where some share x_j equals some ideal
 x^i_j, and optima frequently land exactly on those kinks.  The solver runs
 one exchange polish.  A cold solve starts it from the mean of the agents'
 ideals, which on single-minded profiles is the proportional allocation the
-Nash rule selects; a warm start (``solve_ctr(..., start=x)``, such as the
-previous rung of a lambda ladder) starts it from x.  Each step shifts mass
+Nash rule selects.  With at least _WARM_GATE agents it first takes up to
+_WARM_STEPS multiplicative steps x_j <- x_j mc_up_j^eta (renormalised),
+with eta = 1 or 1 / lambda, lambda the rule's inequality aversion at the
+mean satisfaction: on single-minded rows one such step lands on the
+optimum x_j ~ n_j^(1/lambda) of log, power and negpower, and under the
+Nash rule it is the proportional-response update (Wu and Zhang 2007),
+mirror ascent on the simplex (Birnbaum, Devanur and Xiao 2011).  A step
+is kept only when it raises the objective by more than rounding, and a
+polish from there that ends uncertified is followed by one from the mean
+ideal.  A warm start (``solve_ctr(..., start=x)``, such as the previous
+rung of a lambda ladder) starts the polish from x.  Each step shifts mass
 from the alternative with the smallest weak marginal contribution to the
 one with the largest strict marginal contribution, using an exact concave
 line search whose steps land bit-exactly on kink values (or on zero): it
@@ -115,6 +124,7 @@ from .core import (
     _check_index,
     check_agent,
     check_allocation,
+    iav,
     overlap,
     support_masks,
 )
@@ -135,6 +145,12 @@ _KINK_PREFIX = 32
 # below this fraction of the largest: their directions are the face's flat
 # exchanges, along which no satisfaction moves.
 _SINGULAR = 1e-12
+# A cold rule solve of a profile with at least this many agents takes up to
+# _WARM_STEPS proportional-response steps before the polish; below it they
+# cost more than the polish steps they save (the steps-and-time table of
+# n 24-2000, m 4-50 in CHANGES.md).
+_WARM_GATE = 32
+_WARM_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -298,7 +314,11 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
                 else:
                     up = cj_r >= xj + d - EQUALITY_TOL
                     dn = ck_r > xk - d + EQUALITY_TOL
-                return float(fp @ up - fp @ dn)
+                value = float(fp @ up - fp @ dn)
+                if not math.isfinite(value):
+                    scaled = fp / fp.max()
+                    value = float(scaled @ up - scaled @ dn)
+                return value
 
             return slope
 
@@ -350,30 +370,35 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     # (capped at the last) until one qualifies, then bisect inside the last
     # doubling; both phases keep lo_d at the last breakpoint found positive.
     # A gallop that would pass the prefix goes on over every kink and agent.
-    # The qualifying kink's left derivative reuses its right probe's f'
-    lo_d, hit, hit_slope, hit_probe = 0.0, None, 0.0, None
-    lo_i, hi_i = 0, len(steps) - 1
-    mid, galloping = 0, True
-    while lo_i <= hi_i:
-        at = probe(float(steps[mid]))
-        slope = at(right=True)
-        if slope <= 0.0:
-            hit, hit_slope, hit_probe, hi_i = mid, slope, at, mid - 1
-            galloping = False
-        else:
-            lo_d, lo_i = float(steps[mid]), mid + 1
-        if galloping and not complete and 2 * mid + 1 > hi_i:
-            order, steps = merged_kinks(all_steps.argsort(kind="stable"))
-            hi_i, complete, probe = len(steps) - 1, True, full_probe
-        mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
+    # The qualifying kink's left derivative reuses its right probe's f'.  A
+    # probe at or near dmax floors the emptied donor's agents, whose f',
+    # clipped near the float range (about 1e306 for negexppower), can sum
+    # past it; such a slope is taken again from f' scaled by its largest
+    # value
+    with np.errstate(over="ignore"):
+        lo_d, hit, hit_slope, hit_probe = 0.0, None, 0.0, None
+        lo_i, hi_i = 0, len(steps) - 1
+        mid, galloping = 0, True
+        while lo_i <= hi_i:
+            at = probe(float(steps[mid]))
+            slope = at(right=True)
+            if slope <= 0.0:
+                hit, hit_slope, hit_probe, hi_i = mid, slope, at, mid - 1
+                galloping = False
+            else:
+                lo_d, lo_i = float(steps[mid]), mid + 1
+            if galloping and not complete and 2 * mid + 1 > hi_i:
+                order, steps = merged_kinks(all_steps.argsort(kind="stable"))
+                hi_i, complete, probe = len(steps) - 1, True, full_probe
+            mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
 
-    b = dmax if hit is None else float(steps[hit])
-    near_end = xj + b + EQUALITY_TOL >= xj + dmax - EQUALITY_TOL or xk - b - EQUALITY_TOL <= xk - dmax + EQUALITY_TOL
-    if (near_end or hit_slope == 0.0) and full_probe(dmax)(right=False) >= 0.0:
-        return dmax, ("zero", None)
-    if hit is not None and hit_probe(right=False) >= 0.0:
-        o = int(order[hit])
-        return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
+        b = dmax if hit is None else float(steps[hit])
+        near_end = xj + b + EQUALITY_TOL >= xj + dmax - EQUALITY_TOL or xk - b - EQUALITY_TOL <= xk - dmax + EQUALITY_TOL
+        if (near_end or hit_slope == 0.0) and full_probe(dmax)(right=False) >= 0.0:
+            return dmax, ("zero", None)
+        if hit is not None and hit_probe(right=False) >= 0.0:
+            o = int(order[hit])
+            return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
     hi_d = b
 
     # smooth sign change inside (lo_d, hi_d).  No breakpoint lies inside, so
@@ -684,6 +709,61 @@ def _on_simplex(x: np.ndarray) -> np.ndarray:
     return x / s if abs(s - 1.0) > 1e-9 else x
 
 
+def _proportional_steps(prefs: np.ndarray, f: UtilityFunction, x: np.ndarray) -> np.ndarray:
+    """Up to _WARM_STEPS multiplicative steps from x, each kept only when
+    it raises sum_i f(pi_i) by more than rounding: the point they reach.
+
+    A step moves x to y proportional to x (mc_up / max mc_up)^eta, where
+    mc_up_j, the strict marginal contribution, is f'(pi) times the strict
+    support mask of column j.  It tries eta = 1 and eta = 1 / lambda, where
+    lambda = ``iav(f, t)`` at the mean satisfaction t at x, and keeps the
+    better y.  On single-minded rows with counts n_j the optimum is x_j
+    proportional to n_j^(1/lambda) for log, power and negpower (f' is a
+    multiple of t^-lambda), and mc_up_j = n_j f'(x_j), so one step with eta
+    = 1/lambda lands on it from any interior x.  Under the Nash rule
+    (lambda = 1) the step is the proportional-response update (Wu and Zhang
+    2007), mirror ascent on the simplex (Birnbaum, Devanur and Xiao 2011).
+
+    f' is scaled by its largest value first, so mc_up stays finite where f'
+    is clipped near the float range.  A step must gain more than n eps (sum
+    |f(pi)| + f'(pi) . pi), about the rounding of the objective and of its
+    first-order change: at an optimum that mc_up already balances, such as
+    the Nash rule's proportional point on single-minded rows, a step moves x
+    only in its last bits.  A y that leaves some agent below the utility's
+    evaluation floor is not taken: f is flat there, so the objective no
+    longer sees that agent's loss.  No step is taken where f'(t) is 0 (the
+    quadratic rule at t = 1, where every agent has its ideal) or where no
+    column has a strict supporter.
+    """
+    n = len(prefs)
+    pi = overlap(prefs, x)
+    t = float(pi.mean())
+    if not f.deriv(t) > 0.0:
+        return x
+    etas = dict.fromkeys((1.0, 1.0 / iav(f, t)))
+    values = f.value(pi)
+    with np.errstate(over="ignore"):  # clipped f values may sum past the float range
+        for _ in range(_WARM_STEPS):
+            fp = f.deriv(pi)
+            mc_up = (fp / fp.max()) @ support_masks(prefs, x)[0]
+            top = mc_up.max()
+            if not top > 0.0:
+                break
+            slack = n * np.finfo(float).eps * (float(np.abs(values).sum()) + float(fp @ pi))
+            best = None
+            for eta in etas:
+                y = x * (mc_up / top) ** eta
+                y /= y.sum()
+                pi_y = overlap(prefs, y)
+                values_y = f.value(pi_y)
+                if pi_y.min() >= f.floor and (best is None or float(values_y.sum()) > float(best[2].sum())):
+                    best = y, pi_y, values_y
+            if best is None or not float(best[2].sum()) - float(values.sum()) > slack:
+                break
+            x, pi, values = best
+    return x
+
+
 def _report(x: np.ndarray, pi: np.ndarray, objective: float, gap: float, iterations: int) -> SolveReport:
     """The report of a solve that stopped at x, where the satisfactions are
     pi and the certificate is gap; converged means gap <= _TOL."""
@@ -711,12 +791,21 @@ def solve_ctr(profile: Profile, f: UtilityFunction, *, start: Allocation | None 
     Without start the polish is cold: it starts from the mean of the agents'
     ideals (on single-minded profiles, the proportional allocation; on a
     profile that supports one alternative only, that alternative's vertex).
+    A profile of at least _WARM_GATE agents first takes up to _WARM_STEPS
+    proportional-response steps from there (``_proportional_steps``), each
+    kept only when it raises the objective by more than rounding; when the
+    polish from the point they reach ends uncertified, a second polish
+    starts from the mean ideal, and the report is that polish's.  So a cold
+    solve certifies wherever the polish from the mean ideal does, and below
+    the gate it is that polish bit for bit.
     With start (an allocation over the profile's m alternatives, such as
     the optimum of a nearby rule) it starts from start restricted to the
     supported alternatives and renormalised; a start with no mass on any
     supported alternative falls back to the cold start.  A start that sums
     to 1 within 1e-9 is not renormalised, so a certified optimum given as
-    its own start comes back bit for bit.  iterations counts polish steps.
+    its own start comes back bit for bit; a warm solve takes no
+    proportional-response step.  iterations counts polish steps, of both
+    polishes when a cold solve runs two.
     """
     if start is not None:
         check_allocation(profile, start)
@@ -729,9 +818,20 @@ def solve_ctr(profile: Profile, f: UtilityFunction, *, start: Allocation | None 
     # largest ideal share is positive), or from the mean ideal; the
     # certificate does not depend on where the polish began
     x0 = np.where(srt[-1] > 0.0, np.maximum(start.shares, 0.0), 0.0) if start is not None else None
+    starts = [x0]
     if x0 is None or not x0.sum() > 0.0:
-        x0 = np.maximum(prefs.mean(axis=0), 0.0)
-    x, pi, gap, iters = _ascend(prefs, srt, f, _on_simplex(x0))
+        # a cold solve above the gate polishes first from where the
+        # proportional-response steps lead, and from the mean ideal only
+        # when that polish ends uncertified
+        mean_ideal = _on_simplex(np.maximum(prefs.mean(axis=0), 0.0))
+        warm = _proportional_steps(prefs, f, mean_ideal) if profile.n >= _WARM_GATE else mean_ideal
+        starts = [mean_ideal] if warm is mean_ideal else [warm, mean_ideal]
+    iters = 0
+    for x0 in starts:
+        x, pi, gap, steps = _ascend(prefs, srt, f, _on_simplex(x0))
+        iters += steps
+        if gap <= _TOL:
+            break
     return _report(x, pi, f.value(pi).sum(), gap, iters)
 
 

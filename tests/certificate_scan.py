@@ -13,8 +13,13 @@ negpower 1, 3 and 9, negexppower 1 and 3, and quadratic, so 3,060 solves per
 seed.  The same profiles are then solved along ``ctr sweep``'s default
 ladder 0.25:4:5 (power 0.75 and 0.5, log, negpower 1 and 3), each rung
 started from the previous rung's optimum as the sweep starts it, so 1,700
-solves per seed; warm rungs take most of the polish's Newton steps.  Two
-lines per seed, the cold solves' and then the ladder's, give the certified
+solves per seed; warm rungs take most of the polish's Newton steps.  Then
+40 larger profiles, case c drawn from ``default_rng(10000 * seed + 5000 +
+c)`` with n in [40, 400] and m in [3, 20] and the same four row kinds,
+are solved cold under the nine rules, so 360 solves per seed above the
+solver's warm gate, whose cold solves take proportional-response steps
+before the polish.  Three lines per seed, the cold solves', the ladder's
+and the large solves', give the certified
 and uncertified counts, the polish steps summed over the scan, the most
 steps one solve took and a digest of every report, so two versions of the
 solver can be compared by diffing their scan output.  The file is not named
@@ -31,6 +36,9 @@ import ctrules as ct
 from ctrules.cli import _lambda_grid, ladder_rule
 
 CASES = 340
+LARGE_CASES = 40
+LARGE_FIRST = 5000
+LARGE_SIZES = ((40, 401), (3, 21))
 RULES = [
     ct.make_utility("log"),
     ct.make_utility("power", p=0.25),
@@ -45,10 +53,11 @@ RULES = [
 LADDER = [ladder_rule(lam) for lam in _lambda_grid("0.25:4:5")]
 
 
-def scan_profile(seed: int, case: int) -> ct.Profile:
-    """The profile of one case of the scan at seed."""
+def scan_profile(seed: int, case: int, sizes=((1, 25), (2, 7))) -> ct.Profile:
+    """The profile of one case of the scan at seed, with n and m drawn from
+    the half-open ranges in sizes."""
     rng = np.random.default_rng(10000 * seed + case)
-    n, m = int(rng.integers(1, 25)), int(rng.integers(2, 7))
+    n, m = int(rng.integers(*sizes[0])), int(rng.integers(*sizes[1]))
     kind = case % 4
     if kind == 0:
         rows = rng.dirichlet(np.ones(m), size=n)
@@ -67,6 +76,16 @@ def scan(seed: int) -> list[ct.SolveReport]:
     reports = []
     for case in range(CASES):
         profile = scan_profile(seed, case)
+        reports += [ct.solve_ctr(profile, f) for f in RULES]
+    return reports
+
+
+def scan_large(seed: int) -> list[ct.SolveReport]:
+    """Every report of the scan's cold solves above the warm gate at seed,
+    case by case and rule by rule."""
+    reports = []
+    for case in range(LARGE_CASES):
+        profile = scan_profile(seed, LARGE_FIRST + case, LARGE_SIZES)
         reports += [ct.solve_ctr(profile, f) for f in RULES]
     return reports
 
@@ -105,6 +124,7 @@ def main(argv: list[str]) -> int:
     for seed in [int(arg) for arg in argv] or [1]:
         print(f"seed {seed}: {summary(scan(seed))}")
         print(f"seed {seed} ladder: {summary(scan_ladder(seed))}")
+        print(f"seed {seed} large: {summary(scan_large(seed))}")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -651,6 +652,112 @@ def test_cold_solve_is_the_solve_started_at_the_mean_ideal():
             warm = ct.solve_ctr(profile, f, start=mean_ideal)
             assert np.array_equal(cold.allocation.shares, warm.allocation.shares)
             assert (cold.iterations, cold.mrs_gap, cold.converged) == (warm.iterations, warm.mrs_gap, warm.converged)
+
+
+# ---------------------------------------------------------------------------
+# Proportional-response steps above the warm gate
+# ---------------------------------------------------------------------------
+
+WARM_RULES = [
+    ct.make_utility("log"),
+    ct.make_utility("power", p=0.5),
+    ct.make_utility("negpower", p=3.0),
+    ct.make_utility("negexppower", p=1.0),
+]
+
+
+def warm_guard_profiles():
+    """20 seeded profiles above the warm gate, n 64 and 200, m 5 and 10:
+    Dirichlet 0.3, 1 and 5, single-minded rows, and four homogeneous
+    groups."""
+    rng = np.random.default_rng(35)
+    for n in (64, 200):
+        for m in (5, 10):
+            for conc in (0.3, 1.0, 5.0):
+                yield ct.Profile(rng.dirichlet(np.full(m, conc), size=n))
+            yield ct.Profile(np.eye(m)[rng.integers(0, m, size=n)])
+            sizes = rng.multinomial(n - 4, np.ones(4) / 4) + 1
+            yield ct.Profile(np.repeat(rng.dirichlet(np.ones(m), size=4), sizes, axis=0))
+
+
+def test_cold_solve_above_the_gate_keeps_the_mean_ideal_solve():
+    """A cold solve above the gate certifies wherever the solve started at
+    the mean ideal (the cold path below the gate) certifies, reaches the
+    same objective within 1e-12 relative, and takes fewer polish steps in
+    total.  Both certificates hold the gap to 1e-7, which fixes the
+    satisfactions only to about 5e-10 here, not to 1e-12.  On the
+    single-minded 200 x 10 profile under negexppower:1 the polish from the
+    proportional-response point stops uncertified at the rounding floor
+    (gap 1.5e-7 against marginal contributions of about 4e7); the solve then
+    polishes from the mean ideal too, which certifies."""
+    steps = [0, 0]
+    profiles = list(warm_guard_profiles())
+    assert min(p.n for p in profiles) >= solver_module._WARM_GATE
+    for profile in profiles:
+        mean_ideal = ct.Allocation(profile.prefs.mean(axis=0))
+        for f in WARM_RULES:
+            cold = ct.solve_ctr(profile, f)
+            ref = ct.solve_ctr(profile, f, start=mean_ideal)
+            assert cold.converged or not ref.converged, (profile.n, profile.m, f)
+            assert cold.objective == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
+            assert np.abs(cold.satisfactions.values - ref.satisfactions.values).max() <= 1e-9
+            steps[0] += ref.iterations
+            steps[1] += cold.iterations
+    assert steps[1] < 0.85 * steps[0], steps
+
+
+def test_cold_nash_solve_of_a_single_minded_profile_above_the_gate_is_the_proportional_point():
+    """The proportional point balances the Nash rule's marginal
+    contributions, so a proportional-response step from it moves x only in
+    its last bits and gains only rounding: no step is taken there, and the
+    solve returns the mean ideal exactly, with no polish step."""
+    f = ct.make_utility("log")
+    ns = (40, 64, 100, 200, 500, 1000, 2000)
+    for seed in range(120):
+        profile = single_minded_profile(seed, ns[seed % len(ns)], 2 + seed % 9)
+        report = ct.solve_ctr(profile, f)
+        assert report.converged and report.iterations == 0
+        assert np.array_equal(report.allocation.shares, profile.prefs.mean(axis=0))
+
+
+def test_quadratic_rule_on_identical_rows_above_the_gate_returns_the_ideal():
+    """Every agent has its ideal at the mean ideal, where the quadratic
+    rule's f'(1) is 0 and its inequality aversion undefined: no
+    proportional-response step is tried."""
+    ideal = np.array([0.3, 0.45, 0.25])
+    profile = ct.Profile(np.tile(ideal, (40, 1)))
+    report = ct.solve_ctr(profile, ct.make_utility("quadratic"))
+    assert report.converged and report.iterations == 0
+    assert np.array_equal(report.allocation.shares, profile.prefs.mean(axis=0))
+
+
+def test_solve_with_a_start_takes_no_proportional_response_step(monkeypatch):
+    profile = dirichlet_profile(35, 200, 6, conc=0.5)
+    optima = [ct.solve_ctr(profile, f) for f in WARM_RULES]
+
+    def forbidden(*args):
+        raise AssertionError("a warm solve took a proportional-response step")
+
+    monkeypatch.setattr(solver_module, "_proportional_steps", forbidden)
+    for f, cold in zip(WARM_RULES, optima):
+        assert cold.converged
+        warm = ct.solve_ctr(profile, f, start=cold.allocation)
+        assert warm.converged and warm.iterations == 0
+        assert np.array_equal(warm.allocation.shares, cold.allocation.shares)
+
+
+def test_line_search_slope_past_the_float_range_raises_no_warning():
+    """Emptying a column of single-minded agents floors their
+    satisfactions, where negexppower:1's f' is clipped near 1e306; the left
+    derivative probe at dmax sums thousands of them past the float range.
+    The slope is then taken from f' scaled by its largest value, with its
+    sign and without a numpy warning."""
+    f = ct.make_utility("negexppower", p=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(6):
+            profile = single_minded_profile(seed, 2000, 10)
+            ct.solve_ctr(profile, f, start=ct.Allocation(profile.prefs.mean(axis=0)))
 
 
 # ---------------------------------------------------------------------------
