@@ -67,10 +67,11 @@ The polish stops when the marginal-rate-of-substitution gap
 
 drops to _TOL = 1e-7; a nonpositive gap certifies global optimality of
 the concave program, so the certificate relies neither on smoothness nor
-on where the polish started.  The report carries the satisfactions and the gap
-of the point the polish stopped at, which equal ``overlap`` and ``mrs_gap``
-there bit for bit, so no solve computes its certificate twice.  Every
-solver reports converged as gap <= _TOL, one constant no caller can set.
+on where the polish started.  Every solver reports converged as gap <=
+_TOL, one constant no caller can set.  The polish takes every f' and f''
+times one power of four (``_fp_scale``), so that no sum overflows, and
+divides its gap by it, as ``mrs_gap`` does: the report's satisfactions and
+gap are ``overlap`` and ``mrs_gap`` at its allocation bit for bit.
 
 The paper's first-order quantities live here, computed one way: the strict
 marginal contribution mc_up is the agent weights times the strict support
@@ -207,12 +208,27 @@ def mrs_gap(profile: Profile, x: Allocation, f: UtilityFunction) -> float:
     shrinkable one.  The solvers count a gap of at most _TOL as certified.
     """
     prefs, shares = profile.prefs, check_allocation(profile, x)
-    return _exchange_terms(shares, *_marginals(f.deriv(overlap(prefs, shares)), *_supporters(prefs, shares)))[0]
+    scale = _fp_scale(f, *prefs.shape)
+    return _exchange_terms(shares, *_marginals(f.deriv(overlap(prefs, shares)) * scale, *_supporters(prefs, shares)), scale)[0]
 
 
 # ---------------------------------------------------------------------------
 # First-order engine
 # ---------------------------------------------------------------------------
+
+
+def _fp_scale(f: UtilityFunction, n: int, m: int) -> float:
+    """The power of four 4^-k by which the polish of an n x m profile
+    multiplies every f' and f'': k >= 0 is the least with n m^2
+    max(f'(floor), |f''(floor)|) 4^-k <= 2^1020, taken in log2.  f' and
+    |f''| peak, finite, at the floor, and a slope sums at most n of them, a
+    curvature n times squared rates of at most m, so no sum overflows.  A
+    power of four changes no sign, direction, root or bit (but subnormals),
+    nor the square roots of the Newton system's diagonal.  It is 1 for every
+    rule but negexppower and negpower with p above 30."""
+    top = max(float(f.deriv(f.floor)), abs(float(f.second(f.floor))))
+    k = math.ceil((math.log2(n) + 2.0 * math.log2(m) + math.log2(top) - 1020.0) / 2.0)
+    return 4.0 ** -max(k, 0)
 
 
 def _supporters(prefs: np.ndarray, shares: np.ndarray):
@@ -241,26 +257,26 @@ def _marginals(weights: np.ndarray, up: np.ndarray, tied: np.ndarray, bins: np.n
     return mc_up, mc_up + np.bincount(bins, weights[tied], minlength=up.shape[1])
 
 
-def _exchange_terms(x: np.ndarray, mc_up: np.ndarray, mc_down: np.ndarray):
+def _exchange_terms(x: np.ndarray, mc_up: np.ndarray, mc_down: np.ndarray, scale: float):
     """The MRS gap at x with its exchange pair: (gap, j, k), where j is the
     growable alternative with the largest strict marginal contribution and
-    k the shrinkable one with the smallest weak marginal contribution.  It
-    masks the caller's fresh mc_up and mc_down in place."""
+    k the shrinkable one with the smallest weak one, under weights times
+    scale, the divisor of the gap.  It masks mc_up and mc_down in place."""
     mc_up[x >= 1.0] = -np.inf
     mc_down[x <= 0.0] = np.inf
     j, k = int(mc_up.argmax()), int(mc_down.argmin())
-    return float(mc_up[j] - mc_down[k]), j, k
+    return float(mc_up[j] - mc_down[k]) / scale, j, k
 
 
-def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, j: int, k: int):
+def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.ndarray, pi: np.ndarray, f: UtilityFunction, scale: float, j: int, k: int):
     """Maximize the objective along x + d (e_j - e_k) for d in [0, dmax].
 
-    srt holds the profile's columns sorted, and mins the minima
-    min(prefs, x) whose row sums are pi.  Returns (d, landing) where landing
-    records an exact stopping value: ("zero", None) when the donor empties,
-    ("j", v) / ("k", v) when a share lands on a preference kink v, or (None,
-    None) for a smooth interior stop.  Exact landings let the MRS
-    certificate see ties exactly.
+    srt holds the profile's columns sorted, mins the minima min(prefs, x)
+    whose row sums are pi, and scale the polish's f' factor.  Returns (d,
+    landing) where landing records an exact stopping value: ("zero", None)
+    when the donor empties, ("j", v) / ("k", v) when a share lands on a
+    preference kink v, or (None, None) for a smooth interior stop.  Exact
+    landings let the MRS certificate see ties exactly.
 
     The kinks along the exchange are two runs of the sorted columns, each
     in the order the exchange reaches them: the ideal shares v of j with
@@ -305,7 +321,7 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
         cj_r, ck_r, pi_r, base_j_r, base_k_r = cj[rows], ck[rows], pi[rows], base_j[rows], base_k[rows]
 
         def probe(d: float):
-            fp = f.deriv(pi_r + (np.minimum(cj_r, xj + d) - base_j_r) + (np.minimum(ck_r, xk - d) - base_k_r))
+            fp = f.deriv(pi_r + (np.minimum(cj_r, xj + d) - base_j_r) + (np.minimum(ck_r, xk - d) - base_k_r)) * scale
 
             def slope(right: bool) -> float:
                 if right:
@@ -314,11 +330,7 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
                 else:
                     up = cj_r >= xj + d - EQUALITY_TOL
                     dn = ck_r > xk - d + EQUALITY_TOL
-                value = float(fp @ up - fp @ dn)
-                if not math.isfinite(value):
-                    scaled = fp / fp.max()
-                    value = float(scaled @ up - scaled @ dn)
-                return value
+                return float(fp @ up - fp @ dn)
 
             return slope
 
@@ -370,35 +382,30 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     # (capped at the last) until one qualifies, then bisect inside the last
     # doubling; both phases keep lo_d at the last breakpoint found positive.
     # A gallop that would pass the prefix goes on over every kink and agent.
-    # The qualifying kink's left derivative reuses its right probe's f'.  A
-    # probe at or near dmax floors the emptied donor's agents, whose f',
-    # clipped near the float range (about 1e306 for negexppower), can sum
-    # past it; such a slope is taken again from f' scaled by its largest
-    # value
-    with np.errstate(over="ignore"):
-        lo_d, hit, hit_slope, hit_probe = 0.0, None, 0.0, None
-        lo_i, hi_i = 0, len(steps) - 1
-        mid, galloping = 0, True
-        while lo_i <= hi_i:
-            at = probe(float(steps[mid]))
-            slope = at(right=True)
-            if slope <= 0.0:
-                hit, hit_slope, hit_probe, hi_i = mid, slope, at, mid - 1
-                galloping = False
-            else:
-                lo_d, lo_i = float(steps[mid]), mid + 1
-            if galloping and not complete and 2 * mid + 1 > hi_i:
-                order, steps = merged_kinks(all_steps.argsort(kind="stable"))
-                hi_i, complete, probe = len(steps) - 1, True, full_probe
-            mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
+    # The qualifying kink's left derivative reuses its right probe's f'.
+    lo_d, hit, hit_slope, hit_probe = 0.0, None, 0.0, None
+    lo_i, hi_i = 0, len(steps) - 1
+    mid, galloping = 0, True
+    while lo_i <= hi_i:
+        at = probe(float(steps[mid]))
+        slope = at(right=True)
+        if slope <= 0.0:
+            hit, hit_slope, hit_probe, hi_i = mid, slope, at, mid - 1
+            galloping = False
+        else:
+            lo_d, lo_i = float(steps[mid]), mid + 1
+        if galloping and not complete and 2 * mid + 1 > hi_i:
+            order, steps = merged_kinks(all_steps.argsort(kind="stable"))
+            hi_i, complete, probe = len(steps) - 1, True, full_probe
+        mid = min(2 * mid + 1, hi_i) if galloping else (lo_i + hi_i) // 2
 
-        b = dmax if hit is None else float(steps[hit])
-        near_end = xj + b + EQUALITY_TOL >= xj + dmax - EQUALITY_TOL or xk - b - EQUALITY_TOL <= xk - dmax + EQUALITY_TOL
-        if (near_end or hit_slope == 0.0) and full_probe(dmax)(right=False) >= 0.0:
-            return dmax, ("zero", None)
-        if hit is not None and hit_probe(right=False) >= 0.0:
-            o = int(order[hit])
-            return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
+    b = dmax if hit is None else float(steps[hit])
+    near_end = xj + b + EQUALITY_TOL >= xj + dmax - EQUALITY_TOL or xk - b - EQUALITY_TOL <= xk - dmax + EQUALITY_TOL
+    if (near_end or hit_slope == 0.0) and full_probe(dmax)(right=False) >= 0.0:
+        return dmax, ("zero", None)
+    if hit is not None and hit_probe(right=False) >= 0.0:
+        o = int(order[hit])
+        return b, (("j", float(vj[o])) if o < len(vj) else ("k", float(vk[o - len(vj)])))
     hi_d = b
 
     # smooth sign change inside (lo_d, hi_d).  No breakpoint lies inside, so
@@ -413,35 +420,36 @@ def _line_search(prefs: np.ndarray, srt: np.ndarray, mins: np.ndarray, x: np.nda
     def sats(d: float) -> np.ndarray:
         return pi + (np.minimum(cj, xj + d) - base_j) + (np.minimum(ck, xk - d) - base_k)
 
-    return _smooth_stop(f, sats, a, lo_d, hi_d, math.ulp(xj + xk)), (None, None)
+    return _smooth_stop(f, scale, sats, a, lo_d, hi_d, math.ulp(xj + xk)), (None, None)
 
 
-def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: float, ulps: float, derivs=None) -> float:
+def _smooth_stop(f: UtilityFunction, scale: float, sats, rate: np.ndarray, lo: float, hi: float, ulps: float, derivs=None) -> float:
     """The root of phi'(t) = f'(sats(t)) @ rate inside (lo, hi), where the
     satisfactions sats(t) move at the fixed rates ``rate`` (no kink lies
     inside), phi'(lo) > 0 and phi'(hi) <= 0.
 
-    phi''(t) = f''(sats(t)) @ rate^2.  Newton steps from lo keep the sign
-    bracket [lo, hi] and fall back to bisection when a step leaves it or
-    phi'' is not negative; a step of at most ulps ends the search.  After 80
-    steps without that end, bisection shrinks the bracket to ulps.  Both
-    line searches stop this way: a pair exchange, whose rates are +-1 (so
-    rate^2 is exactly 1), and a Newton direction, whose search passes the
-    (f', f'') at sats(lo) it already has as derivs.
+    phi''(t) = f''(sats(t)) @ rate^2, with f' and f'' taken times scale.
+    Newton steps from lo keep the sign bracket [lo, hi] and fall back to
+    bisection when a step leaves it or phi'' is not negative; a step of at
+    most ulps ends the search.  After 80 steps without that end, bisection
+    shrinks the bracket to ulps.  Both line searches stop this way: a pair
+    exchange, whose rates are +-1 (so rate^2 is exactly 1), and a Newton
+    direction, whose search passes the (f', f'') at sats(lo) it already has
+    as derivs.
     """
     square = rate * rate
     t = lo
     for step in range(80):
         if step or derivs is None:
             p = sats(t)
-            derivs = f.deriv(p), f.second(p)
+            derivs = f.deriv(p) * scale, f.second(p) * scale
         slope = float(derivs[0] @ rate)
         curve = float(np.add.reduce(derivs[1] * square))
         if slope > 0.0:
             lo = t
         else:
             hi = t
-        nxt = t - slope / curve if math.isfinite(curve) and curve < 0.0 else math.nan
+        nxt = t - slope / curve if curve < 0.0 else math.nan
         if abs(nxt - t) <= ulps:
             return min(max(nxt, lo), hi)
         if not lo < nxt < hi:
@@ -456,7 +464,7 @@ def _smooth_stop(f: UtilityFunction, sats, rate: np.ndarray, lo: float, hi: floa
         t = 0.5 * (lo + hi)
         if not lo < t < hi:
             break
-        if float(f.deriv(sats(t)) @ rate) > 0.0:
+        if float((f.deriv(sats(t)) * scale) @ rate) > 0.0:
             lo = t
         else:
             hi = t
@@ -503,17 +511,17 @@ def _newton_direction(fp: np.ndarray, second: np.ndarray, supp: np.ndarray) -> n
     return d / np.abs(d).max()
 
 
-def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndarray, fp: np.ndarray, second: np.ndarray, f: UtilityFunction, supp: np.ndarray, d: np.ndarray):
+def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndarray, fp: np.ndarray, second: np.ndarray, f: UtilityFunction, scale: float, supp: np.ndarray, d: np.ndarray):
     """Maximize the objective along x + t d for t from 0 to the first kink.
 
     x and d hold the face's shares and direction (max |d_j| = 1), supp
-    their strict supporters (0/1 floats), fp and second f'(pi) and f''(pi),
-    and no agent is tied with any x_j.  Up to the first kink the
-    satisfactions are pi + t (supp @ d), so the smooth stop starts from fp
-    and second.  The first kink is the nearest value, over the columns,
-    that x_j reaches moving along d_j: above[j], the smallest ideal share
-    above x_j, when it grows, and below[j], the largest below x_j (or
-    zero), when it shrinks.
+    their strict supporters (0/1 floats), fp and second f'(pi) and f''(pi)
+    times scale, as the search takes every f', and no agent is tied with
+    any x_j.  Up to the first kink the satisfactions are pi + t (supp @ d),
+    so the smooth stop starts from fp and second.  The first kink is the
+    nearest value, over the columns, that x_j reaches moving along d_j:
+    above[j], the smallest ideal share above x_j, when it grows, and
+    below[j], the largest below x_j (or zero), when it shrinks.
     Returns (t, c, v): when the objective still rises into the first kink,
     t is its step and column c lands on v (an ideal share, or zero);
     otherwise t is the smooth stop before it, and c and v are None.
@@ -525,49 +533,39 @@ def _ray_search(above: np.ndarray, below: np.ndarray, x: np.ndarray, pi: np.ndar
     end = float(steps[c])
     act = rate.nonzero()[0]
     rate, pi = rate[act], pi[act]
-    at_end = f.deriv(pi + end * rate)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = float(at_end @ rate)
-    if not math.isfinite(slope):
-        # f' clipped near the float range on a few agents overflows the
-        # sum; scaled by the largest f', it keeps its sign and stays finite
-        slope = float((at_end / at_end.max()) @ rate)
-    if slope >= 0.0:
+    if float((f.deriv(pi + end * rate) * scale) @ rate) >= 0.0:
         return end, c, float(target[c])
-
-    def sats(t: float) -> np.ndarray:
-        return pi + t * rate
-
-    return _smooth_stop(f, sats, rate, 0.0, end, math.ulp(x.sum()), (fp[act], second[act])), None, None
+    return _smooth_stop(f, scale, lambda t: pi + t * rate, rate, 0.0, end, math.ulp(x.sum()), (fp[act], second[act])), None, None
 
 
-def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarray, fp: np.ndarray, f: UtilityFunction, up: np.ndarray, j: int, k: int):
+def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarray, fp: np.ndarray, f: UtilityFunction, scale: float, up: np.ndarray, j: int, k: int):
     """A Newton step on the free face of x: (the point it reaches, whether
     it stopped smoothly), or None when it is not taken.
 
-    srt holds the profile's columns sorted, fp f'(pi), up the strict support
-    mask, and bins the share each tied agent is tied at, as ``_marginals``
-    takes it.  The free face is F = {j : x_j > 0, no agent tied at x_j}; near
-    x the satisfactions are affine in x_F.  The step is taken only when the
-    MRS pair (j, k) lies in F: otherwise the gap is held by a column at zero
-    or on a kink, which only a pair step moves (at the optimum of its face
-    the pairs inside F have no gap).  It searches along ``_newton_direction``
-    with ``_ray_search``, whose kinks are the ideal shares next to each free
-    share: with no agent tied there, a free column's strict supporters are
-    the top entries of its sorted column, so they are the sorted entries on
-    either side of the first strict one.  A landing column takes its kink or
-    zero value exactly.  The largest other share of F then takes what keeps
-    sum(x_F) unchanged, so the step changes the sum of x only by rounding,
-    as a pair step does.  A smooth stop no farther than one ulp of sum(x_F),
-    the resolution of its search, and a step that leaves x unchanged are not
-    taken: at the rounding floor such steps would only shuffle last bits.
+    srt holds the profile's columns sorted, fp f'(pi) times scale, up the
+    strict support mask, and bins the share each tied agent is tied at, as
+    ``_marginals`` takes it.  The free face is F = {j : x_j > 0, no agent
+    tied at x_j}; near x the satisfactions are affine in x_F.  The step is
+    taken only when the MRS pair (j, k) lies in F: otherwise the gap is held
+    by a column at zero or on a kink, which only a pair step moves (at the
+    optimum of its face the pairs inside F have no gap).  It searches along
+    ``_newton_direction`` with ``_ray_search``, whose kinks are the ideal
+    shares next to each free share: with no agent tied there, a free
+    column's strict supporters are the top entries of its sorted column, so
+    they are the sorted entries on either side of the first strict one.  A
+    landing column takes its kink or zero value exactly.  The largest other
+    share of F then takes what keeps sum(x_F) unchanged, so the step
+    changes the sum of x only by rounding, as a pair step does.  A smooth
+    stop no farther than one ulp of sum(x_F), the resolution of its search,
+    and a step that leaves x unchanged are not taken: at the rounding floor
+    such steps would only shuffle last bits.
     """
     free = (x > 0.0) & (np.bincount(bins, minlength=len(x)) == 0)
     if not (free[j] and free[k]):
         return None
     free = free.nonzero()[0]
     supp = up[:, free]
-    second = f.second(pi)
+    second = f.second(pi) * scale
     d = _newton_direction(fp, second, supp)
     if d is None:
         return None
@@ -576,7 +574,7 @@ def _newton_step(srt: np.ndarray, bins: np.ndarray, x: np.ndarray, pi: np.ndarra
     first = n - supp.sum(axis=0).astype(int)
     above = np.where(first < n, srt[np.minimum(first, n - 1), free], np.inf)
     below = np.where(first > 0, srt[np.maximum(first - 1, 0), free], 0.0)
-    t, c, v = _ray_search(above, below, old, pi, fp, second, f, supp, d)
+    t, c, v = _ray_search(above, below, old, pi, fp, second, f, scale, supp, d)
     # a smooth stop within the search's resolution of 0 is rounding noise
     if not (t > 0.0 if c is not None else t > math.ulp(old.sum())):
         return None
@@ -647,6 +645,7 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
     Returns (x, pi, gap, iterations): the point the polish stopped at, its
     satisfactions and MRS gap, and the number of polish steps.
     """
+    scale = _fp_scale(f, *prefs.shape)
     mins = np.minimum(prefs, x)
     up, tied, bins = _supporters(prefs, x)
     # a share at zero keeps no ties: the gap never reads its weak
@@ -676,8 +675,8 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
     best_gap = np.inf
     while True:
         pi = mins.sum(axis=1)
-        fp = f.deriv(pi)
-        gap, j, k = _exchange_terms(x, *_marginals(fp, up, tied, bins))
+        fp = f.deriv(pi) * scale
+        gap, j, k = _exchange_terms(x, *_marginals(fp, up, tied, bins), scale)
         if gap <= _TOL or repeated or iters >= _MAX_ITERS:
             return x, pi, gap, iters
         if gap < best_gap - 1e-14:
@@ -687,9 +686,9 @@ def _ascend(prefs: np.ndarray, srt: np.ndarray, f: UtilityFunction, x: np.ndarra
             stall += 1
             if stall > _STALL_WINDOW:
                 return x, pi, gap, iters
-        step = _newton_step(srt, bins, x, pi, fp, f, up, j, k) if smooth == 2 else None
+        step = _newton_step(srt, bins, x, pi, fp, f, scale, up, j, k) if smooth == 2 else None
         if step is None:
-            d, landing = _line_search(prefs, srt, mins, x, pi, f, j, k)
+            d, landing = _line_search(prefs, srt, mins, x, pi, f, scale, j, k)
             step = _apply_move(x, j, k, d, landing), landing[0] is None
         moved, smoothly = step
         after = min(smooth + 1, 2) if smoothly else 0
@@ -864,7 +863,7 @@ def solve_utilitarian(profile: Profile) -> SolveReport:
     partial = last % m
     x[partial] = max(1.0 - np.delete(x, partial).sum(), 0.0)
     pi = overlap(prefs, x)
-    gap = _exchange_terms(x, *_marginals(np.ones(n), *_supporters(prefs, x)))[0]
+    gap = _exchange_terms(x, *_marginals(np.ones(n), *_supporters(prefs, x)), 1.0)[0]
     return _report(x, pi, pi.sum(), gap, 0)
 
 

@@ -3,7 +3,7 @@ profiles, counted by whether their MRS certificate passed.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/certificate_scan.py 1 2 3 4 5
+    PYTHONPATH=src python -W error::RuntimeWarning tests/certificate_scan.py 1 2 3 4 5
 
 For each seed, case c in 0..339 draws from ``default_rng(10000 * seed + c)``
 n in [1, 24] and m in [2, 6], then n rows by c mod 4: Dirichlet(1),

@@ -11,7 +11,7 @@ import pytest
 
 import ctrules as ct
 from ctrules.cli import AXIOMS, BOUNDS, RULES, build_parser, ladder_rule, load_profile, main
-from helpers import FailingHighs
+from helpers import FailingHighs, single_minded_profile
 
 SP_DOC = {"n": 2, "m": 2, "prefs": [[0.5, 0.5], [0.0, 1.0]]}
 CORE_DOC = {
@@ -134,6 +134,21 @@ def test_solve_core_example(tmp_path):
 
 def test_solve_missing_file_exits_one(tmp_path):
     assert main(["solve", "--profile", str(tmp_path / "nope.json"), "--rule", "nash"]) == 1
+
+
+def test_steep_solve_that_ends_uncertified_exits_two(tmp_path, capsys):
+    """negexppower:3 on 2000 single-minded agents over 10 alternatives ends
+    uncertified at the rounding floor: the report is written and the exit
+    code is 2, with no numpy warning (an overflowing Newton system once made
+    it exit 1, the code for bad input)."""
+    prof = write_doc(tmp_path / "sm.json", {"n": 2000, "m": 10, "prefs": single_minded_profile(0, 2000, 10).prefs.tolist()})
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--profile", prof, "--rule", "negexp:3", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert not report["converged"] and np.isfinite(report["mrsGap"])
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_solve_bad_rule_exits_one(tmp_path):

@@ -11,6 +11,7 @@ mask and tie lists the polish carries from step to step equal fresh ones."""
 
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,12 +224,12 @@ def test_newton_slope_at_clipped_marginals_keeps_its_sign_without_overflow():
     """500 single-minded agents over 50 alternatives (the rows that
     default_rng([3, 0]) draws) under negexppower p = 1, solved cold.  A
     Newton step's ray ends where shrinking shares leave 120 agents with f'
-    clipped near 1.6e306, so the end-of-ray slope overflowed in the product
-    (a RuntimeWarning, which fails the suite).  The slope's sign is read
-    from the sum scaled by its largest f' when the plain sum is not
-    finite.  The solve stops at the
-    rounding floor of marginal contributions near 1e25, uncertified, and its
-    report is the polish's own: mrs_gap and overlap at its allocation."""
+    clipped near 1.6e306, whose unscaled sum overflows (a RuntimeWarning,
+    which fails the suite).  The polish takes every f' times its power of
+    four, which keeps that slope finite with its sign.  The solve stops at
+    the rounding floor of marginal contributions near 1e25, uncertified,
+    and its report is the polish's own: mrs_gap and overlap at its
+    allocation."""
     rows = np.zeros((500, 50))
     rows[np.arange(500), np.random.default_rng([3, 0]).integers(0, 50, size=500)] = 1.0
     profile = ct.Profile(rows)
@@ -237,6 +238,23 @@ def test_newton_slope_at_clipped_marginals_keeps_its_sign_without_overflow():
     assert np.isfinite(report.mrs_gap) and report.iterations > 0
     assert report.mrs_gap == ct.mrs_gap(profile, report.allocation, f)
     assert np.array_equal(report.satisfactions.values, overlap(profile.prefs, report.allocation.shares))
+
+
+def test_fp_scale_is_the_least_power_of_four_that_bounds_the_sums():
+    """``_fp_scale`` is 4^-k for the least k >= 0 with n m^2 max(f'(floor),
+    |f''(floor)|) 4^-k <= 2^1020, checked in exact rational arithmetic.  It
+    is 1 for every kind but negexppower at these shapes, negpower 30
+    included, and below 1 for negexppower once the n m^2 terms of f' near
+    1e306 pass the bound."""
+    for f in UTILITIES + [ct.make_utility("negpower", p=30.0), ct.make_utility("negexppower", p=3.0)]:
+        top = max(Fraction(float(f.deriv(f.floor))), abs(Fraction(float(f.second(f.floor)))))
+        for n, m in ((1, 2), (40, 50), (600, 10), (2000, 50)):
+            scale = solver_module._fp_scale(f, n, m)
+            k = round(-math.log2(scale)) // 2
+            assert scale == 4.0**-k
+            assert n * m * m * top <= 2**1020 * 4**k
+            assert k == 0 or n * m * m * top > 2**1020 * 4 ** (k - 1)
+            assert (k > 0) == (f.kind == "negexppower" and n > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +331,7 @@ def bisection_line_search(prefs, x, pi, f, j, k):
 def line_search(prefs, x, pi, f, j, k):
     """The solver's line search from x, with the sorted columns and the
     minima min(prefs, x) it is given inside the polish."""
-    return solver_module._line_search(prefs, np.sort(prefs, axis=0), np.minimum(prefs, x), x, pi, f, j, k)
+    return solver_module._line_search(prefs, np.sort(prefs, axis=0), np.minimum(prefs, x), x, pi, f, solver_module._fp_scale(f, *prefs.shape), j, k)
 
 
 @contextmanager
@@ -331,10 +349,10 @@ def recorded_line_searches():
         evals[0] += inside[0]
         return deriv(self, t)
 
-    def recording_line_search(prefs, srt, mins, x, pi, f, j, k):
+    def recording_line_search(prefs, srt, mins, x, pi, f, scale, j, k):
         evals[0], inside[0] = 0, True
         try:
-            out = solver_line_search(prefs, srt, mins, x, pi, f, j, k)
+            out = solver_line_search(prefs, srt, mins, x, pi, f, scale, j, k)
         finally:
             inside[0] = False
         records.append(((prefs, x.copy(), pi.copy(), f, j, k), out, evals[0]))
@@ -446,7 +464,7 @@ def free_face(prefs, x):
 def seeded_faces():
     """Every Newton search in cold solves of seeded Dirichlet profiles, as
     (kind, prefs, x, args): the profile's prefs, the polish's point and the
-    arguments (above, below, x_F, pi, fp, second, f, supp, d) of
+    arguments (above, below, x_F, pi, fp, second, f, scale, supp, d) of
     ``_ray_search``, each
     search followed by one on the same face along a random ascent direction
     with sum 0 and max |d_j| = 1."""
@@ -471,19 +489,19 @@ def seeded_faces():
             for f in UTILITIES[:5]:
                 ct.solve_ctr(profile, f)
     rng = np.random.default_rng(1982)
-    for prefs, x, (above, below, xf, pi, fp, second, f, supp, d) in searches:
-        yield "newton", prefs, x, (above, below, xf, pi, fp, second, f, supp, d)
+    for prefs, x, (above, below, xf, pi, fp, second, f, scale, supp, d) in searches:
+        yield "newton", prefs, x, (above, below, xf, pi, fp, second, f, scale, supp, d)
         d = rng.normal(size=len(xf))
         d -= d.mean()
         d /= np.abs(d).max()
-        yield "random", prefs, x, (above, below, xf, pi, fp, second, f, supp, d if fp @ (supp @ d) > 0.0 else -d)
+        yield "random", prefs, x, (above, below, xf, pi, fp, second, f, scale, supp, d if fp @ (supp @ d) > 0.0 else -d)
 
 
 def test_smooth_stop_along_a_general_direction_agrees_with_bisection():
     kinds = {"kink": 0, "smooth": 0, "newton": 0, "random": 0}
     for direction, prefs, x, args in seeded_faces():
         kinds[direction] += 1
-        _, _, xf, pi, _, _, f, _, d = args
+        _, _, xf, pi, _, _, f, _, _, d = args
         t, c, v = solver_module._ray_search(*args)
         ref_t, ref_c, ref_v = ray_search_oracle(prefs[:, free_face(prefs, x)], xf, pi, f, d)
         assert (c, v) == (ref_c, ref_v)
@@ -508,7 +526,7 @@ def test_smooth_stop_reaches_the_root_when_newton_steps_creep():
     def slope(t):
         return float(f.deriv(pi + t * rate) @ rate)
 
-    t = solver_module._smooth_stop(f, lambda t: pi + t * rate, rate, 0.0, 0.24, math.ulp(1.0))
+    t = solver_module._smooth_stop(f, 1.0, lambda t: pi + t * rate, rate, 0.0, 0.24, math.ulp(1.0))
     lo, hi = 0.0, 0.24
     while hi - lo > math.ulp(1.0):
         mid = 0.5 * (lo + hi)
@@ -534,7 +552,7 @@ def test_sorted_copy_gives_the_free_face_and_first_kinks_of_the_masks():
     largest other one below it (or zero), and so the first kink's column,
     step and value along both directions."""
     faces = 0
-    for _, prefs, x, (above, below, xf, _, _, _, _, supp, d) in seeded_faces():
+    for _, prefs, x, (above, below, xf, _, _, _, _, _, supp, d) in seeded_faces():
         free = free_face(prefs, x)
         face = prefs[:, free]
         assert np.array_equal(xf, x[free])
@@ -775,7 +793,7 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
         solving["carried"] = up.copy(), tied.copy(), bins.copy()
         return marginals(weights, up, tied, bins)
 
-    def checking_exchange_terms(x, mc_up, mc_down):
+    def checking_exchange_terms(x, mc_up, mc_down, scale):
         prefs = solving["prefs"]
         up, tied, bins = solving["carried"]
         fresh_up, fresh_down = support_masks(prefs, x)
@@ -803,7 +821,7 @@ def test_carried_support_masks_equal_fresh_masks_after_every_step():
         checked[0] += 1
         tied_steps[0] += bool(len(bins))
         most_ties[0] = max(most_ties[0], max(map(len, held)))
-        return exchange_terms(x, mc_up, mc_down)
+        return exchange_terms(x, mc_up, mc_down, scale)
 
     def counting_newton_step(*args):
         step = newton_step(*args)

@@ -749,15 +749,52 @@ def test_solve_with_a_start_takes_no_proportional_response_step(monkeypatch):
 def test_line_search_slope_past_the_float_range_raises_no_warning():
     """Emptying a column of single-minded agents floors their
     satisfactions, where negexppower:1's f' is clipped near 1e306; the left
-    derivative probe at dmax sums thousands of them past the float range.
-    The slope is then taken from f' scaled by its largest value, with its
-    sign and without a numpy warning."""
+    derivative probe at dmax sums thousands of them, which would pass the
+    float range unscaled.  The polish takes every f' times one power of
+    four (``_fp_scale``), so the slope stays finite, with its sign, and
+    raises no numpy warning."""
     f = ct.make_utility("negexppower", p=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in range(6):
             profile = single_minded_profile(seed, 2000, 10)
             ct.solve_ctr(profile, f, start=ct.Allocation(profile.prefs.mean(axis=0)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cold_solve_deep_in_the_clip_reports_a_finite_gap(seed):
+    """negexppower:3 on 600 single-minded agents over 10 alternatives,
+    solved cold, runs deep in the clip, where f' and |f''| of the floored
+    agents near 1e306.  Unscaled, the Newton system overflowed to inf and
+    its eigensolver raised LinAlgError.  Scaled, the solve raises no
+    warning, and its gap is finite and ``mrs_gap``'s bit for bit."""
+    f = ct.make_utility("negexppower", p=3.0)
+    profile = single_minded_profile(seed, 600, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ct.solve_ctr(profile, f)
+        assert np.isfinite(report.mrs_gap)
+        assert report.mrs_gap == ct.mrs_gap(profile, report.allocation, f)
+
+
+def test_steep_rule_solves_raise_no_warning():
+    """Cold solves under negpower 9 and 30 and negexppower 1, 3, 6 and 8,
+    of single-minded and of Dirichlet(0.1) rows, each pair at 300 x 18,
+    600 x 10 or 40 x 50 in turn (seed 0).  Unscaled, four of the twelve
+    overflowed: three warned and one raised LinAlgError.  Scaled, none
+    warns, and every gap is finite and ``mrs_gap``'s bit for bit."""
+    steep = [ct.make_utility("negpower", p=9.0), ct.make_utility("negpower", p=30.0)]
+    steep += [ct.make_utility("negexppower", p=p) for p in (1.0, 3.0, 6.0, 8.0)]
+    shapes = [(300, 18), (600, 10), (40, 50)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, f in enumerate(steep):
+            for kind in range(2):
+                n, m = shapes[(r + kind) % 3]
+                profile = dirichlet_profile(0, n, m, conc=0.1) if kind else single_minded_profile(0, n, m)
+                report = ct.solve_ctr(profile, f)
+                assert np.isfinite(report.mrs_gap)
+                assert report.mrs_gap == ct.mrs_gap(profile, report.allocation, f)
 
 
 # ---------------------------------------------------------------------------
@@ -940,8 +977,8 @@ def test_a_pair_step_past_the_donor_share_empties_it(monkeypatch):
     search, apply_move = solver_module._line_search, solver_module._apply_move
     moves = []
 
-    def overshooting_search(prefs, srt, mins, x, pi, f, j, k):
-        d, landing = search(prefs, srt, mins, x, pi, f, j, k)
+    def overshooting_search(prefs, srt, mins, x, pi, f, scale, j, k):
+        d, landing = search(prefs, srt, mins, x, pi, f, scale, j, k)
         return (1.5 * x[k], (None, None)) if not moves else (d, landing)
 
     def recording_move(x, j, k, d, landing):
@@ -981,8 +1018,8 @@ def test_a_newton_step_that_leaves_x_unchanged_is_not_taken(monkeypatch):
     up, tied, bins = solver_module._supporters(prefs, x)
     assert len(bins) == 0
     pi = overlap(prefs, x)
-    gap, j, k = solver_module._exchange_terms(x, *solver_module._marginals(f.deriv(pi), up, tied, bins))
-    args = (np.sort(prefs, axis=0), bins, x, pi, f.deriv(pi), f, up, j, k)
+    gap, j, k = solver_module._exchange_terms(x, *solver_module._marginals(f.deriv(pi), up, tied, bins), 1.0)
+    args = (np.sort(prefs, axis=0), bins, x, pi, f.deriv(pi), f, 1.0, up, j, k)
     moved, _ = solver_module._newton_step(*args)
     assert gap > solver_module._TOL and not np.array_equal(moved, x)
     monkeypatch.setattr(solver_module, "_ray_search", lambda above, below, xf, *rest: (5e-324, 0, float(xf[0])))
